@@ -9,10 +9,9 @@ training loss therefore never exceeds the original one.
 from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
                    load_csv, load_feature_bundle, load_idx,
                    save_feature_bundle, split, standardize_inputs, write_idx)
-from .layer import (GuaranteeReport, IterateStats, RedenseLayer, build,
-                    evaluate_layer, guarantee_check, lfp_lift,
-                    lfp_reconstruct, predict, train)
-from .linalg import Matrix, frobenius_norm, matmul, pinv, sample_gaussian
+from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
+                    build, lfp_lift, lfp_reconstruct, predict, train)
+from .linalg import Matrix, frobenius_norm, pinv, sample_gaussian
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
                  accuracy, evaluate, extract_features, forward, loss_grad,
                  loss_value, make_loss, make_mlp, softmax, train_base)
@@ -22,13 +21,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport",
-    "IterateStats", "Loss", "Matrix", "MlpModel", "RedenseLayer", "SplitSpec",
-    "TrainConfig", "accuracy", "build", "evaluate", "evaluate_layer",
+    "HeadConfig", "IterateStats", "Loss", "Matrix", "MlpModel", "RedenseLayer",
+    "SplitSpec", "TrainConfig", "accuracy", "build", "evaluate",
     "extract_features", "forward", "frobenius_norm", "gen_digit_images",
-    "gen_synthetic", "guarantee_check", "lfp_lift", "lfp_reconstruct",
-    "load_csv", "load_feature_bundle", "load_idx", "load_model", "loss_grad",
-    "loss_value", "make_loss", "make_mlp", "matmul", "pinv", "predict",
-    "read_curve", "sample_gaussian", "save_feature_bundle", "save_model",
-    "softmax", "split", "standardize_inputs", "train", "train_base",
-    "write_curve", "write_idx",
+    "gen_synthetic", "lfp_lift", "lfp_reconstruct", "load_csv",
+    "load_feature_bundle", "load_idx", "load_model", "loss_grad", "loss_value",
+    "make_loss", "make_mlp", "pinv", "predict", "read_curve", "sample_gaussian",
+    "save_feature_bundle", "save_model", "softmax", "split",
+    "standardize_inputs", "train", "train_base", "write_curve", "write_idx",
 ]

@@ -261,11 +261,16 @@ def _load_eval_bundle(path, n):
     return eval_bundle
 
 
-def _train_head(bundle, m, seed, lr, epochs, eval_bundle=None):
+def _head_config(args):
+    try:
+        return layermod.HeadConfig(learning_rate=args.lr, epochs=args.epochs)
+    except ValueError as exc:
+        raise CliError(EXIT_FLAGS, str(exc)) from None
+
+
+def _train_head(bundle, m, seed, cfg, eval_bundle=None):
     n = bundle.features.shape[1]
     layer = layermod.build(bundle.output_weight, n, m, seed)
-    cfg = nn.TrainConfig(learning_rate=lr, epochs=epochs, batch_size=len(bundle.features),
-                         optimizer="adam", seed=seed)
     base_loss = None
     base_old = None
     if "base_loss" in bundle.metadata:
@@ -273,8 +278,8 @@ def _train_head(bundle, m, seed, lr, epochs, eval_bundle=None):
                                  delta=float(bundle.metadata.get("huber_delta", 1.0)))
         if "base_train_loss" in bundle.metadata:
             base_old = float(bundle.metadata["base_train_loss"])
-    eval_feats = eval_bundle.features if eval_bundle is not None else bundle.features
-    eval_targets = eval_bundle.targets if eval_bundle is not None else bundle.targets
+    eval_feats = eval_bundle.features if eval_bundle is not None else None
+    eval_targets = eval_bundle.targets if eval_bundle is not None else None
     return layermod.train(layer, bundle.features, bundle.targets, cfg,
                           eval_features=eval_feats, eval_targets=eval_targets,
                           base_loss=base_loss, base_old_loss=base_old)
@@ -283,6 +288,7 @@ def _train_head(bundle, m, seed, lr, epochs, eval_bundle=None):
 def cmd_redense(args):
     started = _now()
     seed = _resolve_seed(args)
+    cfg = _head_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = datamod.load_feature_bundle(args.bundle)
@@ -292,8 +298,8 @@ def cmd_redense(args):
         raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
 
-    trained, report, curve = _train_head(bundle, m, seed, args.lr, args.epochs, eval_bundle)
-    if not layermod.guarantee_check(report):
+    trained, report, curve = _train_head(bundle, m, seed, cfg, eval_bundle)
+    if not report.guarantee_holds:
         _print_report(report)
         print("guarantee violated: this is a defect in the tool, not in the inputs",
               file=sys.stderr)
@@ -359,6 +365,7 @@ def _print_report(report):
 def cmd_sweep_m(args):
     started = _now()
     seed = _resolve_seed(args)
+    cfg = _head_config(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = datamod.load_feature_bundle(args.bundle)
@@ -377,9 +384,8 @@ def cmd_sweep_m(args):
     for m in m_values:
         for s in range(args.seeds):
             run_seed = seed + s
-            _trained, report, curve = _train_head(bundle, m, run_seed, args.lr,
-                                                  args.epochs, eval_bundle)
-            if not layermod.guarantee_check(report):
+            _trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
+            if not report.guarantee_holds:
                 print(f"guarantee violated at m={m}, seed={run_seed}: this is a "
                       "defect in the tool, not in the inputs", file=sys.stderr)
                 return EXIT_GUARANTEE

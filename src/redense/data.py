@@ -119,16 +119,21 @@ def _write_le_matrix(f, a: Matrix):
     f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
 
 
+def _read_le_block(f, shape, path, what) -> np.ndarray:
+    """Read a row-major little-endian float64 block of the given shape, all finite."""
+    raw = _read_exact(f, int(np.prod(shape)) * 8, path, what)
+    a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    if not np.isfinite(a).all():
+        raise DataFormatError(f"{what} contains NaN or Inf", path=path)
+    return a
+
+
 def _read_le_matrix(f, path, what) -> Matrix:
     rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, f"{what} shape"))
     if rows * cols > 1 << 40:
         raise DataFormatError(f"implausible {what} shape {rows}x{cols}", path=path,
                               offset=f.tell() - 16)
-    raw = _read_exact(f, rows * cols * 8, path, f"{what} payload")
-    a = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).astype(np.float64)
-    if not np.isfinite(a).all():
-        raise DataFormatError(f"{what} payload contains NaN or Inf", path=path)
-    return a
+    return _read_le_block(f, (rows, cols), path, f"{what} payload")
 
 
 def _write_le_string(f, s: str):

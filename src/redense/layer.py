@@ -27,7 +27,7 @@ import numpy as np
 from .errors import ConstraintError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, condition_number,
                      frobenius_norm, pinv, sample_gaussian)
-from .nn import Loss, TrainConfig, accuracy, loss_grad, loss_value
+from .nn import Loss, _AdamState, accuracy, loss_grad, loss_value
 
 log = logging.getLogger(__name__)
 
@@ -82,12 +82,25 @@ class GuaranteeReport:
 
 
 @dataclass(frozen=True)
+class HeadConfig:
+    """Head retraining settings: Adam step size and full-batch iteration count."""
+    learning_rate: float = 1e-4
+    epochs: int = 100
+
+    def __post_init__(self):
+        if self.learning_rate <= 0.0:
+            raise ValueError("learning_rate must be > 0")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+
+
+@dataclass(frozen=True)
 class IterateStats:
     epoch: int
     train_loss: float
     o_norm: float
-    eval_loss: float | None = None
-    eval_accuracy: float | None = None
+    eval_loss: float
+    eval_accuracy: float
 
 
 def build(output_weight: Matrix, n: int, m: int, seed: int,
@@ -151,13 +164,6 @@ def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
     return lfp_lift(layer, features) @ layer.O.T
 
 
-def evaluate_layer(layer: RedenseLayer, features: Matrix, targets: Matrix,
-                   loss: Loss = TRAIN_LOSS):
-    """Return (total loss, accuracy) of the lifted head on the given features."""
-    logits = predict(layer, features)
-    return loss_value(loss, logits, targets), accuracy(logits, targets)
-
-
 # Norms within this relative band of epsilon count as feasible; rescaling
 # lands at epsilon only up to rounding, and absorbing that here makes the
 # projection exactly idempotent.
@@ -171,16 +177,19 @@ def _project(o: Matrix, epsilon: float) -> Matrix:
     return o
 
 
-def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: TrainConfig,
+def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfig,
           eval_features: Matrix | None = None, eval_targets: Matrix | None = None,
           base_loss: Loss | None = None, base_old_loss: float | None = None):
     """Retrain the head under the Frobenius-ball constraint, full batch.
 
-    Runs cfg.epochs iterations of softmax cross-entropy descent on O (SGD or
-    Adam-preconditioned), rescaling any step that leaves the ball back onto
-    its surface. Adam moments are kept across projections. The returned layer
-    carries the best iterate by training loss, O0 included, so the reported
-    final loss never exceeds the starting one.
+    Runs cfg.epochs Adam iterations of softmax cross-entropy descent on O,
+    rescaling any step that leaves the ball back onto its surface. Adam
+    moments are kept across projections. The returned layer carries the best
+    iterate by training loss, O0 included, so the reported final loss never
+    exceeds the starting one.
+
+    The curve's eval columns score eval_features when given, and otherwise the
+    training data itself, reusing the training logits.
 
     base_loss / base_old_loss, when given, add an informational comparison in
     the base network's own loss to the report; the enforced inequality is
@@ -194,20 +203,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: TrainConf
         eval_lifted = lfp_lift(layer, eval_features)
 
     o = layer.O.copy()
-    adam = None
-    if cfg.optimizer == "adam":
-        m_t = np.zeros_like(o)
-        v_t = np.zeros_like(o)
-        adam = [m_t, v_t, 0]
-
-    def stats(iteration, o_cur, train_loss):
-        if eval_lifted is None:
-            return IterateStats(iteration, train_loss, frobenius_norm(o_cur))
-        ev_logits = eval_lifted @ o_cur.T
-        return IterateStats(iteration, train_loss, frobenius_norm(o_cur),
-                            loss_value(TRAIN_LOSS, ev_logits, eval_targets),
-                            accuracy(ev_logits, eval_targets))
-
+    adam = _AdamState([o.shape])
     curve = []
     best_o = o.copy()
     best_loss = np.inf
@@ -220,22 +216,20 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: TrainConf
             log.warning("head training hit a non-finite loss at iteration %d; "
                         "keeping best earlier iterate", t)
             break
-        curve.append(stats(t, o, cur_loss))
+        if eval_lifted is None:
+            ev_loss, ev_acc = cur_loss, accuracy(logits, targets)
+        else:
+            ev_logits = eval_lifted @ o.T
+            ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
+            ev_acc = accuracy(ev_logits, eval_targets)
+        curve.append(IterateStats(t, cur_loss, frobenius_norm(o), ev_loss, ev_acc))
         if cur_loss < best_loss:
             best_loss = cur_loss
             best_o = o.copy()
         if t == cfg.epochs:
             break
         grad = loss_grad(TRAIN_LOSS, logits, targets).T @ lifted
-        if adam is not None:
-            adam[2] += 1
-            adam[0] = cfg.beta1 * adam[0] + (1.0 - cfg.beta1) * grad
-            adam[1] = cfg.beta2 * adam[1] + (1.0 - cfg.beta2) * grad * grad
-            m_hat = adam[0] / (1.0 - cfg.beta1 ** adam[2])
-            v_hat = adam[1] / (1.0 - cfg.beta2 ** adam[2])
-            step = m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
-        else:
-            step = grad
+        (step,) = adam.step([grad])
         o = _project(o - cfg.learning_rate * step, layer.epsilon)
 
     init_loss = curve[0].train_loss
@@ -254,8 +248,3 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: TrainConf
         **report_kwargs,
     )
     return trained, report, curve
-
-
-def guarantee_check(report: GuaranteeReport) -> bool:
-    """True iff the retrained loss is at or below the old loss."""
-    return report.final_loss <= report.old_loss

@@ -1,4 +1,4 @@
-"""Dense linear algebra primitives: products, norms, pseudo-inverse, seeded sampling.
+"""Dense linear algebra primitives: norms, pseudo-inverse, seeded sampling.
 
 All public functions take and return 2-D float64 arrays ("matrices") and
 validate finiteness at the boundary. Randomness always flows from an explicit
@@ -29,13 +29,6 @@ def check_finite(a: Matrix, name: str = "matrix") -> Matrix:
     if not np.isfinite(a).all():
         raise NonFiniteError(f"{name} contains NaN or Inf")
     return a
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    """Matrix product, with an explicit shape check naming both operands."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape[0]}x{a.shape[1]} by {b.shape[0]}x{b.shape[1]}")
-    return a @ b
 
 
 def frobenius_norm(a: Matrix) -> float:

@@ -80,9 +80,6 @@ class TrainConfig:
     batch_size: int = 32
     weight_decay: float = 0.0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -286,22 +283,28 @@ def evaluate(model: MlpModel, inputs: Matrix, targets: Matrix, loss: Loss):
     return loss_value(loss, logits, targets), accuracy(logits, targets)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 class _AdamState:
-    def __init__(self, shapes, beta1, beta2, eps):
+    """Adam moments for a list of parameter shapes; step() maps gradients to steps."""
+
+    def __init__(self, shapes):
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
 
     def step(self, grads):
         self.t += 1
         out = []
         for i, g in enumerate(grads):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.t)
-            out.append(m_hat / (np.sqrt(v_hat) + self.eps))
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
+            out.append(m_hat / (np.sqrt(v_hat) + ADAM_EPS))
         return out
 
 
@@ -354,7 +357,7 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     params.append(model.output_weight)
     adam = None
     if cfg.optimizer == "adam":
-        adam = _AdamState([p.shape for p in params], cfg.beta1, cfg.beta2, cfg.adam_eps)
+        adam = _AdamState([p.shape for p in params])
 
     curve = [epoch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):

@@ -13,6 +13,7 @@ import struct
 
 import numpy as np
 
+from .data import _read_exact, _read_le_block
 from .errors import DataFormatError
 from .layer import RedenseLayer
 from .nn import Activation, Layer, Loss, MlpModel
@@ -69,23 +70,6 @@ def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | 
             f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
 
 
-def _read_exact(f, nbytes, path, what):
-    data = f.read(nbytes)
-    if len(data) != nbytes:
-        raise DataFormatError(f"truncated while reading {what}", path=path,
-                              offset=f.tell() - len(data))
-    return data
-
-
-def _read_block(f, shape, path, what):
-    count = int(np.prod(shape))
-    raw = _read_exact(f, count * 8, path, what)
-    block = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
-    if not np.isfinite(block).all():
-        raise DataFormatError(f"{what} contains NaN or Inf", path=path)
-    return block
-
-
 def load_model(path):
     """Load a model file; returns (model, loss, redense_layer_or_None)."""
     with open(path, "rb") as f:
@@ -115,13 +99,13 @@ def load_model(path):
         layers = []
         for spec in layer_specs:
             width = int(spec["width"])
-            weight = _read_block(f, (width, fan_in), path, "layer weight")
-            bias = _read_block(f, (width,), path, "layer bias")
+            weight = _read_le_block(f, (width, fan_in), path, "layer weight")
+            bias = _read_le_block(f, (width,), path, "layer bias")
             layers.append(Layer(weight, bias, Activation(spec["activation"],
                                                          slope=float(spec["slope"]))))
             fan_in = width
-        output_weight = _read_block(f, (n_outputs, fan_in), path, "output weight")
-        output_bias = _read_block(f, (n_outputs,), path, "output bias")
+        output_weight = _read_le_block(f, (n_outputs, fan_in), path, "output weight")
+        output_bias = _read_le_block(f, (n_outputs,), path, "output bias")
         model = MlpModel(layers, output_weight, output_bias)
 
         redense_layer = None
@@ -130,8 +114,8 @@ def load_model(path):
             if n != fan_in:
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)
-            r = _read_block(f, (m, n), path, "projection matrix")
-            o = _read_block(f, (n_outputs, 2 * m), path, "head weight")
+            r = _read_le_block(f, (m, n), path, "projection matrix")
+            o = _read_le_block(f, (n_outputs, 2 * m), path, "head weight")
             redense_layer = RedenseLayer(n=n, m=m, R=r, epsilon=float(redense_spec["epsilon"]),
                                          O=o, seed=int(redense_spec["seed"]))
         trailing = f.read(1)
@@ -141,16 +125,10 @@ def load_model(path):
     return model, loss, redense_layer
 
 
-def _curve_row(row):
-    if hasattr(row, "train_loss"):
-        return (row.epoch, row.train_loss, row.eval_loss, row.eval_accuracy)
-    epoch, train_loss, test_loss, test_accuracy = row
-    return (epoch, train_loss, test_loss, test_accuracy)
-
-
 def write_curve(path, curve):
-    """CSV curve file; rejects empty curves and non-finite entries."""
-    rows = [_curve_row(r) for r in curve]
+    """CSV curve file from rows with epoch, train_loss, eval_loss and eval_accuracy
+    attributes; rejects empty curves and non-finite entries."""
+    rows = [(r.epoch, r.train_loss, r.eval_loss, r.eval_accuracy) for r in curve]
     if not rows:
         raise ValueError("curve is empty")
     for row in rows:

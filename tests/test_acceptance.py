@@ -18,8 +18,8 @@ from redense.cli import main as cli_main
 from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
                           load_feature_bundle, load_idx, save_feature_bundle,
                           write_idx)
-from redense.layer import (TRAIN_LOSS, RedenseLayer, build, lfp_lift,
-                           lfp_reconstruct, predict, train)
+from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, build,
+                           lfp_lift, lfp_reconstruct, predict, train)
 from redense.linalg import frobenius_norm
 from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy,
                         evaluate, extract_features, forward, loss_grad,
@@ -88,7 +88,7 @@ def _full_pipeline(dataset_kind, classes, loss, seed):
     model, _ = train_base(model, data, loss, cfg)
     feats = extract_features(model, data.inputs)
     layer = build(model.output_weight, model.feature_width, model.feature_width, seed=seed)
-    head_cfg = TrainConfig(learning_rate=5e-3, epochs=40, batch_size=len(data), seed=seed)
+    head_cfg = HeadConfig(learning_rate=5e-3, epochs=40)
     base_old = loss_value(loss, forward(model, data.inputs)[0], data.targets)
     _, report, curve = train(layer, feats, data.targets, head_cfg,
                              base_loss=loss, base_old_loss=base_old)
@@ -207,9 +207,8 @@ def test_criterion_5_desk_scale_digits(tmp_path):
     strict_decrease = True
     for seed in range(5):
         layer = build(model.output_weight, n, n, seed=seed)
-        head_cfg = TrainConfig(learning_rate=1e-5, epochs=200,
-                               batch_size=len(train_ds), seed=seed)
-        trained, report, _ = train(layer, feats, train_ds.targets, head_cfg)
+        trained, report, _ = train(layer, feats, train_ds.targets,
+                                   HeadConfig(learning_rate=1e-5, epochs=200))
         strict_decrease = strict_decrease and report.final_loss < base_train_loss
         head_acc = accuracy(predict(trained, test_feats), test_ds.targets)
         deltas.append(head_acc - base_test_acc)

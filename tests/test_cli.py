@@ -1,11 +1,13 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from redense import layer as layermod
 from redense.cli import main
 from redense.data import load_feature_bundle
-from redense.nn import evaluate
+from redense.nn import accuracy, evaluate
 from redense.persist import load_model, read_curve
 
 
@@ -302,11 +304,56 @@ def test_features_width_mismatch_exits_3(tmp_path, capsys):
 
 def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
-    import redense.cli as cli_module
-    monkeypatch.setattr(cli_module.layermod, "guarantee_check", lambda report: False)
-    code = main(["redense", "--bundle", str(bundle_path), "--epochs", "2",
-                 "--seed", "0", "--out-dir", str(tmp_path / "v")])
-    assert code == 5
+    real_train = layermod.train
+
+    def violating_train(*args, **kwargs):
+        trained, report, curve = real_train(*args, **kwargs)
+        return trained, dataclasses.replace(report, guarantee_holds=False), curve
+
+    monkeypatch.setattr(layermod, "train", violating_train)
+    for cmd in (["redense"], ["sweep-m", "--m-values", "8", "--seeds", "1"]):
+        code = main([*cmd, "--bundle", str(bundle_path), "--epochs", "2",
+                     "--seed", "0", "--out-dir", str(tmp_path / "v")])
+        assert code == 5
+
+
+@pytest.mark.parametrize("flags", [["--lr", "0"], ["--epochs", "-1"]], ids=["lr", "epochs"])
+@pytest.mark.parametrize("cmd", [["redense"], ["sweep-m", "--m-values", "8", "--seeds", "1"]],
+                         ids=["redense", "sweep-m"])
+def test_bad_head_flags_exit_2_before_training(tmp_path, capsys, monkeypatch, cmd, flags):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
+    code = main([*cmd, "--bundle", str(bundle_path), *flags,
+                 "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+
+
+def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
+        tmp_path, capsys, monkeypatch):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    real_lift = layermod.lfp_lift
+    lifts = []
+
+    def counting_lift(*args):
+        lifts.append(None)
+        return real_lift(*args)
+
+    monkeypatch.setattr(layermod, "lfp_lift", counting_lift)
+    out = tmp_path / "rd"
+    assert main(["redense", "--bundle", str(bundle_path), "--lr", "1e-2", "--epochs", "8",
+                 "--seed", "3", "--out-dir", str(out)]) == 0
+    assert kv(capsys)["eval_source"] == "training_features"
+    assert len(lifts) == 1
+    monkeypatch.undo()
+
+    bundle = load_feature_bundle(bundle_path)
+    _, _, trained = load_model(out / "redense_head.rdnm")
+    start = layermod.build(bundle.output_weight, trained.n, trained.m, 3)
+    curve = read_curve(out / "redense_curve.csv")
+    assert all(test_loss == train_loss for _, train_loss, test_loss, _ in curve)
+    assert curve[0][3] == accuracy(layermod.predict(start, bundle.features), bundle.targets)
+    best = min(curve, key=lambda row: row[1])
+    assert best[3] == accuracy(layermod.predict(trained, bundle.features), bundle.targets)
 
 
 def test_module_entry_point(tmp_path):

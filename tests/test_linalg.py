@@ -4,41 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from redense.errors import ShapeError
-from redense.linalg import (as_matrix, frobenius_norm, matmul, pinv,
-                            sample_gaussian)
-
-
-def test_matmul_identity():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(matmul(np.eye(2), a), a)
-
-
-def test_matmul_annihilation():
-    a = np.array([[1.0, 0.0], [0.0, 0.0]])
-    b = np.array([[0.0], [5.0]])
-    assert np.array_equal(matmul(a, b), np.zeros((2, 1)))
-
-
-def test_matmul_hand_product():
-    # triple-loop value: [[1*5+2*7, 1*6+2*8], [3*5+4*7, 3*6+4*8]]
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[5.0, 6.0], [7.0, 8.0]])
-    assert np.array_equal(matmul(a, b), np.array([[19.0, 22.0], [43.0, 50.0]]))
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"2x3.*4x2"):
-        matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-
-
-def test_matmul_associativity():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a, b, c = (rng.standard_normal((7, 5)), rng.standard_normal((5, 9)),
-                   rng.standard_normal((9, 4)))
-        left = matmul(matmul(a, b), c)
-        right = matmul(a, matmul(b, c))
-        assert frobenius_norm(left - right) / frobenius_norm(left) < 1e-9
+from redense.linalg import as_matrix, frobenius_norm, pinv, sample_gaussian
 
 
 def test_frobenius_345():

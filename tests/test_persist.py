@@ -125,7 +125,7 @@ def test_curve_round_trip_exact_values(tmp_path, rng):
     rows = [(e, float(rng.standard_normal() ** 2), float(rng.standard_normal() ** 2),
              float(rng.random())) for e in range(25)]
     path = tmp_path / "c.csv"
-    write_curve(path, rows)
+    write_curve(path, [EpochStats(*row) for row in rows])
     back = read_curve(path)
     assert back == rows
 
@@ -135,6 +135,6 @@ def test_curve_rejects_non_finite_and_empty(tmp_path):
     with pytest.raises(ValueError):
         write_curve(path, [])
     with pytest.raises(ValueError):
-        write_curve(path, [(0, float("nan"), 1.0, 0.5)])
+        write_curve(path, [EpochStats(0, float("nan"), 1.0, 0.5)])
     with pytest.raises(ValueError):
         write_curve(path, [EpochStats(0, 1.0, None, None)])
