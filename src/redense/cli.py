@@ -366,6 +366,8 @@ def cmd_sweep_m(args):
     started = _now()
     seed = _resolve_seed(args)
     cfg = _head_config(args)
+    if args.seeds < 1:
+        raise CliError(EXIT_FLAGS, f"--seeds must be >= 1, got {args.seeds}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     bundle = datamod.load_feature_bundle(args.bundle)

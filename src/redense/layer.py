@@ -15,6 +15,14 @@ makes O0 feasible and reproduces the original head exactly:
 O0 lift(y)' = y (pinv(R) R)' Ohat' = y Ohat' for full-column-rank R. Training
 therefore starts at the old loss, and returning the best iterate seen keeps
 the final training loss at or below it, unconditionally.
+
+Training and prediction never build the J x 2m lift. Its second half is
+max(-z,0) = h - z with h = max(z,0) and z = yR', so with O = [O+ | O-]
+
+    lift(y) O'  = h (O+ + O-)' - y (O- R)'
+    G' lift(y)  = [A | A - (G'y) R'],   A = G'h,
+
+which needs only the J x m positive half h next to the J x n features.
 """
 
 from __future__ import annotations
@@ -25,8 +33,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintError, ShapeError, TrainingDivergedError
-from .linalg import (Matrix, as_matrix, check_finite, condition_number,
-                     frobenius_norm, pinv, sample_gaussian)
+from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv,
+                     pinv_with_condition, sample_gaussian)
 from .nn import Loss, _AdamState, accuracy, loss_grad, loss_value
 
 log = logging.getLogger(__name__)
@@ -120,10 +128,11 @@ def build(output_weight: Matrix, n: int, m: int, seed: int,
         r = as_matrix(r_matrix, "r_matrix")
         if r.shape != (m, n):
             raise ShapeError(f"r_matrix has shape {r.shape}, expected ({m}, {n})")
+        r_pinv = pinv(r)
     else:
         r = sample_gaussian(m, n, seed)
         for attempt in range(_RESAMPLE_ATTEMPTS):
-            cond = condition_number(r)
+            r_pinv, cond = pinv_with_condition(r)
             if cond <= MAX_CONDITION:
                 break
             log.warning("projection matrix ill-conditioned (cond=%.3g), resampling with seed %d",
@@ -132,7 +141,7 @@ def build(output_weight: Matrix, n: int, m: int, seed: int,
         else:
             raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
                                   f"after {_RESAMPLE_ATTEMPTS} attempts")
-    p = output_weight @ pinv(r)
+    p = output_weight @ r_pinv
     o0 = np.hstack([p, -p])
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
@@ -140,11 +149,15 @@ def build(output_weight: Matrix, n: int, m: int, seed: int,
     return RedenseLayer(n=n, m=m, R=r, epsilon=epsilon, O=o0, seed=seed)
 
 
-def lfp_lift(layer: RedenseLayer, features: Matrix) -> Matrix:
-    """Sign-split ReLU lifting of features through the frozen projection."""
+def _check_features(layer: RedenseLayer, features: Matrix) -> None:
     if features.shape[1] != layer.n:
         raise ShapeError(f"features have width {features.shape[1]}, layer expects n={layer.n}")
     check_finite(features, "features")
+
+
+def lfp_lift(layer: RedenseLayer, features: Matrix) -> Matrix:
+    """Sign-split ReLU lifting of features through the frozen projection."""
+    _check_features(layer, features)
     z = features @ layer.R.T
     return np.hstack([np.maximum(z, 0.0), np.maximum(-z, 0.0)])
 
@@ -159,9 +172,29 @@ def lfp_reconstruct(lifted: Matrix, m: int) -> Matrix:
     return lifted[:, :m] - lifted[:, m:]
 
 
+def _positive_half(layer: RedenseLayer, features: Matrix) -> Matrix:
+    """h = max(features R', 0), the J x m first half of lfp_lift."""
+    _check_features(layer, features)
+    h = features @ layer.R.T
+    return np.maximum(h, 0.0, out=h)
+
+
+def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix) -> Matrix:
+    """lift(features) o' = h (O+ + O-)' - features (O- R)'."""
+    m = h.shape[1]
+    o_neg = o[:, m:]
+    return h @ (o[:, :m] + o_neg).T - features @ (o_neg @ r).T
+
+
+def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
+    """g' lift(features) = [A | A - (g' features) R'] with A = g'h."""
+    a = g.T @ h
+    return np.hstack([a, a - (g.T @ features) @ r.T])
+
+
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
     """Logits of the lifted head: lift(features) O'."""
-    return lfp_lift(layer, features) @ layer.O.T
+    return _head_logits(_positive_half(layer, features), features, layer.R, layer.O)
 
 
 # Norms within this relative band of epsilon count as feasible; rescaling
@@ -195,12 +228,12 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     the base network's own loss to the report; the enforced inequality is
     always in the training loss.
     """
-    lifted = lfp_lift(layer, features)
-    eval_lifted = None
+    h = _positive_half(layer, features)
+    eval_h = None
     if eval_features is not None:
         if eval_targets is None:
             raise ValueError("eval_features given without eval_targets")
-        eval_lifted = lfp_lift(layer, eval_features)
+        eval_h = _positive_half(layer, eval_features)
 
     o = layer.O.copy()
     adam = _AdamState([o.shape])
@@ -208,7 +241,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     best_o = o.copy()
     best_loss = np.inf
     for t in range(cfg.epochs + 1):
-        logits = lifted @ o.T
+        logits = _head_logits(h, features, layer.R, o)
         cur_loss = loss_value(TRAIN_LOSS, logits, targets) if np.isfinite(logits).all() else np.nan
         if not np.isfinite(cur_loss):
             if t == 0:
@@ -216,10 +249,10 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             log.warning("head training hit a non-finite loss at iteration %d; "
                         "keeping best earlier iterate", t)
             break
-        if eval_lifted is None:
+        if eval_h is None:
             ev_loss, ev_acc = cur_loss, accuracy(logits, targets)
         else:
-            ev_logits = eval_lifted @ o.T
+            ev_logits = _head_logits(eval_h, eval_features, layer.R, o)
             ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
             ev_acc = accuracy(ev_logits, eval_targets)
         curve.append(IterateStats(t, cur_loss, frobenius_norm(o), ev_loss, ev_acc))
@@ -228,7 +261,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             best_o = o.copy()
         if t == cfg.epochs:
             break
-        grad = loss_grad(TRAIN_LOSS, logits, targets).T @ lifted
+        grad = _head_grad(loss_grad(TRAIN_LOSS, logits, targets), h, features, layer.R)
         (step,) = adam.step([grad])
         o = _project(o - cfg.learning_rate * step, layer.epsilon)
 
@@ -238,7 +271,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     if base_loss is not None:
         report_kwargs["base_loss_kind"] = base_loss.kind
         report_kwargs["base_old_loss"] = base_old_loss
-        report_kwargs["base_final_loss"] = loss_value(base_loss, lifted @ best_o.T, targets)
+        report_kwargs["base_final_loss"] = loss_value(
+            base_loss, _head_logits(h, features, layer.R, best_o), targets)
     report = GuaranteeReport(
         old_loss=init_loss,
         init_loss=init_loss,

@@ -42,24 +42,22 @@ def pinv(a: Matrix) -> Matrix:
     Singular values below max(rows, cols) * eps * sigma_max are treated as
     zero, so rank-deficient inputs are handled without blow-up.
     """
+    return pinv_with_condition(a)[0]
+
+
+def pinv_with_condition(a: Matrix) -> tuple[Matrix, float]:
+    """pinv(a) and sigma_max / sigma_min (inf when sigma_min is zero), from one SVD."""
     a = np.asarray(a, dtype=np.float64)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from exc
     if s.size == 0:
-        return np.zeros((a.shape[1], a.shape[0]))
+        return np.zeros((a.shape[1], a.shape[0])), float("inf")
     cutoff = max(a.shape) * np.finfo(np.float64).eps * s[0]
     inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (vt.T * inv_s) @ u.T
-
-
-def condition_number(a: Matrix) -> float:
-    """sigma_max / sigma_min; inf when the smallest singular value is zero."""
-    s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] == 0.0:
-        return float("inf")
-    return float(s[0] / s[-1])
+    cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
+    return (vt.T * inv_s) @ u.T, cond
 
 
 def sample_gaussian(rows: int, cols: int, seed: int) -> Matrix:

@@ -328,17 +328,27 @@ def test_bad_head_flags_exit_2_before_training(tmp_path, capsys, monkeypatch, cm
     assert code == 2
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, seeds):
+    # the bundle does not exist: loading it first would exit 3
+    out = tmp_path / "x"
+    code = main(["sweep-m", "--bundle", str(tmp_path / "absent.rdfb"), "--m-values", "8",
+                 "--seeds", seeds, "--out-dir", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
 def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
         tmp_path, capsys, monkeypatch):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
-    real_lift = layermod.lfp_lift
+    real_half = layermod._positive_half
     lifts = []
 
-    def counting_lift(*args):
+    def counting_half(*args):
         lifts.append(None)
-        return real_lift(*args)
+        return real_half(*args)
 
-    monkeypatch.setattr(layermod, "lfp_lift", counting_lift)
+    monkeypatch.setattr(layermod, "_positive_half", counting_half)
     out = tmp_path / "rd"
     assert main(["redense", "--bundle", str(bundle_path), "--lr", "1e-2", "--epochs", "8",
                  "--seed", "3", "--out-dir", str(out)]) == 0

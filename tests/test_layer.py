@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import random_one_hot
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
-from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, _project, build,
-                           lfp_lift, lfp_reconstruct, predict, train)
+from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad, _head_logits,
+                           _positive_half, _project, build, lfp_lift, lfp_reconstruct,
+                           predict, train)
 from redense.linalg import frobenius_norm
 from redense.nn import accuracy, loss_grad, loss_value
 
@@ -318,21 +321,21 @@ def test_redense_objective_gradient_matches_fd(rng):
 def _reference_train(layer, feats, targets, lr, epochs):
     """The head loop with Adam written out by hand: the oracle for train()."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    lifted = lfp_lift(layer, feats)
+    h = _positive_half(layer, feats)
     o = layer.O.copy()
     m_t = np.zeros_like(o)
     v_t = np.zeros_like(o)
     curve = []
     best_o, best_loss = o.copy(), np.inf
     for t in range(epochs + 1):
-        logits = lifted @ o.T
+        logits = _head_logits(h, feats, layer.R, o)
         loss = loss_value(TRAIN_LOSS, logits, targets)
         curve.append((t, loss, frobenius_norm(o), loss, accuracy(logits, targets)))
         if loss < best_loss:
             best_loss, best_o = loss, o.copy()
         if t == epochs:
             break
-        grad = loss_grad(TRAIN_LOSS, logits, targets).T @ lifted
+        grad = _head_grad(loss_grad(TRAIN_LOSS, logits, targets), h, feats, layer.R)
         m_t = beta1 * m_t + (1.0 - beta1) * grad
         v_t = beta2 * v_t + (1.0 - beta2) * grad * grad
         m_hat = m_t / (1.0 - beta1 ** (t + 1))
@@ -356,3 +359,70 @@ def test_train_matches_hand_written_adam_bitwise(rng, lr):
 def test_head_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         HeadConfig(**kwargs)
+
+
+# Both sides of the sign-split identity round differently; each entry's
+# rounding is bounded by a few ulps of the sum of its products in absolute
+# value, |y| |R|' (|O+| + |O-|)', so compare against that scale.
+IDENTITY_RTOL = 1e-12
+
+
+@given(j=st.integers(1, 12), n=st.integers(1, 6), extra=st.integers(0, 6),
+       q=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       kind=st.sampled_from(["gaussian", "zero", "negative"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(j=5, n=3, extra=0, q=2, scale=1.0, kind="gaussian", seed=1)
+@example(j=5, n=3, extra=0, q=2, scale=1.0, kind="zero", seed=2)
+@example(j=5, n=3, extra=4, q=2, scale=1.0, kind="negative", seed=3)
+def test_half_width_head_matches_explicit_lift(j, n, extra, q, scale, kind, seed):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    feats = scale * rng.standard_normal((j, n))
+    r = rng.standard_normal((m, n))
+    if kind == "zero":
+        feats = np.zeros((j, n))
+    elif kind == "negative":
+        # every projection is negative, so the positive half is all zero
+        feats, r = -np.abs(feats), np.abs(r)
+    layer = build(rng.standard_normal((q, n)), n, m, seed=0, r_matrix=r)
+    o = rng.standard_normal((q, 2 * m))
+    g = rng.standard_normal((j, q))
+    lifted = lfp_lift(layer, feats)
+    h = _positive_half(layer, feats)
+    assert np.array_equal(h, lifted[:, :m])
+
+    abs_proj = np.abs(feats) @ np.abs(r).T
+    logit_scale = abs_proj @ (np.abs(o[:, :m]) + np.abs(o[:, m:])).T
+    logits = _head_logits(h, feats, r, o)
+    assert np.all(np.abs(logits - lifted @ o.T) <= IDENTITY_RTOL * logit_scale)
+
+    grad_scale = np.tile(np.abs(g).T @ abs_proj, 2)
+    grad = _head_grad(g, h, feats, r)
+    assert np.all(np.abs(grad - g.T @ lifted) <= IDENTITY_RTOL * grad_scale)
+
+    # at O0 = [P | -P] the first term vanishes exactly: O+ + O- = P - P = 0
+    p = layer.O[:, :m]
+    assert np.array_equal(_head_logits(h, feats, r, layer.O), feats @ (p @ r).T)
+    assert np.array_equal(predict(layer, feats), feats @ (p @ r).T)
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes numpy and Python allocate while fn runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_train_and_predict_never_hold_the_double_width_lift(rng):
+    # the positive half is J x m float64; the full lift would be twice that
+    j, n, m, q = 2000, 32, 512, 10
+    feats = rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    layer = build(rng.standard_normal((q, n)), n, m, seed=0)
+    limit = 1.5 * j * m * 8
+    assert _traced_peak(train, layer, feats, targets, HeadConfig(epochs=3)) < limit
+    assert _traced_peak(predict, layer, feats) < limit
