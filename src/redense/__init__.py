@@ -8,7 +8,7 @@ training loss therefore never exceeds the original one.
 
 from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
                    load_csv, load_feature_bundle, load_idx,
-                   save_feature_bundle, split, standardize_inputs, write_idx)
+                   save_feature_bundle, split, write_idx)
 from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
                     build, lfp_lift, lfp_reconstruct, predict, train)
 from .linalg import Matrix, frobenius_norm, pinv, sample_gaussian
@@ -28,5 +28,5 @@ __all__ = [
     "load_feature_bundle", "load_idx", "load_model", "loss_grad", "loss_value",
     "make_loss", "make_mlp", "pinv", "predict", "read_curve", "sample_gaussian",
     "save_feature_bundle", "save_model", "softmax", "split",
-    "standardize_inputs", "train", "train_base", "write_curve", "write_idx",
+    "train", "train_base", "write_curve", "write_idx",
 ]

@@ -3,7 +3,8 @@
 Subcommands cover the whole pipeline: train a base MLP, export a feature
 bundle, retrain a lifted head on a bundle (from this tool or an external
 export), sweep the projection width, and evaluate saved models. Every run
-writes a JSON manifest sufficient to reproduce it and prints key=value lines.
+writes a JSON manifest sufficient to reproduce it and prints its results and
+output paths as key=value lines.
 
 Exit codes: 0 ok, 2 bad flags, 3 data problem, 4 training divergence,
 5 guarantee violation (which indicates a defect, not user error).
@@ -45,6 +46,8 @@ def _emit(key, value):
         value = "true" if value else "false"
     elif isinstance(value, float):
         value = f"{value:.17g}"
+    elif isinstance(value, list):
+        value = ",".join(str(v) for v in value)
     print(f"{key}={value}")
 
 
@@ -72,10 +75,10 @@ def _resolve_seed(args):
     return 0
 
 
-def _write_manifest(path, subcommand, args, seed, started_at, outputs, results):
+def _write_manifest(args, seed, started_at, outputs, results):
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.subcommand,
         "flags": flags,
         "seed": seed,
         "started_at": started_at,
@@ -83,10 +86,22 @@ def _write_manifest(path, subcommand, args, seed, started_at, outputs, results):
         "outputs": {k: str(v) for k, v in outputs.items()},
         "results": results,
     }
-    with open(path, "w") as f:
+    with open(outputs["manifest"], "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
-    return manifest
+
+
+def _positive_ints(text):
+    """argparse type for comma-separated positive integers; '' is no values."""
+    if not text:
+        return []
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not comma-separated integers: {text!r}") from None
+    if any(v < 1 for v in values):
+        raise argparse.ArgumentTypeError(f"values must be positive, got {text!r}")
+    return values
 
 
 def _add_data_flags(parser):
@@ -102,8 +117,6 @@ def _add_data_flags(parser):
     parser.add_argument("--test-csv")
     parser.add_argument("--train-fraction", type=float, default=0.8)
     parser.add_argument("--val-fraction", type=float, default=0.1)
-    parser.add_argument("--standardize", action="store_true",
-                        help="zero-mean/unit-variance inputs (off by default)")
 
 
 def _load_primary_dataset(args, seed):
@@ -127,49 +140,30 @@ def _resolve_datasets(args, seed):
 
     An explicit test source wins; otherwise the primary dataset is shuffled
     into train/validation/test with the given fractions (validation is set
-    aside, unused by the batch commands).
+    aside, unused by the batch commands). The flags are checked before any
+    file is read.
     """
-    primary = _load_primary_dataset(args, seed)
-    if args.test_images or args.test_labels:
-        if not (args.test_images and args.test_labels):
-            raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
-        test = datamod.load_idx(args.test_images, args.test_labels)
-        train = primary
-    elif args.test_csv:
-        test = datamod.load_csv(args.test_csv)
-        train = primary
-    else:
+    if bool(args.test_images) != bool(args.test_labels):
+        raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
+    spec = None
+    if not (args.test_images or args.test_csv):
         try:
             spec = datamod.SplitSpec(args.train_fraction, args.val_fraction, seed)
-            train, _val, test = datamod.split(primary, spec)
         except ValueError as exc:
             raise CliError(EXIT_FLAGS, str(exc)) from None
-    if args.standardize:
-        mean = train.inputs.mean(axis=0)
-        std = train.inputs.std(axis=0)
-        train = datamod.standardize_inputs(train, mean, std)
-        test = datamod.standardize_inputs(test, mean, std)
+    primary = _load_primary_dataset(args, seed)
+    if args.test_images:
+        return primary, datamod.load_idx(args.test_images, args.test_labels)
+    if args.test_csv:
+        return primary, datamod.load_csv(args.test_csv)
+    try:
+        train, _val, test = datamod.split(primary, spec)
+    except ValueError as exc:
+        raise CliError(EXIT_FLAGS, str(exc)) from None
     return train, test
 
 
-def _parse_hidden(text):
-    if not text:
-        return []
-    try:
-        widths = [int(w) for w in text.split(",")]
-    except ValueError:
-        raise CliError(EXIT_FLAGS, f"bad --hidden value {text!r}") from None
-    if any(w < 1 for w in widths):
-        raise CliError(EXIT_FLAGS, f"hidden widths must be positive, got {text!r}")
-    return widths
-
-
-def cmd_train(args):
-    started = _now()
-    seed = _resolve_seed(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _resolve_datasets(args, seed)
+def cmd_train(args, seed):
     try:
         loss = nn.make_loss(args.loss, delta=args.huber_delta)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
@@ -177,48 +171,35 @@ def cmd_train(args):
                              optimizer=args.optimizer, seed=seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
-    model = nn.make_mlp(train_ds.inputs.shape[1], _parse_hidden(args.hidden),
+    train_ds, test_ds = _resolve_datasets(args, seed)
+    model = nn.make_mlp(train_ds.inputs.shape[1], args.hidden,
                         train_ds.targets.shape[1], activation=args.activation,
                         leaky_slope=args.leaky_slope, seed=seed)
     model, curve = nn.train_base(model, train_ds, loss, cfg, eval_data=test_ds)
 
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path = out_dir / "model.rdnm"
     curve_path = out_dir / "curve.csv"
     persist.save_model(model_path, model, loss)
     persist.write_curve(curve_path, curve)
-    checksum = _file_sha256(model_path)
-
     final = curve[-1]
     results = {
         "final_train_loss": final.train_loss,
         "final_test_loss": final.eval_loss,
         "final_test_accuracy": final.eval_accuracy,
-        "model_sha256": checksum,
+        "model_sha256": _file_sha256(model_path),
     }
-    manifest_path = out_dir / "train_manifest.json"
-    _write_manifest(manifest_path, "train", args, seed, started,
-                    {"model": model_path, "curve": curve_path, "manifest": manifest_path},
-                    results)
-    for key, value in results.items():
-        _emit(key, value)
-    _emit("model", model_path)
-    _emit("curve", curve_path)
-    _emit("manifest", manifest_path)
-    return EXIT_OK
+    return results, {"model": model_path, "curve": curve_path,
+                     "manifest": out_dir / "train_manifest.json"}
 
 
-def cmd_features(args):
-    started = _now()
-    seed = _resolve_seed(args)
-    out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    model, loss, _ = persist.load_model(args.model)
+def cmd_features(args, seed):
     if args.no_split:
         train_ds = _load_primary_dataset(args, seed)
-        if args.standardize:
-            train_ds = datamod.standardize_inputs(train_ds)
     else:
         train_ds, _test_ds = _resolve_datasets(args, seed)
+    model, loss, _ = persist.load_model(args.model)
     if train_ds.inputs.shape[1] != model.input_width:
         raise CliError(EXIT_DATA, f"data width {train_ds.inputs.shape[1]} does not match "
                                   f"model input width {model.input_width}")
@@ -233,6 +214,8 @@ def cmd_features(args):
         "ce_train_loss": f"{ce_train_loss:.17g}",
     }
     bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight, metadata)
+    out_path = Path(args.out)
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     datamod.save_feature_bundle(out_path, bundle)
 
     results = {
@@ -243,14 +226,8 @@ def cmd_features(args):
         "ce_train_loss": ce_train_loss,
         "bundle_sha256": _file_sha256(out_path),
     }
-    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    _write_manifest(manifest_path, "features", args, seed, started,
-                    {"bundle": out_path, "manifest": manifest_path}, results)
-    for key, value in results.items():
-        _emit(key, value)
-    _emit("bundle", out_path)
-    _emit("manifest", manifest_path)
-    return EXIT_OK
+    return results, {"bundle": out_path,
+                     "manifest": out_path.with_suffix(out_path.suffix + ".manifest.json")}
 
 
 def _load_eval_bundle(path, n):
@@ -280,36 +257,38 @@ def _train_head(bundle, m, seed, cfg, eval_bundle=None):
             base_old = float(bundle.metadata["base_train_loss"])
     eval_feats = eval_bundle.features if eval_bundle is not None else None
     eval_targets = eval_bundle.targets if eval_bundle is not None else None
-    return layermod.train(layer, bundle.features, bundle.targets, cfg,
-                          eval_features=eval_feats, eval_targets=eval_targets,
-                          base_loss=base_loss, base_old_loss=base_old)
+    trained, report, curve = layermod.train(layer, bundle.features, bundle.targets, cfg,
+                                            eval_features=eval_feats,
+                                            eval_targets=eval_targets,
+                                            base_loss=base_loss, base_old_loss=base_old)
+    if not report.guarantee_holds:
+        raise CliError(EXIT_GUARANTEE,
+                       f"guarantee violated at m={m}, seed={seed} "
+                       f"(final_loss={report.final_loss:.17g}, "
+                       f"old_loss={report.old_loss:.17g}): this is a defect in the "
+                       "tool, not in the inputs")
+    return trained, report, curve
 
 
-def cmd_redense(args):
-    started = _now()
-    seed = _resolve_seed(args)
+def cmd_redense(args, seed):
     cfg = _head_config(args)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     bundle = datamod.load_feature_bundle(args.bundle)
     n = bundle.features.shape[1]
     m = args.m if args.m is not None else n
     if m < n:
         raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
-
-    trained, report, curve = _train_head(bundle, m, seed, cfg, eval_bundle)
-    if not report.guarantee_holds:
-        _print_report(report)
-        print("guarantee violated: this is a defect in the tool, not in the inputs",
-              file=sys.stderr)
-        return EXIT_GUARANTEE
-
     if args.model:
         model, stored_loss, _ = persist.load_model(args.model)
         if model.feature_width != n:
             raise CliError(EXIT_DATA, f"model feature width {model.feature_width} does not "
                                       f"match bundle width {n}")
+
+    trained, report, curve = _train_head(bundle, m, seed, cfg, eval_bundle)
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.model:
         model_out = out_dir / "model_with_redense.rdnm"
         persist.save_model(model_out, model, stored_loss, redense_layer=trained)
     else:
@@ -318,32 +297,10 @@ def cmd_redense(args):
                            np.zeros(bundle.output_weight.shape[0]))
         model_out = out_dir / "redense_head.rdnm"
         persist.save_model(model_out, head, layermod.TRAIN_LOSS, redense_layer=trained)
-
     curve_path = out_dir / "redense_curve.csv"
     persist.write_curve(curve_path, curve)
 
-    results = _report_dict(report)
-    results["eval_source"] = "eval_bundle" if eval_bundle is not None else "training_features"
-    results["final_eval_loss"] = curve[-1].eval_loss
-    results["final_eval_accuracy"] = curve[-1].eval_accuracy
-    results["m"] = m
-    results["model_sha256"] = _file_sha256(model_out)
-    manifest_path = out_dir / "redense_manifest.json"
-    _write_manifest(manifest_path, "redense", args, seed, started,
-                    {"model": model_out, "curve": curve_path, "manifest": manifest_path},
-                    results)
-    _print_report(report)
-    _emit("eval_source", results["eval_source"])
-    _emit("final_eval_loss", results["final_eval_loss"])
-    _emit("final_eval_accuracy", results["final_eval_accuracy"])
-    _emit("model", model_out)
-    _emit("curve", curve_path)
-    _emit("manifest", manifest_path)
-    return EXIT_OK
-
-
-def _report_dict(report):
-    out = {
+    results = {
         "old_loss": report.old_loss,
         "init_loss": report.init_loss,
         "final_loss": report.final_loss,
@@ -351,70 +308,53 @@ def _report_dict(report):
         "guarantee_holds": report.guarantee_holds,
     }
     if report.base_loss_kind is not None:
-        out["base_loss_kind"] = report.base_loss_kind
-        out["base_old_loss"] = report.base_old_loss
-        out["base_final_loss"] = report.base_final_loss
-    return out
+        results["base_loss_kind"] = report.base_loss_kind
+        results["base_old_loss"] = report.base_old_loss
+        results["base_final_loss"] = report.base_final_loss
+    results["eval_source"] = "eval_bundle" if eval_bundle is not None else "training_features"
+    results["final_eval_loss"] = curve[-1].eval_loss
+    results["final_eval_accuracy"] = curve[-1].eval_accuracy
+    results["m"] = m
+    results["model_sha256"] = _file_sha256(model_out)
+    return results, {"model": model_out, "curve": curve_path,
+                     "manifest": out_dir / "redense_manifest.json"}
 
 
-def _print_report(report):
-    for key, value in _report_dict(report).items():
-        _emit(key, value)
-
-
-def cmd_sweep_m(args):
-    started = _now()
-    seed = _resolve_seed(args)
+def cmd_sweep_m(args, seed):
     cfg = _head_config(args)
     if args.seeds < 1:
         raise CliError(EXIT_FLAGS, f"--seeds must be >= 1, got {args.seeds}")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.m_values:
+        raise CliError(EXIT_FLAGS, "--m-values names no width")
     bundle = datamod.load_feature_bundle(args.bundle)
     n = bundle.features.shape[1]
-    try:
-        m_values = [int(v) for v in args.m_values.split(",")]
-    except ValueError:
-        raise CliError(EXIT_FLAGS, f"bad --m-values {args.m_values!r}") from None
-    bad = [m for m in m_values if m < n]
+    bad = [m for m in args.m_values if m < n]
     if bad:
         raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
 
-    csv_path = out_dir / "sweep.csv"
     rows = []
-    for m in m_values:
+    for m in args.m_values:
         for s in range(args.seeds):
             run_seed = seed + s
             _trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
-            if not report.guarantee_holds:
-                print(f"guarantee violated at m={m}, seed={run_seed}: this is a "
-                      "defect in the tool, not in the inputs", file=sys.stderr)
-                return EXIT_GUARANTEE
             rows.append((m, run_seed, report.epsilon, report.final_loss,
                          curve[-1].eval_accuracy))
+
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    csv_path = out_dir / "sweep.csv"
     with open(csv_path, "w") as f:
         f.write("m,seed,epsilon,final_train_loss,test_accuracy\n")
         for m, s, eps, fl, acc in rows:
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")
-
-    results = {"rows": len(rows), "m_values": m_values, "seeds": args.seeds}
-    manifest_path = out_dir / "sweep_manifest.json"
-    _write_manifest(manifest_path, "sweep-m", args, seed, started,
-                    {"table": csv_path, "manifest": manifest_path}, results)
-    _emit("rows", len(rows))
-    _emit("table", csv_path)
-    _emit("manifest", manifest_path)
-    return EXIT_OK
+    results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds}
+    return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
 
 
-def cmd_eval(args):
-    started = _now()
-    seed = _resolve_seed(args)
-    model, loss, redense_layer = persist.load_model(args.model)
+def cmd_eval(args, seed):
     dataset = _load_primary_dataset(args, seed)
-    if args.standardize:
-        dataset = datamod.standardize_inputs(dataset)
+    model, loss, redense_layer = persist.load_model(args.model)
     if dataset.inputs.shape[1] != model.input_width:
         raise CliError(EXIT_DATA, f"data width {dataset.inputs.shape[1]} does not match "
                                   f"model input width {model.input_width}")
@@ -426,15 +366,9 @@ def cmd_eval(args):
         head_logits = layermod.predict(redense_layer, features)
         results["redense_loss"] = nn.loss_value(loss, head_logits, dataset.targets)
         results["redense_accuracy"] = nn.accuracy(head_logits, dataset.targets)
-    for key, value in results.items():
-        _emit(key, value)
-    manifest_path = Path(args.manifest) if args.manifest \
-        else Path(args.out_dir) / "eval_manifest.json"
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    _write_manifest(manifest_path, "eval", args, seed, started,
-                    {"manifest": manifest_path}, results)
-    _emit("manifest", manifest_path)
-    return EXIT_OK
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return results, {"manifest": out_dir / "eval_manifest.json"}
 
 
 def build_parser():
@@ -444,7 +378,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a base MLP")
     _add_data_flags(p)
-    p.add_argument("--hidden", default="16", help="comma-separated hidden widths")
+    p.add_argument("--hidden", type=_positive_ints, default="16",
+                   help="comma-separated hidden widths ('' for none)")
     p.add_argument("--activation", default="relu", choices=("relu", "leaky_relu", "identity"))
     p.add_argument("--leaky-slope", type=float, default=0.01)
     p.add_argument("--loss", default="ce", help="ce | mse | poisson | huber")
@@ -481,7 +416,8 @@ def build_parser():
     p = sub.add_parser("sweep-m", help="sweep projection widths and seeds")
     p.add_argument("--bundle", required=True)
     p.add_argument("--eval-bundle")
-    p.add_argument("--m-values", required=True, help="comma-separated widths")
+    p.add_argument("--m-values", type=_positive_ints, required=True,
+                   help="comma-separated widths")
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--epochs", type=int, default=100)
@@ -492,21 +428,29 @@ def build_parser():
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     _add_data_flags(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--manifest", help="manifest path (default: eval_manifest.json in --out-dir)")
-    p.add_argument("--out-dir", default=".")
+    p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")
     p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None):
+    """Run one subcommand: resolve the seed, call it, write its manifest, print.
+
+    Each ``cmd_*`` returns ``(results, outputs)``; ``outputs`` maps names to
+    the paths it wrote and includes the manifest path. The manifest records
+    both, and stdout repeats every result and then every path as key=value.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else EXIT_FLAGS
     try:
-        return args.func(args)
+        started = _now()
+        seed = _resolve_seed(args)
+        results, outputs = args.func(args, seed)
+        _write_manifest(args, seed, started, outputs, results)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
@@ -522,6 +466,9 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    for key, value in [*results.items(), *outputs.items()]:
+        _emit(key, value)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -298,15 +298,3 @@ def load_csv(path) -> Dataset:
         raise DataFormatError(f"negative class label {labels.min()}", path=path)
     return Dataset(feats, _one_hot(labels, int(labels.max()) + 1))
 
-
-def standardize_inputs(data: Dataset, mean=None, std=None) -> Dataset:
-    """Zero-mean unit-variance columns; off by default everywhere.
-
-    Pass the training set's mean/std to transform held-out data consistently.
-    """
-    if mean is None:
-        mean = data.inputs.mean(axis=0)
-    if std is None:
-        std = data.inputs.std(axis=0)
-    std = np.where(std == 0.0, 1.0, std)
-    return Dataset((data.inputs - mean) / std, data.targets.copy(), one_hot=data.one_hot)

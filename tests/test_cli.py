@@ -311,10 +311,15 @@ def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):
         return trained, dataclasses.replace(report, guarantee_holds=False), curve
 
     monkeypatch.setattr(layermod, "train", violating_train)
+    out = tmp_path / "v"
     for cmd in (["redense"], ["sweep-m", "--m-values", "8", "--seeds", "1"]):
         code = main([*cmd, "--bundle", str(bundle_path), "--epochs", "2",
-                     "--seed", "0", "--out-dir", str(tmp_path / "v")])
+                     "--seed", "0", "--out-dir", str(out)])
         assert code == 5
+        err = capsys.readouterr().err
+        assert "final_loss=" in err and "old_loss=" in err
+        assert "m=8, seed=0" in err
+        assert list(out.glob("*_manifest.json")) == []
 
 
 @pytest.mark.parametrize("flags", [["--lr", "0"], ["--epochs", "-1"]], ids=["lr", "epochs"])
@@ -328,14 +333,61 @@ def test_bad_head_flags_exit_2_before_training(tmp_path, capsys, monkeypatch, cm
     assert code == 2
 
 
-@pytest.mark.parametrize("seeds", ["0", "-3"])
-def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, seeds):
-    # the bundle does not exist: loading it first would exit 3
+@pytest.mark.parametrize("cmd, expected", [
+    pytest.param(["sweep-m", "--m-values", "8", "--seeds", "0"], 2, id="0"),
+    pytest.param(["sweep-m", "--m-values", "8", "--seeds", "-3"], 2, id="-3"),
+    pytest.param(["sweep-m", "--m-values", "abc", "--seeds", "2"], 2, id="m-values-abc"),
+    pytest.param(["sweep-m", "--m-values", "8,0", "--seeds", "2"], 2, id="m-values-8,0"),
+    pytest.param(["sweep-m", "--m-values", "", "--seeds", "2"], 2, id="m-values-empty"),
+    pytest.param(["redense"], 3, id="redense-absent-bundle"),
+])
+def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected):
+    # the bundle does not exist: loading it before the flags are checked would
+    # exit 3, and no output directory may appear before the inputs have loaded
     out = tmp_path / "x"
-    code = main(["sweep-m", "--bundle", str(tmp_path / "absent.rdfb"), "--m-values", "8",
-                 "--seeds", seeds, "--out-dir", str(out)])
-    assert code == 2
+    code = main([*cmd, "--bundle", str(tmp_path / "absent.rdfb"), "--out-dir", str(out)])
+    assert code == expected
     assert not out.exists()
+
+
+def _printed(value):
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    if isinstance(value, list):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+@pytest.mark.parametrize("cmd", ["train", "features", "redense", "sweep-m", "eval"])
+def test_stdout_repeats_manifest_results_then_outputs(tmp_path, capsys, cmd):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    model = tmp_path / "model.rdnm"
+    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4",
+            "--seed", "7"]
+    out = tmp_path / "out"
+    argv = {
+        "train": ["train", *data, "--hidden", "4", "--epochs", "2", "--out-dir", out],
+        "features": ["features", "--model", model, *data, "--out", out / "f.rdfb"],
+        "redense": ["redense", "--bundle", bundle_path, "--model", model, "--epochs", "3",
+                    "--seed", "1", "--out-dir", out],
+        "sweep-m": ["sweep-m", "--bundle", bundle_path, "--m-values", "8,16", "--seeds", "2",
+                    "--epochs", "2", "--seed", "1", "--out-dir", out],
+        "eval": ["eval", "--model", model, *data, "--out-dir", out],
+    }[cmd]
+    assert main([str(a) for a in argv]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    manifest_path = dict(line.split("=", 1) for line in lines)["manifest"]
+    with open(manifest_path) as f:
+        manifest = json.load(f)
+    results, outputs = manifest["results"], manifest["outputs"]
+    assert manifest["subcommand"] == cmd
+    assert len(lines) == len(results) + len(outputs)
+    assert sorted(lines[:len(results)]) == sorted(f"{k}={_printed(v)}"
+                                                  for k, v in results.items())
+    assert sorted(lines[len(results):]) == sorted(f"{k}={v}" for k, v in outputs.items())
+    assert outputs["manifest"] == manifest_path
 
 
 def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
@@ -367,11 +419,19 @@ def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
 
 
 def test_module_entry_point(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
+
+    import redense
+    # the child imports the same package this test does, installed or not
+    src = str(Path(redense.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     result = subprocess.run([sys.executable, "-m", "redense", "train", "--synthetic",
                              "blobs", "--samples", "60", "--hidden", "4", "--epochs", "2",
                              "--seed", "0", "--out-dir", str(tmp_path)],
-                            capture_output=True, text=True)
+                            capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "final_train_loss=" in result.stdout

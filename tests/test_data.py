@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from conftest import random_one_hot
 from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
-                          load_idx, save_feature_bundle, split,
-                          standardize_inputs, write_idx)
+                          load_idx, save_feature_bundle, split, write_idx)
 from redense.errors import DataFormatError, NonFiniteError, ShapeError
 from redense.nn import Dataset
 
@@ -255,14 +254,6 @@ def test_load_csv_rejects_ragged_and_bad_values(tmp_path):
     path.write_text("a,b,label\ninf,2.0,1\n")
     with pytest.raises(NonFiniteError):
         load_csv(path)
-
-
-def test_standardize_inputs():
-    ds = gen_synthetic("blobs", samples=200, classes=2, noise=0.5, seed=4)
-    out = standardize_inputs(ds)
-    assert np.abs(out.inputs.mean(axis=0)).max() < 1e-12
-    assert np.abs(out.inputs.std(axis=0) - 1.0).max() < 1e-12
-    assert np.array_equal(out.targets, ds.targets)
 
 
 def test_gen_digit_images_deterministic_and_shaped():
