@@ -135,13 +135,14 @@ def _load_primary_dataset(args, seed):
     raise CliError(EXIT_FLAGS, "no data source: pass --synthetic, --images/--labels or --csv")
 
 
-def _resolve_datasets(args, seed):
+def _resolve_datasets(args, seed, load_test=True):
     """Return (train, test) datasets from the data flags.
 
     An explicit test source wins; otherwise the primary dataset is shuffled
     into train/validation/test with the given fractions (validation is set
     aside, unused by the batch commands). The flags are checked before any
-    file is read.
+    file is read. With load_test=False an explicit test source is not read:
+    the train partition is then the whole primary dataset and test is None.
     """
     if bool(args.test_images) != bool(args.test_labels):
         raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
@@ -152,6 +153,8 @@ def _resolve_datasets(args, seed):
         except ValueError as exc:
             raise CliError(EXIT_FLAGS, str(exc)) from None
     primary = _load_primary_dataset(args, seed)
+    if spec is None and not load_test:
+        return primary, None
     if args.test_images:
         return primary, datamod.load_idx(args.test_images, args.test_labels)
     if args.test_csv:
@@ -198,7 +201,7 @@ def cmd_features(args, seed):
     if args.no_split:
         train_ds = _load_primary_dataset(args, seed)
     else:
-        train_ds, _test_ds = _resolve_datasets(args, seed)
+        train_ds, _test_ds = _resolve_datasets(args, seed, load_test=False)
     model, loss, _ = persist.load_model(args.model)
     if train_ds.inputs.shape[1] != model.input_width:
         raise CliError(EXIT_DATA, f"data width {train_ds.inputs.shape[1]} does not match "

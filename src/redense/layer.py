@@ -32,10 +32,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConstraintError, ShapeError, TrainingDivergedError
+from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv,
                      pinv_with_condition, sample_gaussian)
-from .nn import Loss, _AdamState, accuracy, loss_grad, loss_value
+from .nn import Loss, _AdamState, accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
 
@@ -242,7 +242,11 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     best_loss = np.inf
     for t in range(cfg.epochs + 1):
         logits = _head_logits(h, features, layer.R, o)
-        cur_loss = loss_value(TRAIN_LOSS, logits, targets) if np.isfinite(logits).all() else np.nan
+        try:
+            cur_loss, logits_grad = loss_value_and_grad(TRAIN_LOSS, logits, targets,
+                                                        need_grad=t < cfg.epochs)
+        except NonFiniteError:
+            cur_loss = np.nan
         if not np.isfinite(cur_loss):
             if t == 0:
                 raise TrainingDivergedError("loss not finite at the feasible start", 0)
@@ -261,7 +265,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             best_o = o.copy()
         if t == cfg.epochs:
             break
-        grad = _head_grad(loss_grad(TRAIN_LOSS, logits, targets), h, features, layer.R)
+        grad = _head_grad(logits_grad, h, features, layer.R)
+        del logits_grad  # J x Q: not held while the next logits are formed
         (step,) = adam.step([grad])
         o = _project(o - cfg.learning_rate * step, layer.epsilon)
 

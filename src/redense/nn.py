@@ -213,15 +213,16 @@ def extract_features(model: MlpModel, inputs: Matrix) -> Matrix:
     return forward(model, inputs)[1]
 
 
-def softmax(logits: Matrix) -> Matrix:
+def _softmax_parts(logits: Matrix):
+    """(logits - row max, its exp, the exp's row sums): one pass over the logits."""
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return shifted, e, e.sum(axis=1, keepdims=True)
 
 
-def _log_softmax(logits: Matrix) -> Matrix:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+def softmax(logits: Matrix) -> Matrix:
+    _, e, row_sum = _softmax_parts(logits)
+    return np.divide(e, row_sum, out=e)
 
 
 def _check_loss_args(logits: Matrix, targets: Matrix):
@@ -231,41 +232,59 @@ def _check_loss_args(logits: Matrix, targets: Matrix):
         raise NonFiniteError("logits contain NaN or Inf")
 
 
+def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix,
+                        need_value: bool = True, need_grad: bool = True):
+    """(summed loss, its gradient with respect to the logits) from one softmax pass.
+
+    Non-CE losses act on softmax outputs. An output not asked for is None.
+    """
+    _check_loss_args(logits, targets)
+    shifted, e, row_sum = _softmax_parts(logits)
+    value = grad = None
+    if loss.kind == "softmax_cross_entropy":
+        if need_value:
+            log_p = np.subtract(shifted, np.log(row_sum), out=shifted)
+            value = float(-(targets * log_p).sum())
+        if need_grad:
+            # exact also for non-one-hot rows: d/dz of sum_k t_k (lse(z) - z_k)
+            grad = np.divide(e, row_sum, out=e)
+            grad *= targets.sum(axis=1, keepdims=True)
+            grad -= targets
+        return value, grad
+    p = np.divide(e, row_sum, out=e)
+    if loss.kind == "mean_square_error":
+        r = p - targets
+        if need_value:
+            value = float(0.5 * np.square(r).sum())
+        dp = r
+    elif loss.kind == "poisson":
+        p_safe = p + 1e-12
+        if need_value:
+            value = float((p - targets * np.log(p_safe)).sum())
+        dp = 1.0 - targets / p_safe if need_grad else None
+    else:
+        r = p - targets
+        if need_value:
+            quad = np.abs(r) <= loss.delta
+            cells = np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta))
+            value = float(cells.sum())
+        dp = np.clip(r, -loss.delta, loss.delta) if need_grad else None
+    if need_grad:
+        # softmax backward: p * (dp - rowsum(dp * p))
+        inner = (dp * p).sum(axis=1, keepdims=True)
+        dp -= inner
+        grad = np.multiply(p, dp, out=dp)
+    return value, grad
+
+
 def loss_value(loss: Loss, logits: Matrix, targets: Matrix) -> float:
     """Total loss summed over samples. Non-CE losses act on softmax outputs."""
-    _check_loss_args(logits, targets)
-    if loss.kind == "softmax_cross_entropy":
-        return float(-(targets * _log_softmax(logits)).sum())
-    p = softmax(logits)
-    if loss.kind == "mean_square_error":
-        return float(0.5 * np.square(p - targets).sum())
-    if loss.kind == "poisson":
-        return float((p - targets * np.log(p + 1e-12)).sum())
-    r = p - targets
-    quad = np.abs(r) <= loss.delta
-    cells = np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta))
-    return float(cells.sum())
-
-
-def _softmax_backward(p: Matrix, dp: Matrix) -> Matrix:
-    inner = (dp * p).sum(axis=1, keepdims=True)
-    return p * (dp - inner)
+    return loss_value_and_grad(loss, logits, targets, need_grad=False)[0]
 
 
 def loss_grad(loss: Loss, logits: Matrix, targets: Matrix) -> Matrix:
     """Gradient of the summed loss with respect to the logits."""
-    _check_loss_args(logits, targets)
-    p = softmax(logits)
-    if loss.kind == "softmax_cross_entropy":
-        # exact also for non-one-hot rows: d/dz of sum_k t_k (lse(z) - z_k)
-        return targets.sum(axis=1, keepdims=True) * p - targets
-    if loss.kind == "mean_square_error":
-        dp = p - targets
-    elif loss.kind == "poisson":
-        dp = 1.0 - targets / (p + 1e-12)
-    else:
-        dp = np.clip(p - targets, -loss.delta, loss.delta)
-    return _softmax_backward(p, dp)
+    return loss_value_and_grad(loss, logits, targets, need_value=False)[1]
 
 
 def accuracy(logits: Matrix, targets: Matrix) -> float:
@@ -289,36 +308,56 @@ ADAM_EPS = 1e-8
 
 
 class _AdamState:
-    """Adam moments for a list of parameter shapes; step() maps gradients to steps."""
+    """Adam moments for a list of parameter shapes; step() maps gradients to steps.
+
+    The moments update in place and the steps go into buffers allocated once,
+    so step() allocates no parameter-sized array; the arrays it returns are
+    overwritten by the next call. Each update keeps the operation order of
+    the expression in its comment, so the results are bit-identical to it.
+    """
 
     def __init__(self, shapes):
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
+        self._steps = [np.empty(s) for s in shapes]
+        self._scratch = [np.empty(s) for s in shapes]
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        out = []
-        for i, g in enumerate(grads):
-            self.m[i] = ADAM_BETA1 * self.m[i] + (1.0 - ADAM_BETA1) * g
-            self.v[i] = ADAM_BETA2 * self.v[i] + (1.0 - ADAM_BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - ADAM_BETA1 ** self.t)
-            v_hat = self.v[i] / (1.0 - ADAM_BETA2 ** self.t)
-            out.append(m_hat / (np.sqrt(v_hat) + ADAM_EPS))
-        return out
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
+        for m, v, out, tmp, g in zip(self.m, self.v, self._steps, self._scratch, grads):
+            # m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
+            v *= ADAM_BETA2
+            np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
+            v += np.multiply(tmp, g, out=tmp)
+            # out = (m / c1) / (sqrt(v / c2) + eps)
+            np.divide(v, c2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += ADAM_EPS
+            np.divide(m, c1, out=out)
+            out /= tmp
+        return self._steps
 
 
 def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
-    """Gradients for all layer weights/biases and the output weight."""
+    """Gradients for all layer weights/biases and the output weight.
+
+    The gradient with respect to the inputs is never formed: nothing reads it.
+    """
     grads_w = [None] * len(model.layers)
     grads_b = [None] * len(model.layers)
     grad_out = dlogits.T @ acts[-1]
-    delta = dlogits @ model.output_weight
+    delta, weight = dlogits, model.output_weight
     for i in range(len(model.layers) - 1, -1, -1):
-        dz = delta * model.layers[i].activation.derivative(pre[i])
+        dz = delta @ weight
+        dz *= model.layers[i].activation.derivative(pre[i])
         grads_w[i] = dz.T @ acts[i]
         grads_b[i] = dz.sum(axis=0)
-        delta = dz @ model.layers[i].weight
+        delta, weight = dz, model.layers[i].weight
     return grads_w, grads_b, grad_out
 
 
@@ -376,8 +415,10 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                            for g, layer in zip(grads_w, model.layers)]
                 grad_out = grad_out + cfg.weight_decay * model.output_weight
             grads = grads_w + grads_b + [grad_out]
+            # scaled in place: Adam's own buffers, or this batch's fresh gradients
             steps = adam.step(grads) if adam is not None else grads
             for p, s in zip(params, steps):
-                p -= cfg.learning_rate * s
+                s *= cfg.learning_rate
+                p -= s
         curve.append(epoch_stats(epoch))
     return model, curve

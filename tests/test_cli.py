@@ -293,6 +293,30 @@ def test_features_no_split_uses_whole_dataset(tmp_path, capsys):
     assert load_feature_bundle(out).features.shape[0] == 200
 
 
+def test_features_never_reads_an_explicit_test_source(tmp_path, capsys):
+    # with an explicit test source the train partition is the whole primary
+    # dataset, so the test file is only flag-checked, never opened
+    run_train(tmp_path, capsys)
+    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3",
+            "--noise", "0.4", "--seed", "7"]
+    test_csv = tmp_path / "test.csv"
+    test_csv.write_text("a,b,label\n0.1,0.2,0\n0.3,-0.4,2\n")
+    bundles = {}
+    for name, source in (("present", test_csv), ("absent", tmp_path / "absent.csv")):
+        out = tmp_path / f"{name}.rdfb"
+        code = main(["features", "--model", str(tmp_path / "model.rdnm"), *data,
+                     "--test-csv", str(source), "--out", str(out)])
+        assert code == 0
+        bundles[name] = out.read_bytes()
+    assert bundles["absent"] == bundles["present"]
+    assert load_feature_bundle(tmp_path / "absent.rdfb").features.shape[0] == 200
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *data,
+                 "--test-images", str(tmp_path / "absent.idx"), "--out",
+                 str(tmp_path / "unpaired.rdfb")])
+    assert code == 2
+    assert not (tmp_path / "unpaired.rdfb").exists()
+
+
 def test_features_width_mismatch_exits_3(tmp_path, capsys):
     run_train(tmp_path, capsys)
     csv = tmp_path / "wide.csv"

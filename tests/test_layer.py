@@ -12,7 +12,7 @@ from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad, _he
                            _positive_half, _project, build, lfp_lift, lfp_reconstruct,
                            predict, train)
 from redense.linalg import frobenius_norm
-from redense.nn import accuracy, loss_grad, loss_value
+from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
 
 
 def identity_layer(n, q=None):
@@ -258,12 +258,12 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
     layer, feats, _, targets = _instance(rng)
     calls = []
 
-    def failing_grad(loss, logits, targets):
+    def failing_grad(loss, logits, targets, need_grad=True):
         calls.append(None)
-        grad = loss_grad(loss, logits, targets)
-        return np.full_like(grad, np.nan) if len(calls) == 3 else grad
+        value, grad = loss_value_and_grad(loss, logits, targets, need_grad=need_grad)
+        return value, (np.full_like(grad, np.nan) if len(calls) == 3 else grad)
 
-    monkeypatch.setattr("redense.layer.loss_grad", failing_grad)
+    monkeypatch.setattr("redense.layer.loss_value_and_grad", failing_grad)
     with np.errstate(invalid="ignore"):
         trained, report, curve = train(layer, feats, targets,
                                        HeadConfig(learning_rate=1e-2, epochs=5))

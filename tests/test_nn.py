@@ -1,14 +1,19 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import one_hot, random_one_hot
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (Activation, Dataset, Layer, Loss, MlpModel,
-                        TrainConfig, accuracy, evaluate, extract_features,
-                        forward, loss_grad, loss_value, make_loss, make_mlp,
-                        softmax, train_base)
+                        TrainConfig, _AdamState, _backward, _forward_cached,
+                        accuracy, evaluate, extract_features, forward,
+                        loss_grad, loss_value, loss_value_and_grad, make_loss,
+                        make_mlp, softmax, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
               Loss("poisson"), Loss("huber", delta=1.0), Loss("huber", delta=0.25)]
@@ -305,3 +310,212 @@ def test_train_config_validations():
         TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         TrainConfig(optimizer="rmsprop")
+
+
+# The softmax losses as two separate passes, each with its own shift, exp
+# and row sum: the oracle for the fused loss_value_and_grad.
+def _reference_softmax(logits):
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_loss_value(loss, logits, targets):
+    if loss.kind == "softmax_cross_entropy":
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(-(targets * log_p).sum())
+    p = _reference_softmax(logits)
+    if loss.kind == "mean_square_error":
+        return float(0.5 * np.square(p - targets).sum())
+    if loss.kind == "poisson":
+        return float((p - targets * np.log(p + 1e-12)).sum())
+    r = p - targets
+    quad = np.abs(r) <= loss.delta
+    cells = np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta))
+    return float(cells.sum())
+
+
+def _reference_loss_grad(loss, logits, targets):
+    p = _reference_softmax(logits)
+    if loss.kind == "softmax_cross_entropy":
+        return targets.sum(axis=1, keepdims=True) * p - targets
+    if loss.kind == "mean_square_error":
+        dp = p - targets
+    elif loss.kind == "poisson":
+        dp = 1.0 - targets / (p + 1e-12)
+    else:
+        dp = np.clip(p - targets, -loss.delta, loss.delta)
+    inner = (dp * p).sum(axis=1, keepdims=True)
+    return p * (dp - inner)
+
+
+@st.composite
+def _loss_case(draw):
+    j, q = draw(st.integers(1, 8)), draw(st.integers(1, 6))
+    logits = draw(hnp.arrays(np.float64, (j, q), elements=st.floats(-1e3, 1e3)))
+    targets = draw(hnp.arrays(np.float64, (j, q), elements=st.floats(0.0, 1.0)))
+    return logits, targets
+
+
+@given(case=_loss_case(), loss=st.sampled_from(ALL_LOSSES))
+@settings(max_examples=300, deadline=None)
+def test_fused_loss_matches_separate_passes_bitwise(case, loss):
+    logits, targets = case
+    value, grad = loss_value_and_grad(loss, logits, targets)
+    assert value == _reference_loss_value(loss, logits, targets)
+    assert np.array_equal(grad, _reference_loss_grad(loss, logits, targets))
+    assert loss_value(loss, logits, targets) == value
+    assert np.array_equal(loss_grad(loss, logits, targets), grad)
+    assert loss_value_and_grad(loss, logits, targets, need_grad=False) == (value, None)
+    only_grad = loss_value_and_grad(loss, logits, targets, need_value=False)
+    assert only_grad[0] is None and np.array_equal(only_grad[1], grad)
+
+
+def test_fused_loss_checks_its_arguments():
+    ce = Loss("softmax_cross_entropy")
+    with pytest.raises(ShapeError):
+        loss_value_and_grad(ce, np.zeros((2, 3)), np.zeros((2, 4)))
+    with pytest.raises(NonFiniteError):
+        loss_value_and_grad(ce, np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("activation", ["relu", "leaky_relu", "identity"])
+def test_backward_matches_finite_differences(activation, rng):
+    # objective sum(C * logits): its logits gradient is C, so this checks
+    # _backward alone; two hidden layers exercise the inner-layer deltas
+    model = make_mlp(4, [5, 3], 3, activation=activation, leaky_slope=0.1, seed=5)
+    for layer in model.layers:
+        layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
+    x = rng.standard_normal((6, 4))
+    c = rng.standard_normal((6, 3))
+    logits, pre, acts = _forward_cached(model, x)
+    grads_w, grads_b, grad_out = _backward(model, c, pre, acts)
+
+    def objective():
+        return float((c * forward(model, x)[0]).sum())
+
+    params = [layer.weight for layer in model.layers]
+    params += [layer.bias for layer in model.layers]
+    params.append(model.output_weight)
+    h = 1e-6
+    for param, analytic in zip(params, grads_w + grads_b + [grad_out]):
+        assert analytic.shape == param.shape
+        fd = np.zeros_like(param)
+        for k in np.ndindex(param.shape):
+            keep = param[k]
+            param[k] = keep + h
+            up = objective()
+            param[k] = keep - h
+            down = objective()
+            param[k] = keep
+            fd[k] = (up - down) / (2 * h)
+        assert np.abs(analytic - fd).max() <= 1e-6 * max(1.0, np.abs(fd).max())
+
+
+def _reference_train_base(model, data, loss, cfg, eval_data):
+    """train_base written out with an allocating Adam, a backward pass that
+    also forms the unused input gradient, and separate loss/gradient passes:
+    the oracle for train_base's in-place loop."""
+    def run_forward(inputs):
+        acts, pre, h = [inputs], [], inputs
+        for layer in model.layers:
+            z = h @ layer.weight.T + layer.bias
+            h = layer.activation.apply(z)
+            pre.append(z)
+            acts.append(h)
+        return h @ model.output_weight.T + model.output_bias, pre, acts
+
+    def stats(epoch):
+        train_loss = _reference_loss_value(loss, run_forward(data.inputs)[0], data.targets)
+        ev_logits = run_forward(eval_data.inputs)[0]
+        return (epoch, train_loss, _reference_loss_value(loss, ev_logits, eval_data.targets),
+                accuracy(ev_logits, eval_data.targets))
+
+    J = len(data)
+    rng = np.random.default_rng(cfg.seed)
+    batch = min(cfg.batch_size, J)
+    params = [layer.weight for layer in model.layers]
+    params += [layer.bias for layer in model.layers]
+    params.append(model.output_weight)
+    m_t = [np.zeros(p.shape) for p in params]
+    v_t = [np.zeros(p.shape) for p in params]
+    t = 0
+    curve = [stats(0)]
+    for epoch in range(1, cfg.epochs + 1):
+        perm = rng.permutation(J)
+        for start in range(0, J, batch):
+            idx = perm[start:start + batch]
+            logits, pre, acts = run_forward(data.inputs[idx])
+            dlogits = _reference_loss_grad(loss, logits, data.targets[idx])
+            grads_w = [None] * len(model.layers)
+            grads_b = [None] * len(model.layers)
+            grad_out = dlogits.T @ acts[-1]
+            delta = dlogits @ model.output_weight
+            for i in range(len(model.layers) - 1, -1, -1):
+                dz = delta * model.layers[i].activation.derivative(pre[i])
+                grads_w[i] = dz.T @ acts[i]
+                grads_b[i] = dz.sum(axis=0)
+                delta = dz @ model.layers[i].weight
+            if cfg.weight_decay > 0.0:
+                grads_w = [g + cfg.weight_decay * layer.weight
+                           for g, layer in zip(grads_w, model.layers)]
+                grad_out = grad_out + cfg.weight_decay * model.output_weight
+            grads = grads_w + grads_b + [grad_out]
+            if cfg.optimizer == "adam":
+                t += 1
+                steps = []
+                for i, g in enumerate(grads):
+                    m_t[i] = 0.9 * m_t[i] + (1.0 - 0.9) * g
+                    v_t[i] = 0.999 * v_t[i] + (1.0 - 0.999) * g * g
+                    m_hat = m_t[i] / (1.0 - 0.9 ** t)
+                    v_hat = v_t[i] / (1.0 - 0.999 ** t)
+                    steps.append(m_hat / (np.sqrt(v_hat) + 1e-8))
+            else:
+                steps = grads
+            for p, s in zip(params, steps):
+                p -= cfg.learning_rate * s
+        curve.append(stats(epoch))
+    return model, curve
+
+
+@pytest.mark.parametrize("hidden,loss,cfg", [
+    ([6], Loss("softmax_cross_entropy"),
+     TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1)),
+    ([6, 4], Loss("mean_square_error"),
+     TrainConfig(learning_rate=5e-3, epochs=5, batch_size=32, weight_decay=1e-2, seed=2)),
+    ([5, 5], Loss("poisson"),
+     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=7, optimizer="sgd", seed=3)),
+    ([7, 3], Loss("huber", delta=0.25),
+     TrainConfig(learning_rate=2e-2, epochs=4, batch_size=9, optimizer="sgd",
+                 weight_decay=1e-3, seed=4)),
+], ids=["adam-1hidden", "adam-decay-2hidden", "sgd-2hidden", "sgd-decay-2hidden"])
+def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg):
+    # 83 training rows is a multiple of none of the batch sizes
+    data = _blobs(j=83, classes=3, noise=0.5, seed=cfg.seed)
+    eval_data = _blobs(j=30, classes=3, noise=0.5, seed=cfg.seed + 100)
+    model, curve = train_base(make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed),
+                              data, loss, cfg, eval_data=eval_data)
+    ref, ref_curve = _reference_train_base(
+        make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed), data, loss, cfg,
+        eval_data)
+    for layer, ref_layer in zip(model.layers, ref.layers):
+        assert np.array_equal(layer.weight, ref_layer.weight)
+        assert np.array_equal(layer.bias, ref_layer.bias)
+    assert np.array_equal(model.output_weight, ref.output_weight)
+    assert [(c.epoch, c.train_loss, c.eval_loss, c.eval_accuracy) for c in curve] == ref_curve
+
+
+def test_adam_step_reuses_its_buffers():
+    shape = (64, 784)
+    adam = _AdamState([shape])
+    grad = np.random.default_rng(0).standard_normal(shape)
+    adam.step([grad])
+    tracemalloc.start()
+    try:
+        for _ in range(50):
+            adam.step([grad])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < grad.nbytes
