@@ -11,12 +11,11 @@ from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
                    save_feature_bundle, split, write_idx)
 from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
                     build, lfp_lift, lfp_reconstruct, predict, train)
-from .linalg import Matrix, frobenius_norm, pinv, sample_gaussian
+from .linalg import Matrix, frobenius_norm, sample_gaussian
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
                  accuracy, evaluate, extract_features, forward, loss_grad,
-                 loss_value, loss_value_and_grad, make_loss, make_mlp, softmax,
-                 train_base)
-from .persist import load_model, read_curve, save_model, write_curve
+                 loss_value, loss_value_and_grad, make_loss, make_mlp, train_base)
+from .persist import load_model, save_model, write_curve
 
 __version__ = "0.1.0"
 
@@ -27,7 +26,7 @@ __all__ = [
     "extract_features", "forward", "frobenius_norm", "gen_digit_images",
     "gen_synthetic", "lfp_lift", "lfp_reconstruct", "load_csv",
     "load_feature_bundle", "load_idx", "load_model", "loss_grad", "loss_value",
-    "loss_value_and_grad", "make_loss", "make_mlp", "pinv", "predict", "read_curve",
-    "sample_gaussian", "save_feature_bundle", "save_model", "softmax", "split",
-    "train", "train_base", "write_curve", "write_idx",
+    "loss_value_and_grad", "make_loss", "make_mlp", "predict", "sample_gaussian",
+    "save_feature_bundle", "save_model", "split", "train", "train_base",
+    "write_curve", "write_idx",
 ]

@@ -112,6 +112,9 @@ def _add_data_flags(parser):
     parser.add_argument("--samples", type=int, default=300)
     parser.add_argument("--classes", type=int, default=2)
     parser.add_argument("--noise", type=float, default=0.15)
+
+
+def _add_split_flags(parser):
     parser.add_argument("--test-images", help="IDX image file for the test set")
     parser.add_argument("--test-labels", help="IDX label file for the test set")
     parser.add_argument("--test-csv")
@@ -170,8 +173,7 @@ def cmd_train(args, seed):
     try:
         loss = nn.make_loss(args.loss, delta=args.huber_delta)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                             batch_size=args.batch_size, weight_decay=args.weight_decay,
-                             optimizer=args.optimizer, seed=seed)
+                             batch_size=args.batch_size, seed=seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
     train_ds, test_ds = _resolve_datasets(args, seed)
@@ -197,12 +199,25 @@ def cmd_train(args, seed):
                      "manifest": out_dir / "train_manifest.json"}
 
 
+def _load_unbiased_model(path):
+    """(model, loss) from a model file whose output bias is zero.
+
+    Bundles and the lifted head carry no output bias, so a model with one
+    would be exported or extended with its logits silently changed.
+    """
+    model, loss, _ = persist.load_model(path)
+    if np.any(model.output_bias != 0.0):
+        raise CliError(EXIT_DATA, f"model {path} has a nonzero output bias, which a feature "
+                                  "bundle cannot carry")
+    return model, loss
+
+
 def cmd_features(args, seed):
     if args.no_split:
         train_ds = _load_primary_dataset(args, seed)
     else:
         train_ds, _test_ds = _resolve_datasets(args, seed, load_test=False)
-    model, loss, _ = persist.load_model(args.model)
+    model, loss = _load_unbiased_model(args.model)
     if train_ds.inputs.shape[1] != model.input_width:
         raise CliError(EXIT_DATA, f"data width {train_ds.inputs.shape[1]} does not match "
                                   f"model input width {model.input_width}")
@@ -282,10 +297,12 @@ def cmd_redense(args, seed):
         raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
     if args.model:
-        model, stored_loss, _ = persist.load_model(args.model)
-        if model.feature_width != n:
-            raise CliError(EXIT_DATA, f"model feature width {model.feature_width} does not "
-                                      f"match bundle width {n}")
+        model, stored_loss = _load_unbiased_model(args.model)
+        if (model.output_weight.shape != bundle.output_weight.shape
+                or model.output_weight.tobytes() != bundle.output_weight.tobytes()):
+            raise CliError(EXIT_DATA, f"model {args.model} is not the one the bundle was "
+                                      f"exported from: its {model.output_weight.shape} output "
+                                      "weight differs from the bundle's")
 
     trained, report, curve = _train_head(bundle, m, seed, cfg, eval_bundle)
 
@@ -305,7 +322,6 @@ def cmd_redense(args, seed):
 
     results = {
         "old_loss": report.old_loss,
-        "init_loss": report.init_loss,
         "final_loss": report.final_loss,
         "epsilon": report.epsilon,
         "guarantee_holds": report.guarantee_holds,
@@ -381,6 +397,7 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a base MLP")
     _add_data_flags(p)
+    _add_split_flags(p)
     p.add_argument("--hidden", type=_positive_ints, default="16",
                    help="comma-separated hidden widths ('' for none)")
     p.add_argument("--activation", default="relu", choices=("relu", "leaky_relu", "identity"))
@@ -390,14 +407,13 @@ def build_parser():
     p.add_argument("--lr", type=float, default=1e-3)
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--weight-decay", type=float, default=0.0)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("features", help="export a feature bundle from a trained model")
     _add_data_flags(p)
+    _add_split_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--no-split", action="store_true",

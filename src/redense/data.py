@@ -203,7 +203,7 @@ def split(data: Dataset, spec: SplitSpec):
     parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
     if any(len(p) == 0 for p in parts):
         raise ValueError(f"split of {j} samples with {spec} leaves an empty partition")
-    return tuple(Dataset(data.inputs[p], data.targets[p], one_hot=data.one_hot) for p in parts)
+    return tuple(Dataset(data.inputs[p], data.targets[p]) for p in parts)
 
 
 def _one_hot(labels: np.ndarray, classes: int) -> Matrix:

@@ -33,8 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
-from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv,
-                     pinv_with_condition, sample_gaussian)
+from .linalg import Matrix, as_matrix, check_finite, frobenius_norm, pinv, sample_gaussian
 from .nn import Loss, _AdamState, accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
@@ -78,7 +77,6 @@ class RedenseLayer:
 @dataclass(frozen=True)
 class GuaranteeReport:
     old_loss: float
-    init_loss: float
     final_loss: float
     epsilon: float
     guarantee_holds: bool
@@ -111,36 +109,28 @@ class IterateStats:
     eval_accuracy: float
 
 
-def build(output_weight: Matrix, n: int, m: int, seed: int,
-          r_matrix: Matrix | None = None) -> RedenseLayer:
+def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     """Construct a lifting layer whose head starts at the old-loss point.
 
     R is sampled i.i.d. standard normal from the seed (resampled with
-    incremented seeds in the rare event it is ill-conditioned). Passing
-    r_matrix pins R explicitly, which tests use to force exact cases.
+    incremented seeds in the rare event it is ill-conditioned).
     """
     output_weight = as_matrix(output_weight, "output_weight")
     if output_weight.shape[1] != n:
         raise ShapeError(f"output weight has width {output_weight.shape[1]}, expected n={n}")
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
-    if r_matrix is not None:
-        r = as_matrix(r_matrix, "r_matrix")
-        if r.shape != (m, n):
-            raise ShapeError(f"r_matrix has shape {r.shape}, expected ({m}, {n})")
-        r_pinv = pinv(r)
+    r = sample_gaussian(m, n, seed)
+    for attempt in range(_RESAMPLE_ATTEMPTS):
+        r_pinv, cond = pinv(r)
+        if cond <= MAX_CONDITION:
+            break
+        log.warning("projection matrix ill-conditioned (cond=%.3g), resampling with seed %d",
+                    cond, seed + attempt + 1)
+        r = sample_gaussian(m, n, seed + attempt + 1)
     else:
-        r = sample_gaussian(m, n, seed)
-        for attempt in range(_RESAMPLE_ATTEMPTS):
-            r_pinv, cond = pinv_with_condition(r)
-            if cond <= MAX_CONDITION:
-                break
-            log.warning("projection matrix ill-conditioned (cond=%.3g), resampling with seed %d",
-                        cond, seed + attempt + 1)
-            r = sample_gaussian(m, n, seed + attempt + 1)
-        else:
-            raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
-                                  f"after {_RESAMPLE_ATTEMPTS} attempts")
+        raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
+                              f"after {_RESAMPLE_ATTEMPTS} attempts")
     p = output_weight @ r_pinv
     o0 = np.hstack([p, -p])
     epsilon = frobenius_norm(o0)
@@ -270,7 +260,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         (step,) = adam.step([grad])
         o = _project(o - cfg.learning_rate * step, layer.epsilon)
 
-    init_loss = curve[0].train_loss
+    old_loss = curve[0].train_loss
     trained = replace(layer, R=layer.R, O=best_o)
     report_kwargs = {}
     if base_loss is not None:
@@ -279,11 +269,10 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         report_kwargs["base_final_loss"] = loss_value(
             base_loss, _head_logits(h, features, layer.R, best_o), targets)
     report = GuaranteeReport(
-        old_loss=init_loss,
-        init_loss=init_loss,
+        old_loss=old_loss,
         final_loss=best_loss,
         epsilon=layer.epsilon,
-        guarantee_holds=best_loss <= init_loss,
+        guarantee_holds=best_loss <= old_loss,
         **report_kwargs,
     )
     return trained, report, curve

@@ -36,17 +36,13 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
 
 
-def pinv(a: Matrix) -> Matrix:
-    """Moore-Penrose pseudo-inverse via SVD.
+def pinv(a: Matrix) -> tuple[Matrix, float]:
+    """Moore-Penrose pseudo-inverse and sigma_max / sigma_min, from one SVD.
 
     Singular values below max(rows, cols) * eps * sigma_max are treated as
-    zero, so rank-deficient inputs are handled without blow-up.
+    zero, so rank-deficient inputs are handled without blow-up. The condition
+    number is inf when sigma_min is zero.
     """
-    return pinv_with_condition(a)[0]
-
-
-def pinv_with_condition(a: Matrix) -> tuple[Matrix, float]:
-    """pinv(a) and sigma_max / sigma_min (inf when sigma_min is zero), from one SVD."""
     a = np.asarray(a, dtype=np.float64)
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)

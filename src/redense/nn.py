@@ -1,7 +1,7 @@
 """Minimal feedforward network engine.
 
 Dense layers with ReLU-family activations, a linear output map, four
-classification losses evaluated on softmax outputs, and mini-batch Adam/SGD
+classification losses evaluated on softmax outputs, and mini-batch Adam
 training with full backprop. Loss values are summed over samples.
 """
 
@@ -78,8 +78,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     epochs: int = 100
     batch_size: int = 32
-    weight_decay: float = 0.0
-    optimizer: str = "adam"
     seed: int = 0
 
     def __post_init__(self):
@@ -89,17 +87,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be >= 0")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
 class Dataset:
     inputs: Matrix   # J x P
-    targets: Matrix  # J x Q
-    one_hot: bool = True
+    targets: Matrix  # J x Q, one-hot rows
 
     def __post_init__(self):
         self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
@@ -110,10 +103,9 @@ class Dataset:
             )
         check_finite(self.inputs, "inputs")
         check_finite(self.targets, "targets")
-        if self.one_hot:
-            sums = self.targets.sum(axis=1)
-            if self.targets.shape[0] and not np.allclose(sums, 1.0, atol=1e-9):
-                raise ValueError("one-hot target rows must sum to 1")
+        sums = self.targets.sum(axis=1)
+        if self.targets.shape[0] and not np.allclose(sums, 1.0, atol=1e-9):
+            raise ValueError("one-hot target rows must sum to 1")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -218,11 +210,6 @@ def _softmax_parts(logits: Matrix):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=1, keepdims=True)
-
-
-def softmax(logits: Matrix) -> Matrix:
-    _, e, row_sum = _softmax_parts(logits)
-    return np.divide(e, row_sum, out=e)
 
 
 def _check_loss_args(logits: Matrix, targets: Matrix):
@@ -363,7 +350,7 @@ def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
 
 def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                eval_data: Dataset | None = None):
-    """Train all layer parameters and the output weight in place.
+    """Train all layer parameters and the output weight in place with mini-batch Adam.
 
     The output bias is left untouched: the output map must stay purely linear
     for the feature-lift loss-preservation chain to hold downstream.
@@ -394,9 +381,7 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     params = [layer.weight for layer in model.layers]
     params += [layer.bias for layer in model.layers]
     params.append(model.output_weight)
-    adam = None
-    if cfg.optimizer == "adam":
-        adam = _AdamState([p.shape for p in params])
+    adam = _AdamState([p.shape for p in params])
 
     curve = [epoch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):
@@ -410,14 +395,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None
             grads_w, grads_b, grad_out = _backward(model, dlogits, pre, acts)
-            if cfg.weight_decay > 0.0:
-                grads_w = [g + cfg.weight_decay * layer.weight
-                           for g, layer in zip(grads_w, model.layers)]
-                grad_out = grad_out + cfg.weight_decay * model.output_weight
-            grads = grads_w + grads_b + [grad_out]
-            # scaled in place: Adam's own buffers, or this batch's fresh gradients
-            steps = adam.step(grads) if adam is not None else grads
-            for p, s in zip(params, steps):
+            # the steps live in Adam's own buffers, so they are scaled in place
+            for p, s in zip(params, adam.step(grads_w + grads_b + [grad_out])):
                 s *= cfg.learning_rate
                 p -= s
         curve.append(epoch_stats(epoch))

@@ -139,15 +139,3 @@ def write_curve(path, curve):
         for epoch, train_loss, test_loss, test_accuracy in rows:
             f.write(f"{int(epoch)},{train_loss:.17g},{test_loss:.17g},{test_accuracy:.17g}\n")
 
-
-def read_curve(path):
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != CURVE_HEADER:
-            raise DataFormatError(f"unexpected curve header {header!r}", path=path, offset=0)
-        rows = []
-        for line in f:
-            epoch, train_loss, test_loss, test_accuracy = line.strip().split(",")
-            rows.append((int(epoch), float(train_loss), float(test_loss),
-                         float(test_accuracy)))
-    return rows

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from redense.persist import CURVE_HEADER
+
 ACCEPTANCE_RESULTS = []
 
 
@@ -28,6 +30,14 @@ def one_hot(labels, classes):
 
 def random_one_hot(rng, rows, classes):
     return one_hot(rng.integers(0, classes, rows), classes)
+
+
+def read_curve(path):
+    """Rows of a curve file as (epoch, train_loss, test_loss, test_accuracy)."""
+    with open(path) as f:
+        assert f.readline().strip() == CURVE_HEADER
+        return [(int(e), float(tr), float(te), float(acc))
+                for e, tr, te, acc in (line.strip().split(",") for line in f)]
 
 
 @pytest.fixture

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import one_hot, random_one_hot, record_acceptance
+from conftest import one_hot, random_one_hot, read_curve, record_acceptance
 from redense.cli import main as cli_main
 from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
                           load_feature_bundle, load_idx, save_feature_bundle,
@@ -24,7 +24,7 @@ from redense.linalg import frobenius_norm
 from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy,
                         evaluate, extract_features, forward, loss_grad,
                         loss_value, make_mlp, train_base)
-from redense.persist import (load_model, read_curve, save_model, write_curve)
+from redense.persist import load_model, save_model, write_curve
 
 
 def _identity_layer(n):

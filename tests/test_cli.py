@@ -1,14 +1,18 @@
+import argparse
+import collections
 import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from conftest import read_curve
+from redense import cli
 from redense import layer as layermod
 from redense.cli import main
-from redense.data import load_feature_bundle
+from redense.data import load_feature_bundle, write_idx
 from redense.nn import accuracy, evaluate
-from redense.persist import load_model, read_curve
+from redense.persist import load_model, save_model
 
 
 def kv(capsys):
@@ -58,7 +62,7 @@ def test_train_rerun_same_flags_same_checksum(tmp_path, capsys):
 def test_train_divergence_exits_4(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["train", "--synthetic", "blobs", "--samples", "60", "--hidden", "4",
-                     "--loss", "mse", "--optimizer", "sgd", "--lr", "1e200",
+                     "--loss", "mse", "--lr", "1e200",
                      "--epochs", "5", "--seed", "1", "--out-dir", str(tmp_path)])
     assert code == 4
 
@@ -238,6 +242,19 @@ def test_eval_width_mismatch_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_eval_rejects_test_source_and_split_flags(tmp_path, capsys):
+    # eval scores the whole primary dataset: a test source would be ignored
+    run_train(tmp_path, capsys)
+    for flag, value in (("--test-csv", "t.csv"), ("--test-images", "ti"), ("--test-labels", "tl"),
+                        ("--train-fraction", "0.3"), ("--val-fraction", "0.6")):
+        out = tmp_path / "eval"
+        code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
+                     "--samples", "120", "--classes", "3", "--seed", "1", flag, value,
+                     "--out-dir", str(out)])
+        assert code == 2, flag
+        assert not out.exists()
+
+
 def test_missing_model_file_exits_3(tmp_path, capsys):
     code = main(["eval", "--model", str(tmp_path / "nope.rdnm"), "--synthetic", "blobs"])
     assert code == 3
@@ -315,6 +332,116 @@ def test_features_never_reads_an_explicit_test_source(tmp_path, capsys):
                  str(tmp_path / "unpaired.rdfb")])
     assert code == 2
     assert not (tmp_path / "unpaired.rdfb").exists()
+
+
+def _save_with_output_bias(source, target, bias):
+    model, loss, _ = load_model(source)
+    model.output_bias[:] = bias
+    save_model(target, model, loss)
+
+
+def test_features_refuses_a_nonzero_output_bias(tmp_path, capsys):
+    # the bundle holds no output bias, so exporting would silently drop it
+    run_train(tmp_path, capsys)
+    biased = tmp_path / "biased.rdnm"
+    _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
+    out_dir = tmp_path / "bundles"
+    code = main(["features", "--model", str(biased), "--synthetic", "blobs", "--samples",
+                 "200", "--classes", "3", "--noise", "0.4", "--seed", "7",
+                 "--out", str(out_dir / "f.rdfb")])
+    assert code == 3
+    assert "output bias" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, capsys,
+                                                                  monkeypatch):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    run_train(tmp_path / "other", capsys, seed="8")
+    biased = tmp_path / "biased.rdnm"
+    _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
+    monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
+    out = tmp_path / "rd"
+    for model, reason in ((tmp_path / "other" / "model.rdnm", "output weight"),
+                          (biased, "output bias")):
+        code = main(["redense", "--bundle", str(bundle_path), "--model", str(model),
+                     "--epochs", "3", "--seed", "1", "--out-dir", str(out)])
+        assert code == 3
+        assert reason in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
+    # a flag that is parsed but never read is accepted and silently ignored
+    reads = collections.defaultdict(set)
+
+    class RecordingNamespace(argparse.Namespace):
+        def __getattribute__(self, name):
+            if not name.startswith("_"):
+                reads[object.__getattribute__(self, "subcommand")].add(name)
+            return super().__getattribute__(name)
+
+    real_build_parser = cli.build_parser
+
+    def recording_parser():
+        parser = real_build_parser()
+        parse = parser.parse_args
+        parser.parse_args = lambda argv: RecordingNamespace(**vars(parse(argv)))
+        return parser
+
+    subparsers = next(a for a in real_build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {name: {a.dest for a in p._actions if a.dest != "help"}
+               for name, p in subparsers.choices.items()}
+
+    rng = np.random.default_rng(3)
+    labels = np.arange(40) % 10
+    images = rng.integers(0, 256, (40, 3, 3)).astype(np.uint8)
+    idx = ["--images", tmp_path / "img", "--labels", tmp_path / "lab"]
+    write_idx(tmp_path / "img", tmp_path / "lab", images, labels)
+    csv = tmp_path / "data.csv"
+    np.savetxt(csv, np.column_stack([images.reshape(40, 9) / 255.0, labels]),
+               delimiter=",", fmt="%.6g", comments="",
+               header=",".join([f"x{i}" for i in range(9)] + ["label"]))
+    syn = ["--synthetic", "blobs", "--samples", "60", "--classes", "3", "--noise", "0.3"]
+    train = ["--hidden", "4", "--epochs", "1", "--seed", "1"]
+    runs = [
+        ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
+         "--out-dir", tmp_path / "idx"],
+        ["train", "--csv", csv, "--test-csv", csv, *train, "--out-dir", tmp_path / "csv"],
+        ["train", *syn, "--train-fraction", "0.6", "--val-fraction", "0.2", *train,
+         "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
+         "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
+         "--out-dir", tmp_path / "syn"],
+        ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
+         "--out", tmp_path / "idx.rdfb"],
+        ["features", "--model", tmp_path / "csv" / "model.rdnm", "--csv", csv,
+         "--train-fraction", "0.5", "--val-fraction", "0.2", "--out", tmp_path / "csv.rdfb"],
+        ["features", "--model", tmp_path / "syn" / "model.rdnm", *syn, "--test-csv", csv,
+         "--seed", "2", "--out", tmp_path / "syn.rdfb"],
+        ["redense", "--bundle", tmp_path / "syn.rdfb", "--model",
+         tmp_path / "syn" / "model.rdnm", "--eval-bundle", tmp_path / "syn.rdfb",
+         "--m", "8", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
+         "--out-dir", tmp_path / "rd"],
+        ["redense", "--bundle", tmp_path / "idx.rdfb", "--epochs", "2",
+         "--out-dir", tmp_path / "head"],
+        ["sweep-m", "--bundle", tmp_path / "csv.rdfb", "--eval-bundle", tmp_path / "csv.rdfb",
+         "--m-values", "4,8", "--seeds", "2", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
+         "--out-dir", tmp_path / "sweep"],
+        ["sweep-m", "--bundle", tmp_path / "syn.rdfb", "--m-values", "4", "--seeds", "1",
+         "--epochs", "1", "--out-dir", tmp_path / "sweep"],
+        ["eval", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--out-dir", tmp_path],
+        ["eval", "--model", tmp_path / "csv" / "model.rdnm", "--csv", csv, "--seed", "1"],
+        ["eval", "--model", tmp_path / "rd" / "model_with_redense.rdnm", *syn,
+         "--out-dir", tmp_path / "rd"],
+    ]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "build_parser", recording_parser)
+    for argv in runs:
+        assert main([str(a) for a in argv]) == 0, argv
+    capsys.readouterr()
+    assert {cmd: sorted(flags - reads[cmd]) for cmd, flags in defined.items()} == \
+        {cmd: [] for cmd in defined}
 
 
 def test_features_width_mismatch_exits_3(tmp_path, capsys):

@@ -31,18 +31,22 @@ def test_frobenius_scaling_by_zero():
 
 def test_pinv_identity():
     for n in (1, 3, 10):
-        assert np.allclose(pinv(np.eye(n)), np.eye(n), atol=1e-14)
+        ap, cond = pinv(np.eye(n))
+        assert np.allclose(ap, np.eye(n), atol=1e-14)
+        assert cond == 1.0
 
 
 def test_pinv_rectangular_diagonal():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    assert np.allclose(pinv(a), expected, atol=1e-14)
+    ap, cond = pinv(a)
+    assert np.allclose(ap, expected, atol=1e-14)
+    assert cond == 2.0
 
 
 def test_pinv_left_inverse_of_tall_gaussian():
     r = sample_gaussian(8, 3, seed=11)
-    assert np.abs(pinv(r) @ r - np.eye(3)).max() < 1e-10
+    assert np.abs(pinv(r)[0] @ r - np.eye(3)).max() < 1e-10
 
 
 def _spectrum_matrix(rows, cols, seed):
@@ -58,21 +62,23 @@ def _spectrum_matrix(rows, cols, seed):
 @pytest.mark.parametrize("shape", [(4, 4), (16, 7), (7, 16), (256, 256), (256, 100), (100, 256)])
 def test_penrose_conditions(shape):
     a = _spectrum_matrix(*shape, seed=shape[0] * 1000 + shape[1])
-    ap = pinv(a)
+    ap, cond = pinv(a)
     assert np.abs(a @ ap @ a - a).max() < 1e-9
     assert np.abs(ap @ a @ ap - ap).max() < 1e-9
+    assert cond <= 4.0 * (1 + 1e-12)  # singular values drawn from [0.5, 2]
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 8), (32, 32), (32, 64), (128, 256)])
 def test_pinv_times_full_column_rank_is_identity(n, m):
     r = sample_gaussian(m, n, seed=n + m)
-    assert frobenius_norm(pinv(r) @ r - np.eye(n)) < 1e-8
+    assert frobenius_norm(pinv(r)[0] @ r - np.eye(n)) < 1e-8
 
 
 def test_pinv_rank_deficient_does_not_blow_up():
     a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 4.0))  # rank 1
-    ap = pinv(a)
+    ap, cond = pinv(a)
     assert np.isfinite(ap).all()
+    assert cond > 1e12
     assert np.abs(a @ ap @ a - a).max() < 1e-12
 
 

@@ -3,11 +3,11 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import random_one_hot
+from conftest import random_one_hot, read_curve
 from redense.errors import DataFormatError
 from redense.layer import build
 from redense.nn import EpochStats, Loss, forward, make_mlp
-from redense.persist import load_model, read_curve, save_model, write_curve
+from redense.persist import load_model, save_model, write_curve
 
 
 def _random_model(rng, with_bias=False):
