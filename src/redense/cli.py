@@ -86,7 +86,7 @@ def _write_manifest(args, seed, started_at, outputs, results):
         "outputs": {k: str(v) for k, v in outputs.items()},
         "results": results,
     }
-    with open(outputs["manifest"], "w") as f:
+    with datamod._atomic_open(outputs["manifest"], "w") as f:
         json.dump(manifest, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
@@ -325,6 +325,8 @@ def cmd_redense(args, seed):
         "final_loss": report.final_loss,
         "epsilon": report.epsilon,
         "guarantee_holds": report.guarantee_holds,
+        "stop_reason": report.stop_reason,
+        "stopped_at": report.stopped_at,
     }
     if report.base_loss_kind is not None:
         results["base_loss_kind"] = report.base_loss_kind
@@ -363,7 +365,7 @@ def cmd_sweep_m(args, seed):
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
-    with open(csv_path, "w") as f:
+    with datamod._atomic_open(csv_path, "w") as f:
         f.write("m,seed,epsilon,final_train_loss,test_accuracy\n")
         for m, s, eps, fl, acc in rows:
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")

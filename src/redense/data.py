@@ -3,12 +3,16 @@
 Three on-disk formats are owned here: big-endian IDX images/labels, a small
 little-endian feature-bundle container (magic RDFB), and headered CSV with an
 integer class label in the last column. Loaders validate magics, lengths and
-finiteness and fail with the byte offset when a file is malformed.
+finiteness and fail with the byte offset when a file is malformed. Every file
+the package writes goes through _atomic_open, so a failed write leaves no
+partial file behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import os
 import struct
 from dataclasses import dataclass
 
@@ -55,6 +59,28 @@ class FeatureBundle:
             lo = float(self.metadata["base_train_loss"])
             if not (np.isfinite(lo) and lo >= 0.0):
                 raise ValueError(f"base_train_loss must be finite and >= 0, got {lo}")
+
+
+@contextlib.contextmanager
+def _atomic_open(path, mode="wb"):
+    """Write to a temporary file beside path, then rename it over path.
+
+    If the body raises, the temporary file is removed and path is left as it
+    was: absent, or with its earlier contents. The rename is atomic on POSIX
+    file systems; the data is not fsync'ed, so this guards against a failed
+    or interrupted process, not against losing power.
+    """
+    path = os.fspath(path)
+    directory, name = os.path.split(path)
+    tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def _read_exact(f, nbytes, path, what):
@@ -106,10 +132,10 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
     if images.ndim != 3 or images.shape[0] != labels.shape[0]:
         raise ShapeError(f"expected (J, rows, cols) images matching (J,) labels, "
                          f"got {images.shape} and {labels.shape}")
-    with open(images_path, "wb") as f:
+    with _atomic_open(images_path) as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
         f.write(images.tobytes())
-    with open(labels_path, "wb") as f:
+    with _atomic_open(labels_path) as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
 
@@ -148,7 +174,7 @@ def _read_le_string(f, path, what) -> str:
 
 
 def save_feature_bundle(path, bundle: FeatureBundle):
-    with open(path, "wb") as f:
+    with _atomic_open(path) as f:
         f.write(BUNDLE_MAGIC)
         f.write(struct.pack("<I", BUNDLE_VERSION))
         _write_le_matrix(f, bundle.features)

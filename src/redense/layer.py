@@ -6,23 +6,32 @@ matrix R (m x n, m >= n) and split by sign into nonnegative halves,
     lift(y) = [max(yR', 0) | max(-yR', 0)]   (J x 2m),
 
 which loses no information because max(z,0) - max(-z,0) = z. The head is a
-single trainable matrix O (Q x 2m) constrained to the Frobenius ball
-|O|_F <= epsilon. Choosing
+single matrix O (Q x 2m) constrained to the Frobenius ball |O|_F <= epsilon.
+Choosing
 
     O0 = [P | -P]  with  P = Ohat pinv(R),   epsilon = |O0|_F,
 
-makes O0 feasible and reproduces the original head exactly:
-O0 lift(y)' = y (pinv(R) R)' Ohat' = y Ohat' for full-column-rank R. Training
-therefore starts at the old loss, and returning the best iterate seen keeps
-the final training loss at or below it, unconditionally.
+makes O0 feasible and reproduces the original head for full-column-rank R:
+O0 lift(y)' = y (pinv(R) R)' Ohat' = y Ohat', up to rounding. To make the
+start exact, the head is trained as the base head plus a correction
+Delta = O - O0,
 
-Training and prediction never build the J x 2m lift. Its second half is
-max(-z,0) = h - z with h = max(z,0) and z = yR', so with O = [O+ | O-]
+    logits = y Ohat' + lift(y) Delta',
 
-    lift(y) O'  = h (O+ + O-)' - y (O- R)'
+so Delta = 0 gives the base logits bit for bit. Training therefore starts at
+the base head's own loss, and returning the best iterate seen keeps the final
+training loss at or below it, unconditionally.
+
+The correction never builds the J x 2m lift. Its second half is
+max(-z,0) = h - z with h = max(z,0) and z = yR', so with D = [D+ | D-]
+
+    lift(y) D'  = h (D+ + D-)' - y (D- R)'
     G' lift(y)  = [A | A - (G'y) R'],   A = G'h,
 
-which needs only the J x m positive half h next to the J x n features.
+which needs only the J x m positive half h next to the J x n features. These
+helpers compute in h's dtype. Training and prediction hold h in float32; the
+base term, the loss, Adam, the projection and best-iterate selection stay
+float64.
 """
 
 from __future__ import annotations
@@ -40,8 +49,10 @@ log = logging.getLogger(__name__)
 
 TRAIN_LOSS = Loss("softmax_cross_entropy")
 
-# Beyond this, pinv(R)R drifts far enough from identity to erode the
-# old-loss reproduction; build() resamples instead.
+# An ill-conditioned R makes P = Ohat pinv(R), and with it the radius
+# epsilon = |O0|_F, large and dominated by rounding; build() resamples
+# beyond this. The starting loss does not depend on it: it is the base
+# head's, exactly.
 MAX_CONDITION = 1e8
 _RESAMPLE_ATTEMPTS = 8
 
@@ -52,26 +63,35 @@ class RedenseLayer:
     m: int
     R: Matrix        # m x n, frozen after construction
     epsilon: float
-    O: Matrix        # Q x 2m, trainable
+    base: Matrix     # Q x n, the base head Ohat
+    delta: Matrix    # Q x 2m, the trained correction O - O0; zero when built
     seed: int
+    # O0 = [P | -P], the ball's reference point. build() sets it; model files
+    # do not carry it, so a loaded layer predicts but does not train.
+    O0: Matrix | None = None
 
     def __post_init__(self):
         if self.m < self.n:
             raise ConstraintError(f"projection width must satisfy m >= n, got m={self.m}, n={self.n}")
         if self.R.shape != (self.m, self.n):
             raise ShapeError(f"R has shape {self.R.shape}, expected ({self.m}, {self.n})")
-        if self.O.shape[1] != 2 * self.m:
-            raise ShapeError(f"O has {self.O.shape[1]} columns, expected {2 * self.m}")
+        if self.base.shape[1] != self.n:
+            raise ShapeError(f"base head has {self.base.shape[1]} columns, expected {self.n}")
+        shape = (self.base.shape[0], 2 * self.m)
+        for name, a in (("delta", self.delta), ("O0", self.O0)):
+            if a is not None and a.shape != shape:
+                raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
         if not self.epsilon > 0.0:
             raise ConstraintError("constraint radius epsilon must be > 0")
         check_finite(self.R, "R")
-        check_finite(self.O, "O")
+        check_finite(self.base, "base head")
+        check_finite(self.delta, "delta")
         self.R = np.ascontiguousarray(self.R)
         self.R.setflags(write=False)
 
     @property
     def n_outputs(self) -> int:
-        return self.O.shape[0]
+        return self.base.shape[0]
 
 
 @dataclass(frozen=True)
@@ -80,6 +100,10 @@ class GuaranteeReport:
     final_loss: float
     epsilon: float
     guarantee_holds: bool
+    # "completed", or "non_finite" when the loss turned NaN or Inf at
+    # iteration stopped_at and training kept the best earlier iterate
+    stop_reason: str
+    stopped_at: int
     # informational: the base network's own training loss, when it was
     # trained with something other than softmax cross-entropy
     base_loss_kind: str | None = None
@@ -94,8 +118,8 @@ class HeadConfig:
     epochs: int = 100
 
     def __post_init__(self):
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be > 0")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
 
@@ -110,7 +134,7 @@ class IterateStats:
 
 
 def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
-    """Construct a lifting layer whose head starts at the old-loss point.
+    """Construct a lifting layer at the base head: Delta = 0, O0 on the ball.
 
     R is sampled i.i.d. standard normal from the seed (resampled with
     incremented seeds in the rare event it is ill-conditioned).
@@ -136,7 +160,8 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
         raise ConstraintError("output weight is zero; the constraint radius would be empty")
-    return RedenseLayer(n=n, m=m, R=r, epsilon=epsilon, O=o0, seed=seed)
+    return RedenseLayer(n=n, m=m, R=r, epsilon=epsilon, base=output_weight.copy(),
+                        delta=np.zeros_like(o0), seed=seed, O0=o0)
 
 
 def _check_features(layer: RedenseLayer, features: Matrix) -> None:
@@ -162,29 +187,50 @@ def lfp_reconstruct(lifted: Matrix, m: int) -> Matrix:
     return lifted[:, :m] - lifted[:, m:]
 
 
-def _positive_half(layer: RedenseLayer, features: Matrix) -> Matrix:
-    """h = max(features R', 0), the J x m first half of lfp_lift."""
-    _check_features(layer, features)
-    h = features @ layer.R.T
+def _positive_half(features: Matrix, r: Matrix) -> Matrix:
+    """h = max(features r', 0), the J x m first half of lfp_lift, in features' dtype."""
+    h = features @ r.T
     return np.maximum(h, 0.0, out=h)
 
 
 def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix) -> Matrix:
-    """lift(features) o' = h (O+ + O-)' - features (O- R)'."""
+    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype."""
     m = h.shape[1]
+    o = o.astype(h.dtype, copy=False)
     o_neg = o[:, m:]
     return h @ (o[:, :m] + o_neg).T - features @ (o_neg @ r).T
 
 
 def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
-    """g' lift(features) = [A | A - (g' features) R'] with A = g'h."""
+    """g' lift(features) = [A | A - (g' features) R'] with A = g'h, in h's dtype."""
+    g = g.astype(h.dtype, copy=False)  # a float64 g would upcast all of h
     a = g.T @ h
     return np.hstack([a, a - (g.T @ features) @ r.T])
 
 
+def _head_inputs(layer: RedenseLayer, features: Matrix, r32: Matrix):
+    """(base logits y Ohat' in float64, y in float32, h in float32)."""
+    _check_features(layer, features)
+    y32 = features.astype(np.float32)
+    return features @ layer.base.T, y32, _positive_half(y32, r32)
+
+
+def _logits(inputs, r32: Matrix, delta: Matrix) -> Matrix:
+    """y Ohat' + lift(y) delta'.
+
+    A zero delta returns the base logits themselves, so the start stays exact
+    even for features beyond float32's range, where h would hold Inf.
+    """
+    base, y32, h = inputs
+    if not delta.any():
+        return base
+    return base + _head_logits(h, y32, r32, delta)
+
+
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
-    """Logits of the lifted head: lift(features) O'."""
-    return _head_logits(_positive_half(layer, features), features, layer.R, layer.O)
+    """Logits of the lifted head: y Ohat' + lift(y) Delta'."""
+    r32 = layer.R.astype(np.float32)
+    return _logits(_head_inputs(layer, features, r32), r32, layer.delta)
 
 
 # Norms within this relative band of epsilon count as feasible; rescaling
@@ -203,13 +249,15 @@ def _project(o: Matrix, epsilon: float) -> Matrix:
 def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfig,
           eval_features: Matrix | None = None, eval_targets: Matrix | None = None,
           base_loss: Loss | None = None, base_old_loss: float | None = None):
-    """Retrain the head under the Frobenius-ball constraint, full batch.
+    """Retrain the head's correction under the Frobenius-ball constraint, full batch.
 
-    Runs cfg.epochs Adam iterations of softmax cross-entropy descent on O,
-    rescaling any step that leaves the ball back onto its surface. Adam
-    moments are kept across projections. The returned layer carries the best
-    iterate by training loss, O0 included, so the reported final loss never
-    exceeds the starting one.
+    Runs cfg.epochs Adam iterations of softmax cross-entropy descent on
+    Delta, rescaling O0 + Delta back onto the ball's surface whenever a step
+    leaves it. Adam moments are kept across projections. The returned layer
+    carries the best iterate by training loss, the starting Delta included,
+    so the reported final loss never exceeds the starting one; for a layer
+    from build() that is the base head's loss, exactly. A non-finite loss
+    stops training early, which the report's stop_reason and stopped_at say.
 
     The curve's eval columns score eval_features when given, and otherwise the
     training data itself, reusing the training logits.
@@ -218,20 +266,25 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     the base network's own loss to the report; the enforced inequality is
     always in the training loss.
     """
-    h = _positive_half(layer, features)
-    eval_h = None
+    if layer.O0 is None:
+        raise ValueError("layer has no start point O0; train a layer made by build()")
+    r32 = layer.R.astype(np.float32)
+    inputs = _head_inputs(layer, features, r32)
+    _, y32, h = inputs
+    eval_inputs = None
     if eval_features is not None:
         if eval_targets is None:
             raise ValueError("eval_features given without eval_targets")
-        eval_h = _positive_half(layer, eval_features)
+        eval_inputs = _head_inputs(layer, eval_features, r32)
 
-    o = layer.O.copy()
-    adam = _AdamState([o.shape])
+    delta = layer.delta.copy()
+    adam = _AdamState([delta.shape])
     curve = []
-    best_o = o.copy()
+    best_delta = delta.copy()
     best_loss = np.inf
+    stop_reason, stopped_at = "completed", cfg.epochs
     for t in range(cfg.epochs + 1):
-        logits = _head_logits(h, features, layer.R, o)
+        logits = _logits(inputs, r32, delta)
         try:
             cur_loss, logits_grad = loss_value_and_grad(TRAIN_LOSS, logits, targets,
                                                         need_grad=t < cfg.epochs)
@@ -242,37 +295,46 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
                 raise TrainingDivergedError("loss not finite at the feasible start", 0)
             log.warning("head training hit a non-finite loss at iteration %d; "
                         "keeping best earlier iterate", t)
+            stop_reason, stopped_at = "non_finite", t
             break
-        if eval_h is None:
+        if eval_inputs is None:
             ev_loss, ev_acc = cur_loss, accuracy(logits, targets)
         else:
-            ev_logits = _head_logits(eval_h, eval_features, layer.R, o)
+            ev_logits = _logits(eval_inputs, r32, delta)
             ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
             ev_acc = accuracy(ev_logits, eval_targets)
-        curve.append(IterateStats(t, cur_loss, frobenius_norm(o), ev_loss, ev_acc))
+        curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
+                                  ev_loss, ev_acc))
         if cur_loss < best_loss:
             best_loss = cur_loss
-            best_o = o.copy()
+            best_delta = delta.copy()
         if t == cfg.epochs:
             break
-        grad = _head_grad(logits_grad, h, features, layer.R)
+        grad = _head_grad(logits_grad, h, y32, r32).astype(np.float64)
         del logits_grad  # J x Q: not held while the next logits are formed
         (step,) = adam.step([grad])
-        o = _project(o - cfg.learning_rate * step, layer.epsilon)
+        step *= cfg.learning_rate  # Adam's own buffer, rewritten by its next step
+        delta -= step
+        o = layer.O0 + delta
+        projected = _project(o, layer.epsilon)
+        if projected is not o:
+            np.subtract(projected, layer.O0, out=delta)
 
     old_loss = curve[0].train_loss
-    trained = replace(layer, R=layer.R, O=best_o)
+    trained = replace(layer, delta=best_delta)
     report_kwargs = {}
     if base_loss is not None:
         report_kwargs["base_loss_kind"] = base_loss.kind
         report_kwargs["base_old_loss"] = base_old_loss
         report_kwargs["base_final_loss"] = loss_value(
-            base_loss, _head_logits(h, features, layer.R, best_o), targets)
+            base_loss, _logits(inputs, r32, best_delta), targets)
     report = GuaranteeReport(
         old_loss=old_loss,
         final_loss=best_loss,
         epsilon=layer.epsilon,
         guarantee_holds=best_loss <= old_loss,
+        stop_reason=stop_reason,
+        stopped_at=stopped_at,
         **report_kwargs,
     )
     return trained, report, curve

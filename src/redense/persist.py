@@ -2,7 +2,8 @@
 
 Model files are binary: magic RDNM, a u32 version, a length-prefixed JSON
 architecture header, then raw float64 little-endian parameter blocks in
-header order. Curves are plain CSV with 17-significant-digit floats so that
+header order. A lifting layer adds R and the trained correction Delta; its
+base head is the model's output weight, stored once. Curves are plain CSV with 17-significant-digit floats so that
 every value reloads bit-exact.
 """
 
@@ -13,13 +14,13 @@ import struct
 
 import numpy as np
 
-from .data import _read_exact, _read_le_block
+from .data import _atomic_open, _read_exact, _read_le_block
 from .errors import DataFormatError
 from .layer import RedenseLayer
 from .nn import Activation, Layer, Loss, MlpModel
 
 MODEL_MAGIC = b"RDNM"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 CURVE_HEADER = "epoch,train_loss,test_loss,test_accuracy"
 
@@ -55,13 +56,17 @@ def _parameter_blocks(model: MlpModel, redense_layer: RedenseLayer | None):
     yield model.output_bias
     if redense_layer is not None:
         yield redense_layer.R
-        yield redense_layer.O
+        yield redense_layer.delta
 
 
 def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | None = None):
+    if redense_layer is not None and (
+            redense_layer.base.shape != model.output_weight.shape
+            or redense_layer.base.tobytes() != model.output_weight.tobytes()):
+        raise ValueError("the lifting layer's base head is not the model's output weight")
     header = json.dumps(_architecture_header(model, loss, redense_layer),
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as f:
+    with _atomic_open(path) as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<I", MODEL_VERSION))
         f.write(struct.pack("<I", len(header)))
@@ -115,9 +120,10 @@ def load_model(path):
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)
             r = _read_le_block(f, (m, n), path, "projection matrix")
-            o = _read_le_block(f, (n_outputs, 2 * m), path, "head weight")
+            delta = _read_le_block(f, (n_outputs, 2 * m), path, "head correction")
             redense_layer = RedenseLayer(n=n, m=m, R=r, epsilon=float(redense_spec["epsilon"]),
-                                         O=o, seed=int(redense_spec["seed"]))
+                                         base=output_weight, delta=delta,
+                                         seed=int(redense_spec["seed"]))
         trailing = f.read(1)
         if trailing:
             raise DataFormatError("trailing bytes after parameter blocks", path=path,
@@ -134,7 +140,7 @@ def write_curve(path, curve):
     for row in rows:
         if any(v is None or not np.isfinite(v) for v in row):
             raise ValueError(f"curve row {row!r} has missing or non-finite entries")
-    with open(path, "w") as f:
+    with _atomic_open(path, "w") as f:
         f.write(CURVE_HEADER + "\n")
         for epoch, train_loss, test_loss, test_accuracy in rows:
             f.write(f"{int(epoch)},{train_loss:.17g},{test_loss:.17g},{test_accuracy:.17g}\n")

@@ -8,11 +8,12 @@ import pytest
 
 from conftest import read_curve
 from redense import cli
+from redense import data as datamod
 from redense import layer as layermod
 from redense.cli import main
-from redense.data import load_feature_bundle, write_idx
-from redense.nn import accuracy, evaluate
-from redense.persist import load_model, save_model
+from redense.data import gen_digit_images, load_feature_bundle, save_feature_bundle, write_idx
+from redense.nn import EpochStats, accuracy, evaluate
+from redense.persist import load_model, save_model, write_curve
 
 
 def kv(capsys):
@@ -114,6 +115,7 @@ def test_redense_on_bundle_guarantee_and_artifacts(tmp_path, capsys):
     pairs = kv(capsys)
     assert pairs["guarantee_holds"] == "true"
     assert float(pairs["final_loss"]) <= float(pairs["old_loss"])
+    assert (pairs["stop_reason"], pairs["stopped_at"]) == ("completed", "40")
     model, _, layer = load_model(out / "model_with_redense.rdnm")
     assert layer is not None
     assert layer.m == model.feature_width
@@ -122,6 +124,8 @@ def test_redense_on_bundle_guarantee_and_artifacts(tmp_path, capsys):
     with open(out / "redense_manifest.json") as f:
         manifest = json.load(f)
     assert manifest["results"]["guarantee_holds"] is True
+    assert manifest["results"]["stop_reason"] == "completed"
+    assert manifest["results"]["stopped_at"] == 40
 
 
 def test_redense_external_bundle_writes_standalone_head(tmp_path, capsys):
@@ -473,7 +477,8 @@ def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):
         assert list(out.glob("*_manifest.json")) == []
 
 
-@pytest.mark.parametrize("flags", [["--lr", "0"], ["--epochs", "-1"]], ids=["lr", "epochs"])
+@pytest.mark.parametrize("flags", [["--lr", "0"], ["--epochs", "-1"], ["--lr", "nan"],
+                                   ["--lr", "inf"]], ids=["lr", "epochs", "lr-nan", "lr-inf"])
 @pytest.mark.parametrize("cmd", [["redense"], ["sweep-m", "--m-values", "8", "--seeds", "1"]],
                          ids=["redense", "sweep-m"])
 def test_bad_head_flags_exit_2_before_training(tmp_path, capsys, monkeypatch, cmd, flags):
@@ -491,6 +496,9 @@ def test_bad_head_flags_exit_2_before_training(tmp_path, capsys, monkeypatch, cm
     pytest.param(["sweep-m", "--m-values", "8,0", "--seeds", "2"], 2, id="m-values-8,0"),
     pytest.param(["sweep-m", "--m-values", "", "--seeds", "2"], 2, id="m-values-empty"),
     pytest.param(["redense"], 3, id="redense-absent-bundle"),
+    pytest.param(["redense", "--lr", "nan"], 2, id="redense-lr-nan"),
+    pytest.param(["redense", "--lr", "-inf"], 2, id="redense-lr-minus-inf"),
+    pytest.param(["sweep-m", "--m-values", "8", "--lr", "inf"], 2, id="sweep-m-lr-inf"),
 ])
 def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected):
     # the bundle does not exist: loading it before the flags are checked would
@@ -499,6 +507,103 @@ def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected)
     code = main([*cmd, "--bundle", str(tmp_path / "absent.rdfb"), "--out-dir", str(out)])
     assert code == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
+def test_train_rejects_a_non_finite_lr_before_loading(tmp_path, lr):
+    out = tmp_path / "x"
+    code = main(["train", "--csv", str(tmp_path / "absent.csv"), "--lr", lr,
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_eval_on_the_training_images_reproduces_redense_final_loss(tmp_path, capsys):
+    images, labels = gen_digit_images(300, seed=4)
+    write_idx(tmp_path / "images", tmp_path / "labels", images, labels)
+    data = ["--images", str(tmp_path / "images"), "--labels", str(tmp_path / "labels")]
+    assert main(["train", *data, "--hidden", "8", "--epochs", "3", "--batch-size", "64",
+                 "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+    model = str(tmp_path / "model.rdnm")
+    assert main(["features", "--model", model, *data, "--no-split",
+                 "--out", str(tmp_path / "f.rdfb")]) == 0
+    capsys.readouterr()
+    for epochs in ("0", "25"):
+        out = tmp_path / f"rd{epochs}"
+        assert main(["redense", "--bundle", str(tmp_path / "f.rdfb"), "--model", model,
+                     "--m", "24", "--lr", "1e-2", "--epochs", epochs, "--seed", "4",
+                     "--out-dir", str(out)]) == 0
+        trained = kv(capsys)
+        assert main(["eval", "--model", str(out / "model_with_redense.rdnm"), *data,
+                     "--out-dir", str(out)]) == 0
+        scored = kv(capsys)
+        assert scored["redense_loss"] == trained["final_loss"]
+        assert scored["base_loss"] == trained["old_loss"]
+    assert float(trained["final_loss"]) < float(trained["old_loss"])
+
+
+class _FailingFile:
+    """A file whose second write raises, as when a disk fills midway."""
+
+    def __init__(self, f):
+        self._f = f
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError("no space left on device")
+        return self._f.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("site", ["model", "curve", "bundle", "manifest", "sweep_table"])
+def test_a_failed_write_leaves_the_target_absent_or_unchanged(tmp_path, capsys, monkeypatch,
+                                                              site):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    model_path = tmp_path / "model.rdnm"
+    model, loss, _ = load_model(model_path)
+    bundle = load_feature_bundle(bundle_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4"]
+    target, write = {
+        "model": (out / "m.rdnm", lambda: save_model(out / "m.rdnm", model, loss)),
+        "curve": (out / "c.csv", lambda: write_curve(out / "c.csv", [EpochStats(0, 1.0, 1.0, 0.5)])),
+        "bundle": (out / "b.rdfb", lambda: save_feature_bundle(out / "b.rdfb", bundle)),
+        "manifest": (out / "eval_manifest.json",
+                     lambda: main(["eval", "--model", str(model_path), *data,
+                                   "--out-dir", str(out)])),
+        "sweep_table": (out / "sweep.csv",
+                        lambda: main(["sweep-m", "--bundle", str(bundle_path), "--m-values",
+                                      "8", "--seeds", "1", "--epochs", "1",
+                                      "--out-dir", str(out)])),
+    }[site]
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        f = real_open(path, mode, *args, **kwargs)
+        return _FailingFile(f) if "w" in mode else f
+
+    monkeypatch.setattr(datamod, "open", failing_open, raising=False)
+    for before in (None, b"earlier contents\n"):
+        if before is not None:
+            target.write_bytes(before)
+        if site in ("manifest", "sweep_table"):
+            assert write() == 3
+        else:
+            with pytest.raises(OSError, match="no space"):
+                write()
+        if before is None:
+            assert not target.exists()
+        else:
+            assert target.read_bytes() == before
+        assert [p.name for p in out.iterdir() if p.name != target.name] == []
 
 
 def _printed(value):

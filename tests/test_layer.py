@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,9 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import random_one_hot
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
-from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad, _head_logits,
-                           _positive_half, _project, build, lfp_lift, lfp_reconstruct,
-                           predict, train)
+from redense.layer import (MAX_CONDITION, TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad,
+                           _head_logits, _positive_half, _project, build, lfp_lift,
+                           lfp_reconstruct, predict, train)
 from redense.linalg import frobenius_norm
 from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
 
@@ -19,7 +20,8 @@ from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
 def identity_layer(n, q=None):
     q = n if q is None else q
     o0 = np.hstack([np.eye(q, n), -np.eye(q, n)])
-    return RedenseLayer(n=n, m=n, R=np.eye(n), epsilon=frobenius_norm(o0), O=o0, seed=0)
+    return RedenseLayer(n=n, m=n, R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(q, n),
+                        delta=np.zeros_like(o0), seed=0, O0=o0)
 
 
 def build_with_r(output_weight, r):
@@ -31,13 +33,15 @@ def build_with_r(output_weight, r):
 
 def test_build_identity_projection():
     layer = build_with_r(np.eye(2), np.eye(2))
-    assert np.array_equal(layer.O, np.hstack([np.eye(2), -np.eye(2)]))
+    assert np.array_equal(layer.O0, np.hstack([np.eye(2), -np.eye(2)]))
+    assert np.array_equal(layer.base, np.eye(2))
+    assert np.array_equal(layer.delta, np.zeros((2, 4)))
     assert layer.epsilon == 2.0
 
 
 def test_build_scaled_identity_projection():
     layer = build_with_r(np.eye(2), 2.0 * np.eye(2))
-    assert np.allclose(layer.O, np.hstack([0.5 * np.eye(2), -0.5 * np.eye(2)]), atol=1e-15)
+    assert np.allclose(layer.O0, np.hstack([0.5 * np.eye(2), -0.5 * np.eye(2)]), atol=1e-15)
     assert layer.epsilon == pytest.approx(1.0, rel=1e-15)
 
 
@@ -46,9 +50,9 @@ def test_build_epsilon_matches_flat_sum_oracle(rng):
     r = rng.standard_normal((6, 4))
     layer = build_with_r(ohat, r)
     total = 0.0
-    for i in range(layer.O.shape[0]):
-        for j in range(layer.O.shape[1]):
-            total += layer.O[i, j] ** 2
+    for i in range(layer.O0.shape[0]):
+        for j in range(layer.O0.shape[1]):
+            total += layer.O0[i, j] ** 2
     assert layer.epsilon == pytest.approx(total ** 0.5, abs=1e-12)
 
 
@@ -156,9 +160,11 @@ def _instance(rng, j=40, n=6, q=3, m=None):
 def test_train_zero_iterations_returns_start(rng):
     layer, feats, _, targets = _instance(rng)
     trained, report, curve = train(layer, feats, targets, HeadConfig(epochs=0))
-    assert np.array_equal(trained.O, layer.O)
+    assert not trained.delta.any()
+    assert report.old_loss == loss_value(TRAIN_LOSS, feats @ layer.base.T, targets)
     assert report.final_loss == report.old_loss
     assert report.guarantee_holds
+    assert (report.stop_reason, report.stopped_at) == ("completed", 0)
     assert len(curve) == 1
 
 
@@ -172,14 +178,14 @@ def test_init_loss_matches_base_loss(n, m):
         layer = build(ohat, n, m, seed=seed)
         old = loss_value(TRAIN_LOSS, feats @ ohat.T, targets)
         init = loss_value(TRAIN_LOSS, predict(layer, feats), targets)
-        assert abs(init - old) / max(old, 1e-12) < 1e-6
+        assert init == old
+        _, report, _ = train(layer, feats, targets, HeadConfig(epochs=0))
+        assert report.old_loss == report.final_loss == old
 
 
 def test_predict_at_start_matches_base_head(rng):
     layer, feats, ohat, _ = _instance(rng, m=9)
-    base = feats @ ohat.T
-    lifted_pred = predict(layer, feats)
-    assert np.abs(lifted_pred - base).max() / np.abs(base).max() < 1e-6
+    assert np.array_equal(predict(layer, feats), feats @ ohat.T)
 
 
 def test_predict_zero_features_gives_zero_logits(rng):
@@ -188,14 +194,18 @@ def test_predict_zero_features_gives_zero_logits(rng):
 
 
 def test_predict_against_straight_line_oracle(rng):
-    layer, feats, _, _ = _instance(rng, j=5, n=4, q=2, m=6)
+    layer, feats, ohat, _ = _instance(rng, j=5, n=4, q=2, m=6)
+    layer = replace(layer, delta=1e-2 * rng.standard_normal((2, 12)))
     expected = np.empty((5, 2))
     for row in range(5):
         z = [sum(layer.R[i, k] * feats[row, k] for k in range(4)) for i in range(6)]
         lifted = [max(v, 0.0) for v in z] + [max(-v, 0.0) for v in z]
         for out in range(2):
-            expected[row, out] = sum(layer.O[out, c] * lifted[c] for c in range(12))
-    assert np.allclose(predict(layer, feats), expected, atol=1e-12)
+            expected[row, out] = (sum(ohat[out, k] * feats[row, k] for k in range(4))
+                                  + sum(layer.delta[out, c] * lifted[c] for c in range(12)))
+    # the base term is float64 and the correction float32
+    assert np.all(np.abs(predict(layer, feats) - expected)
+                  <= 1e-12 + correction_bound(feats, layer.R, layer.delta))
 
 
 def test_train_respects_constraint_every_iteration(rng):
@@ -277,15 +287,17 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
                                        HeadConfig(learning_rate=1e-2, epochs=5))
     assert len(curve) == 3
     assert "non-finite loss at iteration 3" in caplog.text
+    assert (report.stop_reason, report.stopped_at) == ("non_finite", 3)
     assert report.guarantee_holds
     assert report.final_loss == min(c.train_loss for c in curve) <= report.old_loss
-    assert np.isfinite(trained.O).all()
+    assert np.isfinite(trained.delta).all()
     assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
 
 
 def test_train_raises_when_start_is_non_finite():
     o0 = np.hstack([np.eye(1) * 1e200, -np.eye(1) * 1e200])
-    layer = RedenseLayer(n=1, m=1, R=np.eye(1), epsilon=1e301, O=o0, seed=0)
+    layer = RedenseLayer(n=1, m=1, R=np.eye(1), epsilon=1e301, base=np.eye(1) * 1e200,
+                         delta=np.zeros((1, 2)), seed=0, O0=o0)
     feats = np.array([[1e200]])
     targets = np.array([[1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -308,7 +320,7 @@ def test_epsilon_shrinks_with_wider_projection():
 def test_redense_objective_gradient_matches_fd(rng):
     layer, feats, _, targets = _instance(rng, j=6, n=3, q=2, m=4)
     lifted = lfp_lift(layer, feats)
-    o = layer.O.copy()
+    o = layer.O0.copy()
 
     def objective(flat):
         return loss_value(TRAIN_LOSS, lifted @ flat.reshape(o.shape).T, targets)
@@ -327,43 +339,54 @@ def test_redense_objective_gradient_matches_fd(rng):
 
 
 def _reference_train(layer, feats, targets, lr, epochs):
-    """The head loop with Adam written out by hand: the oracle for train()."""
+    """The head loop with Adam and the float32 correction written out by hand:
+    the oracle for train()."""
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    h = _positive_half(layer, feats)
-    o = layer.O.copy()
-    m_t = np.zeros_like(o)
-    v_t = np.zeros_like(o)
+    y32, r32 = feats.astype(np.float32), layer.R.astype(np.float32)
+    h32 = np.maximum(y32 @ r32.T, 0.0)
+    base = feats @ layer.base.T
+    d = np.zeros_like(layer.O0)
+    m_t = np.zeros_like(d)
+    v_t = np.zeros_like(d)
     curve = []
-    best_o, best_loss = o.copy(), np.inf
+    best_d, best_loss = d.copy(), np.inf
     for t in range(epochs + 1):
-        logits = _head_logits(h, feats, layer.R, o)
+        d32 = d.astype(np.float32)
+        logits = base + (h32 @ (d32[:, :9] + d32[:, 9:]).T - y32 @ (d32[:, 9:] @ r32).T)
         loss = loss_value(TRAIN_LOSS, logits, targets)
-        curve.append((t, loss, frobenius_norm(o), loss, accuracy(logits, targets)))
+        curve.append((t, loss, frobenius_norm(layer.O0 + d), loss, accuracy(logits, targets)))
         if loss < best_loss:
-            best_loss, best_o = loss, o.copy()
+            best_loss, best_d = loss, d.copy()
         if t == epochs:
             break
-        grad = _head_grad(loss_grad(TRAIN_LOSS, logits, targets), h, feats, layer.R)
+        g32 = loss_grad(TRAIN_LOSS, logits, targets).astype(np.float32)
+        a = g32.T @ h32
+        grad = np.hstack([a, a - (g32.T @ y32) @ r32.T]).astype(np.float64)
         m_t = beta1 * m_t + (1.0 - beta1) * grad
         v_t = beta2 * v_t + (1.0 - beta2) * grad * grad
         m_hat = m_t / (1.0 - beta1 ** (t + 1))
         v_hat = v_t / (1.0 - beta2 ** (t + 1))
-        o = _project(o - lr * (m_hat / (np.sqrt(v_hat) + eps)), layer.epsilon)
-    return best_o, curve
+        d = d - lr * (m_hat / (np.sqrt(v_hat) + eps))
+        o = layer.O0 + d
+        if frobenius_norm(o) > layer.epsilon * (1.0 + 1e-12):
+            d = o * (layer.epsilon / frobenius_norm(o)) - layer.O0
+    return best_d, curve
 
 
 @pytest.mark.parametrize("lr", [1e-3, 0.5])
 def test_train_matches_hand_written_adam_bitwise(rng, lr):
     layer, feats, _, targets = _instance(rng, j=50, m=9)
     trained, _, curve = train(layer, feats, targets, HeadConfig(learning_rate=lr, epochs=30))
-    ref_o, ref_curve = _reference_train(layer, feats, targets, lr, 30)
-    assert np.array_equal(trained.O, ref_o)
+    ref_d, ref_curve = _reference_train(layer, feats, targets, lr, 30)
+    assert np.array_equal(trained.delta, ref_d)
     assert [(c.epoch, c.train_loss, c.o_norm, c.eval_loss, c.eval_accuracy)
             for c in curve] == ref_curve
 
 
 @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": -1e-3},
-                                    {"epochs": -1}])
+                                    {"epochs": -1}, {"learning_rate": float("nan")},
+                                    {"learning_rate": float("inf")},
+                                    {"learning_rate": float("-inf")}])
 def test_head_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         HeadConfig(**kwargs)
@@ -385,19 +408,15 @@ IDENTITY_RTOL = 1e-12
 @example(j=5, n=3, extra=4, q=2, scale=1.0, kind="negative", seed=3)
 def test_half_width_head_matches_explicit_lift(j, n, extra, q, scale, kind, seed):
     rng = np.random.default_rng(seed)
-    m = n + extra
-    feats = scale * rng.standard_normal((j, n))
-    r = rng.standard_normal((m, n))
-    if kind == "zero":
-        feats = np.zeros((j, n))
-    elif kind == "negative":
-        # every projection is negative, so the positive half is all zero
-        feats, r = -np.abs(feats), np.abs(r)
-    layer = build_with_r(rng.standard_normal((q, n)), r)
+    feats, r = _features_and_projection(rng, j, n, n + extra, scale, kind)
+    m = r.shape[0]
+    ohat = rng.standard_normal((q, n))
+    layer = build_with_r(ohat, r)
     o = rng.standard_normal((q, 2 * m))
     g = rng.standard_normal((j, q))
     lifted = lfp_lift(layer, feats)
-    h = _positive_half(layer, feats)
+    h = _positive_half(feats, r)
+    assert h.dtype == np.float64
     assert np.array_equal(h, lifted[:, :m])
 
     abs_proj = np.abs(feats) @ np.abs(r).T
@@ -410,9 +429,102 @@ def test_half_width_head_matches_explicit_lift(j, n, extra, q, scale, kind, seed
     assert np.all(np.abs(grad - g.T @ lifted) <= IDENTITY_RTOL * grad_scale)
 
     # at O0 = [P | -P] the first term vanishes exactly: O+ + O- = P - P = 0
-    p = layer.O[:, :m]
-    assert np.array_equal(_head_logits(h, feats, r, layer.O), feats @ (p @ r).T)
-    assert np.array_equal(predict(layer, feats), feats @ (p @ r).T)
+    p = layer.O0[:, :m]
+    assert np.array_equal(_head_logits(h, feats, r, layer.O0), feats @ (p @ r).T)
+    # and the head itself starts at the base logits, not at y (P R)'
+    assert np.array_equal(predict(layer, feats), feats @ ohat.T)
+
+
+def _features_and_projection(rng, j, n, m, scale, kind):
+    feats = scale * rng.standard_normal((j, n))
+    r = rng.standard_normal((m, n))
+    if kind == "zero":
+        feats = np.zeros((j, n))
+    elif kind == "negative":
+        # every projection is negative, so the positive half is all zero
+        feats, r = -np.abs(feats), np.abs(r)
+    return feats, r
+
+
+def correction_bound(feats, r, delta):
+    """Rounding bound of the float32 correction lift(y) delta' from train and predict.
+
+    Each entry is a float32 sum of products whose absolute values sum to at
+    most |y| |R|' (|D+| + |D-|)'. Casting y, R and delta to float32, forming
+    h (n terms), the two head products (m terms each) and their difference
+    each add at most one unit roundoff 2^-24 per term to first order, so the
+    error stays below (n + m + 5) 2^-23 times that sum while every value is a
+    normal float32.
+    """
+    m, n = r.shape
+    scale = (np.abs(feats) @ np.abs(r).T) @ (np.abs(delta[:, :m]) + np.abs(delta[:, m:])).T
+    return (n + m + 5) * 2.0 ** -23 * scale
+
+
+@given(j=st.integers(1, 12), n=st.integers(1, 6), extra=st.integers(0, 6),
+       q=st.integers(1, 4), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+       delta_scale=st.sampled_from([1e-6, 1e-2, 1.0]),
+       kind=st.sampled_from(["gaussian", "zero", "negative"]),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+@example(j=5, n=3, extra=4, q=2, scale=1.0, delta_scale=1.0, kind="negative", seed=3)
+def test_float32_correction_within_rounding_bound(j, n, extra, q, scale, delta_scale, kind,
+                                                  seed):
+    rng = np.random.default_rng(seed)
+    feats, r = _features_and_projection(rng, j, n, n + extra, scale, kind)
+    ohat = rng.standard_normal((q, n))
+    layer = replace(build_with_r(ohat, r), delta=delta_scale * rng.standard_normal((q, 2 * r.shape[0])))
+    y32, r32 = feats.astype(np.float32), r.astype(np.float32)
+    h32 = _positive_half(y32, r32)
+    assert h32.dtype == np.float32
+
+    correction = _head_logits(h32, y32, r32, layer.delta)
+    assert correction.dtype == np.float32
+    exact = lfp_lift(layer, feats) @ layer.delta.T
+    assert np.all(np.abs(correction - exact) <= correction_bound(feats, r, layer.delta))
+    # predict adds exactly this correction to the float64 base logits
+    assert np.array_equal(predict(layer, feats), feats @ ohat.T + correction)
+
+    g = rng.standard_normal((j, q))
+    grad = _head_grad(g, h32, y32, r32)
+    assert grad.dtype == np.float32
+    # the gradient's sums run over the J rows as well
+    grad_scale = np.tile(np.abs(g).T @ (np.abs(feats) @ np.abs(r).T), 2)
+    grad_tol = (j + n + 5) * 2.0 ** -23 * grad_scale
+    assert np.all(np.abs(grad - g.T @ lfp_lift(layer, feats)) <= grad_tol)
+
+
+def _near_singular(rng, m, n, cond):
+    """An m x n matrix with orthonormal singular vectors and condition number cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
+@given(j=st.integers(1, 20), n=st.integers(1, 6), extra=st.integers(0, 6),
+       q=st.integers(2, 4), cond_share=st.floats(0.01, 0.99),
+       lr=st.floats(1e-300, 1.0), epochs=st.integers(0, 4),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(j=6, n=4, extra=2, q=3, cond_share=0.99, lr=1e-300, epochs=3, seed=0)
+@example(j=6, n=4, extra=0, q=3, cond_share=0.99, lr=1.0, epochs=0, seed=1)
+def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share, lr, epochs,
+                                                       seed):
+    rng = np.random.default_rng(seed)
+    r = _near_singular(rng, n + extra, n, cond_share * MAX_CONDITION)
+    ohat = rng.standard_normal((q, n))
+    feats = rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    layer = build_with_r(ohat, r)
+    base_logits = feats @ ohat.T
+    base_loss = loss_value(TRAIN_LOSS, base_logits, targets)
+    assert np.array_equal(predict(layer, feats), base_logits)
+
+    trained, report, _ = train(layer, feats, targets,
+                               HeadConfig(learning_rate=lr, epochs=epochs))
+    assert report.old_loss == base_loss
+    assert report.guarantee_holds and report.final_loss <= base_loss
+    assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
 
 
 def _traced_peak(fn, *args):
@@ -426,11 +538,12 @@ def _traced_peak(fn, *args):
 
 
 def test_train_and_predict_never_hold_the_double_width_lift(rng):
-    # the positive half is J x m float64; the full lift would be twice that
+    # the positive half is J x m float32; one J x m float64 array would be
+    # twice that, and the full float64 lift four times
     j, n, m, q = 2000, 32, 512, 10
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
     layer = build(rng.standard_normal((q, n)), n, m, seed=0)
-    limit = 1.5 * j * m * 8
+    limit = 0.75 * j * m * 8
     assert _traced_peak(train, layer, feats, targets, HeadConfig(epochs=3)) < limit
     assert _traced_peak(predict, layer, feats) < limit

@@ -285,8 +285,9 @@ def test_dataset_validations():
 
 
 def test_train_config_validations():
-    with pytest.raises(ValueError):
-        TrainConfig(learning_rate=0.0)
+    for lr in (0.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=lr)
     with pytest.raises(ValueError):
         TrainConfig(epochs=-1)
     with pytest.raises(ValueError):

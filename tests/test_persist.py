@@ -1,11 +1,12 @@
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import random_one_hot, read_curve
 from redense.errors import DataFormatError
-from redense.layer import build
+from redense.layer import HeadConfig, build, predict, train
 from redense.nn import EpochStats, Loss, forward, make_mlp
 from redense.persist import load_model, save_model, write_curve
 
@@ -43,6 +44,7 @@ def test_loaded_model_forward_is_bit_exact(tmp_path, rng):
 def test_round_trip_with_lifting_layer(tmp_path, rng):
     model = make_mlp(4, [6], 3, seed=2)
     layer = build(model.output_weight, 6, 9, seed=7)
+    layer = replace(layer, delta=rng.standard_normal(layer.delta.shape))
     path = tmp_path / "m.rdnm"
     save_model(path, model, Loss("poisson"), redense_layer=layer)
     loaded_model, loss, loaded_layer = load_model(path)
@@ -50,7 +52,36 @@ def test_round_trip_with_lifting_layer(tmp_path, rng):
     assert loaded_layer.n == 6 and loaded_layer.m == 9 and loaded_layer.seed == 7
     assert loaded_layer.epsilon == layer.epsilon
     assert np.array_equal(loaded_layer.R, layer.R)
-    assert np.array_equal(loaded_layer.O, layer.O)
+    assert np.array_equal(loaded_layer.base, loaded_model.output_weight)
+    assert np.array_equal(loaded_layer.delta, layer.delta)
+    # the file holds no O0: a loaded layer predicts the same logits, but does not train
+    assert loaded_layer.O0 is None
+    x = rng.standard_normal((7, 6))
+    assert np.array_equal(predict(loaded_layer, x), predict(layer, x))
+    with pytest.raises(ValueError, match="O0"):
+        train(loaded_layer, x, np.eye(3)[[0, 1, 2, 0, 1, 2, 0]], HeadConfig(epochs=1))
+
+
+def test_save_refuses_a_layer_built_on_another_head(tmp_path):
+    model = make_mlp(4, [6], 3, seed=2)
+    layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 6, 9, seed=7)
+    with pytest.raises(ValueError, match="base head"):
+        save_model(tmp_path / "m.rdnm", model, Loss("poisson"), redense_layer=layer)
+    assert not (tmp_path / "m.rdnm").exists()
+
+
+def test_rejects_version_1_models(tmp_path):
+    # version 1 stored O itself, from which the exact base-plus-correction
+    # head cannot be recovered
+    model = make_mlp(3, [4], 2, seed=0)
+    path = tmp_path / "m.rdnm"
+    save_model(path, model, Loss("softmax_cross_entropy"))
+    raw = bytearray(path.read_bytes())
+    assert raw[4:8] == struct.pack("<I", 2)
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(DataFormatError, match="version 1"):
+        load_model(path)
 
 
 def test_rejects_bad_magic(tmp_path):
