@@ -248,12 +248,23 @@ def cmd_features(args, seed):
                      "manifest": out_path.with_suffix(out_path.suffix + ".manifest.json")}
 
 
-def _load_eval_bundle(path, n):
+def _load_eval_bundle(path, bundle):
+    """The held-out bundle, refused unless the training bundle's model exported it.
+
+    A bundle carries its model's output weight (Q x n), so comparing the two
+    also compares the feature and target widths.
+    """
     eval_bundle = datamod.load_feature_bundle(path)
-    if eval_bundle.features.shape[1] != n:
-        raise CliError(EXIT_DATA, f"eval bundle feature width {eval_bundle.features.shape[1]} "
-                                  f"does not match training bundle width {n}")
+    if not np.array_equal(eval_bundle.output_weight, bundle.output_weight):
+        raise CliError(EXIT_DATA, f"eval bundle {path} was not exported from the training "
+                                  f"bundle's model: its {eval_bundle.output_weight.shape} "
+                                  "output weight differs from the training bundle's "
+                                  f"{bundle.output_weight.shape}")
     return eval_bundle
+
+
+def _eval_source(eval_bundle):
+    return "eval_bundle" if eval_bundle is not None else "training_features"
 
 
 def _head_config(args):
@@ -295,7 +306,7 @@ def cmd_redense(args, seed):
     m = args.m if args.m is not None else n
     if m < n:
         raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
-    eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
+    eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
     if args.model:
         model, stored_loss = _load_unbiased_model(args.model)
         if (model.output_weight.shape != bundle.output_weight.shape
@@ -327,14 +338,16 @@ def cmd_redense(args, seed):
         "guarantee_holds": report.guarantee_holds,
         "stop_reason": report.stop_reason,
         "stopped_at": report.stopped_at,
+        "best_epoch": report.best_epoch,
     }
     if report.base_loss_kind is not None:
         results["base_loss_kind"] = report.base_loss_kind
         results["base_old_loss"] = report.base_old_loss
         results["base_final_loss"] = report.base_final_loss
-    results["eval_source"] = "eval_bundle" if eval_bundle is not None else "training_features"
-    results["final_eval_loss"] = curve[-1].eval_loss
-    results["final_eval_accuracy"] = curve[-1].eval_accuracy
+    results["eval_source"] = _eval_source(eval_bundle)
+    # the returned head is the best iterate, not the last one
+    results["final_eval_loss"] = curve[report.best_epoch].eval_loss
+    results["final_eval_accuracy"] = curve[report.best_epoch].eval_accuracy
     results["m"] = m
     results["model_sha256"] = _file_sha256(model_out)
     return results, {"model": model_out, "curve": curve_path,
@@ -352,7 +365,7 @@ def cmd_sweep_m(args, seed):
     bad = [m for m in args.m_values if m < n]
     if bad:
         raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
-    eval_bundle = _load_eval_bundle(args.eval_bundle, n) if args.eval_bundle else None
+    eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
 
     rows = []
     for m in args.m_values:
@@ -360,7 +373,7 @@ def cmd_sweep_m(args, seed):
             run_seed = seed + s
             _trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
             rows.append((m, run_seed, report.epsilon, report.final_loss,
-                         curve[-1].eval_accuracy))
+                         curve[report.best_epoch].eval_accuracy))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -369,7 +382,8 @@ def cmd_sweep_m(args, seed):
         f.write("m,seed,epsilon,final_train_loss,test_accuracy\n")
         for m, s, eps, fl, acc in rows:
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")
-    results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds}
+    results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds,
+               "eval_source": _eval_source(eval_bundle)}
     return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
 
 

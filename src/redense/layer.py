@@ -29,9 +29,9 @@ max(-z,0) = h - z with h = max(z,0) and z = yR', so with D = [D+ | D-]
     G' lift(y)  = [A | A - (G'y) R'],   A = G'h,
 
 which needs only the J x m positive half h next to the J x n features. These
-helpers compute in h's dtype. Training and prediction hold h in float32; the
-base term, the loss, Adam, the projection and best-iterate selection stay
-float64.
+helpers compute in h's dtype. Training and prediction hold y and h in
+float32, scaled by a power of two that fits them to its range; the base term,
+the loss, Adam, the projection and best-iterate selection stay float64.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
-from .linalg import Matrix, as_matrix, check_finite, frobenius_norm, pinv, sample_gaussian
+from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
+                     sample_gaussian)
 from .nn import Loss, _AdamState, accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
@@ -104,6 +105,8 @@ class GuaranteeReport:
     # iteration stopped_at and training kept the best earlier iterate
     stop_reason: str
     stopped_at: int
+    # the iteration of the returned iterate; curve[best_epoch] scores it
+    best_epoch: int
     # informational: the base network's own training loss, when it was
     # trained with something other than softmax cross-entropy
     base_loss_kind: str | None = None
@@ -146,8 +149,8 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
     r = sample_gaussian(m, n, seed)
     for attempt in range(_RESAMPLE_ATTEMPTS):
-        r_pinv, cond = pinv(r)
-        if cond <= MAX_CONDITION:
+        p, cond = pinv_product(output_weight, r, MAX_CONDITION)
+        if p is not None:
             break
         log.warning("projection matrix ill-conditioned (cond=%.3g), resampling with seed %d",
                     cond, seed + attempt + 1)
@@ -155,7 +158,6 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     else:
         raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
                               f"after {_RESAMPLE_ATTEMPTS} attempts")
-    p = output_weight @ r_pinv
     o0 = np.hstack([p, -p])
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
@@ -209,22 +211,27 @@ def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
 
 
 def _head_inputs(layer: RedenseLayer, features: Matrix, r32: Matrix):
-    """(base logits y Ohat' in float64, y in float32, h in float32)."""
+    """(base logits y Ohat' in float64, y 2^-k and h 2^-k in float32, k).
+
+    k is max|y|'s binary exponent, so the float32 copies neither overflow
+    to Inf nor flush to zero wherever y lies in float64's range. Scaling by a
+    power of two is exact, and the correction and the gradient are linear in
+    (h, y), so multiplying them by 2^k in float64 undoes it; for features
+    within float32's range that gives the unscaled results bit for bit.
+    """
     _check_features(layer, features)
-    y32 = features.astype(np.float32)
-    return features @ layer.base.T, y32, _positive_half(y32, r32)
+    _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
+    # computed in float64 and cast in buffered chunks: no J x n float64 copy
+    y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
+    return features @ layer.base.T, y32, _positive_half(y32, r32), int(k)
 
 
 def _logits(inputs, r32: Matrix, delta: Matrix) -> Matrix:
-    """y Ohat' + lift(y) delta'.
-
-    A zero delta returns the base logits themselves, so the start stays exact
-    even for features beyond float32's range, where h would hold Inf.
-    """
-    base, y32, h = inputs
+    """y Ohat' + lift(y) delta'; a zero delta returns the base logits themselves."""
+    base, y32, h, k = inputs
     if not delta.any():
         return base
-    return base + _head_logits(h, y32, r32, delta)
+    return base + np.ldexp(_head_logits(h, y32, r32, delta).astype(np.float64), k)
 
 
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
@@ -270,7 +277,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         raise ValueError("layer has no start point O0; train a layer made by build()")
     r32 = layer.R.astype(np.float32)
     inputs = _head_inputs(layer, features, r32)
-    _, y32, h = inputs
+    _, y32, h, k = inputs
     eval_inputs = None
     if eval_features is not None:
         if eval_targets is None:
@@ -281,7 +288,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     adam = _AdamState([delta.shape])
     curve = []
     best_delta = delta.copy()
-    best_loss = np.inf
+    best_loss, best_epoch = np.inf, 0
     stop_reason, stopped_at = "completed", cfg.epochs
     for t in range(cfg.epochs + 1):
         logits = _logits(inputs, r32, delta)
@@ -306,11 +313,11 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
                                   ev_loss, ev_acc))
         if cur_loss < best_loss:
-            best_loss = cur_loss
+            best_loss, best_epoch = cur_loss, t
             best_delta = delta.copy()
         if t == cfg.epochs:
             break
-        grad = _head_grad(logits_grad, h, y32, r32).astype(np.float64)
+        grad = np.ldexp(_head_grad(logits_grad, h, y32, r32).astype(np.float64), k)
         del logits_grad  # J x Q: not held while the next logits are formed
         (step,) = adam.step([grad])
         step *= cfg.learning_rate  # Adam's own buffer, rewritten by its next step
@@ -335,6 +342,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         guarantee_holds=best_loss <= old_loss,
         stop_reason=stop_reason,
         stopped_at=stopped_at,
+        best_epoch=best_epoch,
         **report_kwargs,
     )
     return trained, report, curve

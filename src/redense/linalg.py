@@ -1,4 +1,4 @@
-"""Dense linear algebra primitives: norms, pseudo-inverse, seeded sampling.
+"""Dense linear algebra primitives: norms, pseudo-inverse products, seeded sampling.
 
 All public functions take and return 2-D float64 arrays ("matrices") and
 validate finiteness at the boundary. Randomness always flows from an explicit
@@ -36,24 +36,45 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
 
 
-def pinv(a: Matrix) -> tuple[Matrix, float]:
-    """Moore-Penrose pseudo-inverse and sigma_max / sigma_min, from one SVD.
+def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | None, float]:
+    """(b pinv(a), cond(a)) for a tall a, from a Q-less QR: no m x n orthogonal factor.
 
-    Singular values below max(rows, cols) * eps * sigma_max are treated as
-    zero, so rank-deficient inputs are handled without blow-up. The condition
-    number is inf when sigma_min is zero.
+    a (m x n, m >= n) is factored once, a = QT, keeping only the n x n
+    triangle T. cond(a) = sigma_max / sigma_min comes from T's singular values,
+    which are a's; it is inf when sigma_min is zero. Beyond max_condition the
+    product is not formed and None is returned in its place.
+
+    Otherwise X = b pinv(a), the minimum-norm solution of X a = b, comes from
+    the corrected seminormal equations (Bjorck, Numerical Methods for Least
+    Squares Problems, 2.5): solve T'T Y = b' with two solves, set X' = a Y,
+    and refine once on the residual b' - a'X'. That matches an SVD-based
+    pinv to O(eps cond); without the refinement the residual grows like
+    cond^2.
     """
-    a = np.asarray(a, dtype=np.float64)
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    rows, cols = a.shape
+    if not 1 <= cols <= rows:
+        raise ShapeError(f"pinv_product needs a tall input with m >= n >= 1, got {rows}x{cols}")
     try:
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
+        t = np.linalg.qr(a, mode="r")
+        s = np.linalg.svd(t, compute_uv=False)
+        cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
+        if not cond <= max_condition:
+            return None, cond
+        xt = a @ _seminormal_solve(t, b.T)
+        xt += a @ _seminormal_solve(t, b.T - a.T @ xt)
     except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"SVD did not converge for {a.shape[0]}x{a.shape[1]} input: {exc}") from exc
-    if s.size == 0:
-        return np.zeros((a.shape[1], a.shape[0])), float("inf")
-    cutoff = max(a.shape) * np.finfo(np.float64).eps * s[0]
-    inv_s = np.where(s > cutoff, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    cond = float(s[0] / s[-1]) if s[-1] > 0.0 else float("inf")
-    return (vt.T * inv_s) @ u.T, cond
+        raise DecompositionError(f"factoring the {rows}x{cols} input failed: {exc}") from exc
+    return xt.T, cond
+
+
+def _seminormal_solve(t: Matrix, rhs: Matrix) -> Matrix:
+    """(T'T)^-1 rhs, by a solve with T' and then one with T.
+
+    numpy has no triangular solve; its LU solve is backward stable on a
+    triangle too, and costs little next to the QR.
+    """
+    return np.linalg.solve(t, np.linalg.solve(t.T, rhs))
 
 
 def sample_gaussian(rows: int, cols: int, seed: int) -> Matrix:

@@ -32,6 +32,13 @@ def random_one_hot(rng, rows, classes):
     return one_hot(rng.integers(0, classes, rows), classes)
 
 
+def near_singular(rng, m, n, cond):
+    """An m x n matrix with orthonormal singular vectors and condition number cond."""
+    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
 def read_curve(path):
     """Rows of a curve file as (epoch, train_loss, test_loss, test_accuracy)."""
     with open(path) as f:

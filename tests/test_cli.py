@@ -12,7 +12,7 @@ from redense import data as datamod
 from redense import layer as layermod
 from redense.cli import main
 from redense.data import gen_digit_images, load_feature_bundle, save_feature_bundle, write_idx
-from redense.nn import EpochStats, accuracy, evaluate
+from redense.nn import EpochStats, accuracy, evaluate, loss_value
 from redense.persist import load_model, save_model, write_curve
 
 
@@ -146,19 +146,91 @@ def test_redense_m_below_n_exits_2(tmp_path, capsys):
     assert code == 2
 
 
-def test_redense_with_eval_bundle(tmp_path, capsys):
-    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+def _eval_bundle(tmp_path, capsys):
+    """Held-out features from the model _pipeline_to_bundle trained."""
     eval_path = tmp_path / "eval.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
                  "--synthetic", "blobs", "--samples", "60", "--classes", "3",
                  "--noise", "0.4", "--seed", "99", "--out", str(eval_path)])
     assert code == 0
     capsys.readouterr()
+    return eval_path
+
+
+def test_redense_with_eval_bundle(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    eval_path = _eval_bundle(tmp_path, capsys)
     code = main(["redense", "--bundle", str(bundle_path), "--eval-bundle", str(eval_path),
                  "--epochs", "5", "--seed", "2", "--out-dir", str(tmp_path / "rd")])
     assert code == 0
     pairs = kv(capsys)
     assert pairs["eval_source"] == "eval_bundle"
+
+
+# lr 1 overshoots: at m=8 the first step is far worse than the start, so
+# train returns the start and the last iterate scores lower on held-out data
+def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    eval_path = _eval_bundle(tmp_path, capsys)
+    bundle, held_out = load_feature_bundle(bundle_path), load_feature_bundle(eval_path)
+    cfg = layermod.HeadConfig(learning_rate=1.0, epochs=1)
+    flags = ["--eval-bundle", str(eval_path), "--lr", "1", "--epochs", "1", "--seed", "0"]
+
+    out = tmp_path / "rd"
+    assert main(["redense", "--bundle", str(bundle_path), "--m", "8", *flags,
+                 "--out-dir", str(out)]) == 0
+    pairs = kv(capsys)
+    _, _, trained = load_model(out / "redense_head.rdnm")
+    logits = layermod.predict(trained, held_out.features)
+    curve = read_curve(out / "redense_curve.csv")
+    assert pairs["best_epoch"] == "0" and curve[-1][1] > curve[0][1]
+    assert float(pairs["final_eval_accuracy"]) == accuracy(logits, held_out.targets)
+    assert float(pairs["final_eval_accuracy"]) > curve[-1][3]
+    assert float(pairs["final_eval_loss"]) == loss_value(layermod.TRAIN_LOSS, logits,
+                                                         held_out.targets)
+    with open(out / "redense_manifest.json") as f:
+        assert json.load(f)["results"]["best_epoch"] == 0
+
+    out = tmp_path / "sweep"
+    assert main(["sweep-m", "--bundle", str(bundle_path), "--m-values", "8,16", "--seeds", "3",
+                 *flags, "--out-dir", str(out)]) == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    last_iterate_scored_lower = False
+    for m, seed, _, _, test_accuracy in rows:
+        start = layermod.build(bundle.output_weight, bundle.features.shape[1], int(m), int(seed))
+        trained, _, curve = layermod.train(start, bundle.features, bundle.targets, cfg,
+                                           eval_features=held_out.features,
+                                           eval_targets=held_out.targets)
+        returned = accuracy(layermod.predict(trained, held_out.features), held_out.targets)
+        assert float(test_accuracy) == returned
+        last_iterate_scored_lower |= curve[-1].eval_accuracy < returned
+    assert last_iterate_scored_lower
+    with open(out / "sweep_manifest.json") as f:
+        assert json.load(f)["results"]["eval_source"] == "eval_bundle"
+
+
+@pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
+@pytest.mark.parametrize("mismatch", ["target_width", "another_model"])
+def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypatch, cmd,
+                                                     mismatch):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    held_out = load_feature_bundle(_eval_bundle(tmp_path, capsys))
+    if mismatch == "target_width":
+        targets = np.hstack([held_out.targets, np.zeros((held_out.targets.shape[0], 1))])
+        weight = np.vstack([held_out.output_weight, held_out.output_weight[:1]])
+    else:
+        targets, weight = held_out.targets, 2.0 * held_out.output_weight
+    other = tmp_path / "other.rdfb"
+    save_feature_bundle(other, datamod.FeatureBundle(held_out.features, targets, weight, {}))
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("build ran before the eval bundle was checked")
+
+    monkeypatch.setattr(layermod, "build", no_build)
+    widths = {"redense": ["--m", "8"], "sweep-m": ["--m-values", "8", "--seeds", "1"]}[cmd]
+    assert main([cmd, "--bundle", str(bundle_path), "--eval-bundle", str(other), *widths,
+                 "--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 3
+    assert "was not exported from the training bundle's model" in capsys.readouterr().err
 
 
 def test_sweep_single_cell_one_row(tmp_path, capsys):

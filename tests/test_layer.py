@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import random_one_hot
+from conftest import near_singular, random_one_hot
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad,
                            _head_logits, _positive_half, _project, build, lfp_lift,
@@ -69,6 +69,31 @@ def test_build_rejects_zero_output_weight():
 def test_build_rejects_width_mismatch():
     with pytest.raises(ShapeError):
         build(np.ones((2, 4)), n=5, m=6, seed=0)
+
+
+def test_build_resamples_an_ill_conditioned_projection(rng, caplog):
+    good = rng.standard_normal((6, 3))
+    draws = {0: np.outer(np.arange(1.0, 7.0), np.ones(3)), 1: good}  # rank 1, then full rank
+    ohat = rng.standard_normal((2, 3))
+    with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: draws[seed]):
+        layer = build(ohat, 3, 6, seed=0)
+    assert np.array_equal(layer.R, good)
+    assert np.allclose(layer.O0[:, :6], ohat @ np.linalg.pinv(good), rtol=0, atol=1e-12)
+    assert "resampling with seed 1" in caplog.text
+
+
+def test_build_gives_up_on_a_rank_deficient_projection():
+    with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: np.zeros((rows, cols))):
+        with pytest.raises(ConstraintError, match="well-conditioned"):
+            build(np.ones((2, 3)), 3, 4, seed=0)
+
+
+def test_build_holds_no_orthogonal_factor(rng):
+    # R itself and one m x n working copy for the QR: an m x n orthogonal
+    # factor on top would pass 3 m n 8 bytes
+    m, n = 1024, 256
+    ohat = rng.standard_normal((10, n))
+    assert _traced_peak(build, ohat, n, m, 0) < 3 * m * n * 8
 
 
 def test_layer_r_is_frozen():
@@ -164,7 +189,7 @@ def test_train_zero_iterations_returns_start(rng):
     assert report.old_loss == loss_value(TRAIN_LOSS, feats @ layer.base.T, targets)
     assert report.final_loss == report.old_loss
     assert report.guarantee_holds
-    assert (report.stop_reason, report.stopped_at) == ("completed", 0)
+    assert (report.stop_reason, report.stopped_at, report.best_epoch) == ("completed", 0, 0)
     assert len(curve) == 1
 
 
@@ -244,6 +269,8 @@ def test_train_returns_best_iterate_not_last(rng):
     trained, report, curve = train(layer, feats, targets, cfg)
     losses = [c.train_loss for c in curve]
     assert report.final_loss == min(losses) < losses[-1]
+    assert losses[report.best_epoch] == report.final_loss
+    assert curve[report.best_epoch].epoch == report.best_epoch
     final = loss_value(TRAIN_LOSS, predict(trained, feats), targets)
     assert final == report.final_loss
 
@@ -494,11 +521,25 @@ def test_float32_correction_within_rounding_bound(j, n, extra, q, scale, delta_s
     assert np.all(np.abs(grad - g.T @ lfp_lift(layer, feats)) <= grad_tol)
 
 
-def _near_singular(rng, m, n, cond):
-    """An m x n matrix with orthonormal singular vectors and condition number cond."""
-    u, _ = np.linalg.qr(rng.standard_normal((m, n)))
-    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+@pytest.mark.parametrize("scale", [1e39, 1e-39, 1e-42])
+def test_features_beyond_float32_range_keep_training(rng, scale):
+    # |y| beyond float32's largest value, or below its smallest normal one,
+    # with Ohat scaled the other way so the base logits are of order one
+    j, n, m, q = 30, 4, 8, 3
+    feats = scale * rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    layer = build(rng.standard_normal((q, n)) / (10.0 * scale), n, m, seed=0)
+    trained, report, _ = train(layer, feats, targets, HeadConfig(epochs=5))
+    assert (report.stop_reason, report.stopped_at) == ("completed", 5)
+    assert report.guarantee_holds
+    assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
+
+    # with a zero base head, predict returns the float32 correction alone,
+    # and it keeps float32's relative accuracy at either end
+    delta = rng.standard_normal((q, 2 * m))
+    correction = predict(replace(layer, base=np.zeros((q, n)), delta=delta), feats)
+    exact = lfp_lift(layer, feats) @ delta.T
+    assert np.all(np.abs(correction - exact) <= correction_bound(feats, layer.R, delta))
 
 
 @given(j=st.integers(1, 20), n=st.integers(1, 6), extra=st.integers(0, 6),
@@ -511,7 +552,7 @@ def _near_singular(rng, m, n, cond):
 def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share, lr, epochs,
                                                        seed):
     rng = np.random.default_rng(seed)
-    r = _near_singular(rng, n + extra, n, cond_share * MAX_CONDITION)
+    r = near_singular(rng, n + extra, n, cond_share * MAX_CONDITION)
     ohat = rng.standard_normal((q, n))
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)

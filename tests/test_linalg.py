@@ -1,10 +1,14 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from redense.errors import ShapeError
-from redense.linalg import as_matrix, frobenius_norm, pinv, sample_gaussian
+from conftest import near_singular
+from redense.errors import DecompositionError, ShapeError
+from redense.layer import MAX_CONDITION
+from redense.linalg import as_matrix, frobenius_norm, pinv_product, sample_gaussian
 
 
 def test_frobenius_345():
@@ -29,24 +33,39 @@ def test_frobenius_scaling_by_zero():
     assert frobenius_norm(0.0 * np.random.default_rng(5).standard_normal((4, 4))) == 0.0
 
 
+EPS = np.finfo(np.float64).eps
+
+
+def pinv_of(a):
+    """pinv(a) from pinv_product with b = I, for a of either orientation."""
+    if a.shape[0] >= a.shape[1]:
+        return pinv_product(np.eye(a.shape[1]), a, np.inf)
+    # pinv(a) = pinv(a')'
+    ap, cond = pinv_product(np.eye(a.shape[0]), a.T, np.inf)
+    return ap.T, cond
+
+
 def test_pinv_identity():
     for n in (1, 3, 10):
-        ap, cond = pinv(np.eye(n))
+        ap, cond = pinv_product(np.eye(n), np.eye(n), np.inf)
         assert np.allclose(ap, np.eye(n), atol=1e-14)
         assert cond == 1.0
+        b = np.random.default_rng(n).standard_normal((4, n))
+        assert np.allclose(pinv_product(b, np.eye(n), np.inf)[0], b, atol=1e-14)
 
 
 def test_pinv_rectangular_diagonal():
     a = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
     expected = np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.0]])
-    ap, cond = pinv(a)
+    ap, cond = pinv_product(np.eye(2), a, np.inf)
     assert np.allclose(ap, expected, atol=1e-14)
-    assert cond == 2.0
+    assert np.allclose(ap, np.linalg.pinv(a), atol=1e-14)
+    assert cond == 2.0 == np.linalg.cond(a)
 
 
 def test_pinv_left_inverse_of_tall_gaussian():
     r = sample_gaussian(8, 3, seed=11)
-    assert np.abs(pinv(r)[0] @ r - np.eye(3)).max() < 1e-10
+    assert np.abs(pinv_product(np.eye(3), r, np.inf)[0] @ r - np.eye(3)).max() < 1e-10
 
 
 def _spectrum_matrix(rows, cols, seed):
@@ -62,24 +81,65 @@ def _spectrum_matrix(rows, cols, seed):
 @pytest.mark.parametrize("shape", [(4, 4), (16, 7), (7, 16), (256, 256), (256, 100), (100, 256)])
 def test_penrose_conditions(shape):
     a = _spectrum_matrix(*shape, seed=shape[0] * 1000 + shape[1])
-    ap, cond = pinv(a)
+    ap, cond = pinv_of(a)
     assert np.abs(a @ ap @ a - a).max() < 1e-9
     assert np.abs(ap @ a @ ap - ap).max() < 1e-9
+    assert np.abs(ap - np.linalg.pinv(a)).max() < 1e-9
     assert cond <= 4.0 * (1 + 1e-12)  # singular values drawn from [0.5, 2]
+    assert cond == pytest.approx(np.linalg.cond(a), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 8), (32, 32), (32, 64), (128, 256)])
 def test_pinv_times_full_column_rank_is_identity(n, m):
     r = sample_gaussian(m, n, seed=n + m)
-    assert frobenius_norm(pinv(r)[0] @ r - np.eye(n)) < 1e-8
+    b = np.random.default_rng(n * m).standard_normal((10, n))
+    ap, cond = pinv_product(np.eye(n), r, np.inf)
+    assert frobenius_norm(ap @ r - np.eye(n)) < 1e-8
+    assert frobenius_norm(pinv_product(b, r, np.inf)[0] - b @ np.linalg.pinv(r)) < 1e-8
+    assert cond == pytest.approx(np.linalg.cond(r), rel=1e-10)
 
 
 def test_pinv_rank_deficient_does_not_blow_up():
     a = np.outer(np.arange(1.0, 5.0), np.arange(1.0, 4.0))  # rank 1
-    ap, cond = pinv(a)
-    assert np.isfinite(ap).all()
+    product, cond = pinv_product(np.eye(3), a, MAX_CONDITION)
+    assert product is None  # T is never solved with
     assert cond > 1e12
-    assert np.abs(a @ ap @ a - a).max() < 1e-12
+    zero_column = np.hstack([sample_gaussian(5, 2, seed=4), np.zeros((5, 1))])
+    assert pinv_product(np.eye(3), zero_column, MAX_CONDITION) == (None, float("inf"))
+    assert pinv_product(np.eye(2), np.zeros((3, 2)), MAX_CONDITION) == (None, float("inf"))
+
+
+@given(n=st.integers(1, 8), extra=st.integers(0, 8), q=st.integers(1, 4),
+       log_cond=st.floats(0.0, np.log10(0.99 * MAX_CONDITION)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
+@example(n=8, extra=0, q=3, log_cond=np.log10(0.99 * MAX_CONDITION), seed=0)
+@example(n=8, extra=8, q=3, log_cond=np.log10(0.99 * MAX_CONDITION), seed=1)
+def test_pinv_product_matches_svd_oracle_up_to_eps_cond(n, extra, q, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    m = n + extra
+    r = near_singular(rng, m, n, 10.0 ** log_cond)
+    ohat = rng.standard_normal((q, n))
+    p, cond = pinv_product(ohat, r, MAX_CONDITION)
+    oracle_cond = np.linalg.cond(r)
+    # every computed cond, the oracle's too, is off by up to eps cond relative
+    scale = 4 * (m + n) * EPS * oracle_cond
+    assert abs(cond - oracle_cond) <= scale * oracle_cond
+    assert frobenius_norm(p - ohat @ np.linalg.pinv(r)) <= scale * frobenius_norm(p)
+    assert frobenius_norm(p @ r - ohat) <= scale * frobenius_norm(ohat)
+
+
+def test_pinv_product_refuses_wide_input():
+    with pytest.raises(ShapeError):
+        pinv_product(np.eye(4), np.ones((3, 4)), np.inf)
+
+
+def test_pinv_product_reports_a_failed_factorization():
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    with mock.patch("numpy.linalg.svd", fail), pytest.raises(DecompositionError):
+        pinv_product(np.eye(2), np.eye(3, 2), np.inf)
 
 
 def test_sample_gaussian_deterministic():
