@@ -6,8 +6,9 @@ export), sweep the projection width, and evaluate saved models. Every run
 writes a JSON manifest sufficient to reproduce it and prints its results and
 output paths as key=value lines.
 
-Exit codes: 0 ok, 2 bad flags, 3 data problem, 4 training divergence,
-5 guarantee violation (which indicates a defect, not user error).
+Exit codes: 0 ok, 2 bad flags, 3 data problem (a failed factorization of
+the projection included), 4 training divergence, 5 guarantee violation
+(which indicates a defect, not user error).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from . import data as datamod
 from . import layer as layermod
 from . import nn, persist
-from .errors import (ConstraintError, DataFormatError, NonFiniteError,
+from .errors import (ConstraintError, DataFormatError, DecompositionError, NonFiniteError,
                      ShapeError, TrainingDivergedError)
 
 EXIT_OK = 0
@@ -332,6 +333,8 @@ def cmd_redense(args, seed):
     persist.write_curve(curve_path, curve)
 
     results = {
+        "cond_r": trained.cond_r,
+        "resamples": trained.resamples,
         "old_loss": report.old_loss,
         "final_loss": report.final_loss,
         "epsilon": report.epsilon,
@@ -367,13 +370,15 @@ def cmd_sweep_m(args, seed):
         raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
 
-    rows = []
+    rows, conds, resamples = [], [], []
     for m in args.m_values:
         for s in range(args.seeds):
             run_seed = seed + s
-            _trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
+            trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
             rows.append((m, run_seed, report.epsilon, report.final_loss,
                          curve[report.best_epoch].eval_accuracy))
+            conds.append(trained.cond_r)
+            resamples.append(trained.resamples)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -382,8 +387,10 @@ def cmd_sweep_m(args, seed):
         f.write("m,seed,epsilon,final_train_loss,test_accuracy\n")
         for m, s, eps, fl, acc in rows:
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")
+    # cond_r and resamples: one entry per row of the table, in its order
     results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds,
-               "eval_source": _eval_source(eval_bundle)}
+               "eval_source": _eval_source(eval_bundle), "cond_r": conds,
+               "resamples": resamples}
     return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
 
 
@@ -492,7 +499,8 @@ def main(argv=None):
     except ConstraintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FLAGS
-    except (DataFormatError, ShapeError, NonFiniteError, FileNotFoundError, OSError) as exc:
+    except (DataFormatError, ShapeError, NonFiniteError, DecompositionError,
+            FileNotFoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergedError as exc:

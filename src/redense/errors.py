@@ -10,7 +10,7 @@ class NonFiniteError(ValueError):
 
 
 class DecompositionError(RuntimeError):
-    """SVD failed to converge; carries the backend diagnostics."""
+    """A matrix factorization failed; carries the backend diagnostics."""
 
 
 class DataFormatError(ValueError):

@@ -51,9 +51,11 @@ log = logging.getLogger(__name__)
 TRAIN_LOSS = Loss("softmax_cross_entropy")
 
 # An ill-conditioned R makes P = Ohat pinv(R), and with it the radius
-# epsilon = |O0|_F, large and dominated by rounding; build() resamples
-# beyond this. The starting loss does not depend on it: it is the base
-# head's, exactly.
+# epsilon = |O0|_F, large and dominated by rounding; build() resamples when
+# R's Frobenius condition number |R|_F |pinv(R)|_F exceeds this. That bounds
+# the radius itself, epsilon <= sqrt(2) |Ohat|_2 |pinv(R)|_F, and is at most
+# n times R's 2-norm condition number. The starting loss does not depend on
+# it: it is the base head's, exactly.
 MAX_CONDITION = 1e8
 _RESAMPLE_ATTEMPTS = 8
 
@@ -70,6 +72,10 @@ class RedenseLayer:
     # O0 = [P | -P], the ball's reference point. build() sets it; model files
     # do not carry it, so a loaded layer predicts but does not train.
     O0: Matrix | None = None
+    # build()'s diagnostics, not stored in model files either: R's Frobenius
+    # condition number and how many ill-conditioned draws preceded R
+    cond_r: float | None = None
+    resamples: int | None = None
 
     def __post_init__(self):
         if self.m < self.n:
@@ -140,7 +146,9 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     """Construct a lifting layer at the base head: Delta = 0, O0 on the ball.
 
     R is sampled i.i.d. standard normal from the seed (resampled with
-    incremented seeds in the rare event it is ill-conditioned).
+    incremented seeds in the rare event it is ill-conditioned). The layer
+    records R's Frobenius condition number as cond_r and the number of
+    rejected draws as resamples.
     """
     output_weight = as_matrix(output_weight, "output_weight")
     if output_weight.shape[1] != n:
@@ -158,12 +166,14 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     else:
         raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
                               f"after {_RESAMPLE_ATTEMPTS} attempts")
-    o0 = np.hstack([p, -p])
+    # C order, as train's delta is: sums over O0 + delta then run in one order
+    o0 = np.ascontiguousarray(np.hstack([p, -p]))
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
         raise ConstraintError("output weight is zero; the constraint radius would be empty")
     return RedenseLayer(n=n, m=m, R=r, epsilon=epsilon, base=output_weight.copy(),
-                        delta=np.zeros_like(o0), seed=seed, O0=o0)
+                        delta=np.zeros_like(o0), seed=seed, O0=o0, cond_r=cond,
+                        resamples=attempt)
 
 
 def _check_features(layer: RedenseLayer, features: Matrix) -> None:

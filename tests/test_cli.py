@@ -126,6 +126,12 @@ def test_redense_on_bundle_guarantee_and_artifacts(tmp_path, capsys):
     assert manifest["results"]["guarantee_holds"] is True
     assert manifest["results"]["stop_reason"] == "completed"
     assert manifest["results"]["stopped_at"] == 40
+    # build's diagnostics: printed and in the manifest, not in the model file
+    assert manifest["results"]["resamples"] == 0 == int(pairs["resamples"])
+    assert manifest["results"]["cond_r"] == float(pairs["cond_r"])
+    oracle = np.linalg.norm(layer.R) * np.linalg.norm(np.linalg.pinv(layer.R))
+    assert float(pairs["cond_r"]) == pytest.approx(oracle, rel=1e-12)
+    assert (layer.cond_r, layer.resamples) == (None, None)
 
 
 def test_redense_external_bundle_writes_standalone_head(tmp_path, capsys):
@@ -257,6 +263,15 @@ def test_sweep_rows_respect_guarantee(tmp_path, capsys):
     for row in rows:
         final_train_loss = float(row.split(",")[3])
         assert final_train_loss <= ce_old * (1 + 1e-9)
+    # the manifest lists build's diagnostics per row, in the table's order
+    with open(out / "sweep_manifest.json") as f:
+        results = json.load(f)["results"]
+    n = bundle.features.shape[1]
+    for row, cond_r, resamples in zip(rows, results["cond_r"], results["resamples"],
+                                      strict=True):
+        m, seed = (int(v) for v in row.split(",")[:2])
+        layer = layermod.build(bundle.output_weight, n, m, seed)
+        assert (cond_r, resamples) == (layer.cond_r, layer.resamples)
 
 
 def test_sweep_rejects_small_m(tmp_path, capsys):
@@ -547,6 +562,26 @@ def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):
         assert "final_loss=" in err and "old_loss=" in err
         assert "m=8, seed=0" in err
         assert list(out.glob("*_manifest.json")) == []
+
+
+def test_a_failed_factorization_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("QR did not converge")
+
+    monkeypatch.setattr(np.linalg, "qr", fail)
+    out = tmp_path / "out"
+    for cmd in (["redense", "--model", str(tmp_path / "model.rdnm")],
+                ["sweep-m", "--m-values", "8", "--seeds", "1"]):
+        code = main([*cmd, "--bundle", str(bundle_path), "--epochs", "2",
+                     "--seed", "0", "--out-dir", str(out)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "QR did not converge" in captured.err
+        assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--lr", "0"], ["--epochs", "-1"], ["--lr", "nan"],

@@ -49,6 +49,8 @@ def test_build_epsilon_matches_flat_sum_oracle(rng):
     ohat = rng.standard_normal((3, 4))
     r = rng.standard_normal((6, 4))
     layer = build_with_r(ohat, r)
+    # C order, like train's copy of delta, so |O0 + delta|_F sums in one order
+    assert layer.O0.flags.c_contiguous and layer.delta.flags.c_contiguous
     total = 0.0
     for i in range(layer.O0.shape[0]):
         for j in range(layer.O0.shape[1]):
@@ -80,6 +82,20 @@ def test_build_resamples_an_ill_conditioned_projection(rng, caplog):
     assert np.array_equal(layer.R, good)
     assert np.allclose(layer.O0[:, :6], ohat @ np.linalg.pinv(good), rtol=0, atol=1e-12)
     assert "resampling with seed 1" in caplog.text
+    assert layer.resamples == 1
+    oracle = np.linalg.norm(good) * np.linalg.norm(np.linalg.pinv(good))
+    assert layer.cond_r == pytest.approx(oracle, rel=1e-12)
+
+
+def test_build_needs_no_svd_and_no_solve(rng):
+    def fail(*args, **kwargs):
+        raise AssertionError("build called an SVD or an LU solve")
+
+    ohat = rng.standard_normal((3, 70))
+    with mock.patch("numpy.linalg.svd", fail), mock.patch("numpy.linalg.solve", fail):
+        layer = build(ohat, 70, 140, seed=4)
+    assert layer.resamples == 0 and 70 <= layer.cond_r <= MAX_CONDITION
+    assert frobenius_norm(layer.O0[:, :140] @ layer.R - ohat) < 1e-10 * frobenius_norm(ohat)
 
 
 def test_build_gives_up_on_a_rank_deficient_projection():

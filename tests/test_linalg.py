@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import near_singular
 from redense.errors import DecompositionError, ShapeError
 from redense.layer import MAX_CONDITION
-from redense.linalg import as_matrix, frobenius_norm, pinv_product, sample_gaussian
+from redense.linalg import (_INVERSE_LEAF, _triangular_inverse, as_matrix, frobenius_norm,
+                            pinv_product, sample_gaussian)
 
 
 def test_frobenius_345():
@@ -36,6 +38,11 @@ def test_frobenius_scaling_by_zero():
 EPS = np.finfo(np.float64).eps
 
 
+def frobenius_cond(a):
+    """The oracle for pinv_product's cond: |a|_F |pinv(a)|_F, pinv from an SVD."""
+    return np.linalg.norm(a) * np.linalg.norm(np.linalg.pinv(a))
+
+
 def pinv_of(a):
     """pinv(a) from pinv_product with b = I, for a of either orientation."""
     if a.shape[0] >= a.shape[1]:
@@ -49,7 +56,7 @@ def test_pinv_identity():
     for n in (1, 3, 10):
         ap, cond = pinv_product(np.eye(n), np.eye(n), np.inf)
         assert np.allclose(ap, np.eye(n), atol=1e-14)
-        assert cond == 1.0
+        assert cond == frobenius_cond(np.eye(n)) == pytest.approx(n, rel=1e-15)
         b = np.random.default_rng(n).standard_normal((4, n))
         assert np.allclose(pinv_product(b, np.eye(n), np.inf)[0], b, atol=1e-14)
 
@@ -60,7 +67,7 @@ def test_pinv_rectangular_diagonal():
     ap, cond = pinv_product(np.eye(2), a, np.inf)
     assert np.allclose(ap, expected, atol=1e-14)
     assert np.allclose(ap, np.linalg.pinv(a), atol=1e-14)
-    assert cond == 2.0 == np.linalg.cond(a)
+    assert cond == frobenius_cond(a) == pytest.approx(2.5, rel=1e-15)  # sqrt(5) sqrt(1.25)
 
 
 def test_pinv_left_inverse_of_tall_gaussian():
@@ -85,8 +92,9 @@ def test_penrose_conditions(shape):
     assert np.abs(a @ ap @ a - a).max() < 1e-9
     assert np.abs(ap @ a @ ap - ap).max() < 1e-9
     assert np.abs(ap - np.linalg.pinv(a)).max() < 1e-9
-    assert cond <= 4.0 * (1 + 1e-12)  # singular values drawn from [0.5, 2]
-    assert cond == pytest.approx(np.linalg.cond(a), rel=1e-12)
+    # singular values drawn from [0.5, 2]: each of |a|_F^2 and |pinv(a)|_F^2 is at most 4k
+    assert cond <= 4.0 * min(shape) * (1 + 1e-12)
+    assert cond == pytest.approx(frobenius_cond(a), rel=1e-12)
 
 
 @pytest.mark.parametrize("n,m", [(4, 4), (4, 8), (32, 32), (32, 64), (128, 256)])
@@ -96,7 +104,7 @@ def test_pinv_times_full_column_rank_is_identity(n, m):
     ap, cond = pinv_product(np.eye(n), r, np.inf)
     assert frobenius_norm(ap @ r - np.eye(n)) < 1e-8
     assert frobenius_norm(pinv_product(b, r, np.inf)[0] - b @ np.linalg.pinv(r)) < 1e-8
-    assert cond == pytest.approx(np.linalg.cond(r), rel=1e-10)
+    assert cond == pytest.approx(frobenius_cond(r), rel=1e-10)
 
 
 def test_pinv_rank_deficient_does_not_blow_up():
@@ -109,6 +117,23 @@ def test_pinv_rank_deficient_does_not_blow_up():
     assert pinv_product(np.eye(2), np.zeros((3, 2)), MAX_CONDITION) == (None, float("inf"))
 
 
+def near_singular_frobenius(rng, m, n, cond):
+    """near_singular with Frobenius condition number cond, or n if cond < n.
+
+    The spectrum geomspace(1, 1/c, n) has a Frobenius condition number that
+    rises with c from n at c = 1, so c is found by bisection on log c.
+    """
+    def kappa_f(c):
+        s = np.geomspace(1.0, 1.0 / c, n)
+        return np.sqrt(np.sum(s * s) * np.sum(1.0 / (s * s)))
+
+    lo, hi = 0.0, np.log(max(cond, 1.0))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if kappa_f(np.exp(mid)) < cond else (lo, mid)
+    return near_singular(rng, m, n, np.exp(lo))
+
+
 @given(n=st.integers(1, 8), extra=st.integers(0, 8), q=st.integers(1, 4),
        log_cond=st.floats(0.0, np.log10(0.99 * MAX_CONDITION)),
        seed=st.integers(0, 2**32 - 1))
@@ -118,15 +143,39 @@ def test_pinv_rank_deficient_does_not_blow_up():
 def test_pinv_product_matches_svd_oracle_up_to_eps_cond(n, extra, q, log_cond, seed):
     rng = np.random.default_rng(seed)
     m = n + extra
-    r = near_singular(rng, m, n, 10.0 ** log_cond)
+    r = near_singular_frobenius(rng, m, n, 10.0 ** log_cond)
     ohat = rng.standard_normal((q, n))
     p, cond = pinv_product(ohat, r, MAX_CONDITION)
-    oracle_cond = np.linalg.cond(r)
-    # every computed cond, the oracle's too, is off by up to eps cond relative
-    scale = 4 * (m + n) * EPS * oracle_cond
+    oracle_cond = frobenius_cond(r)
+    assert oracle_cond <= 0.99 * MAX_CONDITION * (1 + 1e-6)
+    # every computed cond, the oracle's too, is off by up to eps cond_2 relative
+    scale = 4 * (m + n) * EPS * np.linalg.cond(r)
     assert abs(cond - oracle_cond) <= scale * oracle_cond
     assert frobenius_norm(p - ohat @ np.linalg.pinv(r)) <= scale * frobenius_norm(p)
     assert frobenius_norm(p @ r - ohat) <= scale * frobenius_norm(ohat)
+
+
+@given(n=st.integers(1, 3 * _INVERSE_LEAF), log_cond=st.floats(0.0, 8.0),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+@example(n=_INVERSE_LEAF, log_cond=8.0, seed=0)
+@example(n=_INVERSE_LEAF + 1, log_cond=8.0, seed=1)
+def test_triangular_inverse_residual_is_eps_cond(n, log_cond, seed):
+    rng = np.random.default_rng(seed)
+    t = np.linalg.qr(near_singular(rng, n, n, 10.0 ** log_cond), mode="r")
+    x = _triangular_inverse(t)
+    assert np.array_equal(np.tril(x, -1), np.zeros((n, n)))
+    kappa_f = frobenius_norm(t) * frobenius_norm(x)
+    assert frobenius_norm(x @ t - np.eye(n)) <= n * EPS * kappa_f
+
+
+@pytest.mark.parametrize("tiny", [1e-300, 1e-310])
+def test_pinv_product_refuses_a_triangle_whose_inverse_overflows(tiny):
+    a = np.diag([1.0, tiny, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert pinv_product(np.eye(3), a, MAX_CONDITION) == (None, float("inf"))
+        assert pinv_product(np.eye(3), a, np.inf) == (None, float("inf"))
 
 
 def test_pinv_product_refuses_wide_input():
@@ -136,9 +185,9 @@ def test_pinv_product_refuses_wide_input():
 
 def test_pinv_product_reports_a_failed_factorization():
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("SVD did not converge")
+        raise np.linalg.LinAlgError("QR did not converge")
 
-    with mock.patch("numpy.linalg.svd", fail), pytest.raises(DecompositionError):
+    with mock.patch("numpy.linalg.qr", fail), pytest.raises(DecompositionError):
         pinv_product(np.eye(2), np.eye(3, 2), np.inf)
 
 
