@@ -224,7 +224,8 @@ def cmd_features(args, seed):
                                   f"model input width {model.input_width}")
     logits, features = nn.forward(model, train_ds.inputs)
     base_train_loss = nn.loss_value(loss, logits, train_ds.targets)
-    ce_train_loss = nn.loss_value(layermod.TRAIN_LOSS, logits, train_ds.targets)
+    ce_train_loss = (base_train_loss if loss.kind == layermod.TRAIN_LOSS.kind
+                     else nn.loss_value(layermod.TRAIN_LOSS, logits, train_ds.targets))
     metadata = {
         "source_model": Path(args.model).name,
         "base_loss": loss.kind,

@@ -46,10 +46,11 @@ class Activation:
         return z
 
     def derivative(self, z: Matrix) -> Matrix:
+        """The activation's slope at z, in z's dtype."""
         if self.kind == "relu":
-            return (z > 0.0).astype(np.float64)
+            return (z > 0.0).astype(z.dtype)
         if self.kind == "leaky_relu":
-            return np.where(z > 0.0, 1.0, self.slope)
+            return np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(self.slope))
         return np.ones_like(z)
 
 
@@ -207,7 +208,11 @@ def extract_features(model: MlpModel, inputs: Matrix) -> Matrix:
 
 def _softmax_parts(logits: Matrix):
     """(logits - row max, its exp, the exp's row sums): one pass over the logits."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    # column by column: exact, and much faster than max(axis=1) on narrow rows
+    row_max = logits[:, 0].copy()
+    for k in range(1, logits.shape[1]):
+        np.maximum(row_max, logits[:, k], out=row_max)
+    shifted = logits - row_max[:, None]
     e = np.exp(shifted)
     return shifted, e, e.sum(axis=1, keepdims=True)
 
@@ -348,6 +353,31 @@ def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
     return grads_w, grads_b, grad_out
 
 
+_STATS_ROWS = 1024  # rows per chunk of the per-epoch statistics
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+def _float32_copy(inputs: Matrix, name: str) -> Matrix:
+    """inputs as float32, refused when a value lies beyond float32's range."""
+    if inputs.size and max(inputs.max(), -inputs.min()) > _FLOAT32_MAX:
+        raise ValueError(f"{name} exceed float32's range (|x| > {_FLOAT32_MAX:.7g}), "
+                         "in which base training computes")
+    return inputs.astype(np.float32)
+
+
+def _trained_params(model: MlpModel):
+    """The arrays train_base updates, in Adam's order; the output bias is not one."""
+    return ([layer.weight for layer in model.layers] + [layer.bias for layer in model.layers]
+            + [model.output_weight])
+
+
+def _chunked_logits(model: MlpModel, inputs: Matrix):
+    """(row slice, logits) over inputs in chunks of at most _STATS_ROWS rows."""
+    for start in range(0, inputs.shape[0], _STATS_ROWS):
+        rows = slice(start, start + _STATS_ROWS)
+        yield rows, forward(model, inputs[rows])[0]
+
+
 def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                eval_data: Dataset | None = None):
     """Train all layer parameters and the output weight in place with mini-batch Adam.
@@ -355,32 +385,49 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     The output bias is left untouched: the output map must stay purely linear
     for the feature-lift loss-preservation chain to hold downstream.
 
-    Returns the model and a per-epoch curve; entry 0 is the pre-training loss.
-    Mini-batch shuffling is driven by cfg.seed, so identical configs give
-    bit-identical curves.
+    Matrix products are float32, on float32 copies of the inputs and weights;
+    the loss, Adam and the master weights are float64 (README, "Base-training
+    precision"). Inputs beyond float32's range raise ValueError.
+
+    Returns the model and a per-epoch curve of float32-forward losses; entry 0
+    is the pre-training loss. Mini-batch shuffling is driven by cfg.seed, so
+    identical configs give bit-identical curves.
     """
     J = len(data)
     if J == 0:
         raise ValueError("cannot train on an empty dataset")
+    if eval_data is not None and len(eval_data) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
+    inputs = _float32_copy(data.inputs, "training inputs")
+    eval_inputs = None if eval_data is None else _float32_copy(eval_data.inputs, "eval inputs")
+    # the output bias stays float64, so the shadow's logits come out float64
+    shadow = MlpModel([Layer(layer.weight.astype(np.float32), layer.bias.astype(np.float32),
+                             layer.activation) for layer in model.layers],
+                      model.output_weight.astype(np.float32), model.output_bias)
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, J)
 
     def epoch_stats(epoch):
         try:
-            train_loss = loss_value(loss, forward(model, data.inputs)[0], data.targets)
+            train_loss = 0.0
+            for rows, logits in _chunked_logits(shadow, inputs):
+                train_loss += loss_value(loss, logits, data.targets[rows])
             if eval_data is not None:
-                ev_loss, ev_acc = evaluate(model, eval_data.inputs, eval_data.targets, loss)
+                ev_loss, hits = 0.0, 0
+                for rows, logits in _chunked_logits(shadow, eval_inputs):
+                    targets = eval_data.targets[rows]
+                    ev_loss += loss_value(loss, logits, targets)
+                    hits += np.count_nonzero(logits.argmax(axis=1) == targets.argmax(axis=1))
         except NonFiniteError:
             raise TrainingDivergedError("training produced non-finite logits", epoch) from None
         if not np.isfinite(train_loss):
             raise TrainingDivergedError("training loss is not finite", epoch)
         if eval_data is None:
             return EpochStats(epoch, train_loss)
-        return EpochStats(epoch, train_loss, ev_loss, ev_acc)
+        return EpochStats(epoch, train_loss, ev_loss, hits / len(eval_data))
 
-    params = [layer.weight for layer in model.layers]
-    params += [layer.bias for layer in model.layers]
-    params.append(model.output_weight)
+    params = _trained_params(model)
+    shadow_params = _trained_params(shadow)
     adam = _AdamState([p.shape for p in params])
 
     curve = [epoch_stats(0)]
@@ -388,16 +435,18 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
         perm = rng.permutation(J)
         for start in range(0, J, batch):
             idx = perm[start:start + batch]
-            logits, pre, acts = _forward_cached(model, data.inputs[idx])
+            logits, pre, acts = _forward_cached(shadow, inputs[idx])
             try:
                 dlogits = loss_grad(loss, logits, data.targets[idx])
             except NonFiniteError:
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None
-            grads_w, grads_b, grad_out = _backward(model, dlogits, pre, acts)
+            grads_w, grads_b, grad_out = _backward(shadow, dlogits.astype(np.float32), pre, acts)
+            grads = [g.astype(np.float64) for g in grads_w + grads_b + [grad_out]]
             # the steps live in Adam's own buffers, so they are scaled in place
-            for p, s in zip(params, adam.step(grads_w + grads_b + [grad_out])):
+            for p, p32, s in zip(params, shadow_params, adam.step(grads)):
                 s *= cfg.learning_rate
                 p -= s
+                np.copyto(p32, p)
         curve.append(epoch_stats(epoch))
     return model, curve

@@ -2,6 +2,7 @@ import argparse
 import collections
 import dataclasses
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -542,6 +543,46 @@ def test_features_width_mismatch_exits_3(tmp_path, capsys):
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
                  "--csv", str(csv), "--no-split", "--out", str(tmp_path / "x.rdfb")])
     assert code == 3
+
+
+def test_features_computes_a_ce_models_loss_once(tmp_path, capsys, monkeypatch):
+    run_train(tmp_path, capsys)
+    calls = []
+    real_loss_value = cli.nn.loss_value
+
+    def counting_loss_value(*args):
+        calls.append(args[0].kind)
+        return real_loss_value(*args)
+
+    monkeypatch.setattr(cli.nn, "loss_value", counting_loss_value)
+    out = tmp_path / "f.rdfb"
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
+                 "--samples", "200", "--classes", "3", "--noise", "0.4", "--seed", "7",
+                 "--out", str(out)])
+    assert code == 0
+    assert calls == ["softmax_cross_entropy"]
+    metadata = load_feature_bundle(out).metadata
+    assert metadata["base_train_loss"] == metadata["ce_train_loss"]
+
+
+@pytest.mark.parametrize("where, value", [("train", "1e39"), ("train", "-1e39"),
+                                          ("test", "1e39")])
+def test_train_refuses_inputs_beyond_float32_range(tmp_path, capsys, where, value):
+    rows = "a,b,label\n0.1,0.2,0\n0.3,-0.4,1\n-0.5,0.6,2\n0.7,0.8,0\n"
+    big = rows.replace("0.3,", f"{value},")
+    (tmp_path / "train.csv").write_text(big if where == "train" else rows)
+    (tmp_path / "test.csv").write_text(big if where == "test" else rows)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["train", "--csv", str(tmp_path / "train.csv"),
+                     "--test-csv", str(tmp_path / "test.csv"), "--hidden", "4",
+                     "--epochs", "2", "--out-dir", str(out)])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "float32" in captured.err and "3.402823e+38" in captured.err
+    assert not out.exists()
 
 
 def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):

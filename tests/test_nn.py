@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import one_hot, random_one_hot
+from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
-from redense.nn import (Activation, Dataset, Layer, Loss, MlpModel,
-                        TrainConfig, _AdamState, _backward, _forward_cached,
+from redense.nn import (ACTIVATION_KINDS, Activation, Dataset, Layer, Loss,
+                        MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
                         accuracy, evaluate, extract_features, forward,
                         loss_grad, loss_value, loss_value_and_grad, make_loss,
                         make_mlp, train_base)
@@ -396,23 +397,34 @@ def test_backward_matches_finite_differences(activation, rng):
 
 
 def _reference_train_base(model, data, loss, cfg, eval_data):
-    """train_base written out with an allocating Adam, a backward pass that
-    also forms the unused input gradient, and separate loss/gradient passes:
-    the oracle for train_base's in-place loop."""
+    """train_base written out with float32 products on freshly cast weights,
+    float64 loss and an allocating float64 Adam, a backward pass that also
+    forms the unused input gradient, separate loss/gradient passes, and
+    statistics summed over 1024-row chunks: the oracle for train_base's
+    mixed-precision in-place loop."""
+    f32 = np.float32
+
     def run_forward(inputs):
-        acts, pre, h = [inputs], [], inputs
+        acts, pre, h = [inputs.astype(f32)], [], inputs.astype(f32)
         for layer in model.layers:
-            z = h @ layer.weight.T + layer.bias
+            z = h @ layer.weight.astype(f32).T + layer.bias.astype(f32)
             h = layer.activation.apply(z)
             pre.append(z)
             acts.append(h)
-        return h @ model.output_weight.T + model.output_bias, pre, acts
+        logits = (h @ model.output_weight.astype(f32).T).astype(np.float64)
+        return logits + model.output_bias, pre, acts
+
+    def chunk_sums(ds):
+        value, hits = 0.0, 0
+        for start in range(0, len(ds), 1024):
+            logits = run_forward(ds.inputs[start:start + 1024])[0]
+            targets = ds.targets[start:start + 1024]
+            value += _reference_loss_value(loss, logits, targets)
+            hits += int((logits.argmax(axis=1) == targets.argmax(axis=1)).sum())
+        return value, hits / len(ds)
 
     def stats(epoch):
-        train_loss = _reference_loss_value(loss, run_forward(data.inputs)[0], data.targets)
-        ev_logits = run_forward(eval_data.inputs)[0]
-        return (epoch, train_loss, _reference_loss_value(loss, ev_logits, eval_data.targets),
-                accuracy(ev_logits, eval_data.targets))
+        return (epoch, chunk_sums(data)[0], *chunk_sums(eval_data))
 
     J = len(data)
     rng = np.random.default_rng(cfg.seed)
@@ -429,18 +441,20 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
         for start in range(0, J, batch):
             idx = perm[start:start + batch]
             logits, pre, acts = run_forward(data.inputs[idx])
-            dlogits = _reference_loss_grad(loss, logits, data.targets[idx])
+            dlogits = _reference_loss_grad(loss, logits, data.targets[idx]).astype(f32)
             grads_w = [None] * len(model.layers)
             grads_b = [None] * len(model.layers)
             grad_out = dlogits.T @ acts[-1]
-            delta = dlogits @ model.output_weight
+            delta = dlogits @ model.output_weight.astype(f32)
             for i in range(len(model.layers) - 1, -1, -1):
                 dz = delta * model.layers[i].activation.derivative(pre[i])
                 grads_w[i] = dz.T @ acts[i]
                 grads_b[i] = dz.sum(axis=0)
-                delta = dz @ model.layers[i].weight
+                delta = dz @ model.layers[i].weight.astype(f32)
             t += 1
-            for i, g in enumerate(grads_w + grads_b + [grad_out]):
+            for i, g32 in enumerate(grads_w + grads_b + [grad_out]):
+                assert g32.dtype == f32
+                g = g32.astype(np.float64)
                 m_t[i] = 0.9 * m_t[i] + (1.0 - 0.9) * g
                 v_t[i] = 0.999 * v_t[i] + (1.0 - 0.999) * g * g
                 m_hat = m_t[i] / (1.0 - 0.9 ** t)
@@ -450,30 +464,83 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
     return model, curve
 
 
-@pytest.mark.parametrize("hidden,loss,cfg", [
+@pytest.mark.parametrize("hidden,loss,cfg,rows", [
     ([6], Loss("softmax_cross_entropy"),
-     TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1)),
+     TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1), 83),
     ([6, 4], Loss("mean_square_error"),
-     TrainConfig(learning_rate=5e-3, epochs=5, batch_size=32, seed=2)),
+     TrainConfig(learning_rate=5e-3, epochs=5, batch_size=32, seed=2), 83),
     ([5, 5], Loss("poisson"),
-     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=7, seed=3)),
+     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=7, seed=3), 83),
     ([7, 3], Loss("huber", delta=0.25),
-     TrainConfig(learning_rate=2e-2, epochs=4, batch_size=9, seed=4)),
-], ids=["adam-1hidden", "adam-mse-2hidden", "adam-poisson-2hidden", "adam-huber-2hidden"])
-def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg):
-    # 83 training rows is a multiple of none of the batch sizes
-    data = _blobs(j=83, classes=3, noise=0.5, seed=cfg.seed)
-    eval_data = _blobs(j=30, classes=3, noise=0.5, seed=cfg.seed + 100)
+     TrainConfig(learning_rate=2e-2, epochs=4, batch_size=9, seed=4), 83),
+    ([8], Loss("softmax_cross_entropy"),
+     TrainConfig(learning_rate=1e-2, epochs=2, batch_size=300, seed=5), 2100),
+], ids=["adam-1hidden", "adam-mse-2hidden", "adam-poisson-2hidden", "adam-huber-2hidden",
+        "adam-chunked-stats"])
+def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows):
+    # 83 training rows is a multiple of none of the batch sizes; 2100 training
+    # and 1100 eval rows split the statistics into 1024-row chunks with a remainder
+    data = _blobs(j=rows, classes=3, noise=0.5, seed=cfg.seed)
+    eval_data = _blobs(j=30 if rows < 1024 else 1100, classes=3, noise=0.5, seed=cfg.seed + 100)
     model, curve = train_base(make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed),
                               data, loss, cfg, eval_data=eval_data)
     ref, ref_curve = _reference_train_base(
         make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed), data, loss, cfg,
         eval_data)
     for layer, ref_layer in zip(model.layers, ref.layers):
+        assert layer.weight.dtype == layer.bias.dtype == np.float64
         assert np.array_equal(layer.weight, ref_layer.weight)
         assert np.array_equal(layer.bias, ref_layer.bias)
+    assert model.output_weight.dtype == np.float64
     assert np.array_equal(model.output_weight, ref.output_weight)
     assert [(c.epoch, c.train_loss, c.eval_loss, c.eval_accuracy) for c in curve] == ref_curve
+
+
+def _digits(j, seed):
+    images, labels = gen_digit_images(j, seed=seed)
+    return Dataset(images.reshape(j, -1) / 255.0, one_hot(labels.astype(int), 10))
+
+
+def test_train_base_curve_matches_the_float64_loss_of_its_model():
+    # the curve reports the float32 forward; the saved model is float64
+    data, eval_data = _digits(800, seed=21), _digits(300, seed=22)
+    loss = Loss("softmax_cross_entropy")
+    cfg = TrainConfig(learning_rate=1e-3, epochs=4, batch_size=64, seed=21)
+    model, curve = train_base(make_mlp(784, [32], 10, seed=21), data, loss, cfg,
+                              eval_data=eval_data)
+    train_loss, _ = evaluate(model, data.inputs, data.targets, loss)
+    _, eval_acc = evaluate(model, eval_data.inputs, eval_data.targets, loss)
+    assert abs(curve[-1].train_loss - train_loss) <= 1e-5 * train_loss
+    assert curve[-1].eval_accuracy == eval_acc
+
+
+def test_train_base_allocates_only_the_float32_input_copies():
+    # a float64 J x P copy, or full-batch J x hidden statistics, would exceed this
+    rng = np.random.default_rng(5)
+    j, j_eval, p, hidden = 5000, 1000, 64, 32
+    data = Dataset(rng.standard_normal((j, p)), random_one_hot(rng, j, 3))
+    eval_data = Dataset(rng.standard_normal((j_eval, p)), random_one_hot(rng, j_eval, 3))
+    model = make_mlp(p, [hidden], 3, seed=5)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=1, batch_size=64, seed=5)
+    tracemalloc.start()
+    try:
+        train_base(model, data, Loss("softmax_cross_entropy"), cfg, eval_data=eval_data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: a 1024-row chunk's float32 pre-activations, activations and product
+    # temporary, plus 256 KiB for Adam's state, the permutation and one batch
+    assert peak <= (j + j_eval) * p * 4 + 3 * 1024 * hidden * 4 + 256 * 1024
+
+
+@pytest.mark.parametrize("kind", ACTIVATION_KINDS)
+def test_activation_derivative_keeps_the_dtype(kind):
+    z = np.array([[-1.5, 0.0, 2.0]])
+    act = Activation(kind)
+    for dtype in (np.float32, np.float64):
+        d = act.derivative(z.astype(dtype))
+        assert d.dtype == dtype
+        assert np.array_equal(d, act.derivative(z).astype(dtype))
 
 
 def test_adam_step_reuses_its_buffers():
