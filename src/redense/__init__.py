@@ -10,11 +10,11 @@ from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
                    load_csv, load_feature_bundle, load_idx,
                    save_feature_bundle, split, write_idx)
 from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
-                    build, lfp_lift, lfp_reconstruct, predict, train)
+                    build, predict, train)
 from .linalg import Matrix, frobenius_norm, sample_gaussian
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
-                 accuracy, evaluate, extract_features, forward, loss_grad,
-                 loss_value, loss_value_and_grad, make_loss, make_mlp, train_base)
+                 accuracy, forward, loss_grad, loss_value, loss_value_and_grad,
+                 make_loss, make_mlp, train_base)
 from .persist import load_model, save_model, write_curve
 
 __version__ = "0.1.0"
@@ -22,9 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport",
     "HeadConfig", "IterateStats", "Loss", "Matrix", "MlpModel", "RedenseLayer",
-    "SplitSpec", "TrainConfig", "accuracy", "build", "evaluate",
-    "extract_features", "forward", "frobenius_norm", "gen_digit_images",
-    "gen_synthetic", "lfp_lift", "lfp_reconstruct", "load_csv",
+    "SplitSpec", "TrainConfig", "accuracy", "build", "forward",
+    "frobenius_norm", "gen_digit_images", "gen_synthetic", "load_csv",
     "load_feature_bundle", "load_idx", "load_model", "loss_grad", "loss_value",
     "loss_value_and_grad", "make_loss", "make_mlp", "predict", "sample_gaussian",
     "save_feature_bundle", "save_model", "split", "train", "train_base",

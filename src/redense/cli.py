@@ -277,21 +277,12 @@ def _head_config(args):
 
 
 def _train_head(bundle, m, seed, cfg, eval_bundle=None):
-    n = bundle.features.shape[1]
-    layer = layermod.build(bundle.output_weight, n, m, seed)
-    base_loss = None
-    base_old = None
-    if "base_loss" in bundle.metadata:
-        base_loss = nn.make_loss(bundle.metadata["base_loss"],
-                                 delta=float(bundle.metadata.get("huber_delta", 1.0)))
-        if "base_train_loss" in bundle.metadata:
-            base_old = float(bundle.metadata["base_train_loss"])
+    layer = layermod.build(bundle.output_weight, m, seed)
     eval_feats = eval_bundle.features if eval_bundle is not None else None
     eval_targets = eval_bundle.targets if eval_bundle is not None else None
     trained, report, curve = layermod.train(layer, bundle.features, bundle.targets, cfg,
                                             eval_features=eval_feats,
-                                            eval_targets=eval_targets,
-                                            base_loss=base_loss, base_old_loss=base_old)
+                                            eval_targets=eval_targets)
     if not report.guarantee_holds:
         raise CliError(EXIT_GUARANTEE,
                        f"guarantee violated at m={m}, seed={seed} "
@@ -344,10 +335,17 @@ def cmd_redense(args, seed):
         "stopped_at": report.stopped_at,
         "best_epoch": report.best_epoch,
     }
-    if report.base_loss_kind is not None:
-        results["base_loss_kind"] = report.base_loss_kind
-        results["base_old_loss"] = report.base_old_loss
-        results["base_final_loss"] = report.base_final_loss
+    if "base_loss" in bundle.metadata:
+        # informational: the enforced inequality is in the training loss
+        base_loss = nn.make_loss(bundle.metadata["base_loss"],
+                                 delta=float(bundle.metadata.get("huber_delta", 1.0)))
+        base_old = bundle.metadata.get("base_train_loss")
+        results["base_loss_kind"] = base_loss.kind
+        results["base_old_loss"] = float(base_old) if base_old is not None else None
+        results["base_final_loss"] = (
+            report.final_loss if base_loss.kind == layermod.TRAIN_LOSS.kind
+            else nn.loss_value(base_loss, layermod.predict(trained, bundle.features),
+                               bundle.targets))
     results["eval_source"] = _eval_source(eval_bundle)
     # the returned head is the best iterate, not the last one
     results["final_eval_loss"] = curve[report.best_epoch].eval_loss

@@ -120,9 +120,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise DataFormatError(f"{count} images but {label_count} labels", path=labels_path)
     if labels.size and labels.max() > 9:
         raise DataFormatError(f"label {labels.max()} out of range 0..9", path=labels_path)
-    targets = np.zeros((count, 10))
-    targets[np.arange(count), labels] = 1.0
-    return Dataset(inputs, targets)
+    return Dataset(inputs, _one_hot(labels, 10))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):

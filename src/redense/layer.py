@@ -44,7 +44,7 @@ import numpy as np
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
                      sample_gaussian)
-from .nn import Loss, _AdamState, accuracy, loss_value, loss_value_and_grad
+from .nn import Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
 
@@ -62,8 +62,6 @@ _RESAMPLE_ATTEMPTS = 8
 
 @dataclass
 class RedenseLayer:
-    n: int
-    m: int
     R: Matrix        # m x n, frozen after construction
     epsilon: float
     base: Matrix     # Q x n, the base head Ohat
@@ -80,8 +78,6 @@ class RedenseLayer:
     def __post_init__(self):
         if self.m < self.n:
             raise ConstraintError(f"projection width must satisfy m >= n, got m={self.m}, n={self.n}")
-        if self.R.shape != (self.m, self.n):
-            raise ShapeError(f"R has shape {self.R.shape}, expected ({self.m}, {self.n})")
         if self.base.shape[1] != self.n:
             raise ShapeError(f"base head has {self.base.shape[1]} columns, expected {self.n}")
         shape = (self.base.shape[0], 2 * self.m)
@@ -97,8 +93,12 @@ class RedenseLayer:
         self.R.setflags(write=False)
 
     @property
-    def n_outputs(self) -> int:
-        return self.base.shape[0]
+    def n(self) -> int:
+        return self.R.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.R.shape[0]
 
 
 @dataclass(frozen=True)
@@ -113,11 +113,6 @@ class GuaranteeReport:
     stopped_at: int
     # the iteration of the returned iterate; curve[best_epoch] scores it
     best_epoch: int
-    # informational: the base network's own training loss, when it was
-    # trained with something other than softmax cross-entropy
-    base_loss_kind: str | None = None
-    base_old_loss: float | None = None
-    base_final_loss: float | None = None
 
 
 @dataclass(frozen=True)
@@ -142,17 +137,16 @@ class IterateStats:
     eval_accuracy: float
 
 
-def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
+def build(output_weight: Matrix, m: int, seed: int) -> RedenseLayer:
     """Construct a lifting layer at the base head: Delta = 0, O0 on the ball.
 
     R is sampled i.i.d. standard normal from the seed (resampled with
     incremented seeds in the rare event it is ill-conditioned). The layer
     records R's Frobenius condition number as cond_r and the number of
-    rejected draws as resamples.
+    rejected draws as resamples. n is the output weight's width.
     """
     output_weight = as_matrix(output_weight, "output_weight")
-    if output_weight.shape[1] != n:
-        raise ShapeError(f"output weight has width {output_weight.shape[1]}, expected n={n}")
+    n = output_weight.shape[1]
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
     r = sample_gaussian(m, n, seed)
@@ -171,36 +165,13 @@ def build(output_weight: Matrix, n: int, m: int, seed: int) -> RedenseLayer:
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
         raise ConstraintError("output weight is zero; the constraint radius would be empty")
-    return RedenseLayer(n=n, m=m, R=r, epsilon=epsilon, base=output_weight.copy(),
+    return RedenseLayer(R=r, epsilon=epsilon, base=output_weight.copy(),
                         delta=np.zeros_like(o0), seed=seed, O0=o0, cond_r=cond,
                         resamples=attempt)
 
 
-def _check_features(layer: RedenseLayer, features: Matrix) -> None:
-    if features.shape[1] != layer.n:
-        raise ShapeError(f"features have width {features.shape[1]}, layer expects n={layer.n}")
-    check_finite(features, "features")
-
-
-def lfp_lift(layer: RedenseLayer, features: Matrix) -> Matrix:
-    """Sign-split ReLU lifting of features through the frozen projection."""
-    _check_features(layer, features)
-    z = features @ layer.R.T
-    return np.hstack([np.maximum(z, 0.0), np.maximum(-z, 0.0)])
-
-
-def lfp_reconstruct(lifted: Matrix, m: int) -> Matrix:
-    """Invert the sign-split: top half minus bottom half."""
-    cols = lifted.shape[1]
-    if cols % 2 != 0:
-        raise ShapeError(f"lifted matrix has odd column count {cols}")
-    if cols != 2 * m:
-        raise ShapeError(f"lifted matrix has {cols} columns, expected 2m={2 * m}")
-    return lifted[:, :m] - lifted[:, m:]
-
-
 def _positive_half(features: Matrix, r: Matrix) -> Matrix:
-    """h = max(features r', 0), the J x m first half of lfp_lift, in features' dtype."""
+    """h = max(features r', 0), the J x m first half of lift(features), in features' dtype."""
     h = features @ r.T
     return np.maximum(h, 0.0, out=h)
 
@@ -229,7 +200,9 @@ def _head_inputs(layer: RedenseLayer, features: Matrix, r32: Matrix):
     (h, y), so multiplying them by 2^k in float64 undoes it; for features
     within float32's range that gives the unscaled results bit for bit.
     """
-    _check_features(layer, features)
+    if features.shape[1] != layer.n:
+        raise ShapeError(f"features have width {features.shape[1]}, layer expects n={layer.n}")
+    check_finite(features, "features")
     _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
     # computed in float64 and cast in buffered chunks: no J x n float64 copy
     y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
@@ -264,8 +237,7 @@ def _project(o: Matrix, epsilon: float) -> Matrix:
 
 
 def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfig,
-          eval_features: Matrix | None = None, eval_targets: Matrix | None = None,
-          base_loss: Loss | None = None, base_old_loss: float | None = None):
+          eval_features: Matrix | None = None, eval_targets: Matrix | None = None):
     """Retrain the head's correction under the Frobenius-ball constraint, full batch.
 
     Runs cfg.epochs Adam iterations of softmax cross-entropy descent on
@@ -278,10 +250,6 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
 
     The curve's eval columns score eval_features when given, and otherwise the
     training data itself, reusing the training logits.
-
-    base_loss / base_old_loss, when given, add an informational comparison in
-    the base network's own loss to the report; the enforced inequality is
-    always in the training loss.
     """
     if layer.O0 is None:
         raise ValueError("layer has no start point O0; train a layer made by build()")
@@ -293,6 +261,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         if eval_targets is None:
             raise ValueError("eval_features given without eval_targets")
         eval_inputs = _head_inputs(layer, eval_features, r32)
+    # the scored targets are fixed: their labels are taken once
+    labels = np.argmax(targets if eval_inputs is None else eval_targets, axis=1)
 
     delta = layer.delta.copy()
     adam = _AdamState([delta.shape])
@@ -315,13 +285,12 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             stop_reason, stopped_at = "non_finite", t
             break
         if eval_inputs is None:
-            ev_loss, ev_acc = cur_loss, accuracy(logits, targets)
+            ev_loss, ev_logits = cur_loss, logits
         else:
             ev_logits = _logits(eval_inputs, r32, delta)
             ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
-            ev_acc = accuracy(ev_logits, eval_targets)
         curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
-                                  ev_loss, ev_acc))
+                                  ev_loss, _label_accuracy(ev_logits, labels)))
         if cur_loss < best_loss:
             best_loss, best_epoch = cur_loss, t
             best_delta = delta.copy()
@@ -339,12 +308,6 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
 
     old_loss = curve[0].train_loss
     trained = replace(layer, delta=best_delta)
-    report_kwargs = {}
-    if base_loss is not None:
-        report_kwargs["base_loss_kind"] = base_loss.kind
-        report_kwargs["base_old_loss"] = base_old_loss
-        report_kwargs["base_final_loss"] = loss_value(
-            base_loss, _logits(inputs, r32, best_delta), targets)
     report = GuaranteeReport(
         old_loss=old_loss,
         final_loss=best_loss,
@@ -353,6 +316,5 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         stop_reason=stop_reason,
         stopped_at=stopped_at,
         best_epoch=best_epoch,
-        **report_kwargs,
     )
     return trained, report, curve

@@ -201,11 +201,6 @@ def forward(model: MlpModel, inputs: Matrix):
     return logits, acts[-1]
 
 
-def extract_features(model: MlpModel, inputs: Matrix) -> Matrix:
-    """Feature matrix at the second-to-last layer, one row per sample."""
-    return forward(model, inputs)[1]
-
-
 def _softmax_parts(logits: Matrix):
     """(logits - row max, its exp, the exp's row sums): one pass over the logits."""
     # column by column: exact, and much faster than max(axis=1) on narrow rows
@@ -281,17 +276,13 @@ def loss_grad(loss: Loss, logits: Matrix, targets: Matrix) -> Matrix:
 
 def accuracy(logits: Matrix, targets: Matrix) -> float:
     """Fraction of rows whose argmax matches; ties go to the lowest index."""
+    return _label_accuracy(logits, np.argmax(targets, axis=1))
+
+
+def _label_accuracy(logits: Matrix, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         raise ValueError("cannot compute accuracy on an empty dataset")
-    return float(np.mean(np.argmax(logits, axis=1) == np.argmax(targets, axis=1)))
-
-
-def evaluate(model: MlpModel, inputs: Matrix, targets: Matrix, loss: Loss):
-    """Return (total loss, accuracy) of the model on the given data."""
-    if inputs.shape[0] == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    logits, _ = forward(model, inputs)
-    return loss_value(loss, logits, targets), accuracy(logits, targets)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
 ADAM_BETA1 = 0.9

@@ -3,8 +3,8 @@
 Model files are binary: magic RDNM, a u32 version, a length-prefixed JSON
 architecture header, then raw float64 little-endian parameter blocks in
 header order. A lifting layer adds R and the trained correction Delta; its
-base head is the model's output weight, stored once. Curves are plain CSV with 17-significant-digit floats so that
-every value reloads bit-exact.
+base head is the model's output weight, stored once. Curves are plain CSV
+with 17-significant-digit floats, so every value reloads bit-exact.
 """
 
 from __future__ import annotations
@@ -121,7 +121,7 @@ def load_model(path):
                                       f"feature width {fan_in}", path=path)
             r = _read_le_block(f, (m, n), path, "projection matrix")
             delta = _read_le_block(f, (n_outputs, 2 * m), path, "head correction")
-            redense_layer = RedenseLayer(n=n, m=m, R=r, epsilon=float(redense_spec["epsilon"]),
+            redense_layer = RedenseLayer(R=r, epsilon=float(redense_spec["epsilon"]),
                                          base=output_weight, delta=delta,
                                          seed=int(redense_spec["seed"]))
         trailing = f.read(1)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from redense.errors import ShapeError
 from redense.persist import CURVE_HEADER
 
 ACCEPTANCE_RESULTS = []
@@ -37,6 +38,23 @@ def near_singular(rng, m, n, cond):
     u, _ = np.linalg.qr(rng.standard_normal((m, n)))
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     return (u * np.geomspace(1.0, 1.0 / cond, n)) @ v.T
+
+
+def lfp_lift(layer, features):
+    """The sign-split ReLU lift [max(yR', 0) | max(-yR', 0)] of features y, built
+    explicitly: the reference the half-width head in redense.layer is tested against."""
+    z = features @ layer.R.T
+    return np.hstack([np.maximum(z, 0.0), np.maximum(-z, 0.0)])
+
+
+def lfp_reconstruct(lifted, m):
+    """Invert the sign-split: top half minus bottom half."""
+    cols = lifted.shape[1]
+    if cols % 2 != 0:
+        raise ShapeError(f"lifted matrix has odd column count {cols}")
+    if cols != 2 * m:
+        raise ShapeError(f"lifted matrix has {cols} columns, expected 2m={2 * m}")
+    return lifted[:, :m] - lifted[:, m:]
 
 
 def read_curve(path):

@@ -13,23 +13,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import one_hot, random_one_hot, read_curve, record_acceptance
+from conftest import (lfp_lift, lfp_reconstruct, one_hot, random_one_hot, read_curve,
+                      record_acceptance)
 from redense.cli import main as cli_main
 from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
                           load_feature_bundle, load_idx, save_feature_bundle,
                           write_idx)
-from redense.layer import (TRAIN_LOSS, HeadConfig, RedenseLayer, build,
-                           lfp_lift, lfp_reconstruct, predict, train)
+from redense.layer import TRAIN_LOSS, HeadConfig, RedenseLayer, build, predict, train
 from redense.linalg import frobenius_norm
-from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy,
-                        evaluate, extract_features, forward, loss_grad,
-                        loss_value, make_mlp, train_base)
+from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
+                        loss_grad, loss_value, make_mlp, train_base)
 from redense.persist import load_model, save_model, write_curve
 
 
 def _identity_layer(n):
     o0 = np.hstack([np.eye(n), -np.eye(n)])
-    return RedenseLayer(n=n, m=n, R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(n),
+    return RedenseLayer(R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(n),
                         delta=np.zeros_like(o0), seed=0, O0=o0)
 
 
@@ -63,7 +62,7 @@ def test_criterion_2_initialization_equality():
                 feats = rng.standard_normal((25, n))
                 ohat = rng.standard_normal((10, n)) / np.sqrt(n)
                 targets = random_one_hot(rng, 25, 10)
-                layer = build(ohat, n, n * m_mult, seed=seed)
+                layer = build(ohat, n * m_mult, seed=seed)
                 old = loss_value(TRAIN_LOSS, feats @ ohat.T, targets)
                 init = loss_value(TRAIN_LOSS, predict(layer, feats), targets)
                 _, report, _ = train(layer, feats, targets, HeadConfig(epochs=0))
@@ -90,12 +89,10 @@ def _full_pipeline(dataset_kind, classes, loss, seed):
     model = make_mlp(2, [8], classes, seed=seed)
     cfg = TrainConfig(learning_rate=5e-3, epochs=30, batch_size=32, seed=seed)
     model, _ = train_base(model, data, loss, cfg)
-    feats = extract_features(model, data.inputs)
-    layer = build(model.output_weight, model.feature_width, model.feature_width, seed=seed)
+    feats = forward(model, data.inputs)[1]
+    layer = build(model.output_weight, model.feature_width, seed=seed)
     head_cfg = HeadConfig(learning_rate=5e-3, epochs=40)
-    base_old = loss_value(loss, forward(model, data.inputs)[0], data.targets)
-    _, report, curve = train(layer, feats, data.targets, head_cfg,
-                             base_loss=loss, base_old_loss=base_old)
+    _, report, curve = train(layer, feats, data.targets, head_cfg)
     # the paper's reference: the base head's own loss, not L(O0)
     base_ce = loss_value(TRAIN_LOSS, feats @ model.output_weight.T, data.targets)
     return report, curve, base_ce
@@ -158,7 +155,7 @@ def test_criterion_4_gradient_oracles():
     for case in range(10):
         n, m, q, j = 3, 5, 2, 6
         feats = rng.standard_normal((j, n))
-        layer = build(rng.standard_normal((q, n)), n, m, seed=case)
+        layer = build(rng.standard_normal((q, n)), m, seed=case)
         targets = random_one_hot(rng, j, q)
         lifted = lfp_lift(layer, feats)
         o = layer.O0
@@ -207,15 +204,15 @@ def test_criterion_5_desk_scale_digits(tmp_path):
     cfg = TrainConfig(learning_rate=1e-3, epochs=20, batch_size=128, seed=0)
     model, _ = train_base(model, train_ds, ce, cfg)
     base_train_loss = loss_value(ce, forward(model, train_ds.inputs)[0], train_ds.targets)
-    _, base_test_acc = evaluate(model, test_ds.inputs, test_ds.targets, ce)
+    test_logits, test_feats = forward(model, test_ds.inputs)
+    base_test_acc = accuracy(test_logits, test_ds.targets)
 
-    feats = extract_features(model, train_ds.inputs)
-    test_feats = extract_features(model, test_ds.inputs)
+    feats = forward(model, train_ds.inputs)[1]
     n = model.feature_width
     deltas = []
     strict_decrease = True
     for seed in range(5):
-        layer = build(model.output_weight, n, n, seed=seed)
+        layer = build(model.output_weight, n, seed=seed)
         trained, report, _ = train(layer, feats, train_ds.targets,
                                    HeadConfig(learning_rate=1e-5, epochs=200))
         strict_decrease = strict_decrease and report.final_loss < base_train_loss
@@ -283,7 +280,7 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
             model.output_bias[:] = rng.standard_normal(model.n_outputs)
             layer = None
             if case % 2:
-                layer = build(model.output_weight, model.feature_width,
+                layer = build(model.output_weight,
                               model.feature_width + int(rng.integers(0, 4)),
                               seed=int(rng.integers(1 << 31)))
             p1, p2 = tmp_path / f"m{case}.rdnm", tmp_path / f"m{case}b.rdnm"

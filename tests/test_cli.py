@@ -13,7 +13,7 @@ from redense import data as datamod
 from redense import layer as layermod
 from redense.cli import main
 from redense.data import gen_digit_images, load_feature_bundle, save_feature_bundle, write_idx
-from redense.nn import EpochStats, accuracy, evaluate, loss_value
+from redense.nn import EpochStats, Loss, accuracy, forward, loss_value
 from redense.persist import load_model, save_model, write_curve
 
 
@@ -100,10 +100,9 @@ def test_features_bundle_consistent_with_model(tmp_path, capsys):
     # regenerate the exact training rows the command used and re-evaluate
     from redense.data import SplitSpec, gen_synthetic, split
     train, _val, _test = split(gen_synthetic("blobs", 200, 3, 0.4, 7), SplitSpec(0.8, 0.1, 7))
-    from redense.nn import extract_features
-    assert np.array_equal(bundle.features, extract_features(model, train.inputs))
-    ref_loss, _ = evaluate(model, train.inputs, train.targets, loss)
-    assert float(bundle.metadata["base_train_loss"]) == ref_loss
+    logits, features = forward(model, train.inputs)
+    assert np.array_equal(bundle.features, features)
+    assert float(bundle.metadata["base_train_loss"]) == loss_value(loss, logits, train.targets)
 
 
 def test_redense_on_bundle_guarantee_and_artifacts(tmp_path, capsys):
@@ -204,7 +203,7 @@ def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     last_iterate_scored_lower = False
     for m, seed, _, _, test_accuracy in rows:
-        start = layermod.build(bundle.output_weight, bundle.features.shape[1], int(m), int(seed))
+        start = layermod.build(bundle.output_weight, int(m), int(seed))
         trained, _, curve = layermod.train(start, bundle.features, bundle.targets, cfg,
                                            eval_features=held_out.features,
                                            eval_targets=held_out.targets)
@@ -271,7 +270,7 @@ def test_sweep_rows_respect_guarantee(tmp_path, capsys):
     for row, cond_r, resamples in zip(rows, results["cond_r"], results["resamples"],
                                       strict=True):
         m, seed = (int(v) for v in row.split(",")[:2])
-        layer = layermod.build(bundle.output_weight, n, m, seed)
+        layer = layermod.build(bundle.output_weight, m, seed)
         assert (cond_r, resamples) == (layer.cond_r, layer.resamples)
 
 
@@ -321,9 +320,9 @@ def test_eval_accuracy_matches_library_bitwise(tmp_path, capsys):
     model, loss, _ = load_model(tmp_path / "model.rdnm")
     from redense.data import gen_synthetic
     ds = gen_synthetic("blobs", 120, 3, 0.4, 11)
-    ref_loss, ref_acc = evaluate(model, ds.inputs, ds.targets, loss)
-    assert float(pairs["base_accuracy"]) == ref_acc
-    assert float(pairs["base_loss"]) == ref_loss
+    logits = forward(model, ds.inputs)[0]
+    assert float(pairs["base_accuracy"]) == accuracy(logits, ds.targets)
+    assert float(pairs["base_loss"]) == loss_value(loss, logits, ds.targets)
 
 
 def test_eval_width_mismatch_exits_3(tmp_path, capsys):
@@ -361,9 +360,23 @@ def test_redense_mixed_loss_reports_base_comparison(tmp_path, capsys):
     bundle = load_feature_bundle(bundle_path)
     assert pairs["base_loss_kind"] == "huber"
     assert float(pairs["base_old_loss"]) == float(bundle.metadata["base_train_loss"])
-    assert np.isfinite(float(pairs["base_final_loss"]))
+    # the saved head scored in the base loss, bit for bit
+    _, _, trained = load_model(tmp_path / "rd" / "redense_head.rdnm")
+    huber = Loss("huber", delta=float(bundle.metadata["huber_delta"]))
+    assert float(pairs["base_final_loss"]) == loss_value(
+        huber, layermod.predict(trained, bundle.features), bundle.targets)
     # the enforced inequality is in the training loss, not the base loss
     assert float(pairs["final_loss"]) <= float(pairs["old_loss"])
+
+
+def test_redense_ce_base_comparison_is_the_training_loss(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    assert main(["redense", "--bundle", str(bundle_path), "--epochs", "20",
+                 "--lr", "1e-2", "--seed", "6", "--out-dir", str(tmp_path / "rd")]) == 0
+    pairs = kv(capsys)
+    assert pairs["base_loss_kind"] == "softmax_cross_entropy"
+    assert float(pairs["base_old_loss"]) == float(pairs["old_loss"])
+    assert float(pairs["base_final_loss"]) == float(pairs["final_loss"])
 
 
 def test_redense_curve_starts_at_base_performance(tmp_path, capsys):
@@ -814,7 +827,7 @@ def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
 
     bundle = load_feature_bundle(bundle_path)
     _, _, trained = load_model(out / "redense_head.rdnm")
-    start = layermod.build(bundle.output_weight, trained.n, trained.m, 3)
+    start = layermod.build(bundle.output_weight, trained.m, 3)
     curve = read_curve(out / "redense_curve.csv")
     assert all(test_loss == train_loss for _, train_loss, test_loss, _ in curve)
     assert curve[0][3] == accuracy(layermod.predict(start, bundle.features), bundle.targets)

@@ -8,11 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import near_singular, random_one_hot
+from conftest import lfp_lift, lfp_reconstruct, near_singular, random_one_hot
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad,
-                           _head_logits, _positive_half, _project, build, lfp_lift,
-                           lfp_reconstruct, predict, train)
+                           _head_logits, _positive_half, _project, build, predict, train)
 from redense.linalg import frobenius_norm
 from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
 
@@ -20,7 +19,7 @@ from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
 def identity_layer(n, q=None):
     q = n if q is None else q
     o0 = np.hstack([np.eye(q, n), -np.eye(q, n)])
-    return RedenseLayer(n=n, m=n, R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(q, n),
+    return RedenseLayer(R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(q, n),
                         delta=np.zeros_like(o0), seed=0, O0=o0)
 
 
@@ -28,7 +27,7 @@ def build_with_r(output_weight, r):
     """build() with its sampled projection replaced by r."""
     m, n = r.shape
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: r):
-        return build(output_weight, n, m, seed=0)
+        return build(output_weight, m, seed=0)
 
 
 def test_build_identity_projection():
@@ -60,17 +59,12 @@ def test_build_epsilon_matches_flat_sum_oracle(rng):
 
 def test_build_rejects_m_below_n():
     with pytest.raises(ConstraintError, match="m >= n"):
-        build(np.ones((2, 4)), n=4, m=3, seed=0)
+        build(np.ones((2, 4)), m=3, seed=0)
 
 
 def test_build_rejects_zero_output_weight():
     with pytest.raises(ConstraintError):
-        build(np.zeros((2, 3)), n=3, m=3, seed=0)
-
-
-def test_build_rejects_width_mismatch():
-    with pytest.raises(ShapeError):
-        build(np.ones((2, 4)), n=5, m=6, seed=0)
+        build(np.zeros((2, 3)), m=3, seed=0)
 
 
 def test_build_resamples_an_ill_conditioned_projection(rng, caplog):
@@ -78,7 +72,7 @@ def test_build_resamples_an_ill_conditioned_projection(rng, caplog):
     draws = {0: np.outer(np.arange(1.0, 7.0), np.ones(3)), 1: good}  # rank 1, then full rank
     ohat = rng.standard_normal((2, 3))
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: draws[seed]):
-        layer = build(ohat, 3, 6, seed=0)
+        layer = build(ohat, 6, seed=0)
     assert np.array_equal(layer.R, good)
     assert np.allclose(layer.O0[:, :6], ohat @ np.linalg.pinv(good), rtol=0, atol=1e-12)
     assert "resampling with seed 1" in caplog.text
@@ -93,7 +87,7 @@ def test_build_needs_no_svd_and_no_solve(rng):
 
     ohat = rng.standard_normal((3, 70))
     with mock.patch("numpy.linalg.svd", fail), mock.patch("numpy.linalg.solve", fail):
-        layer = build(ohat, 70, 140, seed=4)
+        layer = build(ohat, 140, seed=4)
     assert layer.resamples == 0 and 70 <= layer.cond_r <= MAX_CONDITION
     assert frobenius_norm(layer.O0[:, :140] @ layer.R - ohat) < 1e-10 * frobenius_norm(ohat)
 
@@ -101,7 +95,7 @@ def test_build_needs_no_svd_and_no_solve(rng):
 def test_build_gives_up_on_a_rank_deficient_projection():
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: np.zeros((rows, cols))):
         with pytest.raises(ConstraintError, match="well-conditioned"):
-            build(np.ones((2, 3)), 3, 4, seed=0)
+            build(np.ones((2, 3)), 4, seed=0)
 
 
 def test_build_holds_no_orthogonal_factor(rng):
@@ -109,11 +103,11 @@ def test_build_holds_no_orthogonal_factor(rng):
     # factor on top would pass 3 m n 8 bytes
     m, n = 1024, 256
     ohat = rng.standard_normal((10, n))
-    assert _traced_peak(build, ohat, n, m, 0) < 3 * m * n * 8
+    assert _traced_peak(build, ohat, m, 0) < 3 * m * n * 8
 
 
 def test_layer_r_is_frozen():
-    layer = build(np.eye(2), n=2, m=4, seed=1)
+    layer = build(np.eye(2), m=4, seed=1)
     with pytest.raises(ValueError):
         layer.R[0, 0] = 99.0
 
@@ -130,16 +124,16 @@ def test_lift_zero_features():
 
 
 def test_lift_nonnegative_and_width_check(rng):
-    layer = build(rng.standard_normal((2, 3)), n=3, m=5, seed=2)
+    layer = build(rng.standard_normal((2, 3)), m=5, seed=2)
     lifted = lfp_lift(layer, rng.standard_normal((8, 3)))
     assert (lifted >= 0.0).all()
     assert lifted.shape == (8, 10)
     with pytest.raises(ShapeError):
-        lfp_lift(layer, np.zeros((4, 4)))
+        predict(layer, np.zeros((4, 4)))
 
 
 def test_lift_halves_differ_by_projection_exactly(rng):
-    layer = build(rng.standard_normal((2, 4)), n=4, m=7, seed=3)
+    layer = build(rng.standard_normal((2, 4)), m=7, seed=3)
     feats = rng.standard_normal((10, 4))
     lifted = lfp_lift(layer, feats)
     assert np.array_equal(lifted[:, :7] - lifted[:, 7:], feats @ layer.R.T)
@@ -194,7 +188,7 @@ def _instance(rng, j=40, n=6, q=3, m=None):
     feats = rng.standard_normal((j, n))
     ohat = rng.standard_normal((q, n)) / np.sqrt(n)
     targets = random_one_hot(rng, j, q)
-    layer = build(ohat, n, m if m is not None else n, seed=int(rng.integers(1 << 31)))
+    layer = build(ohat, m if m is not None else n, seed=int(rng.integers(1 << 31)))
     return layer, feats, ohat, targets
 
 
@@ -216,7 +210,7 @@ def test_init_loss_matches_base_loss(n, m):
         feats = rng.standard_normal((30, n))
         ohat = rng.standard_normal((5, n)) / np.sqrt(n)
         targets = random_one_hot(rng, 30, 5)
-        layer = build(ohat, n, m, seed=seed)
+        layer = build(ohat, m, seed=seed)
         old = loss_value(TRAIN_LOSS, feats @ ohat.T, targets)
         init = loss_value(TRAIN_LOSS, predict(layer, feats), targets)
         assert init == old
@@ -271,7 +265,7 @@ def test_train_guarantee_across_seeds_and_shapes():
             feats = rng.standard_normal((30, n))
             ohat = rng.standard_normal((q, n))
             targets = random_one_hot(rng, 30, q)
-            layer = build(ohat, n, m, seed=seed)
+            layer = build(ohat, m, seed=seed)
             _, report, _ = train(layer, feats, targets,
                                  HeadConfig(learning_rate=0.3, epochs=25))
             assert report.guarantee_holds
@@ -291,18 +285,6 @@ def test_train_returns_best_iterate_not_last(rng):
     assert final == report.final_loss
 
 
-def test_train_records_base_loss_comparison(rng):
-    from redense.nn import Loss, loss_value as lv
-    layer, feats, ohat, targets = _instance(rng)
-    base_loss = Loss("mean_square_error")
-    base_old = lv(base_loss, feats @ ohat.T, targets)
-    _, report, _ = train(layer, feats, targets, HeadConfig(learning_rate=1e-2, epochs=10),
-                         base_loss=base_loss, base_old_loss=base_old)
-    assert report.base_loss_kind == "mean_square_error"
-    assert report.base_old_loss == base_old
-    assert np.isfinite(report.base_final_loss)
-
-
 def test_train_eval_curve_columns(rng):
     layer, feats, _, targets = _instance(rng)
     ev_feats = rng.standard_normal((15, 6))
@@ -311,6 +293,15 @@ def test_train_eval_curve_columns(rng):
                         eval_features=ev_feats, eval_targets=ev_targets)
     assert all(c.eval_loss is not None and c.eval_accuracy is not None for c in curve)
     assert len(curve) == 6
+
+
+def test_train_refuses_to_score_an_empty_dataset(rng):
+    layer, feats, _, targets = _instance(rng)
+    cfg = HeadConfig(epochs=2)
+    with pytest.raises(ValueError, match="empty"):
+        train(layer, feats[:0], targets[:0], cfg)
+    with pytest.raises(ValueError, match="empty"):
+        train(layer, feats, targets, cfg, eval_features=feats[:0], eval_targets=targets[:0])
 
 
 def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
@@ -339,7 +330,7 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
 
 def test_train_raises_when_start_is_non_finite():
     o0 = np.hstack([np.eye(1) * 1e200, -np.eye(1) * 1e200])
-    layer = RedenseLayer(n=1, m=1, R=np.eye(1), epsilon=1e301, base=np.eye(1) * 1e200,
+    layer = RedenseLayer(R=np.eye(1), epsilon=1e301, base=np.eye(1) * 1e200,
                          delta=np.zeros((1, 2)), seed=0, O0=o0)
     feats = np.array([[1e200]])
     targets = np.array([[1.0]])
@@ -356,7 +347,7 @@ def test_epsilon_shrinks_with_wider_projection():
     eps = {m: [] for m in (n, 2 * n)}
     for m in eps:
         for seed in range(20):
-            eps[m].append(build(ohat, n, m, seed=seed).epsilon)
+            eps[m].append(build(ohat, m, seed=seed).epsilon)
     assert np.mean(eps[2 * n]) < np.mean(eps[n])
 
 
@@ -544,7 +535,7 @@ def test_features_beyond_float32_range_keep_training(rng, scale):
     j, n, m, q = 30, 4, 8, 3
     feats = scale * rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
-    layer = build(rng.standard_normal((q, n)) / (10.0 * scale), n, m, seed=0)
+    layer = build(rng.standard_normal((q, n)) / (10.0 * scale), m, seed=0)
     trained, report, _ = train(layer, feats, targets, HeadConfig(epochs=5))
     assert (report.stop_reason, report.stopped_at) == ("completed", 5)
     assert report.guarantee_holds
@@ -600,7 +591,7 @@ def test_train_and_predict_never_hold_the_double_width_lift(rng):
     j, n, m, q = 2000, 32, 512, 10
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
-    layer = build(rng.standard_normal((q, n)), n, m, seed=0)
+    layer = build(rng.standard_normal((q, n)), m, seed=0)
     limit = 0.75 * j * m * 8
     assert _traced_peak(train, layer, feats, targets, HeadConfig(epochs=3)) < limit
     assert _traced_peak(predict, layer, feats) < limit

@@ -12,8 +12,7 @@ from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (ACTIVATION_KINDS, Activation, Dataset, Layer, Loss,
                         MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
-                        accuracy, evaluate, extract_features, forward,
-                        loss_grad, loss_value, loss_value_and_grad, make_loss,
+                        accuracy, forward, loss_grad, loss_value, loss_value_and_grad, make_loss,
                         make_mlp, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
@@ -182,8 +181,7 @@ def test_train_base_reaches_separable_accuracy():
     model = make_mlp(2, [8], 2, seed=3)
     cfg = TrainConfig(learning_rate=5e-3, epochs=200, batch_size=16, seed=3)
     model, curve = train_base(model, data, Loss("softmax_cross_entropy"), cfg)
-    _, acc = evaluate(model, data.inputs, data.targets, Loss("softmax_cross_entropy"))
-    assert acc == 1.0
+    assert accuracy(forward(model, data.inputs)[0], data.targets) == 1.0
     assert len(curve) == 201
 
 
@@ -233,16 +231,10 @@ def test_train_base_output_bias_untouched():
     assert np.array_equal(model.output_bias, [0.25, -0.25])
 
 
-def test_extract_features_matches_forward(rng):
-    model = make_mlp(3, [5, 4], 2, seed=8)
-    x = rng.standard_normal((7, 3))
-    assert np.array_equal(extract_features(model, x), forward(model, x)[1])
-
-
-def test_extract_features_identity_layer_negative_inputs():
+def test_forward_features_identity_layer_negative_inputs():
     model = MlpModel([Layer(np.eye(3), np.zeros(3), Activation("relu"))],
                      np.ones((2, 3)), np.zeros(2))
-    feats = extract_features(model, -np.abs(np.random.default_rng(0).standard_normal((4, 3))))
+    feats = forward(model, -np.abs(np.random.default_rng(0).standard_normal((4, 3))))[1]
     assert np.array_equal(feats, np.zeros((4, 3)))
 
 
@@ -271,9 +263,9 @@ def test_accuracy_against_brute_force(rng):
 
 
 def test_evaluate_empty_dataset():
-    model = make_mlp(2, [3], 2, seed=0)
-    with pytest.raises(ValueError):
-        evaluate(model, np.zeros((0, 2)), np.zeros((0, 2)), Loss("softmax_cross_entropy"))
+    logits, _ = forward(make_mlp(2, [3], 2, seed=0), np.zeros((0, 2)))
+    with pytest.raises(ValueError, match="empty"):
+        accuracy(logits, np.zeros((0, 2)))
 
 
 def test_dataset_validations():
@@ -508,8 +500,8 @@ def test_train_base_curve_matches_the_float64_loss_of_its_model():
     cfg = TrainConfig(learning_rate=1e-3, epochs=4, batch_size=64, seed=21)
     model, curve = train_base(make_mlp(784, [32], 10, seed=21), data, loss, cfg,
                               eval_data=eval_data)
-    train_loss, _ = evaluate(model, data.inputs, data.targets, loss)
-    _, eval_acc = evaluate(model, eval_data.inputs, eval_data.targets, loss)
+    train_loss = loss_value(loss, forward(model, data.inputs)[0], data.targets)
+    eval_acc = accuracy(forward(model, eval_data.inputs)[0], eval_data.targets)
     assert abs(curve[-1].train_loss - train_loss) <= 1e-5 * train_loss
     assert curve[-1].eval_accuracy == eval_acc
 

@@ -43,7 +43,7 @@ def test_loaded_model_forward_is_bit_exact(tmp_path, rng):
 
 def test_round_trip_with_lifting_layer(tmp_path, rng):
     model = make_mlp(4, [6], 3, seed=2)
-    layer = build(model.output_weight, 6, 9, seed=7)
+    layer = build(model.output_weight, 9, seed=7)
     layer = replace(layer, delta=rng.standard_normal(layer.delta.shape))
     path = tmp_path / "m.rdnm"
     save_model(path, model, Loss("poisson"), redense_layer=layer)
@@ -64,7 +64,7 @@ def test_round_trip_with_lifting_layer(tmp_path, rng):
 
 def test_save_refuses_a_layer_built_on_another_head(tmp_path):
     model = make_mlp(4, [6], 3, seed=2)
-    layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 6, 9, seed=7)
+    layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 9, seed=7)
     with pytest.raises(ValueError, match="base head"):
         save_model(tmp_path / "m.rdnm", model, Loss("poisson"), redense_layer=layer)
     assert not (tmp_path / "m.rdnm").exists()
