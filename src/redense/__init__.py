@@ -13,7 +13,7 @@ from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
                     build, predict, train)
 from .linalg import Matrix, frobenius_norm, sample_gaussian
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
-                 accuracy, forward, loss_grad, loss_value, loss_value_and_grad,
+                 accuracy, forward, loss_value, loss_value_and_grad,
                  make_loss, make_mlp, train_base)
 from .persist import load_model, save_model, write_curve
 
@@ -24,7 +24,7 @@ __all__ = [
     "HeadConfig", "IterateStats", "Loss", "Matrix", "MlpModel", "RedenseLayer",
     "SplitSpec", "TrainConfig", "accuracy", "build", "forward",
     "frobenius_norm", "gen_digit_images", "gen_synthetic", "load_csv",
-    "load_feature_bundle", "load_idx", "load_model", "loss_grad", "loss_value",
+    "load_feature_bundle", "load_idx", "load_model", "loss_value",
     "loss_value_and_grad", "make_loss", "make_mlp", "predict", "sample_gaussian",
     "save_feature_bundle", "save_model", "split", "train", "train_base",
     "write_curve", "write_idx",

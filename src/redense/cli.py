@@ -6,9 +6,10 @@ export), sweep the projection width, and evaluate saved models. Every run
 writes a JSON manifest sufficient to reproduce it and prints its results and
 output paths as key=value lines.
 
-Exit codes: 0 ok, 2 bad flags, 3 data problem (a failed factorization of
-the projection included), 4 training divergence, 5 guarantee violation
-(which indicates a defect, not user error).
+The CLI parses flags and maps exceptions to exit codes; the library owns the
+defaults and the checks. Exit codes: 0 ok, 2 bad flags, 3 data problem (any
+other ValueError or OSError included), 4 training divergence, 5 guarantee
+violation (which indicates a defect, not user error).
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -26,8 +26,7 @@ import numpy as np
 from . import data as datamod
 from . import layer as layermod
 from . import nn, persist
-from .errors import (ConstraintError, DataFormatError, DecompositionError, NonFiniteError,
-                     ShapeError, TrainingDivergedError)
+from .errors import DecompositionError, TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_FLAGS = 2
@@ -64,24 +63,12 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
-def _resolve_seed(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("REDENSE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(EXIT_FLAGS, f"REDENSE_SEED={env!r} is not an integer") from None
-    return 0
-
-
-def _write_manifest(args, seed, started_at, outputs, results):
+def _write_manifest(args, started_at, outputs, results):
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
         "subcommand": args.subcommand,
         "flags": flags,
-        "seed": seed,
+        "seed": args.seed,
         "started_at": started_at,
         "finished_at": _now(),
         "outputs": {k: str(v) for k, v in outputs.items()},
@@ -119,15 +106,15 @@ def _add_split_flags(parser):
     parser.add_argument("--test-images", help="IDX image file for the test set")
     parser.add_argument("--test-labels", help="IDX label file for the test set")
     parser.add_argument("--test-csv")
-    parser.add_argument("--train-fraction", type=float, default=0.8)
-    parser.add_argument("--val-fraction", type=float, default=0.1)
+    parser.add_argument("--train-fraction", type=float,
+                        default=datamod.SplitSpec.train_fraction)
 
 
-def _load_primary_dataset(args, seed):
+def _load_primary_dataset(args):
     if args.synthetic:
         try:
             return datamod.gen_synthetic(args.synthetic, args.samples, args.classes,
-                                         args.noise, seed)
+                                         args.noise, args.seed)
         except ValueError as exc:
             raise CliError(EXIT_FLAGS, str(exc)) from None
     if args.images or args.labels:
@@ -139,24 +126,24 @@ def _load_primary_dataset(args, seed):
     raise CliError(EXIT_FLAGS, "no data source: pass --synthetic, --images/--labels or --csv")
 
 
-def _resolve_datasets(args, seed, load_test=True):
+def _resolve_datasets(args, load_test=True):
     """Return (train, test) datasets from the data flags.
 
     An explicit test source wins; otherwise the primary dataset is shuffled
-    into train/validation/test with the given fractions (validation is set
-    aside, unused by the batch commands). The flags are checked before any
-    file is read. With load_test=False an explicit test source is not read:
-    the train partition is then the whole primary dataset and test is None.
+    into train and test, the first --train-fraction of the rows and the
+    rest. The flags are checked before any file is read. With
+    load_test=False an explicit test source is not read: the train partition
+    is then the whole primary dataset and test is None.
     """
     if bool(args.test_images) != bool(args.test_labels):
         raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
     spec = None
     if not (args.test_images or args.test_csv):
         try:
-            spec = datamod.SplitSpec(args.train_fraction, args.val_fraction, seed)
+            spec = datamod.SplitSpec(args.train_fraction, args.seed)
         except ValueError as exc:
             raise CliError(EXIT_FLAGS, str(exc)) from None
-    primary = _load_primary_dataset(args, seed)
+    primary = _load_primary_dataset(args)
     if spec is None and not load_test:
         return primary, None
     if args.test_images:
@@ -164,23 +151,22 @@ def _resolve_datasets(args, seed, load_test=True):
     if args.test_csv:
         return primary, datamod.load_csv(args.test_csv)
     try:
-        train, _val, test = datamod.split(primary, spec)
+        return datamod.split(primary, spec)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
-    return train, test
 
 
-def cmd_train(args, seed):
+def cmd_train(args):
     try:
         loss = nn.make_loss(args.loss, delta=args.huber_delta)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
-                             batch_size=args.batch_size, seed=seed)
+                             batch_size=args.batch_size, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
-    train_ds, test_ds = _resolve_datasets(args, seed)
+    train_ds, test_ds = _resolve_datasets(args)
     model = nn.make_mlp(train_ds.inputs.shape[1], args.hidden,
                         train_ds.targets.shape[1], activation=args.activation,
-                        leaky_slope=args.leaky_slope, seed=seed)
+                        leaky_slope=args.leaky_slope, seed=args.seed)
     model, curve = nn.train_base(model, train_ds, loss, cfg, eval_data=test_ds)
 
     out_dir = Path(args.out_dir)
@@ -213,15 +199,12 @@ def _load_unbiased_model(path):
     return model, loss
 
 
-def cmd_features(args, seed):
+def cmd_features(args):
     if args.no_split:
-        train_ds = _load_primary_dataset(args, seed)
+        train_ds = _load_primary_dataset(args)
     else:
-        train_ds, _test_ds = _resolve_datasets(args, seed, load_test=False)
+        train_ds, _test_ds = _resolve_datasets(args, load_test=False)
     model, loss = _load_unbiased_model(args.model)
-    if train_ds.inputs.shape[1] != model.input_width:
-        raise CliError(EXIT_DATA, f"data width {train_ds.inputs.shape[1]} does not match "
-                                  f"model input width {model.input_width}")
     logits, features = nn.forward(model, train_ds.inputs)
     base_train_loss = nn.loss_value(loss, logits, train_ds.targets)
     ce_train_loss = (base_train_loss if loss.kind == layermod.TRAIN_LOSS.kind
@@ -292,7 +275,7 @@ def _train_head(bundle, m, seed, cfg, eval_bundle=None):
     return trained, report, curve
 
 
-def cmd_redense(args, seed):
+def cmd_redense(args):
     cfg = _head_config(args)
     bundle = datamod.load_feature_bundle(args.bundle)
     n = bundle.features.shape[1]
@@ -308,7 +291,7 @@ def cmd_redense(args, seed):
                                       f"exported from: its {model.output_weight.shape} output "
                                       "weight differs from the bundle's")
 
-    trained, report, curve = _train_head(bundle, m, seed, cfg, eval_bundle)
+    trained, report, curve = _train_head(bundle, m, args.seed, cfg, eval_bundle)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -356,7 +339,7 @@ def cmd_redense(args, seed):
                      "manifest": out_dir / "redense_manifest.json"}
 
 
-def cmd_sweep_m(args, seed):
+def cmd_sweep_m(args):
     cfg = _head_config(args)
     if args.seeds < 1:
         raise CliError(EXIT_FLAGS, f"--seeds must be >= 1, got {args.seeds}")
@@ -372,7 +355,7 @@ def cmd_sweep_m(args, seed):
     rows, conds, resamples = [], [], []
     for m in args.m_values:
         for s in range(args.seeds):
-            run_seed = seed + s
+            run_seed = args.seed + s
             trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
             rows.append((m, run_seed, report.epsilon, report.final_loss,
                          curve[report.best_epoch].eval_accuracy))
@@ -393,12 +376,9 @@ def cmd_sweep_m(args, seed):
     return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
 
 
-def cmd_eval(args, seed):
-    dataset = _load_primary_dataset(args, seed)
+def cmd_eval(args):
+    dataset = _load_primary_dataset(args)
     model, loss, redense_layer = persist.load_model(args.model)
-    if dataset.inputs.shape[1] != model.input_width:
-        raise CliError(EXIT_DATA, f"data width {dataset.inputs.shape[1]} does not match "
-                                  f"model input width {model.input_width}")
     logits, features = nn.forward(model, dataset.inputs)
     base_loss = nn.loss_value(loss, logits, dataset.targets)
     base_acc = nn.accuracy(logits, dataset.targets)
@@ -422,14 +402,14 @@ def build_parser():
     _add_split_flags(p)
     p.add_argument("--hidden", type=_positive_ints, default="16",
                    help="comma-separated hidden widths ('' for none)")
-    p.add_argument("--activation", default="relu", choices=("relu", "leaky_relu", "identity"))
-    p.add_argument("--leaky-slope", type=float, default=0.01)
+    p.add_argument("--activation", default="relu", choices=nn.ACTIVATION_KINDS)
+    p.add_argument("--leaky-slope", type=float, default=nn.Activation.slope)
     p.add_argument("--loss", default="ce", help="ce | mse | poisson | huber")
-    p.add_argument("--huber-delta", type=float, default=1.0)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--epochs", type=int, default=50)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--huber-delta", type=float, default=nn.Loss.delta)
+    p.add_argument("--lr", type=float, default=nn.TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=nn.TrainConfig.epochs)
+    p.add_argument("--batch-size", type=int, default=nn.TrainConfig.batch_size)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
 
@@ -440,7 +420,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--no-split", action="store_true",
                    help="use the whole primary dataset instead of its train partition")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("redense", help="retrain a lifted head on a feature bundle")
@@ -448,9 +428,9 @@ def build_parser():
     p.add_argument("--model", help="model file to attach the trained layer to")
     p.add_argument("--eval-bundle", help="bundle with held-out features for curve columns")
     p.add_argument("--m", type=int, default=None, help="projection width (default: n)")
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_redense)
 
@@ -460,9 +440,9 @@ def build_parser():
     p.add_argument("--m-values", type=_positive_ints, required=True,
                    help="comma-separated widths")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--lr", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep_m)
 
@@ -470,13 +450,13 @@ def build_parser():
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
     return parser
 
 
 def main(argv=None):
-    """Run one subcommand: resolve the seed, call it, write its manifest, print.
+    """Run one subcommand: call it, write its manifest, print.
 
     Each ``cmd_*`` returns ``(results, outputs)``; ``outputs`` maps names to
     the paths it wrote and includes the manifest path. The manifest records
@@ -489,23 +469,16 @@ def main(argv=None):
         return exc.code if exc.code is not None else EXIT_FLAGS
     try:
         started = _now()
-        seed = _resolve_seed(args)
-        results, outputs = args.func(args, seed)
-        _write_manifest(args, seed, started, outputs, results)
+        results, outputs = args.func(args)
+        _write_manifest(args, started, outputs, results)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except ConstraintError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FLAGS
-    except (DataFormatError, ShapeError, NonFiniteError, DecompositionError,
-            FileNotFoundError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
+    except (DecompositionError, OSError, ValueError) as exc:
+        # ValueError covers DataFormatError, ShapeError, NonFiniteError and ConstraintError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     for key, value in [*results.items(), *outputs.items()]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -84,11 +85,13 @@ def _atomic_open(path, mode="wb"):
 
 
 def _read_exact(f, nbytes, path, what):
-    data = f.read(nbytes)
-    if len(data) != nbytes:
-        raise DataFormatError(f"truncated while reading {what}", path=path,
-                              offset=f.tell() - len(data))
-    return data
+    """nbytes from f; a size the file cannot hold fails before anything is allocated."""
+    offset = f.tell()
+    remaining = os.fstat(f.fileno()).st_size - offset
+    if not 0 <= nbytes <= remaining:
+        raise DataFormatError(f"truncated while reading {what}: it needs {nbytes} bytes, "
+                              f"{remaining} remain", path=path, offset=offset)
+    return f.read(nbytes)
 
 
 def _read_u32_be(f, path, what):
@@ -145,7 +148,7 @@ def _write_le_matrix(f, a: Matrix):
 
 def _read_le_block(f, shape, path, what) -> np.ndarray:
     """Read a row-major little-endian float64 block of the given shape, all finite."""
-    raw = _read_exact(f, int(np.prod(shape)) * 8, path, what)
+    raw = _read_exact(f, math.prod(shape) * 8, path, what)
     a = np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
     if not np.isfinite(a).all():
         raise DataFormatError(f"{what} contains NaN or Inf", path=path)
@@ -154,9 +157,6 @@ def _read_le_block(f, shape, path, what) -> np.ndarray:
 
 def _read_le_matrix(f, path, what) -> Matrix:
     rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, f"{what} shape"))
-    if rows * cols > 1 << 40:
-        raise DataFormatError(f"implausible {what} shape {rows}x{cols}", path=path,
-                              offset=f.tell() - 16)
     return _read_le_block(f, (rows, cols), path, f"{what} payload")
 
 
@@ -206,25 +206,19 @@ def load_feature_bundle(path) -> FeatureBundle:
 @dataclass(frozen=True)
 class SplitSpec:
     train_fraction: float = 0.8
-    validation_fraction: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
-        for name, frac in (("train_fraction", self.train_fraction),
-                           ("validation_fraction", self.validation_fraction)):
-            if not 0.0 < frac < 1.0:
-                raise ValueError(f"{name} must be in (0, 1), got {frac}")
-        if self.train_fraction + self.validation_fraction > 1.0:
-            raise ValueError("fractions sum to more than 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
 
 def split(data: Dataset, spec: SplitSpec):
-    """Disjoint, exhaustive (train, validation, test) shuffle split."""
+    """Disjoint, exhaustive (train, test) shuffle split; test is every row after train's."""
     j = len(data)
     perm = np.random.default_rng(spec.seed).permutation(j)
     n_train = int(j * spec.train_fraction)
-    n_val = int(j * spec.validation_fraction)
-    parts = (perm[:n_train], perm[n_train:n_train + n_val], perm[n_train + n_val:])
+    parts = (perm[:n_train], perm[n_train:])
     if any(len(p) == 0 for p in parts):
         raise ValueError(f"split of {j} samples with {spec} leaves an empty partition")
     return tuple(Dataset(data.inputs[p], data.targets[p]) for p in parts)

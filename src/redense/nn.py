@@ -66,7 +66,7 @@ class Loss:
             raise ValueError("huber delta must be > 0")
 
 
-def make_loss(name: str, delta: float = 1.0) -> Loss:
+def make_loss(name: str, delta: float = Loss.delta) -> Loss:
     """Resolve a loss by name; accepts the short aliases ce and mse."""
     kind = _LOSS_ALIASES.get(name.lower())
     if kind is None:
@@ -77,7 +77,7 @@ def make_loss(name: str, delta: float = 1.0) -> Loss:
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 1e-3
-    epochs: int = 100
+    epochs: int = 50
     batch_size: int = 32
     seed: int = 0
 
@@ -144,10 +144,6 @@ class MlpModel:
         check_finite(self.output_bias, "output bias")
 
     @property
-    def feature_width(self) -> int:
-        return self.output_weight.shape[1]
-
-    @property
     def input_width(self) -> int:
         return self.layers[0].weight.shape[1] if self.layers else self.output_weight.shape[1]
 
@@ -164,7 +160,8 @@ class EpochStats:
     eval_accuracy: float | None = None
 
 
-def make_mlp(input_dim, hidden_widths, n_outputs, activation="relu", leaky_slope=0.01, seed=0):
+def make_mlp(input_dim, hidden_widths, n_outputs, activation="relu", leaky_slope=Activation.slope,
+             seed=0):
     """Build an MLP with Gaussian 1/sqrt(fan_in) weights and zero biases."""
     if isinstance(activation, str):
         activation = Activation(activation, slope=leaky_slope)
@@ -267,11 +264,6 @@ def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix,
 def loss_value(loss: Loss, logits: Matrix, targets: Matrix) -> float:
     """Total loss summed over samples. Non-CE losses act on softmax outputs."""
     return loss_value_and_grad(loss, logits, targets, need_grad=False)[0]
-
-
-def loss_grad(loss: Loss, logits: Matrix, targets: Matrix) -> Matrix:
-    """Gradient of the summed loss with respect to the logits."""
-    return loss_value_and_grad(loss, logits, targets, need_value=False)[1]
 
 
 def accuracy(logits: Matrix, targets: Matrix) -> float:
@@ -428,7 +420,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
             idx = perm[start:start + batch]
             logits, pre, acts = _forward_cached(shadow, inputs[idx])
             try:
-                dlogits = loss_grad(loss, logits, data.targets[idx])
+                dlogits = loss_value_and_grad(loss, logits, data.targets[idx],
+                                              need_value=False)[1]
             except NonFiniteError:
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None

@@ -15,7 +15,7 @@ import struct
 import numpy as np
 
 from .data import _atomic_open, _read_exact, _read_le_block
-from .errors import DataFormatError
+from .errors import ConstraintError, DataFormatError
 from .layer import RedenseLayer
 from .nn import Activation, Layer, Loss, MlpModel
 
@@ -121,9 +121,12 @@ def load_model(path):
                                       f"feature width {fan_in}", path=path)
             r = _read_le_block(f, (m, n), path, "projection matrix")
             delta = _read_le_block(f, (n_outputs, 2 * m), path, "head correction")
-            redense_layer = RedenseLayer(R=r, epsilon=float(redense_spec["epsilon"]),
-                                         base=output_weight, delta=delta,
-                                         seed=int(redense_spec["seed"]))
+            try:
+                redense_layer = RedenseLayer(R=r, epsilon=float(redense_spec["epsilon"]),
+                                             base=output_weight, delta=delta,
+                                             seed=int(redense_spec["seed"]))
+            except ConstraintError as exc:
+                raise DataFormatError(f"invalid lifting block: {exc}", path=path) from None
         trailing = f.read(1)
         if trailing:
             raise DataFormatError("trailing bytes after parameter blocks", path=path,

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,16 @@ def read_curve(path):
         assert f.readline().strip() == CURVE_HEADER
         return [(int(e), float(tr), float(te), float(acc))
                 for e, tr, te, acc in (line.strip().split(",") for line in f)]
+
+
+def rewrite_model_header(path, edit):
+    """Pass a model file's JSON header through edit(header) in place, keeping its blocks."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + length])
+    edit(header)
+    new = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length:])
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
 from redense.layer import TRAIN_LOSS, HeadConfig, RedenseLayer, build, predict, train
 from redense.linalg import frobenius_norm
 from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
-                        loss_grad, loss_value, make_mlp, train_base)
+                        loss_value, loss_value_and_grad, make_mlp, train_base)
 from redense.persist import load_model, save_model, write_curve
 
 
@@ -90,7 +90,7 @@ def _full_pipeline(dataset_kind, classes, loss, seed):
     cfg = TrainConfig(learning_rate=5e-3, epochs=30, batch_size=32, seed=seed)
     model, _ = train_base(model, data, loss, cfg)
     feats = forward(model, data.inputs)[1]
-    layer = build(model.output_weight, model.feature_width, seed=seed)
+    layer = build(model.output_weight, model.output_weight.shape[1], seed=seed)
     head_cfg = HeadConfig(learning_rate=5e-3, epochs=40)
     _, report, curve = train(layer, feats, data.targets, head_cfg)
     # the paper's reference: the base head's own loss, not L(O0)
@@ -140,7 +140,7 @@ def test_criterion_4_gradient_oracles():
         j, q = int(rng.integers(1, 8)), int(rng.integers(2, 6))
         logits = rng.standard_normal((j, q))
         targets = random_one_hot(rng, j, q)
-        analytic = loss_grad(loss, logits, targets)
+        analytic = loss_value_and_grad(loss, logits, targets)[1]
         fd = np.zeros_like(logits)
         for r in range(j):
             for c in range(q):
@@ -159,7 +159,8 @@ def test_criterion_4_gradient_oracles():
         targets = random_one_hot(rng, j, q)
         lifted = lfp_lift(layer, feats)
         o = layer.O0
-        analytic = (loss_grad(TRAIN_LOSS, lifted @ o.T, targets).T @ lifted).ravel()
+        g = loss_value_and_grad(TRAIN_LOSS, lifted @ o.T, targets)[1]
+        analytic = (g.T @ lifted).ravel()
         flat = o.ravel()
         fd = np.zeros_like(flat)
         for i in range(flat.size):
@@ -208,7 +209,7 @@ def test_criterion_5_desk_scale_digits(tmp_path):
     base_test_acc = accuracy(test_logits, test_ds.targets)
 
     feats = forward(model, train_ds.inputs)[1]
-    n = model.feature_width
+    n = model.output_weight.shape[1]
     deltas = []
     strict_decrease = True
     for seed in range(5):
@@ -281,7 +282,7 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
             layer = None
             if case % 2:
                 layer = build(model.output_weight,
-                              model.feature_width + int(rng.integers(0, 4)),
+                              model.output_weight.shape[1] + int(rng.integers(0, 4)),
                               seed=int(rng.integers(1 << 31)))
             p1, p2 = tmp_path / f"m{case}.rdnm", tmp_path / f"m{case}b.rdnm"
             save_model(p1, model, Loss("huber", delta=float(rng.uniform(0.1, 2.0))))

@@ -1,14 +1,19 @@
 import argparse
+import builtins
 import collections
 import dataclasses
 import json
+import re
+import struct
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import read_curve
-from redense import cli
+from conftest import read_curve, rewrite_model_header
+from redense import cli, errors, nn
 from redense import data as datamod
 from redense import layer as layermod
 from redense.cli import main
@@ -69,15 +74,6 @@ def test_train_divergence_exits_4(tmp_path, capsys):
     assert code == 4
 
 
-def test_train_env_seed_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("REDENSE_SEED", "31")
-    code = main(["train", "--synthetic", "blobs", "--samples", "80", "--hidden", "4",
-                 "--epochs", "2", "--out-dir", str(tmp_path)])
-    assert code == 0
-    with open(tmp_path / "train_manifest.json") as f:
-        assert json.load(f)["seed"] == 31
-
-
 def _pipeline_to_bundle(tmp_path, capsys, loss="ce"):
     run_train(tmp_path, capsys, loss=loss)
     bundle_path = tmp_path / "features.rdfb"
@@ -93,13 +89,13 @@ def test_features_bundle_consistent_with_model(tmp_path, capsys):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys, loss="mse")
     bundle = load_feature_bundle(bundle_path)
     model, loss, _ = load_model(tmp_path / "model.rdnm")
-    assert bundle.features.shape[1] == model.feature_width
+    assert bundle.features.shape[1] == model.output_weight.shape[1]
     assert bundle.targets.shape[1] == model.n_outputs
     assert np.array_equal(bundle.output_weight, model.output_weight)
     assert bundle.metadata["base_loss"] == "mean_square_error"
     # regenerate the exact training rows the command used and re-evaluate
     from redense.data import SplitSpec, gen_synthetic, split
-    train, _val, _test = split(gen_synthetic("blobs", 200, 3, 0.4, 7), SplitSpec(0.8, 0.1, 7))
+    train, _test = split(gen_synthetic("blobs", 200, 3, 0.4, 7), SplitSpec(0.8, 7))
     logits, features = forward(model, train.inputs)
     assert np.array_equal(bundle.features, features)
     assert float(bundle.metadata["base_train_loss"]) == loss_value(loss, logits, train.targets)
@@ -118,7 +114,7 @@ def test_redense_on_bundle_guarantee_and_artifacts(tmp_path, capsys):
     assert (pairs["stop_reason"], pairs["stopped_at"]) == ("completed", "40")
     model, _, layer = load_model(out / "model_with_redense.rdnm")
     assert layer is not None
-    assert layer.m == model.feature_width
+    assert layer.m == model.output_weight.shape[1]
     curve = read_curve(out / "redense_curve.csv")
     assert len(curve) == 41
     with open(out / "redense_manifest.json") as f:
@@ -337,7 +333,7 @@ def test_eval_rejects_test_source_and_split_flags(tmp_path, capsys):
     # eval scores the whole primary dataset: a test source would be ignored
     run_train(tmp_path, capsys)
     for flag, value in (("--test-csv", "t.csv"), ("--test-images", "ti"), ("--test-labels", "tl"),
-                        ("--train-fraction", "0.3"), ("--val-fraction", "0.6")):
+                        ("--train-fraction", "0.3")):
         out = tmp_path / "eval"
         code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
                      "--samples", "120", "--classes", "3", "--seed", "1", flag, value,
@@ -514,14 +510,14 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
         ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
          "--out-dir", tmp_path / "idx"],
         ["train", "--csv", csv, "--test-csv", csv, *train, "--out-dir", tmp_path / "csv"],
-        ["train", *syn, "--train-fraction", "0.6", "--val-fraction", "0.2", *train,
+        ["train", *syn, "--train-fraction", "0.6", *train,
          "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
          "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
          "--out-dir", tmp_path / "syn"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
          "--out", tmp_path / "idx.rdfb"],
         ["features", "--model", tmp_path / "csv" / "model.rdnm", "--csv", csv,
-         "--train-fraction", "0.5", "--val-fraction", "0.2", "--out", tmp_path / "csv.rdfb"],
+         "--train-fraction", "0.5", "--out", tmp_path / "csv.rdfb"],
         ["features", "--model", tmp_path / "syn" / "model.rdnm", *syn, "--test-csv", csv,
          "--seed", "2", "--out", tmp_path / "syn.rdfb"],
         ["redense", "--bundle", tmp_path / "syn.rdfb", "--model",
@@ -852,3 +848,151 @@ def test_module_entry_point(tmp_path):
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "final_train_loss=" in result.stdout
+
+
+def _one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+_HUGE_MODEL_HEADER = {"input_width": 1 << 20, "n_outputs": 2, "redense": None,
+                      "layers": [{"width": 1 << 20, "activation": "relu", "slope": 0.01}],
+                      "loss": {"kind": "softmax_cross_entropy", "delta": 1.0}}
+
+
+@pytest.mark.parametrize("kind", ["idx", "bundle", "model"])
+def test_a_header_claiming_more_than_its_file_exits_3_before_allocating(tmp_path, capsys,
+                                                                        kind):
+    # each header claims terabytes; the files hold a few bytes of payload
+    big = tmp_path / "big"
+    if kind == "idx":
+        big.write_bytes(struct.pack(">IIII", datamod.IDX_IMAGES_MAGIC, 1 << 20, 4096, 4096)
+                        + bytes(64))
+        argv = ["train", "--images", big, "--labels", big, "--out-dir", tmp_path / "out"]
+    elif kind == "bundle":
+        big.write_bytes(datamod.BUNDLE_MAGIC + struct.pack("<IQQ", 1, 1 << 30, 64) + bytes(64))
+        argv = ["redense", "--bundle", big, "--out-dir", tmp_path / "out"]
+    else:
+        header = json.dumps(_HUGE_MODEL_HEADER).encode("utf-8")
+        big.write_bytes(b"RDNM" + struct.pack("<II", 2, len(header)) + header + bytes(64))
+        argv = ["eval", "--model", big, "--synthetic", "blobs", "--out-dir", tmp_path / "out"]
+    tracemalloc.start()
+    try:
+        code = main([str(a) for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert "truncated" in _one_error_line(capsys)
+    assert peak < 1 << 20
+    assert not (tmp_path / "out").exists()
+
+
+def _lifted_model(tmp_path):
+    """A model on 2-D inputs with 3 outputs and a lifting layer at m = 6 > n = 5."""
+    model = nn.make_mlp(2, [5], 3, seed=1)
+    path = tmp_path / "lifted.rdnm"
+    save_model(path, model, Loss("softmax_cross_entropy"),
+               redense_layer=layermod.build(model.output_weight, 6, seed=2))
+    return path
+
+
+@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", float("nan")),
+                                        ("m", 4)])
+def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
+    path = _lifted_model(tmp_path)
+    data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
+    assert main(["eval", "--model", str(path), *data, "--out-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    rewrite_model_header(path, lambda header: header["redense"].update({key: value}))
+    out = tmp_path / "out"
+    assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
+    assert "lifted.rdnm: invalid lifting block" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_redense_exits_3_on_a_bundle_whose_output_weight_is_zero(tmp_path, capsys):
+    rng = np.random.default_rng(5)
+    bundle = datamod.FeatureBundle(rng.standard_normal((20, 3)), np.eye(2)[np.arange(20) % 2],
+                                   np.zeros((2, 3)), {})
+    save_feature_bundle(tmp_path / "zero.rdfb", bundle)
+    out = tmp_path / "out"
+    assert main(["redense", "--bundle", str(tmp_path / "zero.rdfb"), "--epochs", "1",
+                 "--out-dir", str(out)]) == 3
+    assert "output weight is zero" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_exit_codes():
+    """(exception name, exit code) for every exception README's exit-code table names."""
+    text = README.read_text()
+    table = text[text.index("| exit | meaning | raised as |"):].split("\n\n")[0]
+    return [(name, int(code)) for code, _, raised in
+            (row.strip("|").split(" | ") for row in table.splitlines()[2:])
+            for name in re.findall(r"`(\w+)`", raised) if name.endswith("Error")]
+
+
+def _exception(name):
+    return getattr(errors, name, None) or getattr(builtins, name)
+
+
+@pytest.mark.parametrize("name, code", _readme_exit_codes())
+def test_each_exception_exits_with_the_code_readme_documents(tmp_path, capsys, monkeypatch,
+                                                             name, code):
+    rng = np.random.default_rng(6)
+    bundle = datamod.FeatureBundle(rng.standard_normal((10, 3)), np.eye(2)[np.arange(10) % 2],
+                                   rng.standard_normal((2, 3)), {})
+    save_feature_bundle(tmp_path / "b.rdfb", bundle)
+    exc_type = _exception(name)
+
+    def raising_build(*args, **kwargs):
+        raise exc_type(*(("raised by build", 1) if exc_type is errors.TrainingDivergedError
+                         else ("raised by build",)))
+
+    monkeypatch.setattr(layermod, "build", raising_build)
+    out = tmp_path / "out"
+    assert main(["redense", "--bundle", str(tmp_path / "b.rdfb"), "--out-dir", str(out)]) == code
+    assert "raised by build" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_readme_exit_table_names_every_error_type():
+    documented = {name for name, _ in _readme_exit_codes()}
+    defined = {name for name, value in vars(errors).items()
+               if isinstance(value, type) and issubclass(value, Exception)}
+    assert defined <= documented
+
+
+def test_readme_names_exactly_the_flags_the_subcommands_define():
+    # pip's own flags in the install block are not the tool's
+    text = "\n".join(line for line in README.read_text().splitlines()
+                     if not line.startswith("pip "))
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", text))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    defined = {flag for p in subparsers.choices.values() for a in p._actions
+               for flag in a.option_strings if a.dest != "help"}
+    assert (sorted(named - defined), sorted(defined - named)) == ([], [])
+
+
+def test_flag_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    train = parser.parse_args(["train"])
+    assert ((train.lr, train.epochs, train.batch_size, train.seed)
+            == dataclasses.astuple(nn.TrainConfig()))
+    assert (train.leaky_slope, train.huber_delta) == (nn.Activation.slope, nn.Loss.delta)
+    assert train.train_fraction == datamod.SplitSpec().train_fraction
+    with pytest.raises(SystemExit):
+        parser.parse_args(["train", "--activation", "tanh"])
+    for kind in nn.ACTIVATION_KINDS:
+        assert parser.parse_args(["train", "--activation", kind]).activation == kind
+    for argv in (["redense", "--bundle", "b"], ["sweep-m", "--bundle", "b", "--m-values", "8"]):
+        args = parser.parse_args(argv)
+        assert (args.lr, args.epochs, args.seed) == (*dataclasses.astuple(layermod.HeadConfig()), 0)
+    for argv in (["features", "--model", "m", "--out", "o"], ["eval", "--model", "m"]):
+        assert parser.parse_args(argv).seed == 0

@@ -182,15 +182,24 @@ def test_synthetic_validations():
         gen_synthetic("rings", samples=30, classes=2)
 
 
-def test_split_sizes_80_10_10():
+def test_split_sizes_80_20():
     ds = gen_synthetic("blobs", samples=100, classes=2, noise=0.1, seed=0)
-    train, val, test = split(ds, SplitSpec(0.8, 0.1, seed=0))
-    assert (len(train), len(val), len(test)) == (80, 10, 10)
+    train, test = split(ds, SplitSpec(0.8, seed=0))
+    assert (len(train), len(test)) == (80, 20)
+
+
+def test_split_train_rows_do_not_depend_on_the_fraction_beyond_them():
+    # the test set is every row after the training rows of the same permutation
+    ds = gen_synthetic("blobs", samples=50, classes=2, noise=0.1, seed=1)
+    train, test = split(ds, SplitSpec(0.6, seed=4))
+    wider, rest = split(ds, SplitSpec(0.8, seed=4))
+    assert np.array_equal(wider.inputs[:len(train)], train.inputs)
+    assert np.array_equal(np.vstack([wider.inputs[len(train):], rest.inputs]), test.inputs)
 
 
 def test_split_exhaustive_and_disjoint():
     ds = gen_synthetic("blobs", samples=57, classes=3, noise=0.2, seed=2)
-    parts = split(ds, SplitSpec(0.6, 0.2, seed=5))
+    parts = split(ds, SplitSpec(0.6, seed=5))
     rows = np.vstack([p.inputs for p in parts])
     assert rows.shape[0] == 57
     # every original row appears exactly once
@@ -202,8 +211,8 @@ def test_split_exhaustive_and_disjoint():
 
 def test_split_deterministic():
     ds = gen_synthetic("blobs", samples=50, classes=2, noise=0.1, seed=3)
-    a = split(ds, SplitSpec(0.7, 0.15, seed=8))
-    b = split(ds, SplitSpec(0.7, 0.15, seed=8))
+    a = split(ds, SplitSpec(0.7, seed=8))
+    b = split(ds, SplitSpec(0.7, seed=8))
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.inputs, pb.inputs)
 
@@ -211,14 +220,13 @@ def test_split_deterministic():
 def test_split_empty_partition_rejected():
     ds = gen_synthetic("blobs", samples=5, classes=2, noise=0.1, seed=0)
     with pytest.raises(ValueError, match="empty"):
-        split(ds, SplitSpec(0.9, 0.05, seed=0))
+        split(ds, SplitSpec(0.1, seed=0))
 
 
 def test_split_spec_validations():
-    with pytest.raises(ValueError):
-        SplitSpec(0.0, 0.5)
-    with pytest.raises(ValueError):
-        SplitSpec(0.7, 0.4)
+    for fraction in (0.0, 1.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="train_fraction"):
+            SplitSpec(fraction)
 
 
 @given(st.integers(10, 60), st.integers(0, 10_000))
@@ -226,7 +234,7 @@ def test_split_spec_validations():
 def test_split_property_exhaustive(samples, seed):
     ds = gen_synthetic("blobs", samples=samples, classes=2, noise=0.05, seed=seed)
     try:
-        parts = split(ds, SplitSpec(0.6, 0.2, seed=seed))
+        parts = split(ds, SplitSpec(0.6, seed=seed))
     except ValueError:
         return  # tiny datasets may leave an empty slice; that rejection is the contract
     assert sum(len(p) for p in parts) == samples

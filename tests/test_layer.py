@@ -13,7 +13,7 @@ from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad,
                            _head_logits, _positive_half, _project, build, predict, train)
 from redense.linalg import frobenius_norm
-from redense.nn import accuracy, loss_grad, loss_value, loss_value_and_grad
+from redense.nn import accuracy, loss_value, loss_value_and_grad
 
 
 def identity_layer(n, q=None):
@@ -359,8 +359,8 @@ def test_redense_objective_gradient_matches_fd(rng):
     def objective(flat):
         return loss_value(TRAIN_LOSS, lifted @ flat.reshape(o.shape).T, targets)
 
-    from redense.nn import loss_grad
-    analytic = (loss_grad(TRAIN_LOSS, lifted @ o.T, targets).T @ lifted).ravel()
+    g = loss_value_and_grad(TRAIN_LOSS, lifted @ o.T, targets)[1]
+    analytic = (g.T @ lifted).ravel()
     flat = o.ravel()
     h = 1e-5
     fd = np.zeros_like(flat)
@@ -393,7 +393,7 @@ def _reference_train(layer, feats, targets, lr, epochs):
             best_loss, best_d = loss, d.copy()
         if t == epochs:
             break
-        g32 = loss_grad(TRAIN_LOSS, logits, targets).astype(np.float32)
+        g32 = loss_value_and_grad(TRAIN_LOSS, logits, targets)[1].astype(np.float32)
         a = g32.T @ h32
         grad = np.hstack([a, a - (g32.T @ y32) @ r32.T]).astype(np.float64)
         m_t = beta1 * m_t + (1.0 - beta1) * grad

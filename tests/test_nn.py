@@ -12,7 +12,7 @@ from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (ACTIVATION_KINDS, Activation, Dataset, Layer, Loss,
                         MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
-                        accuracy, forward, loss_grad, loss_value, loss_value_and_grad, make_loss,
+                        accuracy, forward, loss_value, loss_value_and_grad, make_loss,
                         make_mlp, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
@@ -93,8 +93,8 @@ def test_ce_symmetric_two_class():
 
 
 def test_ce_gradient_softmax_minus_target():
-    grad = loss_grad(Loss("softmax_cross_entropy"), np.array([[0.0, 0.0]]),
-                     np.array([[1.0, 0.0]]))
+    grad = loss_value_and_grad(Loss("softmax_cross_entropy"), np.array([[0.0, 0.0]]),
+                               np.array([[1.0, 0.0]]))[1]
     assert np.allclose(grad, [[-0.5, 0.5]], atol=1e-15)
 
 
@@ -122,7 +122,7 @@ def test_poisson_hand_value():
 def test_mse_zero_grad_at_perfect_prediction():
     logits = np.array([[0.3, -0.7, 1.1]])
     targets = _reference_softmax(logits)
-    grad = loss_grad(Loss("mean_square_error"), logits, targets)
+    grad = loss_value_and_grad(Loss("mean_square_error"), logits, targets)[1]
     assert np.abs(grad).max() < 1e-15
 
 
@@ -132,7 +132,7 @@ def test_loss_grad_matches_finite_differences(loss, rng):
         j, q = int(rng.integers(1, 9)), int(rng.integers(2, 6))
         logits = rng.standard_normal((j, q))
         targets = random_one_hot(rng, j, q)
-        analytic = loss_grad(loss, logits, targets)
+        analytic = loss_value_and_grad(loss, logits, targets)[1]
         fd = fd_gradient(loss, logits, targets)
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12)
         assert err < 1e-4
@@ -341,7 +341,6 @@ def test_fused_loss_matches_separate_passes_bitwise(case, loss):
     assert value == _reference_loss_value(loss, logits, targets)
     assert np.array_equal(grad, _reference_loss_grad(loss, logits, targets))
     assert loss_value(loss, logits, targets) == value
-    assert np.array_equal(loss_grad(loss, logits, targets), grad)
     assert loss_value_and_grad(loss, logits, targets, need_grad=False) == (value, None)
     only_grad = loss_value_and_grad(loss, logits, targets, need_value=False)
     assert only_grad[0] is None and np.array_equal(only_grad[1], grad)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_one_hot, read_curve
+from conftest import random_one_hot, read_curve, rewrite_model_header
 from redense.errors import DataFormatError
 from redense.layer import HeadConfig, build, predict, train
 from redense.nn import EpochStats, Loss, forward, make_mlp
@@ -141,6 +141,19 @@ def test_unparseable_header(tmp_path):
     raw[12] = ord("?")
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="header"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", -1.0),
+                                        ("epsilon", float("nan")), ("m", 5)])
+def test_rejects_an_invalid_lifting_block(tmp_path, key, value):
+    # the blocks stay those of m = 9; m = 5 < n = 6 is refused before its size matters
+    model = make_mlp(4, [6], 3, seed=2)
+    path = tmp_path / "lifted.rdnm"
+    save_model(path, model, Loss("softmax_cross_entropy"),
+               redense_layer=build(model.output_weight, 9, seed=7))
+    rewrite_model_header(path, lambda header: header["redense"].update({key: value}))
+    with pytest.raises(DataFormatError, match="lifted.rdnm: invalid lifting block"):
         load_model(path)
 
 
