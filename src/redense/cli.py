@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import sys
 from datetime import datetime, timezone
@@ -98,8 +99,9 @@ def _add_data_flags(parser):
     parser.add_argument("--csv", help="CSV dataset (last column = class label)")
     parser.add_argument("--synthetic", choices=("blobs", "moons"))
     parser.add_argument("--samples", type=int, default=300)
-    parser.add_argument("--classes", type=int, default=2)
-    parser.add_argument("--noise", type=float, default=0.15)
+    synthetic = inspect.signature(datamod.gen_synthetic).parameters
+    parser.add_argument("--classes", type=int, default=synthetic["classes"].default)
+    parser.add_argument("--noise", type=float, default=synthetic["noise"].default)
 
 
 def _add_split_flags(parser):

@@ -92,39 +92,41 @@ def load_model(path):
             raise DataFormatError(f"unparseable header: {exc}", path=path, offset=12) from None
         try:
             fan_in = int(header["input_width"])
-            layer_specs = header["layers"]
+            layer_specs = [(int(s["width"]), Activation(s["activation"], slope=float(s["slope"])))
+                           for s in header["layers"]]
             n_outputs = int(header["n_outputs"])
             loss = Loss(header["loss"]["kind"], delta=float(header["loss"]["delta"]))
-            redense_spec = header["redense"]
-        except (KeyError, TypeError, ValueError) as exc:
+            spec = header["redense"]
+            lift = None if spec is None else (int(spec["n"]), int(spec["m"]),
+                                              float(spec["epsilon"]), int(spec["seed"]))
+        except KeyError as exc:
+            raise DataFormatError(f"header is missing key {exc}", path=path, offset=12) from None
+        except (TypeError, ValueError) as exc:
             raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
-        if fan_in < 1 or n_outputs < 1 or any(int(s["width"]) < 1 for s in layer_specs):
+        if fan_in < 1 or n_outputs < 1 or any(width < 1 for width, _ in layer_specs):
             raise DataFormatError("non-positive width in header", path=path, offset=12)
 
         layers = []
-        for spec in layer_specs:
-            width = int(spec["width"])
+        for width, activation in layer_specs:
             weight = _read_le_block(f, (width, fan_in), path, "layer weight")
             bias = _read_le_block(f, (width,), path, "layer bias")
-            layers.append(Layer(weight, bias, Activation(spec["activation"],
-                                                         slope=float(spec["slope"]))))
+            layers.append(Layer(weight, bias, activation))
             fan_in = width
         output_weight = _read_le_block(f, (n_outputs, fan_in), path, "output weight")
         output_bias = _read_le_block(f, (n_outputs,), path, "output bias")
         model = MlpModel(layers, output_weight, output_bias)
 
         redense_layer = None
-        if redense_spec is not None:
-            n, m = int(redense_spec["n"]), int(redense_spec["m"])
+        if lift is not None:
+            n, m, epsilon, seed = lift
             if n != fan_in:
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)
             r = _read_le_block(f, (m, n), path, "projection matrix")
             delta = _read_le_block(f, (n_outputs, 2 * m), path, "head correction")
             try:
-                redense_layer = RedenseLayer(R=r, epsilon=float(redense_spec["epsilon"]),
-                                             base=output_weight, delta=delta,
-                                             seed=int(redense_spec["seed"]))
+                redense_layer = RedenseLayer(R=r, epsilon=epsilon, base=output_weight,
+                                             delta=delta, seed=seed)
             except ConstraintError as exc:
                 raise DataFormatError(f"invalid lifting block: {exc}", path=path) from None
         trailing = f.read(1)

@@ -60,6 +60,31 @@ def lfp_reconstruct(lifted, m):
     return lifted[:, :m] - lifted[:, m:]
 
 
+def per_image_digit_images(samples, seed=0, side=28, classes=10, noise=0.6, max_shift=3):
+    """gen_digit_images written as one np.roll, clip and round per image over a jitter
+    array drawn whole: the reference its chunked gather is tested against bitwise."""
+    rng = np.random.default_rng(seed)
+    protos = []
+    for _ in range(classes):
+        field = rng.random((side, side))
+        for _ in range(2):
+            field = sum(np.roll(np.roll(field, dr, 0), dc, 1)
+                        for dr in (-1, 0, 1) for dc in (-1, 0, 1)) / 9.0
+        protos.append(field)
+    protos = np.stack(protos)
+    protos = (protos - protos.min(axis=(1, 2), keepdims=True))
+    protos /= protos.max(axis=(1, 2), keepdims=True)
+    labels = (np.arange(samples) % classes).astype(np.uint8)
+    images = np.empty((samples, side, side), dtype=np.uint8)
+    shifts = rng.integers(-max_shift, max_shift + 1, size=(samples, 2))
+    jitter = rng.standard_normal((samples, side, side))
+    for j in range(samples):
+        img = np.roll(protos[labels[j]], tuple(shifts[j]), axis=(0, 1))
+        img = np.clip(img + noise * jitter[j], 0.0, 1.0)
+        images[j] = np.round(img * 255.0).astype(np.uint8)
+    return images, labels
+
+
 def read_curve(path):
     """Rows of a curve file as (epoch, train_loss, test_loss, test_accuracy)."""
     with open(path) as f:

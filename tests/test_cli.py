@@ -2,6 +2,7 @@ import argparse
 import builtins
 import collections
 import dataclasses
+import inspect
 import json
 import re
 import struct
@@ -913,6 +914,33 @@ def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+_HEADER_FIELDS = [("layers", "width"), ("layers", "activation"), ("layers", "slope"),
+                  ("redense", "n"), ("redense", "m"), ("redense", "epsilon"), ("redense", "seed")]
+
+
+@pytest.mark.parametrize("block, key", _HEADER_FIELDS)
+@pytest.mark.parametrize("value, message", [(None, "header is missing key"),
+                                            ([1], "invalid header")])
+def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, block, key,
+                                                             value, message):
+    path = _lifted_model(tmp_path)
+
+    def edit(header):
+        fields = header["layers"][0] if block == "layers" else header["redense"]
+        if value is None:
+            del fields[key]
+        else:
+            fields[key] = value
+
+    rewrite_model_header(path, edit)
+    out = tmp_path / "out"
+    data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
+    assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
+    error = _one_error_line(capsys)
+    assert "lifted.rdnm: " + message in error and "Traceback" not in error
+    assert not out.exists()
+
+
 def test_redense_exits_3_on_a_bundle_whose_output_weight_is_zero(tmp_path, capsys):
     rng = np.random.default_rng(5)
     bundle = datamod.FeatureBundle(rng.standard_normal((20, 3)), np.eye(2)[np.arange(20) % 2],
@@ -996,3 +1024,8 @@ def test_flag_defaults_are_the_library_defaults():
         assert (args.lr, args.epochs, args.seed) == (*dataclasses.astuple(layermod.HeadConfig()), 0)
     for argv in (["features", "--model", "m", "--out", "o"], ["eval", "--model", "m"]):
         assert parser.parse_args(argv).seed == 0
+    synthetic = inspect.signature(datamod.gen_synthetic).parameters
+    for argv in (["train"], ["features", "--model", "m", "--out", "o"], ["eval", "--model", "m"]):
+        args = parser.parse_args(argv)
+        assert ((args.classes, args.noise)
+                == (synthetic["classes"].default, synthetic["noise"].default) == (2, 0.15))

@@ -1,11 +1,13 @@
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_one_hot
+from conftest import per_image_digit_images, random_one_hot
 from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
@@ -262,6 +264,45 @@ def test_load_csv_rejects_ragged_and_bad_values(tmp_path):
     path.write_text("a,b,label\ninf,2.0,1\n")
     with pytest.raises(NonFiniteError):
         load_csv(path)
+
+
+def _assert_same_digits(kwargs):
+    images, labels = gen_digit_images(**kwargs)
+    want_images, want_labels = per_image_digit_images(**kwargs)
+    assert images.dtype == want_images.dtype and images.shape == want_images.shape
+    assert labels.dtype == want_labels.dtype
+    assert images.tobytes() == want_images.tobytes() and labels.tobytes() == want_labels.tobytes()
+
+
+@pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 2051])
+@pytest.mark.parametrize("seed", [0, 7, 2024])
+def test_gen_digit_images_matches_the_per_image_loop_across_chunk_edges(samples, seed):
+    _assert_same_digits(dict(samples=samples, seed=seed))
+
+
+@pytest.mark.parametrize("side, classes, noise, max_shift",
+                         itertools.product((14, 28), (2, 10), (0.0, 0.6), (0, 3, None)))
+def test_gen_digit_images_matches_the_per_image_loop_across_arguments(side, classes, noise,
+                                                                      max_shift):
+    # None stands for a shift longer than the image, which wraps more than once
+    max_shift = 2 * side + 1 if max_shift is None else max_shift
+    _assert_same_digits(dict(samples=1030, seed=side + classes + max_shift, side=side,
+                             classes=classes, noise=noise, max_shift=max_shift))
+
+
+def test_gen_digit_images_memory_beyond_its_output_does_not_grow_with_samples():
+    # a J x side x side float64 jitter array drawn whole grows this by about 6.3 KiB per image
+    def extra(samples):
+        tracemalloc.start()
+        try:
+            images, labels = gen_digit_images(samples, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - images.nbytes - labels.nbytes
+
+    growth = (extra(16_384) - extra(4_096)) / (16_384 - 4_096)
+    assert growth < 1024
 
 
 def test_gen_digit_images_deterministic_and_shaped():
