@@ -11,7 +11,6 @@ from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
                    save_feature_bundle, split, write_idx)
 from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
                     build, predict, train)
-from .linalg import Matrix, frobenius_norm, sample_gaussian
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
                  accuracy, forward, loss_value, loss_value_and_grad,
                  make_loss, make_mlp, train_base)
@@ -20,12 +19,10 @@ from .persist import load_model, save_model, write_curve
 __version__ = "0.1.0"
 
 __all__ = [
-    "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport",
-    "HeadConfig", "IterateStats", "Loss", "Matrix", "MlpModel", "RedenseLayer",
-    "SplitSpec", "TrainConfig", "accuracy", "build", "forward",
-    "frobenius_norm", "gen_digit_images", "gen_synthetic", "load_csv",
-    "load_feature_bundle", "load_idx", "load_model", "loss_value",
-    "loss_value_and_grad", "make_loss", "make_mlp", "predict", "sample_gaussian",
-    "save_feature_bundle", "save_model", "split", "train", "train_base",
-    "write_curve", "write_idx",
+    "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport", "HeadConfig",
+    "IterateStats", "Loss", "MlpModel", "RedenseLayer", "SplitSpec", "TrainConfig",
+    "accuracy", "build", "forward", "gen_digit_images", "gen_synthetic", "load_csv",
+    "load_feature_bundle", "load_idx", "load_model", "loss_value", "loss_value_and_grad",
+    "make_loss", "make_mlp", "predict", "save_feature_bundle", "save_model", "split",
+    "train", "train_base", "write_curve", "write_idx",
 ]

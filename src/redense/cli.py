@@ -4,12 +4,8 @@ Subcommands cover the whole pipeline: train a base MLP, export a feature
 bundle, retrain a lifted head on a bundle (from this tool or an external
 export), sweep the projection width, and evaluate saved models. Every run
 writes a JSON manifest sufficient to reproduce it and prints its results and
-output paths as key=value lines.
-
-The CLI parses flags and maps exceptions to exit codes; the library owns the
-defaults and the checks. Exit codes: 0 ok, 2 bad flags, 3 data problem (any
-other ValueError or OSError included), 4 training divergence, 5 guarantee
-violation (which indicates a defect, not user error).
+output paths as key=value lines. The CLI parses flags and maps exceptions to
+the exit codes of README's table; the library owns the defaults and the checks.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ import numpy as np
 from . import data as datamod
 from . import layer as layermod
 from . import nn, persist
-from .errors import DecompositionError, TrainingDivergedError
+from .errors import TrainingDivergedError
 
 EXIT_OK = 0
 EXIT_FLAGS = 2
@@ -261,20 +257,22 @@ def _head_config(args):
         raise CliError(EXIT_FLAGS, str(exc)) from None
 
 
-def _train_head(bundle, m, seed, cfg, eval_bundle=None):
-    layer = layermod.build(bundle.output_weight, m, seed)
-    eval_feats = eval_bundle.features if eval_bundle is not None else None
-    eval_targets = eval_bundle.targets if eval_bundle is not None else None
-    trained, report, curve = layermod.train(layer, bundle.features, bundle.targets, cfg,
-                                            eval_features=eval_feats,
-                                            eval_targets=eval_targets)
+def _train_heads(bundle, widths, seeds, cfg, eval_bundle=None):
+    """layer.train_widths on a bundle for redense and sweep-m; a broken guarantee stops it."""
+    held_out = () if eval_bundle is None else (eval_bundle.features, eval_bundle.targets)
+    return map(_checked, layermod.train_widths(bundle.output_weight, widths, seeds,
+                                               bundle.features, bundle.targets, cfg, *held_out))
+
+
+def _checked(run):
+    trained, report, _ = run
     if not report.guarantee_holds:
         raise CliError(EXIT_GUARANTEE,
-                       f"guarantee violated at m={m}, seed={seed} "
+                       f"guarantee violated at m={trained.m}, seed={trained.seed} "
                        f"(final_loss={report.final_loss:.17g}, "
                        f"old_loss={report.old_loss:.17g}): this is a defect in the "
                        "tool, not in the inputs")
-    return trained, report, curve
+    return run
 
 
 def cmd_redense(args):
@@ -293,7 +291,7 @@ def cmd_redense(args):
                                       f"exported from: its {model.output_weight.shape} output "
                                       "weight differs from the bundle's")
 
-    trained, report, curve = _train_head(bundle, m, args.seed, cfg, eval_bundle)
+    trained, report, curve = next(_train_heads(bundle, [m], [args.seed], cfg, eval_bundle))
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -354,28 +352,31 @@ def cmd_sweep_m(args):
         raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
 
-    rows, conds, resamples = [], [], []
-    for m in args.m_values:
-        for s in range(args.seeds):
-            run_seed = args.seed + s
-            trained, report, curve = _train_head(bundle, m, run_seed, cfg, eval_bundle)
-            rows.append((m, run_seed, report.epsilon, report.final_loss,
-                         curve[report.best_epoch].eval_accuracy))
-            conds.append(trained.cond_r)
-            resamples.append(trained.resamples)
+    widths, seeds = args.m_values, range(args.seed, args.seed + args.seeds)
+    # map, not a loop: a loop variable would keep a seed's last layer, and
+    # with it that seed's draw, alive while the next seed's is drawn
+    runs = list(map(_sweep_row, _train_heads(bundle, widths, seeds, cfg, eval_bundle)))
+    # trained seed by seed, tabulated width by width
+    rows = [runs[s * len(widths) + i] for i in range(len(widths)) for s in range(args.seeds)]
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "sweep.csv"
     with datamod._atomic_open(csv_path, "w") as f:
         f.write("m,seed,epsilon,final_train_loss,test_accuracy\n")
-        for m, s, eps, fl, acc in rows:
+        for m, s, eps, fl, acc, _, _ in rows:
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")
     # cond_r and resamples: one entry per row of the table, in its order
     results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds,
-               "eval_source": _eval_source(eval_bundle), "cond_r": conds,
-               "resamples": resamples}
+               "eval_source": _eval_source(eval_bundle), "cond_r": [r[5] for r in rows],
+               "resamples": [r[6] for r in rows]}
     return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
+
+
+def _sweep_row(run):
+    trained, report, curve = run
+    return (trained.m, trained.seed, report.epsilon, report.final_loss,
+            curve[report.best_epoch].eval_accuracy, trained.cond_r, trained.resamples)
 
 
 def cmd_eval(args):
@@ -479,7 +480,7 @@ def main(argv=None):
     except TrainingDivergedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (DecompositionError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         # ValueError covers DataFormatError, ShapeError, NonFiniteError and ConstraintError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -9,10 +9,6 @@ class NonFiniteError(ValueError):
     """A value crossing a public boundary contains NaN or Inf."""
 
 
-class DecompositionError(RuntimeError):
-    """A matrix factorization failed; carries the backend diagnostics."""
-
-
 class DataFormatError(ValueError):
     """A file does not match its declared on-disk format.
 

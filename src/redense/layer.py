@@ -1,37 +1,14 @@
 """Random ReLU lifting layer with norm-constrained head retraining.
 
-The construction: features y (J x n) are projected through a frozen Gaussian
-matrix R (m x n, m >= n) and split by sign into nonnegative halves,
-
-    lift(y) = [max(yR', 0) | max(-yR', 0)]   (J x 2m),
-
-which loses no information because max(z,0) - max(-z,0) = z. The head is a
-single matrix O (Q x 2m) constrained to the Frobenius ball |O|_F <= epsilon.
-Choosing
-
-    O0 = [P | -P]  with  P = Ohat pinv(R),   epsilon = |O0|_F,
-
-makes O0 feasible and reproduces the original head for full-column-rank R:
-O0 lift(y)' = y (pinv(R) R)' Ohat' = y Ohat', up to rounding. To make the
-start exact, the head is trained as the base head plus a correction
-Delta = O - O0,
-
-    logits = y Ohat' + lift(y) Delta',
-
-so Delta = 0 gives the base logits bit for bit. Training therefore starts at
-the base head's own loss, and returning the best iterate seen keeps the final
-training loss at or below it, unconditionally.
-
-The correction never builds the J x 2m lift. Its second half is
-max(-z,0) = h - z with h = max(z,0) and z = yR', so with D = [D+ | D-]
-
-    lift(y) D'  = h (D+ + D-)' - y (D- R)'
-    G' lift(y)  = [A | A - (G'y) R'],   A = G'h,
-
-which needs only the J x m positive half h next to the J x n features. These
-helpers compute in h's dtype. Training and prediction hold y and h in
-float32, scaled by a power of two that fits them to its range; the base term,
-the loss, Adam, the projection and best-iterate selection stay float64.
+Features y (J x n) pass through a frozen Gaussian R (m x n, m >= n) and a
+sign split, lift(y) = [max(yR', 0) | max(-yR', 0)] (J x 2m), which loses
+nothing since max(z,0) - max(-z,0) = z. The head is the base head Ohat plus a
+correction Delta (Q x 2m), logits = y Ohat' + lift(y) Delta', with O0 + Delta
+in the Frobenius ball |O|_F <= epsilon = |O0|_F, O0 = [P | -P] and
+P = Ohat pinv(R). Delta = 0 gives the base logits bit for bit, so returning
+the best iterate keeps the final training loss at or below the base head's.
+The correction needs only the J x m positive half h = max(yR', 0), held in
+float32; README derives each step.
 """
 
 from __future__ import annotations
@@ -50,13 +27,10 @@ log = logging.getLogger(__name__)
 
 TRAIN_LOSS = Loss("softmax_cross_entropy")
 
-# An ill-conditioned R makes P = Ohat pinv(R), and with it the radius
-# epsilon = |O0|_F, large and dominated by rounding; build() resamples when
-# R's Frobenius condition number |R|_F |pinv(R)|_F exceeds this. That bounds
-# the radius itself, epsilon <= sqrt(2) |Ohat|_2 |pinv(R)|_F, and is at most
-# n times R's 2-norm condition number. The starting loss does not depend on
-# it: it is the base head's, exactly.
-MAX_CONDITION = 1e8
+# build() resamples R above this Frobenius condition number |R|_F |pinv(R)|_F,
+# which bounds the radius epsilon <= sqrt(2) |Ohat|_2 |pinv(R)|_F. P comes from
+# R'R, which squares it; README has the accuracy and resample rate this buys.
+MAX_CONDITION = 1e6
 _RESAMPLE_ATTEMPTS = 8
 
 
@@ -137,26 +111,27 @@ class IterateStats:
     eval_accuracy: float
 
 
-def build(output_weight: Matrix, m: int, seed: int) -> RedenseLayer:
+def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None) -> RedenseLayer:
     """Construct a lifting layer at the base head: Delta = 0, O0 on the ball.
 
-    R is sampled i.i.d. standard normal from the seed (resampled with
-    incremented seeds in the rare event it is ill-conditioned). The layer
-    records R's Frobenius condition number as cond_r and the number of
-    rejected draws as resamples. n is the output weight's width.
+    R is sample_gaussian(m, n, seed), or r, a caller's copy of that draw
+    (numpy's Generator fills it row by row, so any wider draw at seed starts
+    with it). An ill-conditioned R is resampled from seed + 1, seed + 2, ...;
+    cond_r and resamples record R's Frobenius condition number and the
+    rejected draws. n is the output weight's width.
     """
     output_weight = as_matrix(output_weight, "output_weight")
     n = output_weight.shape[1]
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
-    r = sample_gaussian(m, n, seed)
     for attempt in range(_RESAMPLE_ATTEMPTS):
+        if attempt or r is None:
+            r = sample_gaussian(m, n, seed + attempt)
         p, cond = pinv_product(output_weight, r, MAX_CONDITION)
         if p is not None:
             break
         log.warning("projection matrix ill-conditioned (cond=%.3g), resampling with seed %d",
                     cond, seed + attempt + 1)
-        r = sample_gaussian(m, n, seed + attempt + 1)
     else:
         raise ConstraintError(f"could not sample a well-conditioned {m}x{n} projection "
                               f"after {_RESAMPLE_ATTEMPTS} attempts")
@@ -191,36 +166,56 @@ def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
     return np.hstack([a, a - (g.T @ features) @ r.T])
 
 
-def _head_inputs(layer: RedenseLayer, features: Matrix, r32: Matrix):
-    """(base logits y Ohat' in float64, y 2^-k and h 2^-k in float32, k).
+@dataclass(frozen=True)
+class _Lift:
+    """Features y for the head: y Ohat', y32 = y 2^-k in float32 (k: max|y|'s binary
+    exponent), and once lifted through a draw r: r, r in float32, max(y32 r', 0)."""
+    base: Matrix
+    y32: Matrix
+    k: int
+    r: Matrix | None = None
+    r32: Matrix | None = None
+    h: Matrix | None = None
 
-    k is max|y|'s binary exponent, so the float32 copies neither overflow
-    to Inf nor flush to zero wherever y lies in float64's range. Scaling by a
-    power of two is exact, and the correction and the gradient are linear in
-    (h, y), so multiplying them by 2^k in float64 undoes it; for features
-    within float32's range that gives the unscaled results bit for bit.
-    """
-    if features.shape[1] != layer.n:
-        raise ShapeError(f"features have width {features.shape[1]}, layer expects n={layer.n}")
+
+def _prepare(base: Matrix, features: Matrix) -> _Lift:
+    """The width-independent part of the features' lift under the base head."""
+    if features.shape[1] != base.shape[1]:
+        raise ShapeError(f"features have width {features.shape[1]}, expected {base.shape[1]}")
     check_finite(features, "features")
     _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
     # computed in float64 and cast in buffered chunks: no J x n float64 copy
     y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
-    return features @ layer.base.T, y32, _positive_half(y32, r32), int(k)
+    return _Lift(features @ base.T, y32, int(k))
 
 
-def _logits(inputs, r32: Matrix, delta: Matrix) -> Matrix:
+def _lift(x: _Lift, r: Matrix) -> _Lift:
+    r32 = r.astype(np.float32)
+    return replace(x, r=r, r32=r32, h=_positive_half(x.y32, r32))
+
+
+def _narrow(x: _Lift, r: Matrix) -> _Lift:
+    """x's lift through r, the first rows of the draw x was lifted through."""
+    return replace(x, r=r, r32=x.r32[:len(r)], h=x.h[:, :len(r)])
+
+
+def _through(layer: RedenseLayer, x) -> _Lift:
+    """Features, or a _Lift of them, lifted through layer.R; x itself if it already is."""
+    if not isinstance(x, _Lift):
+        x = _prepare(layer.base, x)
+    return x if x.r is layer.R else _lift(x, layer.R)
+
+
+def _logits(x: _Lift, delta: Matrix) -> Matrix:
     """y Ohat' + lift(y) delta'; a zero delta returns the base logits themselves."""
-    base, y32, h, k = inputs
     if not delta.any():
-        return base
-    return base + np.ldexp(_head_logits(h, y32, r32, delta).astype(np.float64), k)
+        return x.base
+    return x.base + np.ldexp(_head_logits(x.h, x.y32, x.r32, delta).astype(np.float64), x.k)
 
 
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
     """Logits of the lifted head: y Ohat' + lift(y) Delta'."""
-    r32 = layer.R.astype(np.float32)
-    return _logits(_head_inputs(layer, features, r32), r32, layer.delta)
+    return _logits(_through(layer, features), layer.delta)
 
 
 # Norms within this relative band of epsilon count as feasible; rescaling
@@ -240,27 +235,23 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
           eval_features: Matrix | None = None, eval_targets: Matrix | None = None):
     """Retrain the head's correction under the Frobenius-ball constraint, full batch.
 
-    Runs cfg.epochs Adam iterations of softmax cross-entropy descent on
-    Delta, rescaling O0 + Delta back onto the ball's surface whenever a step
-    leaves it. Adam moments are kept across projections. The returned layer
-    carries the best iterate by training loss, the starting Delta included,
-    so the reported final loss never exceeds the starting one; for a layer
-    from build() that is the base head's loss, exactly. A non-finite loss
-    stops training early, which the report's stop_reason and stopped_at say.
-
-    The curve's eval columns score eval_features when given, and otherwise the
-    training data itself, reusing the training logits.
+    Runs cfg.epochs Adam iterations of softmax cross-entropy on Delta,
+    rescaling O0 + Delta onto the ball whenever a step leaves it; Adam's
+    moments persist across projections. The returned layer carries the best
+    iterate by training loss, the start included, so the final loss never
+    exceeds the start's (for build()'s layer, the base head's). A non-finite
+    loss stops training early (stop_reason, stopped_at). The eval columns
+    score eval_features, or else the training data with its logits reused;
+    either may come lifted through layer.R, as train_widths passes them.
     """
     if layer.O0 is None:
         raise ValueError("layer has no start point O0; train a layer made by build()")
-    r32 = layer.R.astype(np.float32)
-    inputs = _head_inputs(layer, features, r32)
-    _, y32, h, k = inputs
+    inputs = _through(layer, features)
     eval_inputs = None
     if eval_features is not None:
         if eval_targets is None:
             raise ValueError("eval_features given without eval_targets")
-        eval_inputs = _head_inputs(layer, eval_features, r32)
+        eval_inputs = _through(layer, eval_features)
     # the scored targets are fixed: their labels are taken once
     labels = np.argmax(targets if eval_inputs is None else eval_targets, axis=1)
 
@@ -271,7 +262,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     best_loss, best_epoch = np.inf, 0
     stop_reason, stopped_at = "completed", cfg.epochs
     for t in range(cfg.epochs + 1):
-        logits = _logits(inputs, r32, delta)
+        logits = _logits(inputs, delta)
         try:
             cur_loss, logits_grad = loss_value_and_grad(TRAIN_LOSS, logits, targets,
                                                         need_grad=t < cfg.epochs)
@@ -287,7 +278,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         if eval_inputs is None:
             ev_loss, ev_logits = cur_loss, logits
         else:
-            ev_logits = _logits(eval_inputs, r32, delta)
+            ev_logits = _logits(eval_inputs, delta)
             ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
         curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
                                   ev_loss, _label_accuracy(ev_logits, labels)))
@@ -296,7 +287,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             best_delta = delta.copy()
         if t == cfg.epochs:
             break
-        grad = np.ldexp(_head_grad(logits_grad, h, y32, r32).astype(np.float64), k)
+        grad = np.ldexp(_head_grad(logits_grad, inputs.h, inputs.y32, inputs.r32)
+                        .astype(np.float64), inputs.k)
         del logits_grad  # J x Q: not held while the next logits are formed
         (step,) = adam.step([grad])
         step *= cfg.learning_rate  # Adam's own buffer, rewritten by its next step
@@ -318,3 +310,34 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
         best_epoch=best_epoch,
     )
     return trained, report, curve
+
+
+def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets: Matrix,
+                 cfg: HeadConfig, eval_features: Matrix | None = None,
+                 eval_targets: Matrix | None = None):
+    """Yield train(build(output_weight, m, seed), ...) for each seed, and each m in widths.
+
+    A seed's widths share its widest draw, whose first m rows are R at m, and
+    its lift, whose first m columns are h at m; a rejected prefix is resampled
+    and lifted alone, as separate build and train calls would. A yielded R
+    views its seed's draw: drop it before the next seed's to hold one at a time.
+    """
+    output_weight = as_matrix(output_weight, "output_weight")
+    lift = _prepare(output_weight, features)
+    eval_lift = None if eval_features is None else _prepare(output_weight, eval_features)
+    for seed in seeds:
+        yield from _train_seed(output_weight, widths, seed, lift, eval_lift, targets, cfg,
+                               eval_targets)
+
+
+def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, cfg, eval_targets):
+    # a generator of its own, so the seed's draw and lifts die with its frame
+    draw = sample_gaussian(max(widths), output_weight.shape[1], seed)
+    lift = _lift(lift, draw)
+    eval_lift = None if eval_lift is None else _lift(eval_lift, draw)
+    for m in widths:
+        # one view for all three, so train sees both lifts are through layer.R
+        r = draw[:m]
+        layer = build(output_weight, m, seed, r)
+        yield train(layer, _narrow(lift, r), targets, cfg,
+                    None if eval_lift is None else _narrow(eval_lift, r), eval_targets)

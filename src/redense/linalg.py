@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DecompositionError, NonFiniteError, ShapeError
+from .errors import NonFiniteError, ShapeError
 
 Matrix = np.ndarray
 
@@ -37,34 +37,23 @@ def frobenius_norm(a: Matrix) -> float:
 
 
 def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | None, float]:
-    """(b pinv(a), cond(a)) for a tall a, from a Q-less QR and one triangular inverse.
+    """(b pinv(a), cond_F(a)) for a tall a (m >= n), from the Cholesky factor T of a'a.
 
-    a (m x n, m >= n) is factored once, a = QT, keeping only the n x n
-    triangle T and no m x n orthogonal factor; T is inverted once. cond(a) is
-    the Frobenius condition number |a|_F |pinv(a)|_F = |T|_F |T^-1|_F, exact
-    up to rounding; it lies between the 2-norm condition number and n times
-    it. It is inf when T has a zero on its diagonal (a is rank-deficient) or
-    when T^-1 or a norm overflows; then, and beyond max_condition, the
-    product is not formed and None is returned in its place.
-
-    Otherwise X = b pinv(a), the minimum-norm solution of X a = b, comes from
-    the corrected seminormal equations (Bjorck, Numerical Methods for Least
-    Squares Problems, 2.5): X' = a T^-1 T^-T b', refined once on the residual
-    b' - a'X' with the same T^-1, so every solve is a matrix product. That
-    matches an SVD-based pinv to O(eps cond); without the refinement the
-    residual grows like cond^2.
+    cond_F(a) = |a|_F |pinv(a)|_F = |T|_F |T^-1|_F. It is inf when the
+    Cholesky factorization fails or T^-1 or a norm overflows; then, and above
+    max_condition, no product is formed and None takes its place. Otherwise
+    X' = a T^-1 T^-T b' is refined once on the residual b' - a'X' (Bjorck's
+    corrected seminormal equations); README derives its error bound.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     rows, cols = a.shape
     if not 1 <= cols <= rows:
         raise ShapeError(f"pinv_product needs a tall input with m >= n >= 1, got {rows}x{cols}")
-    try:
-        t = np.linalg.qr(a, mode="r")
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"factoring the {rows}x{cols} input failed: {exc}") from exc
-    if not np.diagonal(t).all():
-        return None, float("inf")
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            t = np.linalg.cholesky(a.T @ a).T
+        except np.linalg.LinAlgError:
+            return None, float("inf")
         t_inv = _triangular_inverse(t)
         cond = frobenius_norm(t) * frobenius_norm(t_inv)
     if not np.isfinite(cond):
@@ -81,15 +70,9 @@ _INVERSE_LEAF = 64
 
 
 def _triangular_inverse(t: Matrix) -> Matrix:
-    """T^-1 for an upper-triangular T with a nonzero diagonal, by blocked recursion.
-
-    With T = [[A, B], [0, D]], T^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]: the
-    half-size inverses recurse, and the coupling block is two matrix
-    products. np.linalg.inv takes the leaves; its LU of a triangle pivots on
-    the diagonal and fills nothing in. Like the standard triangular inversion
-    methods (Du Croz and Higham, IMA J. Numer. Anal. 12, 1992), the computed X
-    has |XT - I| <= c n eps |X||T|.
-    """
+    """T^-1 for an upper-triangular T with a nonzero diagonal, by blocked recursion:
+    [[A, B], [0, D]]^-1 = [[A^-1, -A^-1 B D^-1], [0, D^-1]]. np.linalg.inv takes
+    the leaves; its LU of a triangle pivots on the diagonal and fills nothing in."""
     n = t.shape[0]
     if n <= _INVERSE_LEAF:
         return np.linalg.inv(t)
@@ -101,8 +84,8 @@ def _triangular_inverse(t: Matrix) -> Matrix:
 
 
 def sample_gaussian(rows: int, cols: int, seed: int) -> Matrix:
-    """i.i.d. standard-normal matrix, reproducible from the seed."""
+    """i.i.d. standard-normal matrix from the seed, filled row by row: the first
+    rows of a draw are the narrower draw at the same seed."""
     if rows < 1 or cols < 1:
         raise ShapeError(f"sample_gaussian needs positive dimensions, got {rows}x{cols}")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((rows, cols))
+    return np.random.default_rng(seed).standard_normal((rows, cols))

@@ -271,6 +271,88 @@ def test_sweep_rows_respect_guarantee(tmp_path, capsys):
         assert (cond_r, resamples) == (layer.cond_r, layer.resamples)
 
 
+def _pinned_draws(n):
+    """sample_gaussian with seeds 0 and 1 pinned, each at widths n, 2n and 4n.
+
+    Seed 0's first n rows are rank 1, so its width-n prefix is rejected while
+    its 2n and 4n prefixes are not. Seed 1's last 2n rows are 1e8 times a
+    rank-1 matrix, so its 4n draw is rejected while its narrower prefixes
+    are not. Rows past a seed's pinned draw are never asked for.
+    """
+    rng = np.random.default_rng(5)
+    rank_one = np.outer(rng.standard_normal(n), rng.standard_normal(n))
+    pinned = {0: np.vstack([rank_one, rng.standard_normal((3 * n, n))]),
+              1: np.vstack([rng.standard_normal((2 * n, n)),
+                            1e8 * np.outer(rng.standard_normal(2 * n),
+                                           rng.standard_normal(n))])}
+    real = layermod.sample_gaussian
+
+    def sample_gaussian(rows, cols, seed):
+        return pinned[seed][:rows] if seed in pinned else real(rows, cols, seed)
+
+    return sample_gaussian
+
+
+@pytest.mark.parametrize("draws", ["gaussian", "pinned"])
+def test_sweep_rows_equal_standalone_redense_runs(tmp_path, capsys, monkeypatch, draws):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    eval_path = _eval_bundle(tmp_path, capsys)
+    bundle, held_out = load_feature_bundle(bundle_path), load_feature_bundle(eval_path)
+    n = bundle.features.shape[1]
+    if draws == "pinned":
+        monkeypatch.setattr(layermod, "sample_gaussian", _pinned_draws(n))
+    flags = ["--bundle", str(bundle_path), "--eval-bundle", str(eval_path), "--lr", "1e-2",
+             "--epochs", "4"]
+    out = tmp_path / "sweep"
+    assert main(["sweep-m", *flags, "--m-values", f"{n},{2 * n},{4 * n}", "--seeds", "2",
+                 "--seed", "0", "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "sweep_manifest.json") as f:
+        results = json.load(f)["results"]
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 6
+    for row, cond_r, resamples in zip(rows, results["cond_r"], results["resamples"],
+                                      strict=True):
+        m, seed, epsilon, final_loss, test_accuracy = row.split(",")
+        assert main(["redense", *flags, "--m", m, "--seed", seed,
+                     "--out-dir", str(tmp_path / f"rd{m}-{seed}")]) == 0
+        pairs = kv(capsys)
+        assert ((pairs["epsilon"], pairs["final_loss"], pairs["final_eval_accuracy"])
+                == (epsilon, final_loss, test_accuracy))
+        assert (float(pairs["cond_r"]), int(pairs["resamples"])) == (cond_r, resamples)
+        # and both equal the library's build and train, which lift at width m alone
+        layer = layermod.build(bundle.output_weight, int(m), int(seed))
+        _, report, curve = layermod.train(layer, bundle.features, bundle.targets,
+                                          layermod.HeadConfig(1e-2, 4), held_out.features,
+                                          held_out.targets)
+        assert ((report.epsilon, report.final_loss, curve[report.best_epoch].eval_accuracy)
+                == (float(epsilon), float(final_loss), float(test_accuracy)))
+    # rows run width by width within each seed: n, 2n, 4n at seed 0, then at seed 1
+    expected = [1, 0, 0, 0, 0, 1] if draws == "pinned" else [0] * 6
+    assert [results["resamples"][i] for i in (0, 2, 4, 1, 3, 5)] == expected
+
+
+def test_sweep_holds_one_seeds_draw_and_lift_at_a_time(tmp_path, capsys):
+    # the draw (m x n float64) and the positive half (j x m float32) are the
+    # same size, and everything else the sweep holds is smaller than either
+    j, n, m, q = 256, 128, 4096, 2
+    rng = np.random.default_rng(8)
+    bundle = datamod.FeatureBundle(rng.standard_normal((j, n)), np.eye(q)[np.arange(j) % q],
+                                   rng.standard_normal((q, n)), {})
+    save_feature_bundle(tmp_path / "b.rdfb", bundle)
+    tracemalloc.start()
+    try:
+        code = main(["sweep-m", "--bundle", str(tmp_path / "b.rdfb"), "--m-values",
+                     f"{n},{m}", "--seeds", "2", "--epochs", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    draw, r32, h = m * n * 8, m * n * 4, j * m * 4
+    assert peak < draw + r32 + h + min(draw, h)
+
+
 def test_sweep_rejects_small_m(tmp_path, capsys):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     code = main(["sweep-m", "--bundle", str(bundle_path), "--m-values", "8,2",
@@ -619,18 +701,19 @@ def test_a_failed_factorization_exits_3_and_writes_nothing(tmp_path, capsys, mon
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
 
     def fail(*args, **kwargs):
-        raise np.linalg.LinAlgError("QR did not converge")
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-    monkeypatch.setattr(np.linalg, "qr", fail)
+    # a failed Cholesky rejects the draw, so every resample is rejected too
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
     out = tmp_path / "out"
     for cmd in (["redense", "--model", str(tmp_path / "model.rdnm")],
-                ["sweep-m", "--m-values", "8", "--seeds", "1"]):
+                ["sweep-m", "--m-values", "8,16", "--seeds", "2"]):
         code = main([*cmd, "--bundle", str(bundle_path), "--epochs", "2",
                      "--seed", "0", "--out-dir", str(out)])
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and "QR did not converge" in captured.err
+        assert captured.err.startswith("error: could not sample a well-conditioned")
         assert len(captured.err.splitlines()) == 1 and "Traceback" not in captured.err
         assert not out.exists()
 
