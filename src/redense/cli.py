@@ -14,6 +14,7 @@ import argparse
 import hashlib
 import inspect
 import json
+import resource
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -68,6 +69,9 @@ def _write_manifest(args, started_at, outputs, results):
         "seed": args.seed,
         "started_at": started_at,
         "finished_at": _now(),
+        # the process's peak so far: for an in-process caller, not this command's alone
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        / (2**20 if sys.platform == "darwin" else 2**10),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "results": results,
     }

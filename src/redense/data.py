@@ -1,12 +1,5 @@
-"""Dataset ingestion and synthetic generators.
-
-Three on-disk formats are owned here: big-endian IDX images/labels, a small
-little-endian feature-bundle container (magic RDFB), and headered CSV with an
-integer class label in the last column. Loaders validate magics, lengths and
-finiteness and fail with the byte offset when a file is malformed. Every file
-the package writes goes through _atomic_open, so a failed write leaves no
-partial file behind.
-"""
+"""Dataset ingestion (IDX, CSV, feature bundles) and synthetic generators; README,
+"File formats", specifies the files."""
 
 from __future__ import annotations
 
@@ -32,13 +25,8 @@ _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 
 @dataclass
 class FeatureBundle:
-    """Features, targets and the head weight exported from a trained model.
-
-    metadata is free-form string pairs; well-known keys are source_model,
-    base_loss, huber_delta, base_train_loss (the exporting model's training
-    loss in its own loss) and ce_train_loss (the same predictions scored with
-    softmax cross-entropy).
-    """
+    """Features, targets and the head weight exported from a trained model, with
+    string metadata (README lists the well-known keys)."""
 
     features: Matrix       # J x n
     targets: Matrix        # J x Q
@@ -65,13 +53,8 @@ class FeatureBundle:
 
 @contextlib.contextmanager
 def _atomic_open(path, mode="wb"):
-    """Write to a temporary file beside path, then rename it over path.
-
-    If the body raises, the temporary file is removed and path is left as it
-    was: absent, or with its earlier contents. The rename is atomic on POSIX
-    file systems; the data is not fsync'ed, so this guards against a failed
-    or interrupted process, not against losing power.
-    """
+    """Write to a temporary file beside path, then rename it over path; if the body
+    raises, path is left as it was. Nothing is fsync'ed."""
     path = os.fspath(path)
     directory, name = os.path.split(path)
     tmp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
@@ -100,7 +83,8 @@ def _read_u32_be(f, path, what):
 
 
 def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label pair as floats in [0,1] with one-hot labels."""
+    """Load an IDX image/label pair: J x P uint8 pixel codes, which stand for
+    code/255 (see nn.Dataset), and one-hot labels."""
     with open(images_path, "rb") as f:
         magic = _read_u32_be(f, images_path, "image magic")
         if magic != IDX_IMAGES_MAGIC:
@@ -109,8 +93,8 @@ def load_idx(images_path, labels_path) -> Dataset:
         rows = _read_u32_be(f, images_path, "image rows")
         cols = _read_u32_be(f, images_path, "image cols")
         raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    inputs = pixels.reshape(count, rows * cols)
+    # a copy, so that the file's bytes are freed: glibc then raises its mmap threshold (README)
+    inputs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).copy()
 
     with open(labels_path, "rb") as f:
         magic = _read_u32_be(f, labels_path, "label magic")
@@ -268,12 +252,8 @@ def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
 
 def gen_digit_images(samples: int, seed: int = 0, side: int = 28, classes: int = 10,
                      noise: float = 0.6, max_shift: int = 3):
-    """Synthetic grayscale digit-like images: smoothed class prototypes plus
-    pixel noise and small random shifts. Returns (images u8 JxSxS, labels u8 J).
-
-    A stand-in for handwritten-digit corpora at the same scale when none is
-    on disk; hard enough that a small classifier stays below 100% accuracy.
-    """
+    """(images u8 J x side x side, labels u8 J): smoothed class prototypes plus
+    pixel noise and small random shifts, a stand-in for handwritten digits."""
     rng = np.random.default_rng(seed)
     protos = np.stack([_smooth(rng.random((side, side))) for _ in range(classes)])
     protos = (protos - protos.min(axis=(1, 2), keepdims=True))

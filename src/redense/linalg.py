@@ -49,6 +49,11 @@ def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | N
     rows, cols = a.shape
     if not 1 <= cols <= rows:
         raise ShapeError(f"pinv_product needs a tall input with m >= n >= 1, got {rows}x{cols}")
+    # a'a under- or overflows when max|a|'s binary exponent e lies beyond +-256; only
+    # then does a copy, a 2^-e, take a's place, and P is scaled back (exact either way)
+    e = int(np.frexp(max(a.max(), -a.min()))[1])
+    if abs(e) > 256:
+        a = np.ldexp(a, -e)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             t = np.linalg.cholesky(a.T @ a).T
@@ -62,7 +67,7 @@ def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | N
         return None, cond
     xt = a @ (t_inv @ (t_inv.T @ b.T))
     xt += a @ (t_inv @ (t_inv.T @ (b.T - a.T @ xt)))
-    return xt.T, cond
+    return (np.ldexp(xt.T, -e) if abs(e) > 256 else xt.T), cond
 
 
 # Blocks this narrow are inverted whole; wider ones are split in two.

@@ -1,9 +1,5 @@
-"""Minimal feedforward network engine.
-
-Dense layers with ReLU-family activations, a linear output map, four
-classification losses evaluated on softmax outputs, and mini-batch Adam
-training with full backprop. Loss values are summed over samples.
-"""
+"""Minimal feedforward network engine: ReLU-family MLPs, four losses on softmax
+outputs (summed over samples) and mini-batch Adam base training; see README."""
 
 from __future__ import annotations
 
@@ -90,19 +86,29 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
+# IDX pixel code c stands for c / 255; these tables are the only place codes become values
+_PIXELS = np.arange(256) / 255.0
+_PIXELS32 = _PIXELS.astype(np.float32)
+
+
 @dataclass
 class Dataset:
+    """uint8 inputs are IDX pixel codes, code c standing for c / 255, and stay codes
+    until a computation decodes them; any other inputs are coerced to float64."""
+
     inputs: Matrix   # J x P
     targets: Matrix  # J x Q, one-hot rows
 
     def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
+        codes = getattr(self.inputs, "dtype", None) == np.uint8
+        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.uint8 if codes else np.float64)
         self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
         if self.inputs.shape[0] != self.targets.shape[0]:
             raise ShapeError(
                 f"inputs have {self.inputs.shape[0]} rows but targets have {self.targets.shape[0]}"
             )
-        check_finite(self.inputs, "inputs")
+        if not codes:
+            check_finite(self.inputs, "inputs")
         check_finite(self.targets, "targets")
         sums = self.targets.sum(axis=1)
         if self.targets.shape[0] and not np.allclose(sums, 1.0, atol=1e-9):
@@ -193,9 +199,23 @@ def _forward_cached(model: MlpModel, inputs: Matrix):
 
 
 def forward(model: MlpModel, inputs: Matrix):
-    """Return (logits, features) where features are the last hidden activations."""
-    logits, _, acts = _forward_cached(model, inputs)
-    return logits, acts[-1]
+    """(logits, last hidden activations), over balanced chunks of at most _STATS_ROWS
+    rows: a 1-row chunk would be a matrix-vector product, which rounds differently.
+    uint8 inputs are IDX pixel codes (see Dataset), decoded one chunk at a time."""
+    rows = inputs.shape[0]
+    parts = max(1, -(-rows // _STATS_ROWS))
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        chunk = _PIXELS[inputs[lo:hi]] if inputs.dtype == np.uint8 else inputs[lo:hi]
+        out, pre, acts = _forward_cached(model, chunk)
+        if parts == 1:
+            return out, acts[-1]
+        if lo == 0:
+            logits = np.empty((rows, out.shape[1]), out.dtype)
+            features = np.empty((rows, acts[-1].shape[1]), acts[-1].dtype)
+        logits[lo:hi], features[lo:hi] = out, acts[-1]
+        del chunk, pre, acts  # the next chunk is decoded after this one's arrays die
+    return logits, features
 
 
 def _softmax_parts(logits: Matrix):
@@ -283,13 +303,9 @@ ADAM_EPS = 1e-8
 
 
 class _AdamState:
-    """Adam moments for a list of parameter shapes; step() maps gradients to steps.
-
-    The moments update in place and the steps go into buffers allocated once,
-    so step() allocates no parameter-sized array; the arrays it returns are
-    overwritten by the next call. Each update keeps the operation order of
-    the expression in its comment, so the results are bit-identical to it.
-    """
+    """Adam moments for a list of parameter shapes; step() maps gradients to steps in
+    buffers the next call overwrites (README). Each update keeps the operation
+    order of the expression in its comment, so the results are bit-identical to it."""
 
     def __init__(self, shapes):
         self.m = [np.zeros(s) for s in shapes]
@@ -319,10 +335,7 @@ class _AdamState:
 
 
 def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
-    """Gradients for all layer weights/biases and the output weight.
-
-    The gradient with respect to the inputs is never formed: nothing reads it.
-    """
+    """Gradients for all layer weights/biases and the output weight, not the inputs."""
     grads_w = [None] * len(model.layers)
     grads_b = [None] * len(model.layers)
     grad_out = dlogits.T @ acts[-1]
@@ -336,12 +349,14 @@ def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
     return grads_w, grads_b, grad_out
 
 
-_STATS_ROWS = 1024  # rows per chunk of the per-epoch statistics
+_STATS_ROWS = 1024  # most rows per chunk of forward and of the per-epoch statistics
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def _float32_copy(inputs: Matrix, name: str) -> Matrix:
     """inputs as float32, refused when a value lies beyond float32's range."""
+    if inputs.dtype == np.uint8:
+        return _PIXELS32[inputs]
     if inputs.size and max(inputs.max(), -inputs.min()) > _FLOAT32_MAX:
         raise ValueError(f"{name} exceed float32's range (|x| > {_FLOAT32_MAX:.7g}), "
                          "in which base training computes")
@@ -363,19 +378,9 @@ def _chunked_logits(model: MlpModel, inputs: Matrix):
 
 def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                eval_data: Dataset | None = None):
-    """Train all layer parameters and the output weight in place with mini-batch Adam.
-
-    The output bias is left untouched: the output map must stay purely linear
-    for the feature-lift loss-preservation chain to hold downstream.
-
-    Matrix products are float32, on float32 copies of the inputs and weights;
-    the loss, Adam and the master weights are float64 (README, "Base-training
-    precision"). Inputs beyond float32's range raise ValueError.
-
-    Returns the model and a per-epoch curve of float32-forward losses; entry 0
-    is the pre-training loss. Mini-batch shuffling is driven by cfg.seed, so
-    identical configs give bit-identical curves.
-    """
+    """Train the layers and the output weight, not the output bias, in place with
+    mini-batch Adam; return (model, curve), curve[0] before training. README,
+    "Base-training precision", gives the float32/float64 split."""
     J = len(data)
     if J == 0:
         raise ValueError("cannot train on an empty dataset")
@@ -412,13 +417,18 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     params = _trained_params(model)
     shadow_params = _trained_params(shadow)
     adam = _AdamState([p.shape for p in params])
+    # reused: allocated every step, arrays this size can come from fresh pages (README)
+    batch_inputs = np.empty((batch, inputs.shape[1]), np.float32)
+    grads = [np.empty(p.shape) for p in params]
 
     curve = [epoch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):
         perm = rng.permutation(J)
         for start in range(0, J, batch):
             idx = perm[start:start + batch]
-            logits, pre, acts = _forward_cached(shadow, inputs[idx])
+            # mode="clip" writes straight into out; "raise" would buffer
+            x = np.take(inputs, idx, axis=0, out=batch_inputs[:len(idx)], mode="clip")
+            logits, pre, acts = _forward_cached(shadow, x)
             try:
                 dlogits = loss_value_and_grad(loss, logits, data.targets[idx],
                                               need_value=False)[1]
@@ -426,7 +436,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None
             grads_w, grads_b, grad_out = _backward(shadow, dlogits.astype(np.float32), pre, acts)
-            grads = [g.astype(np.float64) for g in grads_w + grads_b + [grad_out]]
+            for g, g32 in zip(grads, grads_w + grads_b + [grad_out]):
+                np.copyto(g, g32)
             # the steps live in Adam's own buffers, so they are scaled in place
             for p, p32, s in zip(params, shadow_params, adam.step(grads)):
                 s *= cfg.learning_rate

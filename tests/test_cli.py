@@ -1112,3 +1112,58 @@ def test_flag_defaults_are_the_library_defaults():
         args = parser.parse_args(argv)
         assert ((args.classes, args.noise)
                 == (synthetic["classes"].default, synthetic["noise"].default) == (2, 0.15))
+
+
+def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):
+    # per 784-pixel image the codes take 784 bytes, train's float32 copy 4 x 784,
+    # and a float64 copy 8 x 784; features decodes chunk by chunk
+    def peaks(j):
+        images, labels = gen_digit_images(j, seed=9)
+        d = tmp_path / str(j)
+        d.mkdir()
+        write_idx(d / "images", d / "labels", images, labels)
+        data = ["--images", str(d / "images"), "--labels", str(d / "labels")]
+        argvs = [["train", *data, "--hidden", "8", "--epochs", "1", "--batch-size", "256",
+                  "--out-dir", str(d)],
+                 ["features", "--model", str(d / "model.rdnm"), *data, "--out", str(d / "f.rdfb")]]
+        out = []
+        for argv in argvs:
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                out.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        return np.array(out)
+
+    train, features = (peaks(3000) - peaks(1000)) / 2000
+    assert train < 8 * 784
+    assert features < 4 * 784
+
+
+def test_every_manifest_records_the_peak_rss(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    model = str(tmp_path / "model.rdnm")
+    data = ["--synthetic", "blobs", "--samples", "60", "--classes", "3", "--seed", "7"]
+    out = tmp_path / "out"
+    runs = {
+        "train": (["train", *data, "--hidden", "4", "--epochs", "1", "--out-dir", str(out)],
+                  out / "train_manifest.json"),
+        "features": (["features", "--model", model, *data, "--out", str(out / "f.rdfb")],
+                     out / "f.rdfb.manifest.json"),
+        "redense": (["redense", "--bundle", str(bundle_path), "--epochs", "1",
+                     "--out-dir", str(out)], out / "redense_manifest.json"),
+        "sweep-m": (["sweep-m", "--bundle", str(bundle_path), "--m-values", "8", "--seeds", "1",
+                     "--epochs", "1", "--out-dir", str(out)], out / "sweep_manifest.json"),
+        "eval": (["eval", "--model", model, *data, "--out-dir", str(out)],
+                 out / "eval_manifest.json"),
+    }
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(runs) == sorted(subparsers.choices)
+    for argv, manifest_path in runs.values():
+        assert main(argv) == 0
+        with open(manifest_path) as f:
+            peak = json.load(f)["peak_rss_mib"]
+        assert isinstance(peak, float) and 0.0 < peak < np.inf

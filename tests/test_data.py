@@ -12,7 +12,7 @@ from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
 from redense.errors import DataFormatError, NonFiniteError, ShapeError
-from redense.nn import Dataset
+from redense.nn import _PIXELS, Dataset
 
 
 def test_idx_round_trip_hand_built(tmp_path):
@@ -23,9 +23,11 @@ def test_idx_round_trip_hand_built(tmp_path):
     images.write_bytes(struct.pack(">IIII", 0x00000803, 2, 2, 2) + pixels)
     labels.write_bytes(struct.pack(">II", 0x00000801, 2) + bytes([3, 0]))
     ds = load_idx(images, labels)
-    assert ds.inputs.shape == (2, 4)
-    assert np.allclose(ds.inputs[0], [0.0, 64 / 255, 128 / 255, 1.0])
-    assert ds.inputs[1, 0] == 1.0 and ds.inputs[1, 1] == 0.0
+    assert ds.inputs.dtype == np.uint8
+    assert np.array_equal(ds.inputs, [[0, 64, 128, 255], [255, 0, 32, 16]])
+    decoded = _PIXELS[ds.inputs]
+    assert decoded.tobytes() == np.array([[0.0, 64 / 255, 128 / 255, 1.0],
+                                          [1.0, 0.0, 32 / 255, 16 / 255]]).tobytes()
     assert np.array_equal(ds.targets[0], np.eye(10)[3])
     assert np.array_equal(ds.targets[1], np.eye(10)[0])
 
@@ -35,7 +37,9 @@ def test_idx_writer_round_trip(tmp_path, rng):
     labels = np.array([0, 1, 9, 4, 4], dtype=np.uint8)
     write_idx(tmp_path / "i", tmp_path / "l", images, labels)
     ds = load_idx(tmp_path / "i", tmp_path / "l")
-    assert np.array_equal(ds.inputs, images.reshape(5, 9) / 255.0)
+    assert ds.inputs.dtype == np.uint8
+    assert np.array_equal(ds.inputs, images.reshape(5, 9))
+    assert _PIXELS[ds.inputs].tobytes() == (images.reshape(5, 9) / 255.0).tobytes()
     assert np.array_equal(np.argmax(ds.targets, axis=1), labels)
 
 

@@ -10,10 +10,10 @@ from hypothesis.extra import numpy as hnp
 from conftest import one_hot, random_one_hot
 from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
-from redense.nn import (ACTIVATION_KINDS, Activation, Dataset, Layer, Loss,
-                        MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
-                        accuracy, forward, loss_value, loss_value_and_grad, make_loss,
-                        make_mlp, train_base)
+from redense.nn import (_PIXELS, _PIXELS32, ACTIVATION_KINDS, Activation, Dataset, Layer,
+                        Loss, MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
+                        _trained_params, accuracy, forward, loss_value, loss_value_and_grad,
+                        make_loss, make_mlp, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
               Loss("poisson"), Loss("huber", delta=1.0), Loss("huber", delta=0.25)]
@@ -547,3 +547,50 @@ def test_adam_step_reuses_its_buffers():
     finally:
         tracemalloc.stop()
     assert peak < grad.nbytes
+
+
+def test_pixel_tables_are_the_float64_division_bit_for_bit():
+    expected = np.arange(256).astype(np.float64) / 255.0
+    assert _PIXELS.dtype == np.float64 and _PIXELS.tobytes() == expected.tobytes()
+    assert _PIXELS32.dtype == np.float32
+    assert _PIXELS32.tobytes() == expected.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("hidden", [[], [16], [32, 16]], ids=str)
+@pytest.mark.parametrize("j", [1, 2, 1023, 1024, 1025, 2049, 3001])
+def test_forward_on_codes_is_the_whole_array_forward_on_values(j, hidden):
+    # forward runs in chunks; a 1-row chunk (a matrix-vector product) would
+    # round differently from the whole-array product
+    rng = np.random.default_rng(j)
+    codes = rng.integers(0, 256, size=(j, 40), dtype=np.uint8)
+    model = make_mlp(40, hidden, 10, seed=j)
+    model.output_bias[:] = rng.standard_normal(10)
+    values = codes / 255.0
+    whole_logits, _, acts = _forward_cached(model, values)
+    for inputs in (codes, values):
+        logits, features = forward(model, inputs)
+        assert logits.tobytes() == whole_logits.tobytes()
+        assert features.tobytes() == acts[-1].tobytes()
+
+
+def test_train_base_on_codes_is_train_base_on_values():
+    images, labels = gen_digit_images(700, seed=13)
+    codes, targets = images.reshape(700, -1), one_hot(labels.astype(int), 10)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=3, batch_size=64, seed=13)
+    runs = []
+    for inputs in (codes, codes / 255.0):
+        data = Dataset(inputs[:500], targets[:500])
+        runs.append(train_base(make_mlp(784, [24], 10, seed=13), data,
+                               Loss("softmax_cross_entropy"), cfg,
+                               eval_data=Dataset(inputs[500:], targets[500:])))
+    (a, curve_a), (b, curve_b) = runs
+    assert [p.tobytes() for p in _trained_params(a)] == [p.tobytes() for p in _trained_params(b)]
+    assert curve_a == curve_b
+
+
+def test_dataset_keeps_codes_and_coerces_everything_else_to_float64():
+    targets = np.eye(2)
+    assert Dataset(np.array([[0, 255], [7, 8]], dtype=np.uint8), targets).inputs.dtype == np.uint8
+    for inputs in ([[0, 255], [7, 8]], np.array([[0, 255], [7, 8]], dtype=np.int16),
+                   np.zeros((2, 2), dtype=np.float32)):
+        assert Dataset(inputs, targets).inputs.dtype == np.float64
