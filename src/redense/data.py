@@ -8,13 +8,13 @@ import csv
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataFormatError, ShapeError
 from .linalg import Matrix, check_finite
-from .nn import Dataset
+from .nn import Dataset, Loss, make_loss
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -26,12 +26,14 @@ _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 @dataclass
 class FeatureBundle:
     """Features, targets and the head weight exported from a trained model, with
-    string metadata (README lists the well-known keys)."""
+    string metadata (README lists the well-known keys). loss is the base
+    network's, from base_loss and huber_delta; a bundle without base_loss is CE."""
 
     features: Matrix       # J x n
     targets: Matrix        # J x Q
     output_weight: Matrix  # Q x n
     metadata: dict[str, str]
+    loss: Loss = field(init=False)
 
     def __post_init__(self):
         j, n = self.features.shape
@@ -49,6 +51,11 @@ class FeatureBundle:
             lo = float(self.metadata["base_train_loss"])
             if not (np.isfinite(lo) and lo >= 0.0):
                 raise ValueError(f"base_train_loss must be finite and >= 0, got {lo}")
+        try:
+            self.loss = make_loss(self.metadata.get("base_loss", "ce"),
+                                  float(self.metadata.get("huber_delta", Loss.delta)))
+        except ValueError as exc:
+            raise ValueError(f"bundle metadata: {exc}") from None
 
 
 @contextlib.contextmanager

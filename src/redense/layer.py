@@ -25,8 +25,6 @@ from .nn import Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_gr
 
 log = logging.getLogger(__name__)
 
-TRAIN_LOSS = Loss("softmax_cross_entropy")
-
 # build() resamples R above this Frobenius condition number |R|_F |pinv(R)|_F,
 # which bounds the radius epsilon <= sqrt(2) |Ohat|_2 |pinv(R)|_F. P comes from
 # R'R, which squares it; README has the accuracy and resample rate this buys.
@@ -231,11 +229,11 @@ def _project(o: Matrix, epsilon: float) -> Matrix:
     return o
 
 
-def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfig,
+def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cfg: HeadConfig,
           eval_features: Matrix | None = None, eval_targets: Matrix | None = None):
     """Retrain the head's correction under the Frobenius-ball constraint, full batch.
 
-    Runs cfg.epochs Adam iterations of softmax cross-entropy on Delta,
+    Runs cfg.epochs Adam iterations of loss, the base network's own, on Delta,
     rescaling O0 + Delta onto the ball whenever a step leaves it; Adam's
     moments persist across projections. The returned layer carries the best
     iterate by training loss, the start included, so the final loss never
@@ -264,7 +262,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
     for t in range(cfg.epochs + 1):
         logits = _logits(inputs, delta)
         try:
-            cur_loss, logits_grad = loss_value_and_grad(TRAIN_LOSS, logits, targets,
+            cur_loss, logits_grad = loss_value_and_grad(loss, logits, targets,
                                                         need_grad=t < cfg.epochs)
         except NonFiniteError:
             cur_loss = np.nan
@@ -279,7 +277,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
             ev_loss, ev_logits = cur_loss, logits
         else:
             ev_logits = _logits(eval_inputs, delta)
-            ev_loss = loss_value(TRAIN_LOSS, ev_logits, eval_targets)
+            ev_loss = loss_value(loss, ev_logits, eval_targets)
         curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
                                   ev_loss, _label_accuracy(ev_logits, labels)))
         if cur_loss < best_loss:
@@ -313,7 +311,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, cfg: HeadConfi
 
 
 def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets: Matrix,
-                 cfg: HeadConfig, eval_features: Matrix | None = None,
+                 loss: Loss, cfg: HeadConfig, eval_features: Matrix | None = None,
                  eval_targets: Matrix | None = None):
     """Yield train(build(output_weight, m, seed), ...) for each seed, and each m in widths.
 
@@ -326,11 +324,11 @@ def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets
     lift = _prepare(output_weight, features)
     eval_lift = None if eval_features is None else _prepare(output_weight, eval_features)
     for seed in seeds:
-        yield from _train_seed(output_weight, widths, seed, lift, eval_lift, targets, cfg,
+        yield from _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg,
                                eval_targets)
 
 
-def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, cfg, eval_targets):
+def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg, eval_targets):
     # a generator of its own, so the seed's draw and lifts die with its frame
     draw = sample_gaussian(max(widths), output_weight.shape[1], seed)
     lift = _lift(lift, draw)
@@ -339,5 +337,5 @@ def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, cfg, eval
         # one view for all three, so train sees both lifts are through layer.R
         r = draw[:m]
         layer = build(output_weight, m, seed, r)
-        yield train(layer, _narrow(lift, r), targets, cfg,
+        yield train(layer, _narrow(lift, r), targets, loss, cfg,
                     None if eval_lift is None else _narrow(eval_lift, r), eval_targets)

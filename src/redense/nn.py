@@ -58,7 +58,7 @@ class Loss:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "huber" and self.delta <= 0.0:
+        if self.kind == "huber" and not self.delta > 0.0:
             raise ValueError("huber delta must be > 0")
 
 

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from redense.errors import ShapeError
+from redense.nn import Loss
 from redense.persist import CURVE_HEADER
+
+CE = Loss("softmax_cross_entropy")
 
 ACCEPTANCE_RESULTS = []
 

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (lfp_lift, lfp_reconstruct, one_hot, random_one_hot, read_curve,
+from conftest import (CE, lfp_lift, lfp_reconstruct, one_hot, random_one_hot, read_curve,
                       record_acceptance)
 from redense.cli import main as cli_main
 from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
                           load_feature_bundle, load_idx, save_feature_bundle,
                           write_idx)
-from redense.layer import TRAIN_LOSS, HeadConfig, RedenseLayer, build, predict, train
+from redense.layer import HeadConfig, RedenseLayer, build, predict, train
 from redense.linalg import frobenius_norm
 from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
                         loss_value, loss_value_and_grad, make_mlp, train_base)
@@ -63,9 +63,9 @@ def test_criterion_2_initialization_equality():
                 ohat = rng.standard_normal((10, n)) / np.sqrt(n)
                 targets = random_one_hot(rng, 25, 10)
                 layer = build(ohat, n * m_mult, seed=seed)
-                old = loss_value(TRAIN_LOSS, feats @ ohat.T, targets)
-                init = loss_value(TRAIN_LOSS, predict(layer, feats), targets)
-                _, report, _ = train(layer, feats, targets, HeadConfig(epochs=0))
+                old = loss_value(CE, feats @ ohat.T, targets)
+                init = loss_value(CE, predict(layer, feats), targets)
+                _, report, _ = train(layer, feats, targets, CE, HeadConfig(epochs=0))
                 mismatches += not (init == old == report.old_loss)
     elapsed = time.monotonic() - start
     ok = mismatches == 0 and elapsed < 30.0
@@ -81,7 +81,7 @@ class PipelineRun:
     seed: int
     report: object
     curve: list
-    base_ce_loss: float
+    base_loss: float
 
 
 def _full_pipeline(dataset_kind, classes, loss, seed):
@@ -92,10 +92,10 @@ def _full_pipeline(dataset_kind, classes, loss, seed):
     feats = forward(model, data.inputs)[1]
     layer = build(model.output_weight, model.output_weight.shape[1], seed=seed)
     head_cfg = HeadConfig(learning_rate=5e-3, epochs=40)
-    _, report, curve = train(layer, feats, data.targets, head_cfg)
+    _, report, curve = train(layer, feats, data.targets, loss, head_cfg)
     # the paper's reference: the base head's own loss, not L(O0)
-    base_ce = loss_value(TRAIN_LOSS, feats @ model.output_weight.T, data.targets)
-    return report, curve, base_ce
+    base_loss = loss_value(loss, feats @ model.output_weight.T, data.targets)
+    return report, curve, base_loss
 
 
 @pytest.fixture(scope="module")
@@ -109,20 +109,20 @@ def guarantee_runs():
     for kind, classes in datasets:
         for loss in losses:
             for seed in range(5):
-                report, curve, base_ce = _full_pipeline(kind, classes, loss, seed)
+                report, curve, base_loss = _full_pipeline(kind, classes, loss, seed)
                 runs.append(PipelineRun(f"{kind}{classes}", loss.kind, seed, report, curve,
-                                        base_ce))
+                                        base_loss))
     return runs
 
 
 def test_criterion_3_hard_guarantee(guarantee_runs):
-    """75 full pipelines: final head training loss <= the base head's CE loss
-    L(y Ohat'), exactly."""
+    """75 full pipelines: final head training loss <= the base head's loss
+    L(y Ohat') in the loss the base network trained with, exactly."""
     start = time.monotonic()
     violations = [r for r in guarantee_runs
                   if not (r.report.guarantee_holds
-                          and r.report.old_loss == r.base_ce_loss
-                          and r.report.final_loss <= r.base_ce_loss)]
+                          and r.report.old_loss == r.base_loss
+                          and r.report.final_loss <= r.base_loss)]
     elapsed = time.monotonic() - start
     ok = len(guarantee_runs) == 75 and not violations
     record_acceptance("3 hard guarantee", ok,
@@ -161,7 +161,7 @@ def test_criterion_4_gradient_oracles():
         targets = random_one_hot(rng, j, q)
         lifted = lfp_lift(layer, feats)
         o = layer.O0
-        g = loss_value_and_grad(TRAIN_LOSS, lifted @ o.T, targets)[1]
+        g = loss_value_and_grad(CE, lifted @ o.T, targets)[1]
         analytic = (g.T @ lifted).ravel()
         flat = o.ravel()
         fd = np.zeros_like(flat)
@@ -169,8 +169,8 @@ def test_criterion_4_gradient_oracles():
             up, down = flat.copy(), flat.copy()
             up[i] += h
             down[i] -= h
-            fd[i] = (loss_value(TRAIN_LOSS, lifted @ up.reshape(o.shape).T, targets)
-                     - loss_value(TRAIN_LOSS, lifted @ down.reshape(o.shape).T, targets)) / (2 * h)
+            fd[i] = (loss_value(CE, lifted @ up.reshape(o.shape).T, targets)
+                     - loss_value(CE, lifted @ down.reshape(o.shape).T, targets)) / (2 * h)
         worst = max(worst, np.linalg.norm(analytic - fd) / max(np.linalg.norm(fd), 1e-12))
     ok = worst < 1e-4
     record_acceptance("4 gradient oracles", ok, f"worst rel err {worst:.2e}")
@@ -216,7 +216,7 @@ def test_criterion_5_desk_scale_digits(tmp_path):
     strict_decrease = True
     for seed in range(5):
         layer = build(model.output_weight, n, seed=seed)
-        trained, report, _ = train(layer, feats, train_ds.targets,
+        trained, report, _ = train(layer, feats, train_ds.targets, ce,
                                    HeadConfig(learning_rate=1e-5, epochs=200))
         strict_decrease = strict_decrease and report.final_loss < base_train_loss
         head_acc = accuracy(predict(trained, test_feats), test_ds.targets)

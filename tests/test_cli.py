@@ -23,6 +23,12 @@ from redense.nn import EpochStats, Loss, accuracy, forward, loss_value
 from redense.persist import load_model, save_model, write_curve
 
 
+# train's --loss flags for each loss, Huber at delta 1 and 0.25
+EVERY_LOSS = pytest.mark.parametrize("loss", [["ce"], ["mse"], ["poisson"], ["huber"],
+                                              ["huber", "--huber-delta", "0.25"]],
+                                     ids=["ce", "mse", "poisson", "huber1", "huber0.25"])
+
+
 def kv(capsys):
     out = capsys.readouterr().out
     pairs = {}
@@ -75,8 +81,8 @@ def test_train_divergence_exits_4(tmp_path, capsys):
     assert code == 4
 
 
-def _pipeline_to_bundle(tmp_path, capsys, loss="ce"):
-    run_train(tmp_path, capsys, loss=loss)
+def _pipeline_to_bundle(tmp_path, capsys, loss="ce", extra=()):
+    run_train(tmp_path, capsys, loss=loss, extra=extra)
     bundle_path = tmp_path / "features.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
                  "--synthetic", "blobs", "--samples", "200", "--classes", "3",
@@ -189,7 +195,7 @@ def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
     assert pairs["best_epoch"] == "0" and curve[-1][1] > curve[0][1]
     assert float(pairs["final_eval_accuracy"]) == accuracy(logits, held_out.targets)
     assert float(pairs["final_eval_accuracy"]) > curve[-1][3]
-    assert float(pairs["final_eval_loss"]) == loss_value(layermod.TRAIN_LOSS, logits,
+    assert float(pairs["final_eval_loss"]) == loss_value(bundle.loss, logits,
                                                          held_out.targets)
     with open(out / "redense_manifest.json") as f:
         assert json.load(f)["results"]["best_epoch"] == 0
@@ -201,8 +207,8 @@ def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
     last_iterate_scored_lower = False
     for m, seed, _, _, test_accuracy in rows:
         start = layermod.build(bundle.output_weight, int(m), int(seed))
-        trained, _, curve = layermod.train(start, bundle.features, bundle.targets, cfg,
-                                           eval_features=held_out.features,
+        trained, _, curve = layermod.train(start, bundle.features, bundle.targets, bundle.loss,
+                                           cfg, eval_features=held_out.features,
                                            eval_targets=held_out.targets)
         returned = accuracy(layermod.predict(trained, held_out.features), held_out.targets)
         assert float(test_accuracy) == returned
@@ -236,6 +242,25 @@ def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypat
     assert "was not exported from the training bundle's model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
+@pytest.mark.parametrize("metadata", [{"base_loss": "bogus"}, {"huber_delta": "abc"},
+                                      {"base_loss": "huber", "huber_delta": "0"},
+                                      {"base_loss": "huber", "huber_delta": "-1"}],
+                         ids=["bogus", "unparsable-delta", "zero-delta", "negative-delta"])
+def test_a_bundle_with_a_bad_loss_exits_3_before_any_output(tmp_path, capsys, monkeypatch,
+                                                            cmd, metadata):
+    bundle = load_feature_bundle(_pipeline_to_bundle(tmp_path, capsys))
+    bundle.metadata.update(metadata)  # past FeatureBundle's checks, as another writer may be
+    save_feature_bundle(tmp_path / "bad.rdfb", bundle)
+    monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
+    widths = {"redense": ["--m", "8"], "sweep-m": ["--m-values", "8", "--seeds", "1"]}[cmd]
+    out = tmp_path / "out"
+    assert main([cmd, "--bundle", str(tmp_path / "bad.rdfb"), *widths, "--epochs", "1",
+                 "--out-dir", str(out)]) == 3
+    assert "bundle metadata" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_single_cell_one_row(tmp_path, capsys):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     out = tmp_path / "sweep"
@@ -250,7 +275,7 @@ def test_sweep_single_cell_one_row(tmp_path, capsys):
 def test_sweep_rows_respect_guarantee(tmp_path, capsys):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     bundle = load_feature_bundle(bundle_path)
-    ce_old = float(bundle.metadata["ce_train_loss"])
+    base_old = float(bundle.metadata["base_train_loss"])
     out = tmp_path / "sweep"
     code = main(["sweep-m", "--bundle", str(bundle_path), "--m-values", "8,16",
                  "--seeds", "3", "--epochs", "10", "--seed", "0", "--out-dir", str(out)])
@@ -259,7 +284,7 @@ def test_sweep_rows_respect_guarantee(tmp_path, capsys):
     assert len(rows) == 6
     for row in rows:
         final_train_loss = float(row.split(",")[3])
-        assert final_train_loss <= ce_old * (1 + 1e-9)
+        assert final_train_loss <= base_old
     # the manifest lists build's diagnostics per row, in the table's order
     with open(out / "sweep_manifest.json") as f:
         results = json.load(f)["results"]
@@ -322,7 +347,7 @@ def test_sweep_rows_equal_standalone_redense_runs(tmp_path, capsys, monkeypatch,
         assert (float(pairs["cond_r"]), int(pairs["resamples"])) == (cond_r, resamples)
         # and both equal the library's build and train, which lift at width m alone
         layer = layermod.build(bundle.output_weight, int(m), int(seed))
-        _, report, curve = layermod.train(layer, bundle.features, bundle.targets,
+        _, report, curve = layermod.train(layer, bundle.features, bundle.targets, bundle.loss,
                                           layermod.HeadConfig(1e-2, 4), held_out.features,
                                           held_out.targets)
         assert ((report.epsilon, report.final_loss, curve[report.best_epoch].eval_accuracy)
@@ -430,45 +455,36 @@ def test_missing_model_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
-def test_redense_mixed_loss_reports_base_comparison(tmp_path, capsys):
-    bundle_path = _pipeline_to_bundle(tmp_path, capsys, loss="huber")
+def test_redense_trains_in_the_bundles_base_loss(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys, loss="huber",
+                                      extra=["--huber-delta", "0.25"])
     code = main(["redense", "--bundle", str(bundle_path), "--epochs", "20",
                  "--lr", "1e-2", "--seed", "6", "--out-dir", str(tmp_path / "rd")])
     assert code == 0
     pairs = kv(capsys)
     bundle = load_feature_bundle(bundle_path)
-    assert pairs["base_loss_kind"] == "huber"
-    assert float(pairs["base_old_loss"]) == float(bundle.metadata["base_train_loss"])
-    # the saved head scored in the base loss, bit for bit
-    _, _, trained = load_model(tmp_path / "rd" / "redense_head.rdnm")
-    huber = Loss("huber", delta=float(bundle.metadata["huber_delta"]))
-    assert float(pairs["base_final_loss"]) == loss_value(
-        huber, layermod.predict(trained, bundle.features), bundle.targets)
-    # the enforced inequality is in the training loss, not the base loss
+    assert bundle.loss == Loss("huber", delta=0.25)
+    assert pairs["loss_kind"] == "huber"
+    assert float(pairs["old_loss"]) == float(bundle.metadata["base_train_loss"])
     assert float(pairs["final_loss"]) <= float(pairs["old_loss"])
+    # the standalone head is stored with the bundle's loss and scores final_loss in it
+    _, loss, trained = load_model(tmp_path / "rd" / "redense_head.rdnm")
+    assert loss == bundle.loss
+    assert float(pairs["final_loss"]) == loss_value(
+        loss, layermod.predict(trained, bundle.features), bundle.targets)
 
 
-def test_redense_ce_base_comparison_is_the_training_loss(tmp_path, capsys):
-    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
-    assert main(["redense", "--bundle", str(bundle_path), "--epochs", "20",
-                 "--lr", "1e-2", "--seed", "6", "--out-dir", str(tmp_path / "rd")]) == 0
-    pairs = kv(capsys)
-    assert pairs["base_loss_kind"] == "softmax_cross_entropy"
-    assert float(pairs["base_old_loss"]) == float(pairs["old_loss"])
-    assert float(pairs["base_final_loss"]) == float(pairs["final_loss"])
-
-
-def test_redense_curve_starts_at_base_performance(tmp_path, capsys):
-    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+@EVERY_LOSS
+def test_redense_curve_starts_at_base_performance(tmp_path, capsys, loss):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys, loss=loss[0], extra=loss[1:])
     bundle = load_feature_bundle(bundle_path)
     out = tmp_path / "rd"
     assert main(["redense", "--bundle", str(bundle_path), "--epochs", "5",
                  "--seed", "1", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     first = read_curve(out / "redense_curve.csv")[0]
-    ce_old = float(bundle.metadata["ce_train_loss"])
     assert first[0] == 0
-    assert abs(first[1] - ce_old) / ce_old < 1e-6
+    assert first[1] == float(bundle.metadata["base_train_loss"])
 
 
 def test_redense_rerun_same_flags_same_checksum(tmp_path, capsys):
@@ -544,10 +560,16 @@ def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, caps
     run_train(tmp_path / "other", capsys, seed="8")
     biased = tmp_path / "biased.rdnm"
     _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
+    # the bundle's output weight under another loss kind, or another delta
+    exported, _, _ = load_model(tmp_path / "model.rdnm")
+    save_model(tmp_path / "mse.rdnm", exported, Loss("mean_square_error"))
+    save_model(tmp_path / "delta.rdnm", exported, Loss("softmax_cross_entropy", delta=0.5))
     monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
     out = tmp_path / "rd"
     for model, reason in ((tmp_path / "other" / "model.rdnm", "output weight"),
-                          (biased, "output bias")):
+                          (biased, "output bias"),
+                          (tmp_path / "mse.rdnm", "loss mean_square_error (delta 1)"),
+                          (tmp_path / "delta.rdnm", "loss softmax_cross_entropy (delta 0.5)")):
         code = main(["redense", "--bundle", str(bundle_path), "--model", str(model),
                      "--epochs", "3", "--seed", "1", "--out-dir", str(out)])
         assert code == 3
@@ -759,16 +781,18 @@ def test_train_rejects_a_non_finite_lr_before_loading(tmp_path, lr):
     assert not out.exists()
 
 
-def test_eval_on_the_training_images_reproduces_redense_final_loss(tmp_path, capsys):
+@EVERY_LOSS
+def test_eval_on_the_training_images_reproduces_redense_final_loss(tmp_path, capsys, loss):
     images, labels = gen_digit_images(300, seed=4)
     write_idx(tmp_path / "images", tmp_path / "labels", images, labels)
     data = ["--images", str(tmp_path / "images"), "--labels", str(tmp_path / "labels")]
     assert main(["train", *data, "--hidden", "8", "--epochs", "3", "--batch-size", "64",
-                 "--seed", "4", "--out-dir", str(tmp_path)]) == 0
+                 "--loss", *loss, "--seed", "4", "--out-dir", str(tmp_path)]) == 0
     model = str(tmp_path / "model.rdnm")
     assert main(["features", "--model", model, *data, "--no-split",
                  "--out", str(tmp_path / "f.rdfb")]) == 0
     capsys.readouterr()
+    base_train_loss = float(load_feature_bundle(tmp_path / "f.rdfb").metadata["base_train_loss"])
     for epochs in ("0", "25"):
         out = tmp_path / f"rd{epochs}"
         assert main(["redense", "--bundle", str(tmp_path / "f.rdfb"), "--model", model,
@@ -778,6 +802,9 @@ def test_eval_on_the_training_images_reproduces_redense_final_loss(tmp_path, cap
         assert main(["eval", "--model", str(out / "model_with_redense.rdnm"), *data,
                      "--out-dir", str(out)]) == 0
         scored = kv(capsys)
+        assert float(trained["old_loss"]) == base_train_loss
+        assert float(trained["final_loss"]) <= base_train_loss
+        assert scored["loss_kind"] == trained["loss_kind"]
         assert scored["redense_loss"] == trained["final_loss"]
         assert scored["base_loss"] == trained["old_loss"]
     assert float(trained["final_loss"]) < float(trained["old_loss"])

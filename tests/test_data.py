@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import per_image_digit_images, random_one_hot
+from conftest import CE, per_image_digit_images, random_one_hot
 from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
 from redense.errors import DataFormatError, NonFiniteError, ShapeError
-from redense.nn import _PIXELS, Dataset
+from redense.nn import _PIXELS, Dataset, Loss
 
 
 def test_idx_round_trip_hand_built(tmp_path):
@@ -86,6 +86,7 @@ def test_bundle_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(loaded.targets, bundle.targets)
     assert np.array_equal(loaded.output_weight, bundle.output_weight)
     assert loaded.metadata == bundle.metadata
+    assert loaded.loss == Loss("poisson")
 
 
 def test_bundle_rejects_inconsistent_head_width(rng):
@@ -129,9 +130,22 @@ def test_bundle_rejects_nan_payload(tmp_path, rng):
         load_feature_bundle(path)
 
 
-def test_bundle_rejects_bad_base_loss_metadata(rng):
+@pytest.mark.parametrize("metadata, loss", [
+    ({}, CE),  # an external export without base_loss
+    ({"base_loss": "mse"}, Loss("mean_square_error")),
+    ({"base_loss": "huber", "huber_delta": "0.25"}, Loss("huber", delta=0.25)),
+])
+def test_bundle_decodes_its_base_loss(rng, metadata, loss):
+    assert _bundle(rng, metadata=metadata).loss == loss
+
+
+@pytest.mark.parametrize("metadata", [
+    {"base_train_loss": "-3.0"}, {"base_loss": "bogus"}, {"huber_delta": "abc"},
+    {"base_loss": "huber", "huber_delta": "0"}, {"base_loss": "huber", "huber_delta": "nan"},
+])
+def test_bundle_rejects_bad_base_loss_metadata(rng, metadata):
     with pytest.raises(ValueError):
-        _bundle(rng, metadata={"base_train_loss": "-3.0"})
+        _bundle(rng, metadata=metadata)
 
 
 class _Perceptron:

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import lfp_lift, lfp_reconstruct, near_singular, random_one_hot
+from conftest import CE, lfp_lift, lfp_reconstruct, near_singular, random_one_hot
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
-from redense.layer import (MAX_CONDITION, TRAIN_LOSS, HeadConfig, RedenseLayer, _head_grad,
+from redense.layer import (MAX_CONDITION, HeadConfig, RedenseLayer, _head_grad,
                            _head_logits, _positive_half, _project, build, predict, train)
 from redense.linalg import frobenius_norm
-from redense.nn import accuracy, loss_value, loss_value_and_grad
+from redense.nn import LOSS_KINDS, Loss, accuracy, loss_value, loss_value_and_grad
 
 
 def identity_layer(n, q=None):
@@ -194,9 +194,9 @@ def _instance(rng, j=40, n=6, q=3, m=None):
 
 def test_train_zero_iterations_returns_start(rng):
     layer, feats, _, targets = _instance(rng)
-    trained, report, curve = train(layer, feats, targets, HeadConfig(epochs=0))
+    trained, report, curve = train(layer, feats, targets, CE, HeadConfig(epochs=0))
     assert not trained.delta.any()
-    assert report.old_loss == loss_value(TRAIN_LOSS, feats @ layer.base.T, targets)
+    assert report.old_loss == loss_value(CE, feats @ layer.base.T, targets)
     assert report.final_loss == report.old_loss
     assert report.guarantee_holds
     assert (report.stop_reason, report.stopped_at, report.best_epoch) == ("completed", 0, 0)
@@ -211,10 +211,10 @@ def test_init_loss_matches_base_loss(n, m):
         ohat = rng.standard_normal((5, n)) / np.sqrt(n)
         targets = random_one_hot(rng, 30, 5)
         layer = build(ohat, m, seed=seed)
-        old = loss_value(TRAIN_LOSS, feats @ ohat.T, targets)
-        init = loss_value(TRAIN_LOSS, predict(layer, feats), targets)
+        old = loss_value(CE, feats @ ohat.T, targets)
+        init = loss_value(CE, predict(layer, feats), targets)
         assert init == old
-        _, report, _ = train(layer, feats, targets, HeadConfig(epochs=0))
+        _, report, _ = train(layer, feats, targets, CE, HeadConfig(epochs=0))
         assert report.old_loss == report.final_loss == old
 
 
@@ -246,7 +246,7 @@ def test_predict_against_straight_line_oracle(rng):
 def test_train_respects_constraint_every_iteration(rng):
     layer, feats, _, targets = _instance(rng)
     cfg = HeadConfig(learning_rate=0.5, epochs=60)
-    _, report, curve = train(layer, feats, targets, cfg)
+    _, report, curve = train(layer, feats, targets, CE, cfg)
     assert all(c.o_norm <= report.epsilon * (1 + 1e-12) for c in curve)
     assert report.guarantee_holds
 
@@ -254,7 +254,7 @@ def test_train_respects_constraint_every_iteration(rng):
 def test_train_improves_loss_on_easy_problem(rng):
     layer, feats, _, targets = _instance(rng, j=80)
     cfg = HeadConfig(learning_rate=1e-2, epochs=150)
-    _, report, _ = train(layer, feats, targets, cfg)
+    _, report, _ = train(layer, feats, targets, CE, cfg)
     assert report.final_loss < report.old_loss
 
 
@@ -266,7 +266,7 @@ def test_train_guarantee_across_seeds_and_shapes():
             ohat = rng.standard_normal((q, n))
             targets = random_one_hot(rng, 30, q)
             layer = build(ohat, m, seed=seed)
-            _, report, _ = train(layer, feats, targets,
+            _, report, _ = train(layer, feats, targets, CE,
                                  HeadConfig(learning_rate=0.3, epochs=25))
             assert report.guarantee_holds
             assert report.final_loss <= report.old_loss
@@ -276,12 +276,12 @@ def test_train_returns_best_iterate_not_last(rng):
     # a deliberately unstable rate: the last iterate is worse than the best
     layer, feats, _, targets = _instance(rng, j=20)
     cfg = HeadConfig(learning_rate=5.0, epochs=40)
-    trained, report, curve = train(layer, feats, targets, cfg)
+    trained, report, curve = train(layer, feats, targets, CE, cfg)
     losses = [c.train_loss for c in curve]
     assert report.final_loss == min(losses) < losses[-1]
     assert losses[report.best_epoch] == report.final_loss
     assert curve[report.best_epoch].epoch == report.best_epoch
-    final = loss_value(TRAIN_LOSS, predict(trained, feats), targets)
+    final = loss_value(CE, predict(trained, feats), targets)
     assert final == report.final_loss
 
 
@@ -289,7 +289,7 @@ def test_train_eval_curve_columns(rng):
     layer, feats, _, targets = _instance(rng)
     ev_feats = rng.standard_normal((15, 6))
     ev_targets = random_one_hot(rng, 15, 3)
-    _, _, curve = train(layer, feats, targets, HeadConfig(learning_rate=1e-2, epochs=5),
+    _, _, curve = train(layer, feats, targets, CE, HeadConfig(learning_rate=1e-2, epochs=5),
                         eval_features=ev_feats, eval_targets=ev_targets)
     assert all(c.eval_loss is not None and c.eval_accuracy is not None for c in curve)
     assert len(curve) == 6
@@ -299,9 +299,9 @@ def test_train_refuses_to_score_an_empty_dataset(rng):
     layer, feats, _, targets = _instance(rng)
     cfg = HeadConfig(epochs=2)
     with pytest.raises(ValueError, match="empty"):
-        train(layer, feats[:0], targets[:0], cfg)
+        train(layer, feats[:0], targets[:0], CE, cfg)
     with pytest.raises(ValueError, match="empty"):
-        train(layer, feats, targets, cfg, eval_features=feats[:0], eval_targets=targets[:0])
+        train(layer, feats, targets, CE, cfg, eval_features=feats[:0], eval_targets=targets[:0])
 
 
 def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
@@ -317,7 +317,7 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
 
     monkeypatch.setattr("redense.layer.loss_value_and_grad", failing_grad)
     with np.errstate(invalid="ignore"):
-        trained, report, curve = train(layer, feats, targets,
+        trained, report, curve = train(layer, feats, targets, CE,
                                        HeadConfig(learning_rate=1e-2, epochs=5))
     assert len(curve) == 3
     assert "non-finite loss at iteration 3" in caplog.text
@@ -325,7 +325,7 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
     assert report.guarantee_holds
     assert report.final_loss == min(c.train_loss for c in curve) <= report.old_loss
     assert np.isfinite(trained.delta).all()
-    assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
+    assert loss_value(CE, predict(trained, feats), targets) == report.final_loss
 
 
 def test_train_raises_when_start_is_non_finite():
@@ -336,7 +336,7 @@ def test_train_raises_when_start_is_non_finite():
     targets = np.array([[1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError):
-            train(layer, feats, targets, HeadConfig(epochs=3))
+            train(layer, feats, targets, CE, HeadConfig(epochs=3))
 
 
 def test_epsilon_shrinks_with_wider_projection():
@@ -357,9 +357,9 @@ def test_redense_objective_gradient_matches_fd(rng):
     o = layer.O0.copy()
 
     def objective(flat):
-        return loss_value(TRAIN_LOSS, lifted @ flat.reshape(o.shape).T, targets)
+        return loss_value(CE, lifted @ flat.reshape(o.shape).T, targets)
 
-    g = loss_value_and_grad(TRAIN_LOSS, lifted @ o.T, targets)[1]
+    g = loss_value_and_grad(CE, lifted @ o.T, targets)[1]
     analytic = (g.T @ lifted).ravel()
     flat = o.ravel()
     h = 1e-5
@@ -387,13 +387,13 @@ def _reference_train(layer, feats, targets, lr, epochs):
     for t in range(epochs + 1):
         d32 = d.astype(np.float32)
         logits = base + (h32 @ (d32[:, :9] + d32[:, 9:]).T - y32 @ (d32[:, 9:] @ r32).T)
-        loss = loss_value(TRAIN_LOSS, logits, targets)
+        loss = loss_value(CE, logits, targets)
         curve.append((t, loss, frobenius_norm(layer.O0 + d), loss, accuracy(logits, targets)))
         if loss < best_loss:
             best_loss, best_d = loss, d.copy()
         if t == epochs:
             break
-        g32 = loss_value_and_grad(TRAIN_LOSS, logits, targets)[1].astype(np.float32)
+        g32 = loss_value_and_grad(CE, logits, targets)[1].astype(np.float32)
         a = g32.T @ h32
         grad = np.hstack([a, a - (g32.T @ y32) @ r32.T]).astype(np.float64)
         m_t = beta1 * m_t + (1.0 - beta1) * grad
@@ -410,7 +410,7 @@ def _reference_train(layer, feats, targets, lr, epochs):
 @pytest.mark.parametrize("lr", [1e-3, 0.5])
 def test_train_matches_hand_written_adam_bitwise(rng, lr):
     layer, feats, _, targets = _instance(rng, j=50, m=9)
-    trained, _, curve = train(layer, feats, targets, HeadConfig(learning_rate=lr, epochs=30))
+    trained, _, curve = train(layer, feats, targets, CE, HeadConfig(learning_rate=lr, epochs=30))
     ref_d, ref_curve = _reference_train(layer, feats, targets, lr, 30)
     assert np.array_equal(trained.delta, ref_d)
     assert [(c.epoch, c.train_loss, c.o_norm, c.eval_loss, c.eval_accuracy)
@@ -536,10 +536,10 @@ def test_features_beyond_float32_range_keep_training(rng, scale):
     feats = scale * rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
     layer = build(rng.standard_normal((q, n)) / (10.0 * scale), m, seed=0)
-    trained, report, _ = train(layer, feats, targets, HeadConfig(epochs=5))
+    trained, report, _ = train(layer, feats, targets, CE, HeadConfig(epochs=5))
     assert (report.stop_reason, report.stopped_at) == ("completed", 5)
     assert report.guarantee_holds
-    assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
+    assert loss_value(CE, predict(trained, feats), targets) == report.final_loss
 
     # with a zero base head, predict returns the float32 correction alone,
     # and it keeps float32's relative accuracy at either end
@@ -552,12 +552,18 @@ def test_features_beyond_float32_range_keep_training(rng, scale):
 @given(j=st.integers(1, 20), n=st.integers(1, 6), extra=st.integers(0, 6),
        q=st.integers(2, 4), cond_share=st.floats(0.01, 0.99),
        lr=st.floats(1e-300, 1.0), epochs=st.integers(0, 4),
+       kind=st.sampled_from(LOSS_KINDS), huber_delta=st.floats(0.01, 2.0),
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)
-@example(j=6, n=4, extra=2, q=3, cond_share=0.99, lr=1e-300, epochs=3, seed=0)
-@example(j=6, n=4, extra=0, q=3, cond_share=0.99, lr=1.0, epochs=0, seed=1)
+@example(j=6, n=4, extra=2, q=3, cond_share=0.99, lr=1e-300, epochs=3,
+         kind="softmax_cross_entropy", huber_delta=1.0, seed=0)
+@example(j=6, n=4, extra=0, q=3, cond_share=0.99, lr=1.0, epochs=0,
+         kind="softmax_cross_entropy", huber_delta=1.0, seed=1)
+@example(j=6, n=4, extra=2, q=3, cond_share=0.5, lr=1e-2, epochs=4, kind="huber",
+         huber_delta=0.25, seed=2)
 def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share, lr, epochs,
-                                                       seed):
+                                                       kind, huber_delta, seed):
+    loss = Loss(kind, delta=huber_delta)
     rng = np.random.default_rng(seed)
     r = near_singular(rng, n + extra, n, cond_share * MAX_CONDITION)
     ohat = rng.standard_normal((q, n))
@@ -565,14 +571,14 @@ def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share
     targets = random_one_hot(rng, j, q)
     layer = build_with_r(ohat, r)
     base_logits = feats @ ohat.T
-    base_loss = loss_value(TRAIN_LOSS, base_logits, targets)
+    base_loss = loss_value(loss, base_logits, targets)
     assert np.array_equal(predict(layer, feats), base_logits)
 
-    trained, report, _ = train(layer, feats, targets,
+    trained, report, _ = train(layer, feats, targets, loss,
                                HeadConfig(learning_rate=lr, epochs=epochs))
     assert report.old_loss == base_loss
     assert report.guarantee_holds and report.final_loss <= base_loss
-    assert loss_value(TRAIN_LOSS, predict(trained, feats), targets) == report.final_loss
+    assert loss_value(loss, predict(trained, feats), targets) == report.final_loss
 
 
 def _traced_peak(fn, *args):
@@ -593,5 +599,5 @@ def test_train_and_predict_never_hold_the_double_width_lift(rng):
     targets = random_one_hot(rng, j, q)
     layer = build(rng.standard_normal((q, n)), m, seed=0)
     limit = 0.75 * j * m * 8
-    assert _traced_peak(train, layer, feats, targets, HeadConfig(epochs=3)) < limit
+    assert _traced_peak(train, layer, feats, targets, CE, HeadConfig(epochs=3)) < limit
     assert _traced_peak(predict, layer, feats) < limit

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_one_hot, read_curve, rewrite_model_header
+from conftest import CE, random_one_hot, read_curve, rewrite_model_header
 from redense.errors import DataFormatError
 from redense.layer import HeadConfig, build, predict, train
 from redense.nn import EpochStats, Loss, forward, make_mlp
@@ -59,7 +59,7 @@ def test_round_trip_with_lifting_layer(tmp_path, rng):
     x = rng.standard_normal((7, 6))
     assert np.array_equal(predict(loaded_layer, x), predict(layer, x))
     with pytest.raises(ValueError, match="O0"):
-        train(loaded_layer, x, np.eye(3)[[0, 1, 2, 0, 1, 2, 0]], HeadConfig(epochs=1))
+        train(loaded_layer, x, np.eye(3)[[0, 1, 2, 0, 1, 2, 0]], CE, HeadConfig(epochs=1))
 
 
 def test_save_refuses_a_layer_built_on_another_head(tmp_path):
