@@ -3,10 +3,14 @@
 
 Uses real MNIST IDX files when REDENSE_MNIST_DIR points at them, otherwise
 writes a generated digit-image corpus at the same scale, then runs
-train -> features -> redense -> eval end to end.
+train -> features -> redense -> eval end to end. After each command it prints
+the peak_rss_mib of that command's manifest: the commands share one process,
+so each reading is the peak so far, and the command whose reading first
+reaches the last one sets the pipeline's peak.
 """
 
 import argparse
+import json
 import os
 from pathlib import Path
 
@@ -30,9 +34,11 @@ def idx_files(out):
     return paths
 
 
-def run(argv):
+def run(argv, manifest):
     code = cli(argv)
     assert code == 0, f"command failed with exit {code}: {argv}"
+    with open(manifest) as f:
+        print(f"peak_rss_mib={json.load(f)['peak_rss_mib']:.1f}")
 
 
 def main():
@@ -52,25 +58,28 @@ def main():
          "--test-images", str(tei), "--test-labels", str(tel),
          "--hidden", "64", "--loss", "ce", "--lr", "1e-3",
          "--epochs", str(args.epochs), "--batch-size", "128",
-         "--seed", str(args.seed), "--out-dir", str(out)])
+         "--seed", str(args.seed), "--out-dir", str(out)], out / "train_manifest.json")
 
     print("== export bundles ==")
     train_bundle = out / "train.rdfb"
     test_bundle = out / "test.rdfb"
     run(["features", "--model", str(out / "model.rdnm"), "--images", str(tri),
-         "--labels", str(trl), "--no-split", "--out", str(train_bundle)])
+         "--labels", str(trl), "--no-split", "--out", str(train_bundle)],
+        f"{train_bundle}.manifest.json")
     run(["features", "--model", str(out / "model.rdnm"), "--images", str(tei),
-         "--labels", str(tel), "--no-split", "--out", str(test_bundle)])
+         "--labels", str(tel), "--no-split", "--out", str(test_bundle)],
+        f"{test_bundle}.manifest.json")
 
     print("== retrain lifted head ==")
     run(["redense", "--bundle", str(train_bundle), "--eval-bundle", str(test_bundle),
          "--model", str(out / "model.rdnm"), "--lr", str(args.redense_lr),
          "--epochs", str(args.redense_epochs), "--seed", str(args.seed),
-         "--out-dir", str(out)])
+         "--out-dir", str(out)], out / "redense_manifest.json")
 
     print("== compare heads on the test set ==")
     run(["eval", "--model", str(out / "model_with_redense.rdnm"),
-         "--images", str(tei), "--labels", str(tel), "--out-dir", str(out)])
+         "--images", str(tei), "--labels", str(tel), "--out-dir", str(out)],
+        out / "eval_manifest.json")
 
 
 if __name__ == "__main__":

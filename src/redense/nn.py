@@ -53,13 +53,13 @@ class Activation:
 @dataclass(frozen=True)
 class Loss:
     kind: str
-    delta: float = 1.0  # huber threshold, ignored elsewhere
+    delta: float = 1.0  # huber threshold; every other kind keeps this default
 
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.kind == "huber" and not self.delta > 0.0:
-            raise ValueError("huber delta must be > 0")
+        if not (self.delta > 0.0 if self.kind == "huber" else self.delta == Loss.delta):
+            raise ValueError(f"{self.kind} cannot take delta {self.delta:g} (huber only, > 0)")
 
 
 def make_loss(name: str, delta: float = Loss.delta) -> Loss:
@@ -86,9 +86,12 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-# IDX pixel code c stands for c / 255; these tables are the only place codes become values
-_PIXELS = np.arange(256) / 255.0
-_PIXELS32 = _PIXELS.astype(np.float32)
+def _decode(block: Matrix, out: Matrix) -> Matrix:
+    """block written into out: code c becomes c / 255 in out's dtype, floats are cast."""
+    if block.dtype == np.uint8:
+        return np.divide(block, out.dtype.type(255), out=out)
+    np.copyto(out, block)
+    return out
 
 
 @dataclass
@@ -206,7 +209,8 @@ def forward(model: MlpModel, inputs: Matrix):
     parts = max(1, -(-rows // _STATS_ROWS))
     bounds = [rows * k // parts for k in range(parts + 1)]
     for lo, hi in zip(bounds, bounds[1:]):
-        chunk = _PIXELS[inputs[lo:hi]] if inputs.dtype == np.uint8 else inputs[lo:hi]
+        chunk = (inputs[lo:hi] if inputs.dtype != np.uint8
+                 else _decode(inputs[lo:hi], np.empty((hi - lo, inputs.shape[1]))))
         out, pre, acts = _forward_cached(model, chunk)
         if parts == 1:
             return out, acts[-1]
@@ -229,20 +233,16 @@ def _softmax_parts(logits: Matrix):
     return shifted, e, e.sum(axis=1, keepdims=True)
 
 
-def _check_loss_args(logits: Matrix, targets: Matrix):
-    if logits.shape != targets.shape:
-        raise ShapeError(f"logits shape {logits.shape} != targets shape {targets.shape}")
-    if not np.isfinite(logits).all():
-        raise NonFiniteError("logits contain NaN or Inf")
-
-
 def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix,
                         need_value: bool = True, need_grad: bool = True):
     """(summed loss, its gradient with respect to the logits) from one softmax pass.
 
     Non-CE losses act on softmax outputs. An output not asked for is None.
     """
-    _check_loss_args(logits, targets)
+    if logits.shape != targets.shape:
+        raise ShapeError(f"logits shape {logits.shape} != targets shape {targets.shape}")
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("logits contain NaN or Inf")
     shifted, e, row_sum = _softmax_parts(logits)
     value = grad = None
     if loss.kind == "softmax_cross_entropy":
@@ -353,27 +353,18 @@ _STATS_ROWS = 1024  # most rows per chunk of forward and of the per-epoch statis
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def _float32_copy(inputs: Matrix, name: str) -> Matrix:
-    """inputs as float32, refused when a value lies beyond float32's range."""
-    if inputs.dtype == np.uint8:
-        return _PIXELS32[inputs]
-    if inputs.size and max(inputs.max(), -inputs.min()) > _FLOAT32_MAX:
-        raise ValueError(f"{name} exceed float32's range (|x| > {_FLOAT32_MAX:.7g}), "
-                         "in which base training computes")
-    return inputs.astype(np.float32)
-
-
 def _trained_params(model: MlpModel):
     """The arrays train_base updates, in Adam's order; the output bias is not one."""
     return ([layer.weight for layer in model.layers] + [layer.bias for layer in model.layers]
             + [model.output_weight])
 
 
-def _chunked_logits(model: MlpModel, inputs: Matrix):
-    """(row slice, logits) over inputs in chunks of at most _STATS_ROWS rows."""
+def _chunked_logits(model: MlpModel, inputs: Matrix, buffer: Matrix):
+    """(row slice, logits) over chunks of at most _STATS_ROWS rows, decoded into buffer."""
     for start in range(0, inputs.shape[0], _STATS_ROWS):
         rows = slice(start, start + _STATS_ROWS)
-        yield rows, forward(model, inputs[rows])[0]
+        block = inputs[rows]
+        yield rows, forward(model, _decode(block, buffer[:len(block)]))[0]
 
 
 def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
@@ -381,13 +372,19 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     """Train the layers and the output weight, not the output bias, in place with
     mini-batch Adam; return (model, curve), curve[0] before training. README,
     "Base-training precision", gives the float32/float64 split."""
+    P = model.input_width
+    for name, verb, d in (("training", "train", data), ("eval", "evaluate", eval_data)):
+        if d is None:
+            continue
+        x = d.inputs
+        if len(x) == 0:
+            raise ValueError(f"cannot {verb} on an empty dataset")
+        if x.shape[1] != P:
+            raise ShapeError(f"{name} inputs have width {x.shape[1]}, model expects {P}")
+        if x.dtype != np.uint8 and x.size and max(x.max(), -x.min()) > _FLOAT32_MAX:
+            raise ValueError(f"{name} inputs exceed float32's range (|x| > {_FLOAT32_MAX:.7g}), "
+                             "in which base training computes")
     J = len(data)
-    if J == 0:
-        raise ValueError("cannot train on an empty dataset")
-    if eval_data is not None and len(eval_data) == 0:
-        raise ValueError("cannot evaluate on an empty dataset")
-    inputs = _float32_copy(data.inputs, "training inputs")
-    eval_inputs = None if eval_data is None else _float32_copy(eval_data.inputs, "eval inputs")
     # the output bias stays float64, so the shadow's logits come out float64
     shadow = MlpModel([Layer(layer.weight.astype(np.float32), layer.bias.astype(np.float32),
                              layer.activation) for layer in model.layers],
@@ -398,11 +395,11 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     def epoch_stats(epoch):
         try:
             train_loss = 0.0
-            for rows, logits in _chunked_logits(shadow, inputs):
+            for rows, logits in _chunked_logits(shadow, data.inputs, stats_inputs):
                 train_loss += loss_value(loss, logits, data.targets[rows])
             if eval_data is not None:
                 ev_loss, hits = 0.0, 0
-                for rows, logits in _chunked_logits(shadow, eval_inputs):
+                for rows, logits in _chunked_logits(shadow, eval_data.inputs, stats_inputs):
                     targets = eval_data.targets[rows]
                     ev_loss += loss_value(loss, logits, targets)
                     hits += np.count_nonzero(logits.argmax(axis=1) == targets.argmax(axis=1))
@@ -418,7 +415,9 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     shadow_params = _trained_params(shadow)
     adam = _AdamState([p.shape for p in params])
     # reused: allocated every step, arrays this size can come from fresh pages (README)
-    batch_inputs = np.empty((batch, inputs.shape[1]), np.float32)
+    batch_rows = np.empty((batch, P), data.inputs.dtype)
+    batch_inputs = np.empty((batch, P), np.float32)
+    stats_inputs = np.empty((_STATS_ROWS, P), np.float32)
     grads = [np.empty(p.shape) for p in params]
 
     curve = [epoch_stats(0)]
@@ -427,7 +426,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
         for start in range(0, J, batch):
             idx = perm[start:start + batch]
             # mode="clip" writes straight into out; "raise" would buffer
-            x = np.take(inputs, idx, axis=0, out=batch_inputs[:len(idx)], mode="clip")
+            rows = np.take(data.inputs, idx, axis=0, out=batch_rows[:len(idx)], mode="clip")
+            x = _decode(rows, batch_inputs[:len(idx)])
             logits, pre, acts = _forward_cached(shadow, x)
             try:
                 dlogits = loss_value_and_grad(loss, logits, data.targets[idx],

@@ -245,8 +245,10 @@ def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
 @pytest.mark.parametrize("metadata", [{"base_loss": "bogus"}, {"huber_delta": "abc"},
                                       {"base_loss": "huber", "huber_delta": "0"},
-                                      {"base_loss": "huber", "huber_delta": "-1"}],
-                         ids=["bogus", "unparsable-delta", "zero-delta", "negative-delta"])
+                                      {"base_loss": "huber", "huber_delta": "-1"},
+                                      {"base_loss": "softmax_cross_entropy", "huber_delta": "-1"}],
+                         ids=["bogus", "unparsable-delta", "zero-delta", "negative-delta",
+                              "delta-for-ce"])
 def test_a_bundle_with_a_bad_loss_exits_3_before_any_output(tmp_path, capsys, monkeypatch,
                                                             cmd, metadata):
     bundle = load_feature_bundle(_pipeline_to_bundle(tmp_path, capsys))
@@ -540,6 +542,28 @@ def _save_with_output_bias(source, target, bias):
     save_model(target, model, loss)
 
 
+def test_train_refuses_a_huber_delta_for_another_loss(tmp_path, capsys):
+    out = tmp_path / "x"
+    code = main(["train", "--synthetic", "blobs", "--samples", "60", "--loss", "ce",
+                 "--huber-delta", "-1", "--epochs", "1", "--out-dir", str(out)])
+    assert code == 2
+    assert "cannot take delta -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "features"])
+def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd):
+    run_train(tmp_path, capsys)
+    rewrite_model_header(tmp_path / "model.rdnm", lambda h: h["loss"].update(delta=-1.0))
+    out = tmp_path / "out"
+    where = ["--out-dir", str(out)] if cmd == "eval" else ["--out", str(out / "f.rdfb")]
+    code = main([cmd, "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
+                 "--samples", "60", "--classes", "3", "--seed", "7", *where])
+    assert code == 3
+    assert "cannot take delta -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_features_refuses_a_nonzero_output_bias(tmp_path, capsys):
     # the bundle holds no output bias, so exporting would silently drop it
     run_train(tmp_path, capsys)
@@ -560,16 +584,17 @@ def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, caps
     run_train(tmp_path / "other", capsys, seed="8")
     biased = tmp_path / "biased.rdnm"
     _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
-    # the bundle's output weight under another loss kind, or another delta
+    # the bundle's output weight under another loss kind, or a delta CE cannot take
     exported, _, _ = load_model(tmp_path / "model.rdnm")
     save_model(tmp_path / "mse.rdnm", exported, Loss("mean_square_error"))
-    save_model(tmp_path / "delta.rdnm", exported, Loss("softmax_cross_entropy", delta=0.5))
+    save_model(tmp_path / "delta.rdnm", exported, Loss("softmax_cross_entropy"))
+    rewrite_model_header(tmp_path / "delta.rdnm", lambda h: h["loss"].update(delta=0.5))
     monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
     out = tmp_path / "rd"
     for model, reason in ((tmp_path / "other" / "model.rdnm", "output weight"),
                           (biased, "output bias"),
                           (tmp_path / "mse.rdnm", "loss mean_square_error (delta 1)"),
-                          (tmp_path / "delta.rdnm", "loss softmax_cross_entropy (delta 0.5)")):
+                          (tmp_path / "delta.rdnm", "cannot take delta 0.5")):
         code = main(["redense", "--bundle", str(bundle_path), "--model", str(model),
                      "--epochs", "3", "--seed", "1", "--out-dir", str(out)])
         assert code == 3
@@ -1142,8 +1167,8 @@ def test_flag_defaults_are_the_library_defaults():
 
 
 def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):
-    # per 784-pixel image the codes take 784 bytes, train's float32 copy 4 x 784,
-    # and a float64 copy 8 x 784; features decodes chunk by chunk
+    # per 784-pixel image the codes take 784 bytes, a float32 copy 4 x 784 and a
+    # float64 copy 8 x 784; train and features decode chunk by chunk
     def peaks(j):
         images, labels = gen_digit_images(j, seed=9)
         d = tmp_path / str(j)
@@ -1165,7 +1190,7 @@ def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):
         return np.array(out)
 
     train, features = (peaks(3000) - peaks(1000)) / 2000
-    assert train < 8 * 784
+    assert train < 2 * 784
     assert features < 4 * 784
 
 

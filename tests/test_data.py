@@ -12,7 +12,7 @@ from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
 from redense.errors import DataFormatError, NonFiniteError, ShapeError
-from redense.nn import _PIXELS, Dataset, Loss
+from redense.nn import Dataset, Loss, _decode
 
 
 def test_idx_round_trip_hand_built(tmp_path):
@@ -25,7 +25,7 @@ def test_idx_round_trip_hand_built(tmp_path):
     ds = load_idx(images, labels)
     assert ds.inputs.dtype == np.uint8
     assert np.array_equal(ds.inputs, [[0, 64, 128, 255], [255, 0, 32, 16]])
-    decoded = _PIXELS[ds.inputs]
+    decoded = _decode(ds.inputs, np.empty(ds.inputs.shape))
     assert decoded.tobytes() == np.array([[0.0, 64 / 255, 128 / 255, 1.0],
                                           [1.0, 0.0, 32 / 255, 16 / 255]]).tobytes()
     assert np.array_equal(ds.targets[0], np.eye(10)[3])
@@ -39,7 +39,8 @@ def test_idx_writer_round_trip(tmp_path, rng):
     ds = load_idx(tmp_path / "i", tmp_path / "l")
     assert ds.inputs.dtype == np.uint8
     assert np.array_equal(ds.inputs, images.reshape(5, 9))
-    assert _PIXELS[ds.inputs].tobytes() == (images.reshape(5, 9) / 255.0).tobytes()
+    decoded = _decode(ds.inputs, np.empty(ds.inputs.shape))
+    assert decoded.tobytes() == (images.reshape(5, 9) / 255.0).tobytes()
     assert np.array_equal(np.argmax(ds.targets, axis=1), labels)
 
 
@@ -142,6 +143,7 @@ def test_bundle_decodes_its_base_loss(rng, metadata, loss):
 @pytest.mark.parametrize("metadata", [
     {"base_train_loss": "-3.0"}, {"base_loss": "bogus"}, {"huber_delta": "abc"},
     {"base_loss": "huber", "huber_delta": "0"}, {"base_loss": "huber", "huber_delta": "nan"},
+    {"base_loss": "mse", "huber_delta": "0.5"}, {"huber_delta": "-1"},
 ])
 def test_bundle_rejects_bad_base_loss_metadata(rng, metadata):
     with pytest.raises(ValueError):

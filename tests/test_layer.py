@@ -563,7 +563,7 @@ def test_features_beyond_float32_range_keep_training(rng, scale):
          huber_delta=0.25, seed=2)
 def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share, lr, epochs,
                                                        kind, huber_delta, seed):
-    loss = Loss(kind, delta=huber_delta)
+    loss = Loss(kind, delta=huber_delta if kind == "huber" else Loss.delta)
     rng = np.random.default_rng(seed)
     r = near_singular(rng, n + extra, n, cond_share * MAX_CONDITION)
     ohat = rng.standard_normal((q, n))

@@ -10,8 +10,8 @@ from hypothesis.extra import numpy as hnp
 from conftest import one_hot, random_one_hot
 from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
-from redense.nn import (_PIXELS, _PIXELS32, ACTIVATION_KINDS, Activation, Dataset, Layer,
-                        Loss, MlpModel, TrainConfig, _AdamState, _backward, _forward_cached,
+from redense.nn import (ACTIVATION_KINDS, LOSS_KINDS, Activation, Dataset, Layer, Loss,
+                        MlpModel, TrainConfig, _AdamState, _backward, _decode, _forward_cached,
                         _trained_params, accuracy, forward, loss_value, loss_value_and_grad,
                         make_loss, make_mlp, train_base)
 
@@ -165,6 +165,13 @@ def test_make_loss_aliases():
         make_loss("hinge")
     with pytest.raises(ValueError):
         Loss("huber", delta=0.0)
+    for kind in [k for k in LOSS_KINDS if k != "huber"]:
+        assert Loss(kind, delta=Loss.delta) == Loss(kind)
+        for delta in (-1.0, 0.5, np.nan):
+            with pytest.raises(ValueError, match="cannot take delta"):
+                Loss(kind, delta=delta)
+    with pytest.raises(ValueError, match="cannot take delta -1"):
+        make_loss("ce", delta=-1.0)
 
 
 def _blobs(j=80, classes=2, noise=0.3, seed=0):
@@ -229,6 +236,18 @@ def test_train_base_output_bias_untouched():
     train_base(model, data, Loss("softmax_cross_entropy"),
                TrainConfig(epochs=3, seed=4))
     assert np.array_equal(model.output_bias, [0.25, -0.25])
+
+
+@pytest.mark.parametrize("which", ["training", "eval"])
+def test_train_base_refuses_inputs_of_another_width_before_training(which):
+    data, wide = _blobs(seed=5), Dataset(np.zeros((10, 3)), np.eye(2)[np.arange(10) % 2])
+    sets = (wide, data) if which == "training" else (data, wide)
+    model = make_mlp(2, [4], 2, seed=5)
+    weight = model.layers[0].weight.copy()
+    with pytest.raises(ShapeError, match=f"{which} inputs have width 3, model expects 2"):
+        train_base(model, sets[0], Loss("softmax_cross_entropy"), TrainConfig(epochs=1),
+                   eval_data=sets[1])
+    assert np.array_equal(model.layers[0].weight, weight)
 
 
 def test_forward_features_identity_layer_negative_inputs():
@@ -524,6 +543,27 @@ def test_train_base_allocates_only_the_float32_input_copies():
     assert peak <= (j + j_eval) * p * 4 + 3 * 1024 * hidden * 4 + 256 * 1024
 
 
+def test_train_base_on_floats_holds_no_copy_of_its_inputs():
+    # per training row a float32 copy of the inputs would take 4 p bytes, and one of
+    # the eval inputs 2 p more; the epoch's permutation takes 8
+    p = 64
+
+    def peak(j):
+        rng = np.random.default_rng(j)
+        data = Dataset(rng.standard_normal((j, p)), random_one_hot(rng, j, 3))
+        eval_data = Dataset(rng.standard_normal((j // 2, p)), random_one_hot(rng, j // 2, 3))
+        cfg = TrainConfig(epochs=1, batch_size=64, seed=5)
+        tracemalloc.start()
+        try:
+            train_base(make_mlp(p, [16], 3, seed=5), data, Loss("softmax_cross_entropy"), cfg,
+                       eval_data=eval_data)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(3000) - peak(1000)) / 2000 < 4 * p
+
+
 @pytest.mark.parametrize("kind", ACTIVATION_KINDS)
 def test_activation_derivative_keeps_the_dtype(kind):
     z = np.array([[-1.5, 0.0, 2.0]])
@@ -549,11 +589,13 @@ def test_adam_step_reuses_its_buffers():
     assert peak < grad.nbytes
 
 
-def test_pixel_tables_are_the_float64_division_bit_for_bit():
-    expected = np.arange(256).astype(np.float64) / 255.0
-    assert _PIXELS.dtype == np.float64 and _PIXELS.tobytes() == expected.tobytes()
-    assert _PIXELS32.dtype == np.float32
-    assert _PIXELS32.tobytes() == expected.astype(np.float32).tobytes()
+def test_decode_rule_is_the_float64_division_for_every_code():
+    # float32 division gives the float32 cast of the float64 quotient, for all 256 codes
+    codes = np.arange(256, dtype=np.uint8)
+    expected = np.arange(256) / 255.0
+    for dtype, want in ((np.float64, expected), (np.float32, expected.astype(np.float32))):
+        decoded = _decode(codes, np.empty(256, dtype))
+        assert decoded.dtype == dtype and decoded.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("hidden", [[], [16], [32, 16]], ids=str)
