@@ -3,10 +3,13 @@
 
 Trains a small MLP, exports its feature bundle, retrains the lifted head and
 evaluates both heads, all through the CLI so every artifact and manifest
-lands in the output directory.
+lands in the output directory. It ends with a `sha256  name` line for each
+file it wrote, manifests excluded, so two runs' stdout diff to nothing when
+their files are byte-identical.
 """
 
 import argparse
+import hashlib
 import sys
 from pathlib import Path
 
@@ -46,6 +49,11 @@ def main():
     print("== evaluate with and without the lifted head ==")
     run(["eval", "--model", str(out / "model_with_redense.rdnm"), *data,
          "--out-dir", str(out)])
+
+    print("== sha256 of the files written, manifests excluded ==")
+    for name in sorted(["model.rdnm", "curve.csv", bundle.name, "model_with_redense.rdnm",
+                        "redense_curve.csv"]):
+        print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

@@ -161,14 +161,14 @@ def _resolve_datasets(args, load_test=True):
 def cmd_train(args):
     try:
         loss = nn.make_loss(args.loss, delta=args.huber_delta)
+        activation = nn.Activation(args.activation, slope=args.leaky_slope)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                              batch_size=args.batch_size, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
     train_ds, test_ds = _resolve_datasets(args)
     model = nn.make_mlp(train_ds.inputs.shape[1], args.hidden,
-                        train_ds.targets.shape[1], activation=args.activation,
-                        leaky_slope=args.leaky_slope, seed=args.seed)
+                        train_ds.targets.shape[1], activation=activation, seed=args.seed)
     model, curve = nn.train_base(model, train_ds, loss, cfg, eval_data=test_ds)
 
     out_dir = Path(args.out_dir)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import json
 import math
 import os
 import struct
@@ -19,7 +20,8 @@ from .nn import Dataset, Loss, make_loss
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 BUNDLE_MAGIC = b"RDFB"
-BUNDLE_VERSION = 1
+BUNDLE_VERSION = 2
+_BUNDLE_BLOCKS = ("features", "targets", "output_weight")
 _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 
 
@@ -44,9 +46,10 @@ class FeatureBundle:
             raise ShapeError(
                 f"output weight has shape {self.output_weight.shape}, expected ({q}, {n})"
             )
-        for name, a in (("features", self.features), ("targets", self.targets),
-                        ("output_weight", self.output_weight)):
-            check_finite(a, name)
+        for name in _BUNDLE_BLOCKS:
+            check_finite(getattr(self, name), name)
+        if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()):
+            raise ValueError("bundle metadata must map strings to strings")
         if "base_train_loss" in self.metadata:
             lo = float(self.metadata["base_train_loss"])
             if not (np.isfinite(lo) and lo >= 0.0):
@@ -85,6 +88,12 @@ def _read_exact(f, nbytes, path, what):
     return f.read(nbytes)
 
 
+def _check_at_end(f, path):
+    """Refuse bytes after the last one a reader consumed."""
+    if f.tell() != os.fstat(f.fileno()).st_size:
+        raise DataFormatError("trailing bytes after the payload", path=path, offset=f.tell())
+
+
 def _read_u32_be(f, path, what):
     return struct.unpack(">I", _read_exact(f, 4, path, what))[0]
 
@@ -100,6 +109,7 @@ def load_idx(images_path, labels_path) -> Dataset:
         rows = _read_u32_be(f, images_path, "image rows")
         cols = _read_u32_be(f, images_path, "image cols")
         raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
+        _check_at_end(f, images_path)
     # a copy, so that the file's bytes are freed: glibc then raises its mmap threshold (README)
     inputs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).copy()
 
@@ -109,6 +119,7 @@ def load_idx(images_path, labels_path) -> Dataset:
             raise DataFormatError(f"bad label magic 0x{magic:08x}", path=labels_path, offset=0)
         label_count = _read_u32_be(f, labels_path, "label count")
         raw = _read_exact(f, label_count, labels_path, "label data")
+        _check_at_end(f, labels_path)
     labels = np.frombuffer(raw, dtype=np.uint8)
 
     if label_count != count:
@@ -133,9 +144,51 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
         f.write(labels.tobytes())
 
 
-def _write_le_matrix(f, a: Matrix):
-    f.write(struct.pack("<QQ", a.shape[0], a.shape[1]))
-    f.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
+def _write_container(path, magic, version, header, blocks):
+    """Write a model or bundle file atomically: magic, u32 version, u32 header length,
+    the header as strict JSON, then each block as raw little-endian float64."""
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":"),
+                     allow_nan=False).encode("utf-8")
+    with _atomic_open(path) as f:
+        f.write(magic + struct.pack("<II", version, len(raw)) + raw)
+        for block in blocks:
+            f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@contextlib.contextmanager
+def _read_container(path, magic, version):
+    """Open a file _write_container wrote and yield (header, read_block), where
+    read_block(shape, what) reads the next block; the body must read every block."""
+    with open(path, "rb") as f:
+        found = _read_exact(f, 4, path, "magic")
+        if found != magic:
+            raise DataFormatError(f"bad magic {found!r}", path=path, offset=0)
+        (file_version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
+        if file_version != version:
+            raise DataFormatError(f"unsupported version {file_version}", path=path, offset=4)
+        (length,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
+        raw = _read_exact(f, length, path, "header")
+        try:
+            header = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
+        except ValueError as exc:
+            raise DataFormatError(f"unparseable header: {exc}", path=path, offset=12) from None
+        yield header, lambda shape, what: _read_le_block(f, shape, path, what)
+        _check_at_end(f, path)
+
+
+@contextlib.contextmanager
+def _header_errors(path):
+    """Report a missing key or an ill-typed value met while decoding a header."""
+    try:
+        yield
+    except KeyError as exc:
+        raise DataFormatError(f"header is missing key {exc}", path=path, offset=12) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
 
 
 def _read_le_block(f, shape, path, what) -> np.ndarray:
@@ -147,52 +200,22 @@ def _read_le_block(f, shape, path, what) -> np.ndarray:
     return a
 
 
-def _read_le_matrix(f, path, what) -> Matrix:
-    rows, cols = struct.unpack("<QQ", _read_exact(f, 16, path, f"{what} shape"))
-    return _read_le_block(f, (rows, cols), path, f"{what} payload")
-
-
-def _write_le_string(f, s: str):
-    raw = s.encode("utf-8")
-    f.write(struct.pack("<I", len(raw)))
-    f.write(raw)
-
-
-def _read_le_string(f, path, what) -> str:
-    (length,) = struct.unpack("<I", _read_exact(f, 4, path, f"{what} length"))
-    return _read_exact(f, length, path, what).decode("utf-8")
-
-
 def save_feature_bundle(path, bundle: FeatureBundle):
-    with _atomic_open(path) as f:
-        f.write(BUNDLE_MAGIC)
-        f.write(struct.pack("<I", BUNDLE_VERSION))
-        _write_le_matrix(f, bundle.features)
-        _write_le_matrix(f, bundle.targets)
-        _write_le_matrix(f, bundle.output_weight)
-        f.write(struct.pack("<I", len(bundle.metadata)))
-        for key in sorted(bundle.metadata):
-            _write_le_string(f, key)
-            _write_le_string(f, bundle.metadata[key])
+    blocks = [getattr(bundle, name) for name in _BUNDLE_BLOCKS]
+    header = {name: list(a.shape) for name, a in zip(_BUNDLE_BLOCKS, blocks)}
+    header["metadata"] = bundle.metadata
+    _write_container(path, BUNDLE_MAGIC, BUNDLE_VERSION, header, blocks)
 
 
 def load_feature_bundle(path) -> FeatureBundle:
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != BUNDLE_MAGIC:
-            raise DataFormatError(f"bad magic {magic!r}", path=path, offset=0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
-        if version != BUNDLE_VERSION:
-            raise DataFormatError(f"unsupported bundle version {version}", path=path, offset=4)
-        features = _read_le_matrix(f, path, "features")
-        targets = _read_le_matrix(f, path, "targets")
-        output_weight = _read_le_matrix(f, path, "output weight")
-        (n_meta,) = struct.unpack("<I", _read_exact(f, 4, path, "metadata count"))
-        metadata = {}
-        for _ in range(n_meta):
-            key = _read_le_string(f, path, "metadata key")
-            metadata[key] = _read_le_string(f, path, "metadata value")
-    return FeatureBundle(features, targets, output_weight, metadata)
+    with _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION) as (header, read_block):
+        with _header_errors(path):
+            shapes = {name: tuple(int(d) for d in header[name]) for name in _BUNDLE_BLOCKS}
+            metadata = dict(header["metadata"])
+            if any(len(s) != 2 or min(s) < 0 for s in shapes.values()):
+                raise ValueError(f"block shapes {shapes} are not pairs of sizes >= 0")
+        blocks = [read_block(shape, name) for name, shape in shapes.items()]
+    return FeatureBundle(*blocks, metadata)
 
 
 @dataclass(frozen=True)

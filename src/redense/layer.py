@@ -56,8 +56,8 @@ class RedenseLayer:
         for name, a in (("delta", self.delta), ("O0", self.O0)):
             if a is not None and a.shape != shape:
                 raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
-        if not self.epsilon > 0.0:
-            raise ConstraintError("constraint radius epsilon must be > 0")
+        if not 0.0 < self.epsilon < np.inf:
+            raise ConstraintError("constraint radius epsilon must be finite and > 0")
         check_finite(self.R, "R")
         check_finite(self.base, "base head")
         check_finite(self.delta, "delta")

@@ -33,6 +33,8 @@ class Activation:
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
+        if not np.isfinite(self.slope):
+            raise ValueError(f"activation slope must be finite, got {self.slope}")
 
     def apply(self, z: Matrix) -> Matrix:
         if self.kind == "relu":
@@ -58,8 +60,9 @@ class Loss:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if not (self.delta > 0.0 if self.kind == "huber" else self.delta == Loss.delta):
-            raise ValueError(f"{self.kind} cannot take delta {self.delta:g} (huber only, > 0)")
+        if not (0.0 < self.delta < np.inf if self.kind == "huber" else self.delta == Loss.delta):
+            raise ValueError(f"{self.kind} cannot take delta {self.delta:g} "
+                             "(huber only, finite and > 0)")
 
 
 def make_loss(name: str, delta: float = Loss.delta) -> Loss:

@@ -1,20 +1,10 @@
-"""Serialization of trained models, lifting layers and learning curves.
-
-Model files are binary: magic RDNM, a u32 version, a length-prefixed JSON
-architecture header, then raw float64 little-endian parameter blocks in
-header order. A lifting layer adds R and the trained correction Delta; its
-base head is the model's output weight, stored once. Curves are plain CSV
-with 17-significant-digit floats, so every value reloads bit-exact.
-"""
+"""Model and curve files; README, "File formats", specifies them."""
 
 from __future__ import annotations
 
-import json
-import struct
-
 import numpy as np
 
-from .data import _atomic_open, _read_exact, _read_le_block
+from .data import _atomic_open, _header_errors, _read_container, _write_container
 from .errors import ConstraintError, DataFormatError
 from .layer import RedenseLayer
 from .nn import Activation, Layer, Loss, MlpModel
@@ -64,33 +54,15 @@ def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | 
             redense_layer.base.shape != model.output_weight.shape
             or redense_layer.base.tobytes() != model.output_weight.tobytes()):
         raise ValueError("the lifting layer's base head is not the model's output weight")
-    header = json.dumps(_architecture_header(model, loss, redense_layer),
-                        sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with _atomic_open(path) as f:
-        f.write(MODEL_MAGIC)
-        f.write(struct.pack("<I", MODEL_VERSION))
-        f.write(struct.pack("<I", len(header)))
-        f.write(header)
-        for block in _parameter_blocks(model, redense_layer):
-            f.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+    _write_container(path, MODEL_MAGIC, MODEL_VERSION,
+                     _architecture_header(model, loss, redense_layer),
+                     _parameter_blocks(model, redense_layer))
 
 
 def load_model(path):
     """Load a model file; returns (model, loss, redense_layer_or_None)."""
-    with open(path, "rb") as f:
-        magic = _read_exact(f, 4, path, "magic")
-        if magic != MODEL_MAGIC:
-            raise DataFormatError(f"bad magic {magic!r}", path=path, offset=0)
-        (version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
-        if version != MODEL_VERSION:
-            raise DataFormatError(f"unsupported model version {version}", path=path, offset=4)
-        (header_len,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
-        raw_header = _read_exact(f, header_len, path, "header")
-        try:
-            header = json.loads(raw_header.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise DataFormatError(f"unparseable header: {exc}", path=path, offset=12) from None
-        try:
+    with _read_container(path, MODEL_MAGIC, MODEL_VERSION) as (header, read_block):
+        with _header_errors(path):
             fan_in = int(header["input_width"])
             layer_specs = [(int(s["width"]), Activation(s["activation"], slope=float(s["slope"])))
                            for s in header["layers"]]
@@ -99,22 +71,16 @@ def load_model(path):
             spec = header["redense"]
             lift = None if spec is None else (int(spec["n"]), int(spec["m"]),
                                               float(spec["epsilon"]), int(spec["seed"]))
-        except KeyError as exc:
-            raise DataFormatError(f"header is missing key {exc}", path=path, offset=12) from None
-        except (TypeError, ValueError) as exc:
-            raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
         if fan_in < 1 or n_outputs < 1 or any(width < 1 for width, _ in layer_specs):
             raise DataFormatError("non-positive width in header", path=path, offset=12)
 
         layers = []
         for width, activation in layer_specs:
-            weight = _read_le_block(f, (width, fan_in), path, "layer weight")
-            bias = _read_le_block(f, (width,), path, "layer bias")
-            layers.append(Layer(weight, bias, activation))
+            layers.append(Layer(read_block((width, fan_in), "layer weight"),
+                                read_block((width,), "layer bias"), activation))
             fan_in = width
-        output_weight = _read_le_block(f, (n_outputs, fan_in), path, "output weight")
-        output_bias = _read_le_block(f, (n_outputs,), path, "output bias")
-        model = MlpModel(layers, output_weight, output_bias)
+        model = MlpModel(layers, read_block((n_outputs, fan_in), "output weight"),
+                         read_block((n_outputs,), "output bias"))
 
         redense_layer = None
         if lift is not None:
@@ -122,17 +88,13 @@ def load_model(path):
             if n != fan_in:
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)
-            r = _read_le_block(f, (m, n), path, "projection matrix")
-            delta = _read_le_block(f, (n_outputs, 2 * m), path, "head correction")
+            r = read_block((m, n), "projection matrix")
+            delta = read_block((n_outputs, 2 * m), "head correction")
             try:
-                redense_layer = RedenseLayer(R=r, epsilon=epsilon, base=output_weight,
+                redense_layer = RedenseLayer(R=r, epsilon=epsilon, base=model.output_weight,
                                              delta=delta, seed=seed)
             except ConstraintError as exc:
                 raise DataFormatError(f"invalid lifting block: {exc}", path=path) from None
-        trailing = f.read(1)
-        if trailing:
-            raise DataFormatError("trailing bytes after parameter blocks", path=path,
-                                  offset=f.tell() - 1)
     return model, loss, redense_layer
 
 

@@ -96,13 +96,16 @@ def read_curve(path):
                 for e, tr, te, acc in (line.strip().split(",") for line in f)]
 
 
-def rewrite_model_header(path, edit):
-    """Pass a model file's JSON header through edit(header) in place, keeping its blocks."""
+def rewrite_header(path, edit, replace=()):
+    """Pass a model or bundle file's JSON header through edit(header) in place, keeping
+    its blocks, then swap each (old, new) byte pair of replace in the header's text."""
     raw = path.read_bytes()
     (length,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12:12 + length])
     edit(header)
     new = json.dumps(header).encode("utf-8")
+    for old, text in replace:
+        new = new.replace(old, text)
     path.write_bytes(raw[:8] + struct.pack("<I", len(new)) + new + raw[12 + length:])
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import read_curve, rewrite_model_header
+from conftest import read_curve, rewrite_header
 from redense import cli, errors, nn
 from redense import data as datamod
 from redense import layer as layermod
@@ -246,9 +246,10 @@ def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize("metadata", [{"base_loss": "bogus"}, {"huber_delta": "abc"},
                                       {"base_loss": "huber", "huber_delta": "0"},
                                       {"base_loss": "huber", "huber_delta": "-1"},
-                                      {"base_loss": "softmax_cross_entropy", "huber_delta": "-1"}],
+                                      {"base_loss": "softmax_cross_entropy", "huber_delta": "-1"},
+                                      {"base_loss": "huber", "huber_delta": "inf"}],
                          ids=["bogus", "unparsable-delta", "zero-delta", "negative-delta",
-                              "delta-for-ce"])
+                              "delta-for-ce", "infinite-delta"])
 def test_a_bundle_with_a_bad_loss_exits_3_before_any_output(tmp_path, capsys, monkeypatch,
                                                             cmd, metadata):
     bundle = load_feature_bundle(_pipeline_to_bundle(tmp_path, capsys))
@@ -542,19 +543,24 @@ def _save_with_output_bias(source, target, bias):
     save_model(target, model, loss)
 
 
-def test_train_refuses_a_huber_delta_for_another_loss(tmp_path, capsys):
+@pytest.mark.parametrize("flags, message", [
+    (["--loss", "ce", "--huber-delta", "-1"], "cannot take delta -1"),
+    (["--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
+    (["--leaky-slope", "nan"], "slope must be finite")], ids=["ce-delta", "inf-delta", "nan-slope"])
+def test_train_refuses_a_huber_delta_for_another_loss(tmp_path, capsys, flags, message):
+    # the IDX files do not exist: reading them would exit 3
     out = tmp_path / "x"
-    code = main(["train", "--synthetic", "blobs", "--samples", "60", "--loss", "ce",
-                 "--huber-delta", "-1", "--epochs", "1", "--out-dir", str(out)])
+    code = main(["train", "--images", str(tmp_path / "i"), "--labels", str(tmp_path / "l"),
+                 *flags, "--epochs", "1", "--out-dir", str(out)])
     assert code == 2
-    assert "cannot take delta -1" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("cmd", ["eval", "features"])
 def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd):
     run_train(tmp_path, capsys)
-    rewrite_model_header(tmp_path / "model.rdnm", lambda h: h["loss"].update(delta=-1.0))
+    rewrite_header(tmp_path / "model.rdnm", lambda h: h["loss"].update(delta=-1.0))
     out = tmp_path / "out"
     where = ["--out-dir", str(out)] if cmd == "eval" else ["--out", str(out / "f.rdfb")]
     code = main([cmd, "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
@@ -588,7 +594,7 @@ def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, caps
     exported, _, _ = load_model(tmp_path / "model.rdnm")
     save_model(tmp_path / "mse.rdnm", exported, Loss("mean_square_error"))
     save_model(tmp_path / "delta.rdnm", exported, Loss("softmax_cross_entropy"))
-    rewrite_model_header(tmp_path / "delta.rdnm", lambda h: h["loss"].update(delta=0.5))
+    rewrite_header(tmp_path / "delta.rdnm", lambda h: h["loss"].update(delta=0.5))
     monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
     out = tmp_path / "rd"
     for model, reason in ((tmp_path / "other" / "model.rdnm", "output weight"),
@@ -1008,7 +1014,9 @@ def test_a_header_claiming_more_than_its_file_exits_3_before_allocating(tmp_path
                         + bytes(64))
         argv = ["train", "--images", big, "--labels", big, "--out-dir", tmp_path / "out"]
     elif kind == "bundle":
-        big.write_bytes(datamod.BUNDLE_MAGIC + struct.pack("<IQQ", 1, 1 << 30, 64) + bytes(64))
+        header = json.dumps({"features": [1 << 30, 64], "targets": [1 << 30, 2],
+                             "output_weight": [2, 64], "metadata": {}}).encode("utf-8")
+        big.write_bytes(b"RDFB" + struct.pack("<II", 2, len(header)) + header + bytes(64))
         argv = ["redense", "--bundle", big, "--out-dir", tmp_path / "out"]
     else:
         header = json.dumps(_HUGE_MODEL_HEADER).encode("utf-8")
@@ -1035,14 +1043,15 @@ def _lifted_model(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", float("nan")),
-                                        ("m", 4)])
+@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", "1e400"), ("m", 4)])
 def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
     path = _lifted_model(tmp_path)
     data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
-    rewrite_model_header(path, lambda header: header["redense"].update({key: value}))
+    # 1e400 is written unquoted, a JSON number that parses to inf
+    rewrite_header(path, lambda header: header["redense"].update({key: value}),
+                   replace=[(b'"1e400"', b"1e400")])
     out = tmp_path / "out"
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
     assert "lifted.rdnm: invalid lifting block" in _one_error_line(capsys)
@@ -1054,8 +1063,10 @@ _HEADER_FIELDS = [("layers", "width"), ("layers", "activation"), ("layers", "slo
 
 
 @pytest.mark.parametrize("block, key", _HEADER_FIELDS)
-@pytest.mark.parametrize("value, message", [(None, "header is missing key"),
-                                            ([1], "invalid header")])
+@pytest.mark.parametrize("value, message", [
+    (None, "header is missing key"), ([1], "invalid header"),
+    (float("nan"), "unparseable header: NaN is not a JSON number"),
+    (float("inf"), "unparseable header: Infinity is not a JSON number")])
 def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, block, key,
                                                              value, message):
     path = _lifted_model(tmp_path)
@@ -1067,12 +1078,51 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
         else:
             fields[key] = value
 
-    rewrite_model_header(path, edit)
+    rewrite_header(path, edit)
     out = tmp_path / "out"
     data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
     error = _one_error_line(capsys)
     assert "lifted.rdnm: " + message in error and "Traceback" not in error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("defect", ["model-trailing", "bundle-trailing", "images-trailing",
+                                    "labels-trailing", "bundle-version-1", "bundle-infinity",
+                                    "model-width-1e400"])
+def test_a_malformed_model_bundle_or_idx_file_exits_3(tmp_path, capsys, defect):
+    model = _lifted_model(tmp_path)
+    bundle = tmp_path / "b.rdfb"
+    rng = np.random.default_rng(5)
+    save_feature_bundle(bundle, datamod.FeatureBundle(
+        rng.standard_normal((20, 3)), np.eye(2)[np.arange(20) % 2], rng.standard_normal((2, 3)),
+        {}))
+    images, labels = tmp_path / "i", tmp_path / "l"
+    write_idx(images, labels, *gen_digit_images(20, seed=1))
+    out = tmp_path / "out"
+    argv = {"model": ["eval", "--model", model, "--synthetic", "blobs", "--classes", "3"],
+            "bundle": ["redense", "--bundle", bundle, "--epochs", "1"],
+            "images": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
+            "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"]}
+    kind, what = defect.split("-", 1)
+    path = {"model": model, "bundle": bundle, "images": images, "labels": labels}[kind]
+    if what == "trailing":
+        path.write_bytes(path.read_bytes() + b"\x00")
+        message = "trailing bytes"
+    elif what == "version-1":
+        # a whole version-1 bundle: a u64 shape before each 1 x 1 matrix, no metadata
+        path.write_bytes(b"RDFB" + struct.pack("<I", 1) + struct.pack("<QQd", 1, 1, 0.5) * 3
+                         + struct.pack("<I", 0))
+        message = "unsupported version 1"
+    elif what == "infinity":
+        rewrite_header(path, lambda header: header["features"].__setitem__(0, float("inf")))
+        message = "Infinity is not a JSON number"
+    else:
+        rewrite_header(path, lambda header: header.update(input_width="1e400"),
+                       replace=[(b'"1e400"', b"1e400")])
+        message = "invalid header"
+    assert main([str(a) for a in [*argv[kind], "--out-dir", out]]) == 3
+    assert message in _one_error_line(capsys)
     assert not out.exists()
 
 

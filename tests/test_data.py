@@ -123,8 +123,9 @@ def test_bundle_rejects_nan_payload(tmp_path, rng):
     path = tmp_path / "b.rdfb"
     save_feature_bundle(path, bundle)
     raw = bytearray(path.read_bytes())
-    # first payload float starts after magic, version and the 16-byte shape
-    start = 4 + 4 + 16
+    # the first features value follows magic, version, header length and header
+    (length,) = struct.unpack("<I", raw[8:12])
+    start = 12 + length
     raw[start:start + 8] = struct.pack("<d", float("nan"))
     path.write_bytes(bytes(raw))
     with pytest.raises(DataFormatError, match="NaN"):
@@ -143,7 +144,7 @@ def test_bundle_decodes_its_base_loss(rng, metadata, loss):
 @pytest.mark.parametrize("metadata", [
     {"base_train_loss": "-3.0"}, {"base_loss": "bogus"}, {"huber_delta": "abc"},
     {"base_loss": "huber", "huber_delta": "0"}, {"base_loss": "huber", "huber_delta": "nan"},
-    {"base_loss": "mse", "huber_delta": "0.5"}, {"huber_delta": "-1"},
+    {"base_loss": "mse", "huber_delta": "0.5"}, {"huber_delta": "-1"}, {"source_model": 1.5},
 ])
 def test_bundle_rejects_bad_base_loss_metadata(rng, metadata):
     with pytest.raises(ValueError):

@@ -3,8 +3,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from conftest import CE, random_one_hot, read_curve, rewrite_model_header
+from conftest import CE, random_one_hot, read_curve, rewrite_header
+from redense.data import (FeatureBundle, load_feature_bundle, load_idx, save_feature_bundle,
+                          write_idx)
 from redense.errors import DataFormatError
 from redense.layer import HeadConfig, build, predict, train
 from redense.nn import EpochStats, Loss, forward, make_mlp
@@ -91,15 +96,31 @@ def test_rejects_bad_magic(tmp_path):
         load_model(path)
 
 
-def test_rejects_unknown_version(tmp_path, rng):
-    model = _random_model(rng)
-    path = tmp_path / "m.rdnm"
-    save_model(path, model, Loss("softmax_cross_entropy"))
+def _saved(kind, tmp_path, rng):
+    """(path, load) for a small model, bundle or IDX image or label file."""
+    if kind == "model":
+        path = tmp_path / "m.rdnm"
+        save_model(path, make_mlp(3, [4], 2, seed=0), CE)
+        return path, load_model
+    if kind == "bundle":
+        path = tmp_path / "b.rdfb"
+        save_feature_bundle(path, FeatureBundle(rng.standard_normal((5, 3)),
+                                                random_one_hot(rng, 5, 2),
+                                                rng.standard_normal((2, 3)), {"k": "v"}))
+        return path, load_feature_bundle
+    images, labels = tmp_path / "i", tmp_path / "l"
+    write_idx(images, labels, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+    return {"idx_images": images, "idx_labels": labels}[kind], lambda _: load_idx(images, labels)
+
+
+@pytest.mark.parametrize("kind, version", [("model", 999), ("bundle", 1), ("bundle", 999)])
+def test_rejects_unknown_version(tmp_path, rng, kind, version):
+    path, load = _saved(kind, tmp_path, rng)
     raw = bytearray(path.read_bytes())
-    raw[4:8] = struct.pack("<I", 999)
+    raw[4:8] = struct.pack("<I", version)
     path.write_bytes(bytes(raw))
-    with pytest.raises(DataFormatError, match="version"):
-        load_model(path)
+    with pytest.raises(DataFormatError, match=f"unsupported version {version}"):
+        load(path)
 
 
 def test_rejects_corrupted_shape_header(tmp_path):
@@ -124,13 +145,13 @@ def test_rejects_truncated_parameters(tmp_path):
         load_model(path)
 
 
-def test_rejects_trailing_bytes(tmp_path):
-    model = make_mlp(3, [4], 2, seed=0)
-    path = tmp_path / "m.rdnm"
-    save_model(path, model, Loss("softmax_cross_entropy"))
+@pytest.mark.parametrize("kind", ["model", "bundle", "idx_images", "idx_labels"])
+def test_rejects_trailing_bytes(tmp_path, rng, kind):
+    path, load = _saved(kind, tmp_path, rng)
+    load(path)
     path.write_bytes(path.read_bytes() + b"\x00")
     with pytest.raises(DataFormatError, match="trailing"):
-        load_model(path)
+        load(path)
 
 
 def test_unparseable_header(tmp_path):
@@ -145,16 +166,59 @@ def test_unparseable_header(tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", -1.0),
-                                        ("epsilon", float("nan")), ("m", 5)])
+                                        ("epsilon", "1e400"), ("m", 5)])
 def test_rejects_an_invalid_lifting_block(tmp_path, key, value):
-    # the blocks stay those of m = 9; m = 5 < n = 6 is refused before its size matters
+    # the blocks stay those of m = 9; m = 5 < n = 6 is refused before its size matters;
+    # 1e400 is written unquoted, a JSON number that parses to inf
     model = make_mlp(4, [6], 3, seed=2)
     path = tmp_path / "lifted.rdnm"
     save_model(path, model, Loss("softmax_cross_entropy"),
                redense_layer=build(model.output_weight, 9, seed=7))
-    rewrite_model_header(path, lambda header: header["redense"].update({key: value}))
+    rewrite_header(path, lambda header: header["redense"].update({key: value}),
+                   replace=[(b'"1e400"', b"1e400")])
     with pytest.raises(DataFormatError, match="lifted.rdnm: invalid lifting block"):
         load_model(path)
+
+
+def _assert_every_strict_prefix_is_refused(path, load):
+    raw = path.read_bytes()
+    cut = path.with_name("cut")
+    for k in range(len(raw)):
+        cut.write_bytes(raw[:k])
+        with pytest.raises(DataFormatError):
+            load(cut)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# keys FeatureBundle decodes; any other key is carried as an opaque string
+_DECODED_KEYS = {"base_loss", "huber_delta", "base_train_loss"}
+
+
+@given(j=st.integers(0, 4), n=st.integers(0, 3), q=st.integers(0, 3), data=st.data(),
+       metadata=st.dictionaries(st.text().filter(lambda k: k not in _DECODED_KEYS), st.text(),
+                                max_size=4),
+       hidden=st.integers(1, 3), extra=st.integers(0, 2), seed=st.integers(0, 2**31 - 1))
+@settings(max_examples=10, deadline=None)
+def test_files_round_trip_bit_for_bit_and_refuse_every_strict_prefix(
+        tmp_path_factory, j, n, q, data, metadata, hidden, extra, seed):
+    blocks = [data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
+              for shape in ((j, n), (j, q), (q, n))]
+    directory = tmp_path_factory.mktemp("files")
+    bundle_path = directory / "b.rdfb"
+    save_feature_bundle(bundle_path, FeatureBundle(*blocks, dict(metadata)))
+    loaded = load_feature_bundle(bundle_path)
+    assert [a.tobytes() for a in (loaded.features, loaded.targets, loaded.output_weight)] \
+        == [a.tobytes() for a in blocks]
+    assert [a.shape for a in (loaded.features, loaded.targets, loaded.output_weight)] \
+        == [a.shape for a in blocks]
+    assert loaded.metadata == metadata
+    _assert_every_strict_prefix_is_refused(bundle_path, load_feature_bundle)
+
+    model = make_mlp(2, [hidden], 2, seed=seed)
+    model_path = directory / "m.rdnm"
+    save_model(model_path, model, CE,
+               redense_layer=build(model.output_weight, hidden + extra, seed=seed))
+    _assert_every_strict_prefix_is_refused(model_path, load_model)
 
 
 def test_curve_single_row(tmp_path):
