@@ -14,6 +14,8 @@ import argparse
 import hashlib
 import inspect
 import json
+import os
+import platform
 import resource
 import sys
 from datetime import datetime, timezone
@@ -31,6 +33,7 @@ EXIT_FLAGS = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_GUARANTEE = 5
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CliError(Exception):
@@ -61,6 +64,17 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
+def _environment():
+    """What fixes a run's bits besides its seed; the BLAS thread count does (README)."""
+    try:  # numpy before 1.25 reports no BLAS
+        blas = {k: np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(k)
+                for k in ("name", "version")}
+    except (TypeError, KeyError):
+        blas = None
+    return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
+            "num_threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+
+
 def _write_manifest(args, started_at, outputs, results):
     flags = {k: v for k, v in vars(args).items() if k != "func"}
     manifest = {
@@ -72,6 +86,7 @@ def _write_manifest(args, started_at, outputs, results):
         # the process's peak so far: for an in-process caller, not this command's alone
         "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         / (2**20 if sys.platform == "darwin" else 2**10),
+        "environment": _environment(),
         "outputs": {k: str(v) for k, v in outputs.items()},
         "results": results,
     }
@@ -265,11 +280,13 @@ def _head_config(args):
 
 def _train_heads(bundle, widths, seeds, cfg, eval_bundle=None):
     """layer.train_widths on a bundle, in its base loss, for redense and sweep-m; a
-    broken guarantee stops it."""
+    broken guarantee stops it. The heads need only what train_widths prepared, so
+    the bundles' float64 features are dropped (set to None) before any trains."""
     held_out = () if eval_bundle is None else (eval_bundle.features, eval_bundle.targets)
-    return map(_checked, layermod.train_widths(bundle.output_weight, widths, seeds,
-                                               bundle.features, bundle.targets, bundle.loss,
-                                               cfg, *held_out))
+    runs = layermod.train_widths(bundle.output_weight, widths, seeds, bundle.features,
+                                 bundle.targets, bundle.loss, cfg, *held_out)
+    bundle.features = (eval_bundle or bundle).features = None
+    return map(_checked, runs)
 
 
 def _checked(run):

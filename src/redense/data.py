@@ -191,6 +191,14 @@ def _header_errors(path):
         raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
 
 
+def _header_field(value, kind, what):
+    """value as kind (int, float or list) if JSON gave that kind; a float field also
+    takes an integer, and no field a bool, which Python counts as an integer."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def _read_le_block(f, shape, path, what) -> np.ndarray:
     """Read a row-major little-endian float64 block of the given shape, all finite."""
     raw = _read_exact(f, math.prod(shape) * 8, path, what)
@@ -210,7 +218,9 @@ def save_feature_bundle(path, bundle: FeatureBundle):
 def load_feature_bundle(path) -> FeatureBundle:
     with _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION) as (header, read_block):
         with _header_errors(path):
-            shapes = {name: tuple(int(d) for d in header[name]) for name in _BUNDLE_BLOCKS}
+            shapes = {name: tuple(_header_field(d, int, name)
+                                  for d in _header_field(header[name], list, name))
+                      for name in _BUNDLE_BLOCKS}
             metadata = dict(header["metadata"])
             if any(len(s) != 2 or min(s) < 0 for s in shapes.values()):
                 raise ValueError(f"block shapes {shapes} are not pairs of sizes >= 0")

@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
+from itertools import chain
 
 import numpy as np
 
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
-                     sample_gaussian)
+                     row_blocks, sample_gaussian)
 from .nn import Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
@@ -30,6 +31,10 @@ log = logging.getLogger(__name__)
 # R'R, which squares it; README has the accuracy and resample rate this buys.
 MAX_CONDITION = 1e6
 _RESAMPLE_ATTEMPTS = 8
+# Most bytes of h per row block of _head_logits: one multithreaded sgemm over all of
+# a large h raised the peak RSS by 45% of h (README). Bytes, not rows, as block sizes
+# can move bits: small lifts stay one block.
+_HEAD_BLOCK_BYTES = 4 << 20
 
 
 @dataclass
@@ -150,11 +155,16 @@ def _positive_half(features: Matrix, r: Matrix) -> Matrix:
 
 
 def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix) -> Matrix:
-    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype."""
+    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype; the product
+    over h runs in row blocks of at most _HEAD_BLOCK_BYTES of h."""
     m = h.shape[1]
     o = o.astype(h.dtype, copy=False)
-    o_neg = o[:, m:]
-    return h @ (o[:, :m] + o_neg).T - features @ (o_neg @ r).T
+    o_sum, o_r = (o[:, :m] + o[:, m:]).T, (o[:, m:] @ r).T
+    out = np.empty((len(h), len(o)), h.dtype)
+    for lo, hi in row_blocks(len(h), _HEAD_BLOCK_BYTES // (m * h.itemsize)):
+        block = np.matmul(h[lo:hi], o_sum, out=out[lo:hi])
+        block -= features[lo:hi] @ o_r
+    return out
 
 
 def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
@@ -187,8 +197,8 @@ def _prepare(base: Matrix, features: Matrix) -> _Lift:
     return _Lift(features @ base.T, y32, int(k))
 
 
-def _lift(x: _Lift, r: Matrix) -> _Lift:
-    r32 = r.astype(np.float32)
+def _lift(x: _Lift, r: Matrix, r32: Matrix | None = None) -> _Lift:
+    r32 = r.astype(np.float32) if r32 is None else r32
     return replace(x, r=r, r32=r32, h=_positive_half(x.y32, r32))
 
 
@@ -315,6 +325,7 @@ def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets
                  eval_targets: Matrix | None = None):
     """Yield train(build(output_weight, m, seed), ...) for each seed, and each m in widths.
 
+    The features are prepared before this returns, and no reference to them kept.
     A seed's widths share its widest draw, whose first m rows are R at m, and
     its lift, whose first m columns are h at m; a rejected prefix is resampled
     and lifted alone, as separate build and train calls would. A yielded R
@@ -323,16 +334,16 @@ def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets
     output_weight = as_matrix(output_weight, "output_weight")
     lift = _prepare(output_weight, features)
     eval_lift = None if eval_features is None else _prepare(output_weight, eval_features)
-    for seed in seeds:
-        yield from _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg,
-                               eval_targets)
+    # chain holds no yielded run: the last one would keep its seed's draw alive
+    return chain.from_iterable(_train_seed(output_weight, widths, seed, lift, eval_lift, targets,
+                                           loss, cfg, eval_targets) for seed in seeds)
 
 
 def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg, eval_targets):
     # a generator of its own, so the seed's draw and lifts die with its frame
     draw = sample_gaussian(max(widths), output_weight.shape[1], seed)
     lift = _lift(lift, draw)
-    eval_lift = None if eval_lift is None else _lift(eval_lift, draw)
+    eval_lift = None if eval_lift is None else _lift(eval_lift, draw, lift.r32)
     for m in widths:
         # one view for all three, so train sees both lifts are through layer.R
         r = draw[:m]

@@ -36,6 +36,15 @@ def frobenius_norm(a: Matrix) -> float:
     return float(np.sqrt(np.sum(np.square(a))))
 
 
+def row_blocks(rows: int, most: int):
+    """[lo, hi) bounds of balanced row blocks of at most max(most, 3) rows. None has
+    one row unless rows is 1: a 1-row block would be a matrix-vector product, which
+    rounds differently."""
+    parts = max(1, min(-(-rows // max(most, 2)), rows // 2))
+    bounds = [rows * k // parts for k in range(parts + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
 def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | None, float]:
     """(b pinv(a), cond_F(a)) for a tall a (m >= n), from the Cholesky factor T of a'a.
 

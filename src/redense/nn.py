@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteError, ShapeError, TrainingDivergedError
-from .linalg import Matrix, check_finite
+from .linalg import Matrix, check_finite, row_blocks
 
 LOSS_KINDS = ("softmax_cross_entropy", "mean_square_error", "poisson", "huber")
 
@@ -205,17 +205,15 @@ def _forward_cached(model: MlpModel, inputs: Matrix):
 
 
 def forward(model: MlpModel, inputs: Matrix):
-    """(logits, last hidden activations), over balanced chunks of at most _STATS_ROWS
-    rows: a 1-row chunk would be a matrix-vector product, which rounds differently.
-    uint8 inputs are IDX pixel codes (see Dataset), decoded one chunk at a time."""
+    """(logits, last hidden activations), over linalg.row_blocks of at most _STATS_ROWS
+    rows. uint8 inputs are IDX pixel codes (see Dataset), decoded one chunk at a time."""
     rows = inputs.shape[0]
-    parts = max(1, -(-rows // _STATS_ROWS))
-    bounds = [rows * k // parts for k in range(parts + 1)]
-    for lo, hi in zip(bounds, bounds[1:]):
+    blocks = row_blocks(rows, _STATS_ROWS)
+    for lo, hi in blocks:
         chunk = (inputs[lo:hi] if inputs.dtype != np.uint8
                  else _decode(inputs[lo:hi], np.empty((hi - lo, inputs.shape[1]))))
         out, pre, acts = _forward_cached(model, chunk)
-        if parts == 1:
+        if len(blocks) == 1:
             return out, acts[-1]
         if lo == 0:
             logits = np.empty((rows, out.shape[1]), out.dtype)

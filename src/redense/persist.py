@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import _atomic_open, _header_errors, _read_container, _write_container
+from .data import (_atomic_open, _header_errors, _header_field, _read_container,
+                   _write_container)
 from .errors import ConstraintError, DataFormatError
 from .layer import RedenseLayer
 from .nn import Activation, Layer, Loss, MlpModel
@@ -63,14 +64,17 @@ def load_model(path):
     """Load a model file; returns (model, loss, redense_layer_or_None)."""
     with _read_container(path, MODEL_MAGIC, MODEL_VERSION) as (header, read_block):
         with _header_errors(path):
-            fan_in = int(header["input_width"])
-            layer_specs = [(int(s["width"]), Activation(s["activation"], slope=float(s["slope"])))
+            fan_in = _header_field(header["input_width"], int, "input_width")
+            layer_specs = [(_header_field(s["width"], int, "width"),
+                            Activation(s["activation"], _header_field(s["slope"], float, "slope")))
                            for s in header["layers"]]
-            n_outputs = int(header["n_outputs"])
-            loss = Loss(header["loss"]["kind"], delta=float(header["loss"]["delta"]))
+            n_outputs = _header_field(header["n_outputs"], int, "n_outputs")
+            huber_delta = _header_field(header["loss"]["delta"], float, "delta")
+            loss = Loss(header["loss"]["kind"], delta=huber_delta)
             spec = header["redense"]
-            lift = None if spec is None else (int(spec["n"]), int(spec["m"]),
-                                              float(spec["epsilon"]), int(spec["seed"]))
+            lift = None if spec is None else tuple(
+                _header_field(spec[key], kind, key)
+                for key, kind in (("n", int), ("m", int), ("epsilon", float), ("seed", int)))
         if fan_in < 1 or n_outputs < 1 or any(width < 1 for width, _ in layer_specs):
             raise DataFormatError("non-positive width in header", path=path, offset=12)
 

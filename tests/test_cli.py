@@ -4,6 +4,8 @@ import collections
 import dataclasses
 import inspect
 import json
+import os
+import platform
 import re
 import struct
 import tracemalloc
@@ -379,6 +381,30 @@ def test_sweep_holds_one_seeds_draw_and_lift_at_a_time(tmp_path, capsys):
     assert code == 0
     draw, r32, h = m * n * 8, m * n * 4, j * m * 4
     assert peak < draw + r32 + h + min(draw, h)
+
+
+@pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
+def test_heads_hold_no_float64_features_while_they_train(tmp_path, capsys, cmd):
+    # train and eval lifts (j x m float32) take as many bytes as the float64
+    # features; once prepared, the heads hold float32 copies y 2^-k instead
+    j, j_eval, n, m, q = 4000, 1000, 128, 256, 2
+    rng = np.random.default_rng(9)
+    weight = rng.standard_normal((q, n))
+    for name, rows in (("b", j), ("e", j_eval)):
+        save_feature_bundle(tmp_path / f"{name}.rdfb", datamod.FeatureBundle(
+            rng.standard_normal((rows, n)), np.eye(q)[np.arange(rows) % q], weight, {}))
+    widths = {"redense": ["--m", str(m)], "sweep-m": ["--m-values", str(m), "--seeds", "1"]}
+    tracemalloc.start()
+    try:
+        code = main([cmd, "--bundle", str(tmp_path / "b.rdfb"), "--eval-bundle",
+                     str(tmp_path / "e.rdfb"), *widths[cmd], "--epochs", "2",
+                     "--out-dir", str(tmp_path / "out")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    features, lifts = (j + j_eval) * n * 8, (j + j_eval) * m * 4
+    assert peak < features + lifts
 
 
 def test_sweep_rejects_small_m(tmp_path, capsys):
@@ -1066,7 +1092,8 @@ _HEADER_FIELDS = [("layers", "width"), ("layers", "activation"), ("layers", "slo
 @pytest.mark.parametrize("value, message", [
     (None, "header is missing key"), ([1], "invalid header"),
     (float("nan"), "unparseable header: NaN is not a JSON number"),
-    (float("inf"), "unparseable header: Infinity is not a JSON number")])
+    (float("inf"), "unparseable header: Infinity is not a JSON number"),
+    (True, "invalid header"), ("2", "invalid header")])
 def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, block, key,
                                                              value, message):
     path = _lifted_model(tmp_path)
@@ -1123,6 +1150,27 @@ def test_a_malformed_model_bundle_or_idx_file_exits_3(tmp_path, capsys, defect):
         message = "invalid header"
     assert main([str(a) for a in [*argv[kind], "--out-dir", out]]) == 3
     assert message in _one_error_line(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("model", "width", 5.0), ("model", "n_outputs", "3"), ("bundle", "features", "53")])
+def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key, value):
+    # each value names what the file holds (5 hidden units, 3 outputs, a 5 x 3
+    # feature block), so int() or iterating a string would load the file
+    model = _lifted_model(tmp_path)
+    bundle = tmp_path / "b.rdfb"
+    rng = np.random.default_rng(5)
+    save_feature_bundle(bundle, datamod.FeatureBundle(
+        rng.standard_normal((5, 3)), np.eye(2)[np.arange(5) % 2], rng.standard_normal((2, 3)),
+        {}))
+    path, argv = {"model": (model, ["eval", "--model", model, "--synthetic", "blobs",
+                                    "--classes", "3"]),
+                  "bundle": (bundle, ["redense", "--bundle", bundle, "--epochs", "1"])}[kind]
+    rewrite_header(path, lambda h: (h["layers"][0] if key == "width" else h).update({key: value}))
+    out = tmp_path / "out"
+    assert main([str(a) for a in [*argv, "--out-dir", out]]) == 3
+    assert f"invalid header: {key} must be a JSON " in _one_error_line(capsys)
     assert not out.exists()
 
 
@@ -1267,5 +1315,12 @@ def test_every_manifest_records_the_peak_rss(tmp_path, capsys):
     for argv, manifest_path in runs.values():
         assert main(argv) == 0
         with open(manifest_path) as f:
-            peak = json.load(f)["peak_rss_mib"]
+            manifest = json.load(f)
+        peak = manifest["peak_rss_mib"]
         assert isinstance(peak, float) and 0.0 < peak < np.inf
+        env = manifest["environment"]
+        assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
+        assert env["num_threads"] == {var: os.environ.get(var) for var in
+                                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                       "MKL_NUM_THREADS")}
+        assert env["blas"] is None or set(env["blas"]) == {"name", "version"}

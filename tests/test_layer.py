@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -9,10 +15,12 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import CE, lfp_lift, lfp_reconstruct, near_singular, random_one_hot
+from redense import layer as layermod
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, HeadConfig, RedenseLayer, _head_grad,
-                           _head_logits, _positive_half, _project, build, predict, train)
-from redense.linalg import frobenius_norm
+                           _head_logits, _positive_half, _project, build, predict, train,
+                           train_widths)
+from redense.linalg import frobenius_norm, row_blocks
 from redense.nn import LOSS_KINDS, Loss, accuracy, loss_value, loss_value_and_grad
 
 
@@ -601,3 +609,85 @@ def test_train_and_predict_never_hold_the_double_width_lift(rng):
     limit = 0.75 * j * m * 8
     assert _traced_peak(train, layer, feats, targets, CE, HeadConfig(epochs=3)) < limit
     assert _traced_peak(predict, layer, feats) < limit
+
+
+@given(j=st.integers(2, 40), n=st.integers(1, 6), extra=st.integers(0, 6),
+       q=st.integers(1, 4), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(j=3, n=2, extra=1, q=2, rows=2, seed=0)
+def test_head_logits_in_row_blocks(j, n, extra, q, rows, seed):
+    rng = np.random.default_rng(seed)
+    feats, r = _features_and_projection(rng, j, n, n + extra, 1.0, "gaussian")
+    delta = rng.standard_normal((q, 2 * r.shape[0]))
+    y32, r32 = feats.astype(np.float32), r.astype(np.float32)
+    h32 = _positive_half(y32, r32)
+    with mock.patch("redense.layer._HEAD_BLOCK_BYTES", rows * h32[:1].nbytes):
+        correction = _head_logits(h32, y32, r32, delta)
+    blocks = row_blocks(j, rows)
+    # at most `rows` rows per block, but no 1-row block (a matrix-vector product)
+    assert all(max(rows, 3) >= hi - lo >= 2 for lo, hi in blocks)
+    exact = lfp_lift(SimpleNamespace(R=r), feats) @ delta.T
+    assert np.all(np.abs(correction - exact) <= correction_bound(feats, r, delta))
+    stacked = np.vstack([_head_logits(h32[lo:hi], y32[lo:hi], r32, delta) for lo, hi in blocks])
+    assert np.array_equal(correction, stacked)
+
+
+def test_training_scores_the_logits_predict_returns_in_row_blocks(rng):
+    j, n, m, q = 301, 5, 16, 3
+    feats = rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    layer = build(rng.standard_normal((q, n)), m, seed=0)
+    with mock.patch("redense.layer._HEAD_BLOCK_BYTES", 7 * m * 4):
+        trained, report, curve = train(layer, feats, targets, CE,
+                                       HeadConfig(learning_rate=1e-2, epochs=5))
+        logits = predict(trained, feats)
+    assert report.best_epoch > 0
+    assert loss_value(CE, logits, targets) == report.final_loss
+    assert accuracy(logits, targets) == curve[report.best_epoch].eval_accuracy
+
+
+def test_train_widths_holds_no_features_and_casts_each_draw_once(rng):
+    j, n, q = 40, 4, 3
+    feats, eval_feats = rng.standard_normal((j, n)), rng.standard_normal((j // 2, n))
+    targets, eval_targets = random_one_hot(rng, j, q), random_one_hot(rng, j // 2, q)
+    refs = weakref.ref(feats), weakref.ref(eval_feats)
+    with mock.patch("redense.layer.train", wraps=train) as spy:
+        runs = train_widths(rng.standard_normal((q, n)), [n, 2 * n], [0, 1], feats, targets,
+                            CE, HeadConfig(epochs=1), eval_feats, eval_targets)
+        del feats, eval_feats
+        assert all(ref() is None for ref in refs)
+        assert len(list(runs)) == 4
+    for call in spy.call_args_list:
+        lift, eval_lift = call.args[1], call.args[5]
+        assert lift.r is eval_lift.r and np.shares_memory(lift.r32, eval_lift.r32)
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/status").exists(),
+                    reason="needs two usable CPUs and /proc/self/status")
+def test_head_logits_keep_multithreaded_blas_from_raising_the_peak():
+    # one sgemm over all of a 40 MB h raised VmHWM by about 45% of h with two
+    # OpenBLAS threads; in row blocks it rises by under a tenth of h
+    script = """
+import numpy as np
+from redense.layer import _head_logits
+
+def vm_hwm():
+    with open("/proc/self/status") as f:
+        return next(int(line.split()[1]) for line in f if line.startswith("VmHWM:")) * 1024
+
+j, n, m, q = 10_000, 64, 1024, 10
+rng = np.random.default_rng(0)
+y = rng.standard_normal((j, n), dtype=np.float32)
+r = rng.standard_normal((m, n), dtype=np.float32)
+h = np.empty((j, m), np.float32)
+for lo in range(0, j, 500):
+    h[lo:lo + 500] = rng.random((500, m), dtype=np.float32)
+before = vm_hwm()
+_head_logits(h, y, r, rng.standard_normal((q, 2 * m)))
+print((vm_hwm() - before) / h.nbytes)
+"""
+    src = str(Path(layermod.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    assert float(out.stdout) < 0.25
