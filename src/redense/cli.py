@@ -95,6 +95,13 @@ def _write_manifest(args, started_at, outputs, results):
         f.write("\n")
 
 
+def _seed(text):
+    """argparse type for --seed: a non-negative integer."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return int(text)
+
+
 def _positive_ints(text):
     """argparse type for comma-separated positive integers; '' is no values."""
     if not text:
@@ -149,8 +156,8 @@ def _resolve_datasets(args, load_test=True):
     An explicit test source wins; otherwise the primary dataset is shuffled
     into train and test, the first --train-fraction of the rows and the
     rest. The flags are checked before any file is read. With
-    load_test=False an explicit test source is not read: the train partition
-    is then the whole primary dataset and test is None.
+    load_test=False, as features runs, an explicit test source is not read and
+    --no-split splits nothing: train is then the whole primary dataset and test None.
     """
     if bool(args.test_images) != bool(args.test_labels):
         raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
@@ -161,7 +168,7 @@ def _resolve_datasets(args, load_test=True):
         except ValueError as exc:
             raise CliError(EXIT_FLAGS, str(exc)) from None
     primary = _load_primary_dataset(args)
-    if spec is None and not load_test:
+    if not load_test and (spec is None or args.no_split):
         return primary, None
     if args.test_images:
         return primary, datamod.load_idx(args.test_images, args.test_labels)
@@ -203,25 +210,9 @@ def cmd_train(args):
                      "manifest": out_dir / "train_manifest.json"}
 
 
-def _load_unbiased_model(path):
-    """(model, loss) from a model file whose output bias is zero.
-
-    Bundles and the lifted head carry no output bias, so a model with one
-    would be exported or extended with its logits silently changed.
-    """
-    model, loss, _ = persist.load_model(path)
-    if np.any(model.output_bias != 0.0):
-        raise CliError(EXIT_DATA, f"model {path} has a nonzero output bias, which a feature "
-                                  "bundle cannot carry")
-    return model, loss
-
-
 def cmd_features(args):
-    if args.no_split:
-        train_ds = _load_primary_dataset(args)
-    else:
-        train_ds, _test_ds = _resolve_datasets(args, load_test=False)
-    model, loss = _load_unbiased_model(args.model)
+    train_ds, _test_ds = _resolve_datasets(args, load_test=False)
+    model, loss, _ = persist.load_model(args.model)
     logits, features = nn.forward(model, train_ds.inputs)
     base_train_loss = nn.loss_value(loss, logits, train_ds.targets)
     # kept only because perfbench/workloads.py's judge reads it
@@ -235,7 +226,8 @@ def cmd_features(args):
         "base_train_loss": f"{base_train_loss:.17g}",
         "ce_train_loss": f"{ce_train_loss:.17g}",
     }
-    bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight, metadata)
+    bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight, metadata,
+                                   model.output_bias)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     datamod.save_feature_bundle(out_path, bundle)
@@ -252,18 +244,18 @@ def cmd_features(args):
                      "manifest": out_path.with_suffix(out_path.suffix + ".manifest.json")}
 
 
-def _load_eval_bundle(path, bundle):
-    """The held-out bundle, refused unless the training bundle's model exported it.
+def _check_same_model(name, source, bundle):
+    """Refuse source unless its output layer is the bundle's bit for bit (which fixes n and Q)."""
+    if not layermod._same_output_layer((source.output_weight, source.output_bias),
+                                       (bundle.output_weight, bundle.output_bias)):
+        raise CliError(EXIT_DATA, f"{name} is not from the training bundle's model: its "
+                                  f"{source.output_weight.shape} output weight or its output "
+                                  f"bias differs from the bundle's {bundle.output_weight.shape}")
 
-    A bundle carries its model's output weight (Q x n), so comparing the two
-    also compares the feature and target widths.
-    """
+
+def _load_eval_bundle(path, bundle):
     eval_bundle = datamod.load_feature_bundle(path)
-    if not np.array_equal(eval_bundle.output_weight, bundle.output_weight):
-        raise CliError(EXIT_DATA, f"eval bundle {path} was not exported from the training "
-                                  f"bundle's model: its {eval_bundle.output_weight.shape} "
-                                  "output weight differs from the training bundle's "
-                                  f"{bundle.output_weight.shape}")
+    _check_same_model(f"eval bundle {path}", eval_bundle, bundle)
     return eval_bundle
 
 
@@ -283,8 +275,8 @@ def _train_heads(bundle, widths, seeds, cfg, eval_bundle=None):
     broken guarantee stops it. The heads need only what train_widths prepared, so
     the bundles' float64 features are dropped (set to None) before any trains."""
     held_out = () if eval_bundle is None else (eval_bundle.features, eval_bundle.targets)
-    runs = layermod.train_widths(bundle.output_weight, widths, seeds, bundle.features,
-                                 bundle.targets, bundle.loss, cfg, *held_out)
+    runs = layermod.train_widths(bundle.output_weight, bundle.output_bias, widths, seeds,
+                                 bundle.features, bundle.targets, bundle.loss, cfg, *held_out)
     bundle.features = (eval_bundle or bundle).features = None
     return map(_checked, runs)
 
@@ -309,17 +301,14 @@ def cmd_redense(args):
         raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
     eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
     if args.model:
-        model, stored_loss = _load_unbiased_model(args.model)
-        same_weight = (model.output_weight.shape == bundle.output_weight.shape
-                       and model.output_weight.tobytes() == bundle.output_weight.tobytes())
-        if not (same_weight and stored_loss == bundle.loss):
-            what = (f"its {model.output_weight.shape} output weight" if not same_weight
-                    else f"its loss {stored_loss.kind} (delta {stored_loss.delta:.17g})")
-            raise CliError(EXIT_DATA, f"model {args.model} is not the one the bundle was "
-                                      f"exported from: {what} differs from the bundle's")
+        model, stored_loss, _ = persist.load_model(args.model)
+        _check_same_model(f"model {args.model}", model, bundle)
+        if stored_loss != bundle.loss:
+            raise CliError(EXIT_DATA, f"model {args.model} stores loss {stored_loss.kind} "
+                                      f"(delta {stored_loss.delta:.17g}), not the bundle's")
     else:
         # external bundle: persist a standalone head (no hidden layers)
-        model = nn.MlpModel([], bundle.output_weight, np.zeros(bundle.output_weight.shape[0]))
+        model = nn.MlpModel([], bundle.output_weight, bundle.output_bias)
 
     trained, report, curve = next(_train_heads(bundle, [m], [args.seed], cfg, eval_bundle))
 
@@ -412,8 +401,10 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="redense",
                                      description="Random ReLU lifting for trained networks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    seeded = argparse.ArgumentParser(add_help=False)  # every subcommand takes --seed
+    seeded.add_argument("--seed", type=_seed, default=0)
 
-    p = sub.add_parser("train", help="train a base MLP")
+    p = sub.add_parser("train", help="train a base MLP", parents=[seeded])
     _add_data_flags(p)
     _add_split_flags(p)
     p.add_argument("--hidden", type=_positive_ints, default="16",
@@ -425,32 +416,31 @@ def build_parser():
     p.add_argument("--lr", type=float, default=nn.TrainConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=nn.TrainConfig.epochs)
     p.add_argument("--batch-size", type=int, default=nn.TrainConfig.batch_size)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("features", help="export a feature bundle from a trained model")
+    p = sub.add_parser("features", help="export a feature bundle from a trained model",
+                       parents=[seeded])
     _add_data_flags(p)
     _add_split_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--no-split", action="store_true",
                    help="use the whole primary dataset instead of its train partition")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_features)
 
-    p = sub.add_parser("redense", help="retrain a lifted head on a feature bundle")
+    p = sub.add_parser("redense", help="retrain a lifted head on a feature bundle",
+                       parents=[seeded])
     p.add_argument("--bundle", required=True)
     p.add_argument("--model", help="model file to attach the trained layer to")
     p.add_argument("--eval-bundle", help="bundle with held-out features for curve columns")
     p.add_argument("--m", type=int, default=None, help="projection width (default: n)")
     p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_redense)
 
-    p = sub.add_parser("sweep-m", help="sweep projection widths and seeds")
+    p = sub.add_parser("sweep-m", help="sweep projection widths and seeds", parents=[seeded])
     p.add_argument("--bundle", required=True)
     p.add_argument("--eval-bundle")
     p.add_argument("--m-values", type=_positive_ints, required=True,
@@ -458,15 +448,13 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=20)
     p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
     p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep_m)
 
-    p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
+    p = sub.add_parser("eval", help="evaluate a saved model on a dataset", parents=[seeded])
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_eval)
     return parser
 

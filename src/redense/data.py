@@ -20,21 +20,22 @@ from .nn import Dataset, Loss, make_loss
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 BUNDLE_MAGIC = b"RDFB"
-BUNDLE_VERSION = 2
-_BUNDLE_BLOCKS = ("features", "targets", "output_weight")
+BUNDLE_VERSION = 3
+_BUNDLE_BLOCKS = {"features": 2, "targets": 2, "output_weight": 2, "output_bias": 1}  # ranks
 _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 
 
 @dataclass
 class FeatureBundle:
-    """Features, targets and the head weight exported from a trained model, with
-    string metadata (README lists the well-known keys). loss is the base
-    network's, from base_loss and huber_delta; a bundle without base_loss is CE."""
+    """Features, targets and the output layer exported from a trained model, with
+    string metadata (README lists the well-known keys). loss is the base network's,
+    from base_loss and huber_delta: CE without base_loss. No output_bias is b = 0."""
 
     features: Matrix       # J x n
     targets: Matrix        # J x Q
     output_weight: Matrix  # Q x n
     metadata: dict[str, str]
+    output_bias: np.ndarray | None = None  # Q
     loss: Loss = field(init=False)
 
     def __post_init__(self):
@@ -42,10 +43,11 @@ class FeatureBundle:
         if self.targets.shape[0] != j:
             raise ShapeError(f"targets have {self.targets.shape[0]} rows, features have {j}")
         q = self.targets.shape[1]
-        if self.output_weight.shape != (q, n):
-            raise ShapeError(
-                f"output weight has shape {self.output_weight.shape}, expected ({q}, {n})"
-            )
+        if self.output_bias is None:
+            self.output_bias = np.zeros(q)
+        for name, shape in (("output_weight", (q, n)), ("output_bias", (q,))):
+            if getattr(self, name).shape != shape:
+                raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
         for name in _BUNDLE_BLOCKS:
             check_finite(getattr(self, name), name)
         if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()):
@@ -160,15 +162,15 @@ def _refuse_constant(name):
 
 
 @contextlib.contextmanager
-def _read_container(path, magic, version):
-    """Open a file _write_container wrote and yield (header, read_block), where
-    read_block(shape, what) reads the next block; the body must read every block."""
+def _read_container(path, magic, versions):
+    """Open a file _write_container wrote in one of versions; yield (header, read_block),
+    read_block(shape, what) reading the next block. The body must read every block."""
     with open(path, "rb") as f:
         found = _read_exact(f, 4, path, "magic")
         if found != magic:
             raise DataFormatError(f"bad magic {found!r}", path=path, offset=0)
         (file_version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
-        if file_version != version:
+        if file_version not in versions:
             raise DataFormatError(f"unsupported version {file_version}", path=path, offset=4)
         (length,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
         raw = _read_exact(f, length, path, "header")
@@ -216,16 +218,16 @@ def save_feature_bundle(path, bundle: FeatureBundle):
 
 
 def load_feature_bundle(path) -> FeatureBundle:
-    with _read_container(path, BUNDLE_MAGIC, BUNDLE_VERSION) as (header, read_block):
+    with _read_container(path, BUNDLE_MAGIC, (2, BUNDLE_VERSION)) as (header, read_block):
         with _header_errors(path):
             shapes = {name: tuple(_header_field(d, int, name)
                                   for d in _header_field(header[name], list, name))
-                      for name in _BUNDLE_BLOCKS}
+                      for name in _BUNDLE_BLOCKS if name in header or name != "output_bias"}
             metadata = dict(header["metadata"])
-            if any(len(s) != 2 or min(s) < 0 for s in shapes.values()):
-                raise ValueError(f"block shapes {shapes} are not pairs of sizes >= 0")
-        blocks = [read_block(shape, name) for name, shape in shapes.items()]
-    return FeatureBundle(*blocks, metadata)
+            if any(len(s) != _BUNDLE_BLOCKS[name] or min(s) < 0 for name, s in shapes.items()):
+                raise ValueError(f"block shapes {shapes} have the wrong rank or a size < 0")
+        blocks = {name: read_block(shape, name) for name, shape in shapes.items()}
+    return FeatureBundle(**blocks, metadata=metadata)
 
 
 @dataclass(frozen=True)

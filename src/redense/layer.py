@@ -2,9 +2,9 @@
 
 Features y (J x n) pass through a frozen Gaussian R (m x n, m >= n) and a
 sign split, lift(y) = [max(yR', 0) | max(-yR', 0)] (J x 2m), which loses
-nothing since max(z,0) - max(-z,0) = z. The head is the base head Ohat plus a
-correction Delta (Q x 2m), logits = y Ohat' + lift(y) Delta', with O0 + Delta
-in the Frobenius ball |O|_F <= epsilon = |O0|_F, O0 = [P | -P] and
+nothing since max(z,0) - max(-z,0) = z. The head is the base output layer
+(Ohat, b) plus a correction Delta (Q x 2m), logits = y Ohat' + b + lift(y) Delta',
+with O0 + Delta in the Frobenius ball |O|_F <= epsilon = |O0|_F, O0 = [P | -P] and
 P = Ohat pinv(R). Delta = 0 gives the base logits bit for bit, so returning
 the best iterate keeps the final training loss at or below the base head's.
 The correction needs only the J x m positive half h = max(yR', 0), held in
@@ -42,6 +42,7 @@ class RedenseLayer:
     R: Matrix        # m x n, frozen after construction
     epsilon: float
     base: Matrix     # Q x n, the base head Ohat
+    bias: np.ndarray  # Q, the base output bias b
     delta: Matrix    # Q x 2m, the trained correction O - O0; zero when built
     seed: int
     # O0 = [P | -P], the ball's reference point. build() sets it; model files
@@ -57,15 +58,15 @@ class RedenseLayer:
             raise ConstraintError(f"projection width must satisfy m >= n, got m={self.m}, n={self.n}")
         if self.base.shape[1] != self.n:
             raise ShapeError(f"base head has {self.base.shape[1]} columns, expected {self.n}")
-        shape = (self.base.shape[0], 2 * self.m)
-        for name, a in (("delta", self.delta), ("O0", self.O0)):
+        q = self.base.shape[0]
+        for name, a, shape in (("bias", self.bias, (q,)), ("delta", self.delta, (q, 2 * self.m)),
+                               ("O0", self.O0, (q, 2 * self.m))):
             if a is not None and a.shape != shape:
                 raise ShapeError(f"{name} has shape {a.shape}, expected {shape}")
         if not 0.0 < self.epsilon < np.inf:
             raise ConstraintError("constraint radius epsilon must be finite and > 0")
-        check_finite(self.R, "R")
-        check_finite(self.base, "base head")
-        check_finite(self.delta, "delta")
+        for name in ("R", "base", "bias", "delta"):
+            check_finite(getattr(self, name), name)
         self.R = np.ascontiguousarray(self.R)
         self.R.setflags(write=False)
 
@@ -114,8 +115,9 @@ class IterateStats:
     eval_accuracy: float
 
 
-def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None) -> RedenseLayer:
-    """Construct a lifting layer at the base head: Delta = 0, O0 on the ball.
+def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None,
+          bias: np.ndarray | None = None) -> RedenseLayer:
+    """Construct a lifting layer at the base head (a bias of None is 0): Delta = 0, O0 on the ball.
 
     R is sample_gaussian(m, n, seed), or r, a caller's copy of that draw
     (numpy's Generator fills it row by row, so any wider draw at seed starts
@@ -124,7 +126,7 @@ def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None) -> 
     rejected draws. n is the output weight's width.
     """
     output_weight = as_matrix(output_weight, "output_weight")
-    n = output_weight.shape[1]
+    q, n = output_weight.shape
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
     for attempt in range(_RESAMPLE_ATTEMPTS):
@@ -143,9 +145,15 @@ def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None) -> 
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
         raise ConstraintError("output weight is zero; the constraint radius would be empty")
-    return RedenseLayer(R=r, epsilon=epsilon, base=output_weight.copy(),
+    bias = np.zeros(q) if bias is None else np.array(bias, dtype=np.float64)
+    return RedenseLayer(R=r, epsilon=epsilon, base=output_weight.copy(), bias=bias,
                         delta=np.zeros_like(o0), seed=seed, O0=o0, cond_r=cond,
                         resamples=attempt)
+
+
+def _same_output_layer(a, b) -> bool:
+    """Whether output layers a and b, each a (weight, bias) pair, are equal bit for bit."""
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
 def _positive_half(features: Matrix, r: Matrix) -> Matrix:
@@ -176,8 +184,8 @@ def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class _Lift:
-    """Features y for the head: y Ohat', y32 = y 2^-k in float32 (k: max|y|'s binary
-    exponent), and once lifted through a draw r: r, r in float32, max(y32 r', 0)."""
+    """Features y for the head: y Ohat' + b, y32 = y 2^-k in float32 (k: max|y|'s
+    binary exponent), and once lifted through a draw r: r, r in float32, max(y32 r', 0)."""
     base: Matrix
     y32: Matrix
     k: int
@@ -186,15 +194,15 @@ class _Lift:
     h: Matrix | None = None
 
 
-def _prepare(base: Matrix, features: Matrix) -> _Lift:
-    """The width-independent part of the features' lift under the base head."""
+def _prepare(base: Matrix, bias: np.ndarray, features: Matrix) -> _Lift:
+    """The width-independent part of the features' lift; its logits are nn.forward's."""
     if features.shape[1] != base.shape[1]:
         raise ShapeError(f"features have width {features.shape[1]}, expected {base.shape[1]}")
     check_finite(features, "features")
     _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
     # computed in float64 and cast in buffered chunks: no J x n float64 copy
     y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
-    return _Lift(features @ base.T, y32, int(k))
+    return _Lift(features @ base.T + bias, y32, int(k))
 
 
 def _lift(x: _Lift, r: Matrix, r32: Matrix | None = None) -> _Lift:
@@ -210,19 +218,19 @@ def _narrow(x: _Lift, r: Matrix) -> _Lift:
 def _through(layer: RedenseLayer, x) -> _Lift:
     """Features, or a _Lift of them, lifted through layer.R; x itself if it already is."""
     if not isinstance(x, _Lift):
-        x = _prepare(layer.base, x)
+        x = _prepare(layer.base, layer.bias, x)
     return x if x.r is layer.R else _lift(x, layer.R)
 
 
 def _logits(x: _Lift, delta: Matrix) -> Matrix:
-    """y Ohat' + lift(y) delta'; a zero delta returns the base logits themselves."""
+    """y Ohat' + b + lift(y) delta'; a zero delta returns the base logits themselves."""
     if not delta.any():
         return x.base
     return x.base + np.ldexp(_head_logits(x.h, x.y32, x.r32, delta).astype(np.float64), x.k)
 
 
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
-    """Logits of the lifted head: y Ohat' + lift(y) Delta'."""
+    """Logits of the lifted head: y Ohat' + b + lift(y) Delta'."""
     return _logits(_through(layer, features), layer.delta)
 
 
@@ -320,10 +328,10 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
     return trained, report, curve
 
 
-def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets: Matrix,
-                 loss: Loss, cfg: HeadConfig, eval_features: Matrix | None = None,
-                 eval_targets: Matrix | None = None):
-    """Yield train(build(output_weight, m, seed), ...) for each seed, and each m in widths.
+def train_widths(output_weight: Matrix, bias: np.ndarray, widths, seeds, features: Matrix,
+                 targets: Matrix, loss: Loss, cfg: HeadConfig,
+                 eval_features: Matrix | None = None, eval_targets: Matrix | None = None):
+    """Yield train(build(output_weight, m, seed, bias=bias), ...) for each seed, and each m.
 
     The features are prepared before this returns, and no reference to them kept.
     A seed's widths share its widest draw, whose first m rows are R at m, and
@@ -332,14 +340,15 @@ def train_widths(output_weight: Matrix, widths, seeds, features: Matrix, targets
     views its seed's draw: drop it before the next seed's to hold one at a time.
     """
     output_weight = as_matrix(output_weight, "output_weight")
-    lift = _prepare(output_weight, features)
-    eval_lift = None if eval_features is None else _prepare(output_weight, eval_features)
+    lift = _prepare(output_weight, bias, features)
+    eval_lift = None if eval_features is None else _prepare(output_weight, bias, eval_features)
     # chain holds no yielded run: the last one would keep its seed's draw alive
-    return chain.from_iterable(_train_seed(output_weight, widths, seed, lift, eval_lift, targets,
-                                           loss, cfg, eval_targets) for seed in seeds)
+    return chain.from_iterable(_train_seed(output_weight, bias, widths, seed, lift, eval_lift,
+                                           targets, loss, cfg, eval_targets) for seed in seeds)
 
 
-def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg, eval_targets):
+def _train_seed(output_weight, bias, widths, seed, lift, eval_lift, targets, loss, cfg,
+                eval_targets):
     # a generator of its own, so the seed's draw and lifts die with its frame
     draw = sample_gaussian(max(widths), output_weight.shape[1], seed)
     lift = _lift(lift, draw)
@@ -347,6 +356,6 @@ def _train_seed(output_weight, widths, seed, lift, eval_lift, targets, loss, cfg
     for m in widths:
         # one view for all three, so train sees both lifts are through layer.R
         r = draw[:m]
-        layer = build(output_weight, m, seed, r)
+        layer = build(output_weight, m, seed, r, bias)
         yield train(layer, _narrow(lift, r), targets, loss, cfg,
                     None if eval_lift is None else _narrow(eval_lift, r), eval_targets)

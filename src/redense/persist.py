@@ -7,7 +7,7 @@ import numpy as np
 from .data import (_atomic_open, _header_errors, _header_field, _read_container,
                    _write_container)
 from .errors import ConstraintError, DataFormatError
-from .layer import RedenseLayer
+from .layer import RedenseLayer, _same_output_layer
 from .nn import Activation, Layer, Loss, MlpModel
 
 MODEL_MAGIC = b"RDNM"
@@ -51,10 +51,9 @@ def _parameter_blocks(model: MlpModel, redense_layer: RedenseLayer | None):
 
 
 def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | None = None):
-    if redense_layer is not None and (
-            redense_layer.base.shape != model.output_weight.shape
-            or redense_layer.base.tobytes() != model.output_weight.tobytes()):
-        raise ValueError("the lifting layer's base head is not the model's output weight")
+    if redense_layer is not None and not _same_output_layer(
+            (redense_layer.base, redense_layer.bias), (model.output_weight, model.output_bias)):
+        raise ValueError("the lifting layer's base head is not the model's output layer")
     _write_container(path, MODEL_MAGIC, MODEL_VERSION,
                      _architecture_header(model, loss, redense_layer),
                      _parameter_blocks(model, redense_layer))
@@ -62,7 +61,7 @@ def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | 
 
 def load_model(path):
     """Load a model file; returns (model, loss, redense_layer_or_None)."""
-    with _read_container(path, MODEL_MAGIC, MODEL_VERSION) as (header, read_block):
+    with _read_container(path, MODEL_MAGIC, (MODEL_VERSION,)) as (header, read_block):
         with _header_errors(path):
             fan_in = _header_field(header["input_width"], int, "input_width")
             layer_specs = [(_header_field(s["width"], int, "width"),
@@ -96,7 +95,7 @@ def load_model(path):
             delta = read_block((n_outputs, 2 * m), "head correction")
             try:
                 redense_layer = RedenseLayer(R=r, epsilon=epsilon, base=model.output_weight,
-                                             delta=delta, seed=seed)
+                                             bias=model.output_bias, delta=delta, seed=seed)
             except ConstraintError as exc:
                 raise DataFormatError(f"invalid lifting block: {exc}", path=path) from None
     return model, loss, redense_layer

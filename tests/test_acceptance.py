@@ -29,7 +29,7 @@ from redense.persist import load_model, save_model, write_curve
 def _identity_layer(n):
     o0 = np.hstack([np.eye(n), -np.eye(n)])
     return RedenseLayer(R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(n),
-                        delta=np.zeros_like(o0), seed=0, O0=o0)
+                        bias=np.zeros(n), delta=np.zeros_like(o0), seed=0, O0=o0)
 
 
 def test_criterion_1_lossless_lift_identity():
@@ -285,7 +285,7 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
             if case % 2:
                 layer = build(model.output_weight,
                               model.output_weight.shape[1] + int(rng.integers(0, 4)),
-                              seed=int(rng.integers(1 << 31)))
+                              seed=int(rng.integers(1 << 31)), bias=model.output_bias)
             p1, p2 = tmp_path / f"m{case}.rdnm", tmp_path / f"m{case}b.rdnm"
             save_model(p1, model, Loss("huber", delta=float(rng.uniform(0.1, 2.0))))
             if layer is not None:

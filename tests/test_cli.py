@@ -221,18 +221,22 @@ def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
-@pytest.mark.parametrize("mismatch", ["target_width", "another_model"])
+@pytest.mark.parametrize("mismatch", ["target_width", "another_model", "output_bias"])
 def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypatch, cmd,
                                                      mismatch):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     held_out = load_feature_bundle(_eval_bundle(tmp_path, capsys))
+    targets, weight, bias = held_out.targets, held_out.output_weight, held_out.output_bias
     if mismatch == "target_width":
-        targets = np.hstack([held_out.targets, np.zeros((held_out.targets.shape[0], 1))])
-        weight = np.vstack([held_out.output_weight, held_out.output_weight[:1]])
+        targets = np.hstack([targets, np.zeros((targets.shape[0], 1))])
+        weight, bias = np.vstack([weight, weight[:1]]), np.append(bias, 0.0)
+    elif mismatch == "another_model":
+        weight = 2.0 * weight
     else:
-        targets, weight = held_out.targets, 2.0 * held_out.output_weight
+        bias = bias + 0.5
     other = tmp_path / "other.rdfb"
-    save_feature_bundle(other, datamod.FeatureBundle(held_out.features, targets, weight, {}))
+    save_feature_bundle(other, datamod.FeatureBundle(held_out.features, targets, weight, {},
+                                                     bias))
 
     def no_build(*args, **kwargs):
         raise AssertionError("build ran before the eval bundle was checked")
@@ -241,7 +245,7 @@ def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypat
     widths = {"redense": ["--m", "8"], "sweep-m": ["--m-values", "8", "--seeds", "1"]}[cmd]
     assert main([cmd, "--bundle", str(bundle_path), "--eval-bundle", str(other), *widths,
                  "--epochs", "1", "--out-dir", str(tmp_path / "out")]) == 3
-    assert "was not exported from the training bundle's model" in capsys.readouterr().err
+    assert "is not from the training bundle's model" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd", ["redense", "sweep-m"])
@@ -596,24 +600,71 @@ def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd)
     assert not out.exists()
 
 
-def test_features_refuses_a_nonzero_output_bias(tmp_path, capsys):
-    # the bundle holds no output bias, so exporting would silently drop it
+def test_a_biased_model_keeps_its_output_bias_through_every_subcommand(tmp_path, capsys):
+    # a model from another tool: train_base never trains the output bias
     run_train(tmp_path, capsys)
     biased = tmp_path / "biased.rdnm"
-    _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
-    out_dir = tmp_path / "bundles"
-    code = main(["features", "--model", str(biased), "--synthetic", "blobs", "--samples",
-                 "200", "--classes", "3", "--noise", "0.4", "--seed", "7",
-                 "--out", str(out_dir / "f.rdfb")])
-    assert code == 3
-    assert "output bias" in capsys.readouterr().err
-    assert not out_dir.exists()
+    bias = [3.0, -1.0, 0.5]
+    _save_with_output_bias(tmp_path / "model.rdnm", biased, bias)
+    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4",
+            "--seed", "7"]
+    for model in ("model", "biased"):
+        assert main(["features", "--model", str(tmp_path / f"{model}.rdnm"), *data,
+                     "--no-split", "--out", str(tmp_path / f"{model}.rdfb")]) == 0
+    capsys.readouterr()
+    bundle = load_feature_bundle(tmp_path / "biased.rdfb")
+    assert bundle.output_bias.tolist() == bias
+    base_train_loss = float(bundle.metadata["base_train_loss"])
+    unbiased = load_feature_bundle(tmp_path / "model.rdfb")
+    assert base_train_loss != float(unbiased.metadata["base_train_loss"])
+
+    for attach, epochs in ((True, "0"), (True, "10"), (False, "10")):
+        out = tmp_path / f"rd-{attach}-{epochs}"
+        model_flag = ["--model", str(biased)] if attach else []
+        assert main(["redense", "--bundle", str(tmp_path / "biased.rdfb"), *model_flag,
+                     "--lr", "1e-2", "--epochs", epochs, "--seed", "3",
+                     "--out-dir", str(out)]) == 0
+        pairs = kv(capsys)
+        assert float(pairs["old_loss"]) == base_train_loss
+        assert pairs["guarantee_holds"] == "true"
+        assert float(pairs["final_loss"]) <= base_train_loss
+        saved, _, layer = load_model(out / ("model_with_redense.rdnm" if attach
+                                            else "redense_head.rdnm"))
+        assert saved.output_bias.tolist() == layer.bias.tolist() == bias
+    assert float(pairs["final_loss"]) < base_train_loss
+    # at Delta = 0 the lifted model scores the base network's loss
+    assert main(["eval", "--model", str(tmp_path / "rd-True-0" / "model_with_redense.rdnm"),
+                 *data, "--out-dir", str(tmp_path)]) == 0
+    scored = kv(capsys)
+    assert scored["redense_loss"] == scored["base_loss"]
+    assert float(scored["base_loss"]) == base_train_loss
+
+
+def test_a_version_2_bundle_trains_with_a_zero_output_bias(tmp_path, capsys):
+    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
+    bundle = load_feature_bundle(bundle_path)
+    # as the previous writer made it: version 2, no output_bias block
+    blocks = [bundle.features, bundle.targets, bundle.output_weight]
+    header = {"features": list(bundle.features.shape), "targets": list(bundle.targets.shape),
+              "output_weight": list(bundle.output_weight.shape), "metadata": bundle.metadata}
+    datamod._write_container(tmp_path / "v2.rdfb", datamod.BUNDLE_MAGIC, 2, header, blocks)
+    runs = {}
+    for name in ("v2.rdfb", bundle_path.name):
+        out = tmp_path / f"rd-{name}"
+        assert main(["redense", "--bundle", str(tmp_path / name), "--model",
+                     str(tmp_path / "model.rdnm"), "--lr", "1e-2", "--epochs", "10",
+                     "--seed", "3", "--out-dir", str(out)]) == 0
+        runs[name] = kv(capsys)
+        assert float(runs[name]["old_loss"]) == float(bundle.metadata["base_train_loss"])
+    assert runs["v2.rdfb"]["model_sha256"] == runs[bundle_path.name]["model_sha256"]
 
 
 def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, capsys,
                                                                   monkeypatch):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     run_train(tmp_path / "other", capsys, seed="8")
+    # the bundle's output weight with an output bias the bundle does not hold: a biased
+    # model exports and trains (see above), but only on its own bundles
     biased = tmp_path / "biased.rdnm"
     _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
     # the bundle's output weight under another loss kind, or a delta CE cannot take
@@ -827,6 +878,40 @@ def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected)
     code = main([*cmd, "--bundle", str(tmp_path / "absent.rdfb"), "--out-dir", str(out)])
     assert code == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [
+    ["train", "--images", "absent-images", "--labels", "absent-labels",
+     "--test-images", "absent-images", "--test-labels", "absent-labels", "--out-dir", "out"],
+    ["features", "--model", "absent.rdnm", "--csv", "absent.csv", "--out", "out/f.rdfb"],
+    ["redense", "--bundle", "absent.rdfb", "--out-dir", "out"],
+    ["sweep-m", "--bundle", "absent.rdfb", "--m-values", "8", "--out-dir", "out"],
+    ["eval", "--model", "absent.rdnm", "--images", "absent-images", "--labels", "absent-labels",
+     "--out-dir", "out"],
+], ids=lambda cmd: cmd[0])
+@pytest.mark.parametrize("seed", ["-1", "x"])
+def test_a_malformed_seed_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                          cmd, seed):
+    # every input is absent: reading one would exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main([*cmd, "--seed", seed]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("no_split", [[], ["--no-split"]], ids=["split", "no-split"])
+@pytest.mark.parametrize("flags", [["--train-fraction", "7"], ["--train-fraction", "0"],
+                                   ["--test-images", "absent-images"],
+                                   ["--test-labels", "absent-labels"]],
+                         ids=["fraction-7", "fraction-0", "images-unpaired", "labels-unpaired"])
+def test_features_checks_its_split_flags_before_reading(tmp_path, capsys, monkeypatch, flags,
+                                                        no_split):
+    # the model and data are absent: reading either would exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main(["features", "--model", "absent.rdnm", "--csv", "absent.csv", *flags,
+                 *no_split, "--out", "out/f.rdfb"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])

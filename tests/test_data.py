@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CE, per_image_digit_images, random_one_hot
+from conftest import CE, per_image_digit_images, random_one_hot, rewrite_header
+from redense import data as datamod
 from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
                           gen_synthetic, load_csv, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
@@ -74,7 +75,7 @@ def test_idx_count_mismatch(tmp_path):
 def _bundle(rng, j=5, n=3, q=2, metadata=None):
     return FeatureBundle(rng.standard_normal((j, n)), random_one_hot(rng, j, q),
                          rng.standard_normal((q, n)),
-                         dict(metadata or {"source_model": "test"}))
+                         dict(metadata or {"source_model": "test"}), rng.standard_normal(q))
 
 
 def test_bundle_round_trip_bit_exact(tmp_path, rng):
@@ -86,8 +87,38 @@ def test_bundle_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(loaded.features, bundle.features)
     assert np.array_equal(loaded.targets, bundle.targets)
     assert np.array_equal(loaded.output_weight, bundle.output_weight)
+    assert np.array_equal(loaded.output_bias, bundle.output_bias)
     assert loaded.metadata == bundle.metadata
     assert loaded.loss == Loss("poisson")
+
+
+def test_a_version_2_bundle_has_a_zero_output_bias(tmp_path, rng):
+    # version 2, as the previous writer made it: three blocks and no output_bias
+    bundle = _bundle(rng)
+    blocks = [bundle.features, bundle.targets, bundle.output_weight]
+    header = {name: list(a.shape) for name, a in zip(("features", "targets", "output_weight"),
+                                                    blocks)}
+    header["metadata"] = bundle.metadata
+    path = tmp_path / "v2.rdfb"
+    datamod._write_container(path, datamod.BUNDLE_MAGIC, 2, header, blocks)
+    loaded = load_feature_bundle(path)
+    assert np.array_equal(loaded.features, bundle.features)
+    assert np.array_equal(loaded.output_weight, bundle.output_weight)
+    assert loaded.output_bias.tobytes() == np.zeros(2).tobytes()
+
+
+def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):
+    bundle = _bundle(rng)
+    for shape in ((3,), (2, 1)):
+        with pytest.raises(ShapeError, match="output_bias"):
+            FeatureBundle(bundle.features, bundle.targets, bundle.output_weight, {},
+                          np.zeros(shape))
+    path = tmp_path / "b.rdfb"
+    save_feature_bundle(path, bundle)
+    # two values in either shape: the file's size cannot tell them apart
+    rewrite_header(path, lambda header: header.__setitem__("output_bias", [1, 2]))
+    with pytest.raises(DataFormatError, match="wrong rank"):
+        load_feature_bundle(path)
 
 
 def test_bundle_rejects_inconsistent_head_width(rng):

@@ -28,7 +28,7 @@ def identity_layer(n, q=None):
     q = n if q is None else q
     o0 = np.hstack([np.eye(q, n), -np.eye(q, n)])
     return RedenseLayer(R=np.eye(n), epsilon=frobenius_norm(o0), base=np.eye(q, n),
-                        delta=np.zeros_like(o0), seed=0, O0=o0)
+                        bias=np.zeros(q), delta=np.zeros_like(o0), seed=0, O0=o0)
 
 
 def build_with_r(output_weight, r):
@@ -339,7 +339,7 @@ def test_train_aborts_to_best_iterate_on_overflow(rng, monkeypatch, caplog):
 def test_train_raises_when_start_is_non_finite():
     o0 = np.hstack([np.eye(1) * 1e200, -np.eye(1) * 1e200])
     layer = RedenseLayer(R=np.eye(1), epsilon=1e301, base=np.eye(1) * 1e200,
-                         delta=np.zeros((1, 2)), seed=0, O0=o0)
+                         bias=np.zeros(1), delta=np.zeros((1, 2)), seed=0, O0=o0)
     feats = np.array([[1e200]])
     targets = np.array([[1.0]])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -589,6 +589,33 @@ def test_final_loss_never_exceeds_the_exact_base_loss(j, n, extra, q, cond_share
     assert loss_value(loss, predict(trained, feats), targets) == report.final_loss
 
 
+@given(j=st.integers(1, 20), n=st.integers(1, 6), extra=st.integers(0, 6), q=st.integers(2, 4),
+       bias_scale=st.floats(0.0, 1e12), lr=st.floats(1e-6, 1.0), epochs=st.integers(0, 4),
+       kind=st.sampled_from(LOSS_KINDS), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+@example(j=6, n=4, extra=2, q=3, bias_scale=1e9, lr=1e-2, epochs=4,
+         kind="softmax_cross_entropy", seed=3)
+def test_a_biased_head_starts_at_the_base_networks_loss(j, n, extra, q, bias_scale, lr, epochs,
+                                                        kind, seed):
+    # |b| ranges far past |y Ohat'|; the base logits add b as nn.forward does
+    loss = Loss(kind)
+    rng = np.random.default_rng(seed)
+    ohat = rng.standard_normal((q, n))
+    bias = bias_scale * rng.standard_normal(q)
+    feats = rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    base_logits = feats @ ohat.T + bias
+    base_loss = loss_value(loss, base_logits, targets)
+    layer = build(ohat, n + extra, seed, bias=bias)
+    assert np.array_equal(predict(layer, feats), base_logits)
+
+    trained, report, curve = train(layer, feats, targets, loss,
+                                   HeadConfig(learning_rate=lr, epochs=epochs))
+    assert curve[0].train_loss == report.old_loss == base_loss
+    assert report.guarantee_holds and report.final_loss <= report.old_loss
+    assert loss_value(loss, predict(trained, feats), targets) == report.final_loss
+
+
 def _traced_peak(fn, *args):
     """Peak bytes numpy and Python allocate while fn runs."""
     tracemalloc.start()
@@ -652,8 +679,8 @@ def test_train_widths_holds_no_features_and_casts_each_draw_once(rng):
     targets, eval_targets = random_one_hot(rng, j, q), random_one_hot(rng, j // 2, q)
     refs = weakref.ref(feats), weakref.ref(eval_feats)
     with mock.patch("redense.layer.train", wraps=train) as spy:
-        runs = train_widths(rng.standard_normal((q, n)), [n, 2 * n], [0, 1], feats, targets,
-                            CE, HeadConfig(epochs=1), eval_feats, eval_targets)
+        runs = train_widths(rng.standard_normal((q, n)), np.zeros(q), [n, 2 * n], [0, 1], feats,
+                            targets, CE, HeadConfig(epochs=1), eval_feats, eval_targets)
         del feats, eval_feats
         assert all(ref() is None for ref in refs)
         assert len(list(runs)) == 4

@@ -48,7 +48,8 @@ def test_loaded_model_forward_is_bit_exact(tmp_path, rng):
 
 def test_round_trip_with_lifting_layer(tmp_path, rng):
     model = make_mlp(4, [6], 3, seed=2)
-    layer = build(model.output_weight, 9, seed=7)
+    model.output_bias[:] = [3.0, -1.0, 0.5]
+    layer = build(model.output_weight, 9, seed=7, bias=model.output_bias)
     layer = replace(layer, delta=rng.standard_normal(layer.delta.shape))
     path = tmp_path / "m.rdnm"
     save_model(path, model, Loss("poisson"), redense_layer=layer)
@@ -58,18 +59,28 @@ def test_round_trip_with_lifting_layer(tmp_path, rng):
     assert loaded_layer.epsilon == layer.epsilon
     assert np.array_equal(loaded_layer.R, layer.R)
     assert np.array_equal(loaded_layer.base, loaded_model.output_weight)
+    assert loaded_layer.bias.tobytes() == layer.bias.tobytes() == model.output_bias.tobytes()
     assert np.array_equal(loaded_layer.delta, layer.delta)
     # the file holds no O0: a loaded layer predicts the same logits, but does not train
     assert loaded_layer.O0 is None
     x = rng.standard_normal((7, 6))
     assert np.array_equal(predict(loaded_layer, x), predict(layer, x))
+    assert np.array_equal(predict(replace(layer, delta=np.zeros_like(layer.delta)), x),
+                          x @ model.output_weight.T + model.output_bias)
+    again = tmp_path / "again.rdnm"
+    save_model(again, loaded_model, loss, redense_layer=loaded_layer)
+    assert again.read_bytes() == path.read_bytes()
     with pytest.raises(ValueError, match="O0"):
         train(loaded_layer, x, np.eye(3)[[0, 1, 2, 0, 1, 2, 0]], CE, HeadConfig(epochs=1))
 
 
-def test_save_refuses_a_layer_built_on_another_head(tmp_path):
+@pytest.mark.parametrize("other", ["weight", "bias"])
+def test_save_refuses_a_layer_built_on_another_head(tmp_path, other):
     model = make_mlp(4, [6], 3, seed=2)
-    layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 9, seed=7)
+    if other == "weight":
+        layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 9, seed=7)
+    else:
+        layer = build(model.output_weight, 9, seed=7, bias=[0.0, 0.0, 0.5])
     with pytest.raises(ValueError, match="base head"):
         save_model(tmp_path / "m.rdnm", model, Loss("poisson"), redense_layer=layer)
     assert not (tmp_path / "m.rdnm").exists()
