@@ -3,15 +3,20 @@
 
 Uses real MNIST IDX files when REDENSE_MNIST_DIR points at them, otherwise
 writes a generated digit-image corpus at the same scale, then runs
-train -> features -> redense -> eval end to end. After each command it prints
-the peak_rss_mib of that command's manifest: the commands share one process,
-so each reading is the peak so far, and the command whose reading first
-reaches the last one sets the pipeline's peak.
+train -> features -> redense -> eval end to end in the loss --loss names.
+After each command it prints the peak_rss_mib of that command's manifest to
+stderr: the commands share one process, so each reading is the peak so far,
+and the command whose reading first reaches the last one sets the pipeline's
+peak. Stdout ends with a `sha256  name` line for each file the commands
+wrote, manifests excluded, sorted by name; so, given the same --out-dir, two
+runs' stdout diff to nothing when their files are byte-identical.
 """
 
 import argparse
+import hashlib
 import json
 import os
+import sys
 from pathlib import Path
 
 from redense.cli import main as cli
@@ -36,15 +41,17 @@ def idx_files(out):
 
 def run(argv, manifest):
     code = cli(argv)
-    assert code == 0, f"command failed with exit {code}: {argv}"
+    if code != 0:
+        sys.exit(code)
     with open(manifest) as f:
-        print(f"peak_rss_mib={json.load(f)['peak_rss_mib']:.1f}")
+        print(f"peak_rss_mib={json.load(f)['peak_rss_mib']:.1f}", file=sys.stderr)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", default="runs/digits")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--loss", default="ce", help="ce | mse | poisson | huber")
     parser.add_argument("--epochs", type=int, default=20)
     parser.add_argument("--redense-epochs", type=int, default=200)
     parser.add_argument("--redense-lr", type=float, default=1e-5)
@@ -56,7 +63,7 @@ def main():
     print("== train base model ==")
     run(["train", "--images", str(tri), "--labels", str(trl),
          "--test-images", str(tei), "--test-labels", str(tel),
-         "--hidden", "64", "--loss", "ce", "--lr", "1e-3",
+         "--hidden", "64", "--loss", args.loss, "--lr", "1e-3",
          "--epochs", str(args.epochs), "--batch-size", "128",
          "--seed", str(args.seed), "--out-dir", str(out)], out / "train_manifest.json")
 
@@ -80,6 +87,11 @@ def main():
     run(["eval", "--model", str(out / "model_with_redense.rdnm"),
          "--images", str(tei), "--labels", str(tel), "--out-dir", str(out)],
         out / "eval_manifest.json")
+
+    print("== sha256 of the files written, manifests excluded ==")
+    for name in sorted(["model.rdnm", "curve.csv", train_bundle.name, test_bundle.name,
+                        "model_with_redense.rdnm", "redense_curve.csv"]):
+        print(f"{hashlib.sha256((out / name).read_bytes()).hexdigest()}  {name}")
 
 
 if __name__ == "__main__":

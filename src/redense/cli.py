@@ -226,8 +226,8 @@ def cmd_features(args):
         "base_train_loss": f"{base_train_loss:.17g}",
         "ce_train_loss": f"{ce_train_loss:.17g}",
     }
-    bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight, metadata,
-                                   model.output_bias)
+    bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight,
+                                   model.output_bias, metadata)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     datamod.save_feature_bundle(out_path, bundle)
@@ -253,21 +253,35 @@ def _check_same_model(name, source, bundle):
                                   f"bias differs from the bundle's {bundle.output_weight.shape}")
 
 
-def _load_eval_bundle(path, bundle):
-    eval_bundle = datamod.load_feature_bundle(path)
-    _check_same_model(f"eval bundle {path}", eval_bundle, bundle)
-    return eval_bundle
-
-
-def _eval_source(eval_bundle):
-    return "eval_bundle" if eval_bundle is not None else "training_features"
-
-
-def _head_config(args):
+def _load_head_inputs(args, widths):
+    """What redense and sweep-m train on, checked before any head trains or output
+    directory is made: the head flags, the bundle, the widths (None is n), the eval
+    bundle's output layer, then redense's --model. Returns (cfg, bundle, widths,
+    eval_bundle, model), with None for an absent eval bundle or model."""
     try:
-        return layermod.HeadConfig(learning_rate=args.lr, epochs=args.epochs)
+        cfg = layermod.HeadConfig(learning_rate=args.lr, epochs=args.epochs)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
+    bundle = datamod.load_feature_bundle(args.bundle)
+    n = bundle.features.shape[1]
+    widths = [n if m is None else m for m in widths]
+    bad = [m for m in widths if m < n]
+    if bad:
+        raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
+    eval_bundle = model = None
+    if args.eval_bundle:
+        eval_bundle = datamod.load_feature_bundle(args.eval_bundle)
+        _check_same_model(f"eval bundle {args.eval_bundle}", eval_bundle, bundle)
+    if getattr(args, "model", None):  # sweep-m has no --model
+        model, stored_loss, lifted = persist.load_model(args.model)
+        if lifted is not None:
+            raise CliError(EXIT_DATA, f"model {args.model} already has a lifting layer: "
+                                      "pass the base model it was built on")
+        _check_same_model(f"model {args.model}", model, bundle)
+        if stored_loss != bundle.loss:
+            raise CliError(EXIT_DATA, f"model {args.model} stores loss {stored_loss.kind} "
+                                      f"(delta {stored_loss.delta:.17g}), not the bundle's")
+    return cfg, bundle, widths, eval_bundle, model
 
 
 def _train_heads(bundle, widths, seeds, cfg, eval_bundle=None):
@@ -293,20 +307,8 @@ def _checked(run):
 
 
 def cmd_redense(args):
-    cfg = _head_config(args)
-    bundle = datamod.load_feature_bundle(args.bundle)
-    n = bundle.features.shape[1]
-    m = args.m if args.m is not None else n
-    if m < n:
-        raise CliError(EXIT_FLAGS, f"projection width must satisfy m >= n: m={m}, n={n}")
-    eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
-    if args.model:
-        model, stored_loss, _ = persist.load_model(args.model)
-        _check_same_model(f"model {args.model}", model, bundle)
-        if stored_loss != bundle.loss:
-            raise CliError(EXIT_DATA, f"model {args.model} stores loss {stored_loss.kind} "
-                                      f"(delta {stored_loss.delta:.17g}), not the bundle's")
-    else:
+    cfg, bundle, (m,), eval_bundle, model = _load_head_inputs(args, [args.m])
+    if model is None:
         # external bundle: persist a standalone head (no hidden layers)
         model = nn.MlpModel([], bundle.output_weight, bundle.output_bias)
 
@@ -330,7 +332,7 @@ def cmd_redense(args):
         "stop_reason": report.stop_reason,
         "stopped_at": report.stopped_at,
         "best_epoch": report.best_epoch,
-        "eval_source": _eval_source(eval_bundle),
+        "eval_source": "eval_bundle" if eval_bundle else "training_features",
         # the returned head is the best iterate, not the last one
         "final_eval_loss": curve[report.best_epoch].eval_loss,
         "final_eval_accuracy": curve[report.best_epoch].eval_accuracy,
@@ -342,19 +344,13 @@ def cmd_redense(args):
 
 
 def cmd_sweep_m(args):
-    cfg = _head_config(args)
     if args.seeds < 1:
         raise CliError(EXIT_FLAGS, f"--seeds must be >= 1, got {args.seeds}")
     if not args.m_values:
         raise CliError(EXIT_FLAGS, "--m-values names no width")
-    bundle = datamod.load_feature_bundle(args.bundle)
-    n = bundle.features.shape[1]
-    bad = [m for m in args.m_values if m < n]
-    if bad:
-        raise CliError(EXIT_FLAGS, f"projection widths {bad} are below n={n}")
-    eval_bundle = _load_eval_bundle(args.eval_bundle, bundle) if args.eval_bundle else None
+    cfg, bundle, widths, eval_bundle, _ = _load_head_inputs(args, args.m_values)
 
-    widths, seeds = args.m_values, range(args.seed, args.seed + args.seeds)
+    seeds = range(args.seed, args.seed + args.seeds)
     # map, not a loop: a loop variable would keep a seed's last layer, and
     # with it that seed's draw, alive while the next seed's is drawn
     runs = list(map(_sweep_row, _train_heads(bundle, widths, seeds, cfg, eval_bundle)))
@@ -370,8 +366,8 @@ def cmd_sweep_m(args):
             f.write(f"{m},{s},{eps:.17g},{fl:.17g},{acc:.17g}\n")
     # cond_r and resamples: one entry per row of the table, in its order
     results = {"rows": len(rows), "m_values": args.m_values, "seeds": args.seeds,
-               "eval_source": _eval_source(eval_bundle), "cond_r": [r[5] for r in rows],
-               "resamples": [r[6] for r in rows]}
+               "eval_source": "eval_bundle" if eval_bundle else "training_features",
+               "cond_r": [r[5] for r in rows], "resamples": [r[6] for r in rows]}
     return results, {"table": csv_path, "manifest": out_dir / "sweep_manifest.json"}
 
 
@@ -429,26 +425,24 @@ def build_parser():
                    help="use the whole primary dataset instead of its train partition")
     p.set_defaults(func=cmd_features)
 
+    heads = argparse.ArgumentParser(add_help=False)  # redense and sweep-m share these
+    heads.add_argument("--bundle", required=True)
+    heads.add_argument("--eval-bundle", help="bundle with held-out features for curve columns")
+    heads.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
+    heads.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
+    heads.add_argument("--out-dir", default=".")
+
     p = sub.add_parser("redense", help="retrain a lifted head on a feature bundle",
-                       parents=[seeded])
-    p.add_argument("--bundle", required=True)
+                       parents=[seeded, heads])
     p.add_argument("--model", help="model file to attach the trained layer to")
-    p.add_argument("--eval-bundle", help="bundle with held-out features for curve columns")
     p.add_argument("--m", type=int, default=None, help="projection width (default: n)")
-    p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_redense)
 
-    p = sub.add_parser("sweep-m", help="sweep projection widths and seeds", parents=[seeded])
-    p.add_argument("--bundle", required=True)
-    p.add_argument("--eval-bundle")
+    p = sub.add_parser("sweep-m", help="sweep projection widths and seeds",
+                       parents=[seeded, heads])
     p.add_argument("--m-values", type=_positive_ints, required=True,
                    help="comma-separated widths")
     p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--lr", type=float, default=layermod.HeadConfig.learning_rate)
-    p.add_argument("--epochs", type=int, default=layermod.HeadConfig.epochs)
-    p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_sweep_m)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset", parents=[seeded])

@@ -29,13 +29,13 @@ _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 class FeatureBundle:
     """Features, targets and the output layer exported from a trained model, with
     string metadata (README lists the well-known keys). loss is the base network's,
-    from base_loss and huber_delta: CE without base_loss. No output_bias is b = 0."""
+    from base_loss and huber_delta: CE without base_loss."""
 
     features: Matrix       # J x n
     targets: Matrix        # J x Q
     output_weight: Matrix  # Q x n
+    output_bias: np.ndarray  # Q
     metadata: dict[str, str]
-    output_bias: np.ndarray | None = None  # Q
     loss: Loss = field(init=False)
 
     def __post_init__(self):
@@ -43,8 +43,6 @@ class FeatureBundle:
         if self.targets.shape[0] != j:
             raise ShapeError(f"targets have {self.targets.shape[0]} rows, features have {j}")
         q = self.targets.shape[1]
-        if self.output_bias is None:
-            self.output_bias = np.zeros(q)
         for name, shape in (("output_weight", (q, n)), ("output_bias", (q,))):
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
@@ -227,6 +225,8 @@ def load_feature_bundle(path) -> FeatureBundle:
             if any(len(s) != _BUNDLE_BLOCKS[name] or min(s) < 0 for name, s in shapes.items()):
                 raise ValueError(f"block shapes {shapes} have the wrong rank or a size < 0")
         blocks = {name: read_block(shape, name) for name, shape in shapes.items()}
+    # a bundle without output_bias, as every version-2 file is, has b = 0
+    blocks.setdefault("output_bias", np.zeros(shapes["targets"][1]))
     return FeatureBundle(**blocks, metadata=metadata)
 
 

@@ -115,9 +115,9 @@ class IterateStats:
     eval_accuracy: float
 
 
-def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None,
-          bias: np.ndarray | None = None) -> RedenseLayer:
-    """Construct a lifting layer at the base head (a bias of None is 0): Delta = 0, O0 on the ball.
+def build(output_weight: Matrix, bias: np.ndarray, m: int, seed: int,
+          r: Matrix | None = None) -> RedenseLayer:
+    """Construct a lifting layer at the base head (Ohat, b): Delta = 0, O0 on the ball.
 
     R is sample_gaussian(m, n, seed), or r, a caller's copy of that draw
     (numpy's Generator fills it row by row, so any wider draw at seed starts
@@ -126,7 +126,7 @@ def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None,
     rejected draws. n is the output weight's width.
     """
     output_weight = as_matrix(output_weight, "output_weight")
-    q, n = output_weight.shape
+    n = output_weight.shape[1]
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
     for attempt in range(_RESAMPLE_ATTEMPTS):
@@ -145,8 +145,8 @@ def build(output_weight: Matrix, m: int, seed: int, r: Matrix | None = None,
     epsilon = frobenius_norm(o0)
     if epsilon == 0.0:
         raise ConstraintError("output weight is zero; the constraint radius would be empty")
-    bias = np.zeros(q) if bias is None else np.array(bias, dtype=np.float64)
-    return RedenseLayer(R=r, epsilon=epsilon, base=output_weight.copy(), bias=bias,
+    return RedenseLayer(R=r, epsilon=epsilon, base=output_weight.copy(),
+                        bias=np.array(bias, dtype=np.float64),
                         delta=np.zeros_like(o0), seed=seed, O0=o0, cond_r=cond,
                         resamples=attempt)
 
@@ -331,7 +331,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
 def train_widths(output_weight: Matrix, bias: np.ndarray, widths, seeds, features: Matrix,
                  targets: Matrix, loss: Loss, cfg: HeadConfig,
                  eval_features: Matrix | None = None, eval_targets: Matrix | None = None):
-    """Yield train(build(output_weight, m, seed, bias=bias), ...) for each seed, and each m.
+    """Yield train(build(output_weight, bias, m, seed), ...) for each seed, and each m.
 
     The features are prepared before this returns, and no reference to them kept.
     A seed's widths share its widest draw, whose first m rows are R at m, and
@@ -356,6 +356,6 @@ def _train_seed(output_weight, bias, widths, seed, lift, eval_lift, targets, los
     for m in widths:
         # one view for all three, so train sees both lifts are through layer.R
         r = draw[:m]
-        layer = build(output_weight, m, seed, r, bias)
+        layer = build(output_weight, bias, m, seed, r)
         yield train(layer, _narrow(lift, r), targets, loss, cfg,
                     None if eval_lift is None else _narrow(eval_lift, r), eval_targets)

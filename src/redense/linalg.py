@@ -17,8 +17,6 @@ Matrix = np.ndarray
 def as_matrix(values, name: str = "matrix") -> Matrix:
     """Coerce to a C-ordered 2-D float64 array, rejecting non-finite entries."""
     a = np.ascontiguousarray(values, dtype=np.float64)
-    if a.ndim == 1:
-        a = a.reshape(1, -1)
     if a.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {a.ndim}-D")
     check_finite(a, name)

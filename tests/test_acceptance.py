@@ -62,7 +62,7 @@ def test_criterion_2_initialization_equality():
                 feats = rng.standard_normal((25, n))
                 ohat = rng.standard_normal((10, n)) / np.sqrt(n)
                 targets = random_one_hot(rng, 25, 10)
-                layer = build(ohat, n * m_mult, seed=seed)
+                layer = build(ohat, np.zeros(10), n * m_mult, seed=seed)
                 old = loss_value(CE, feats @ ohat.T, targets)
                 init = loss_value(CE, predict(layer, feats), targets)
                 _, report, _ = train(layer, feats, targets, CE, HeadConfig(epochs=0))
@@ -90,7 +90,8 @@ def _full_pipeline(dataset_kind, classes, loss, seed):
     cfg = TrainConfig(learning_rate=5e-3, epochs=30, batch_size=32, seed=seed)
     model, _ = train_base(model, data, loss, cfg)
     feats = forward(model, data.inputs)[1]
-    layer = build(model.output_weight, model.output_weight.shape[1], seed=seed)
+    layer = build(model.output_weight, model.output_bias, model.output_weight.shape[1],
+                  seed=seed)
     head_cfg = HeadConfig(learning_rate=5e-3, epochs=40)
     _, report, curve = train(layer, feats, data.targets, loss, head_cfg)
     # the paper's reference: the base head's own loss, not L(O0)
@@ -157,7 +158,7 @@ def test_criterion_4_gradient_oracles():
     for case in range(10):
         n, m, q, j = 3, 5, 2, 6
         feats = rng.standard_normal((j, n))
-        layer = build(rng.standard_normal((q, n)), m, seed=case)
+        layer = build(rng.standard_normal((q, n)), np.zeros(q), m, seed=case)
         targets = random_one_hot(rng, j, q)
         lifted = lfp_lift(layer, feats)
         o = layer.O0
@@ -215,7 +216,7 @@ def test_criterion_5_desk_scale_digits(tmp_path):
     deltas = []
     strict_decrease = True
     for seed in range(5):
-        layer = build(model.output_weight, n, seed=seed)
+        layer = build(model.output_weight, model.output_bias, n, seed=seed)
         trained, report, _ = train(layer, feats, train_ds.targets, ce,
                                    HeadConfig(learning_rate=1e-5, epochs=200))
         strict_decrease = strict_decrease and report.final_loss < base_train_loss
@@ -237,7 +238,7 @@ def test_criterion_6_epsilon_shrinks_with_m(tmp_path, capsys):
     n, q, j = 16, 4, 120
     feats = rng.standard_normal((j, n))
     ohat = rng.standard_normal((q, n)) / np.sqrt(n)
-    bundle = FeatureBundle(feats, random_one_hot(rng, j, q), ohat,
+    bundle = FeatureBundle(feats, random_one_hot(rng, j, q), ohat, np.zeros(q),
                            {"source_model": "synthetic", "base_loss": "softmax_cross_entropy"})
     bundle_path = tmp_path / "b.rdfb"
     save_feature_bundle(bundle_path, bundle)
@@ -283,9 +284,9 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
             model.output_bias[:] = rng.standard_normal(model.n_outputs)
             layer = None
             if case % 2:
-                layer = build(model.output_weight,
+                layer = build(model.output_weight, model.output_bias,
                               model.output_weight.shape[1] + int(rng.integers(0, 4)),
-                              seed=int(rng.integers(1 << 31)), bias=model.output_bias)
+                              seed=int(rng.integers(1 << 31)))
             p1, p2 = tmp_path / f"m{case}.rdnm", tmp_path / f"m{case}b.rdnm"
             save_model(p1, model, Loss("huber", delta=float(rng.uniform(0.1, 2.0))))
             if layer is not None:
@@ -297,7 +298,7 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
         elif kind == 1:
             j, n, q = int(rng.integers(2, 20)), int(rng.integers(1, 8)), int(rng.integers(2, 5))
             bundle = FeatureBundle(rng.standard_normal((j, n)), random_one_hot(rng, j, q),
-                                   rng.standard_normal((q, n)),
+                                   rng.standard_normal((q, n)), np.zeros(q),
                                    {"source_model": f"case{case}",
                                     "base_train_loss": f"{rng.random():.17g}"})
             path = tmp_path / f"b{case}.rdfb"

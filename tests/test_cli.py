@@ -208,7 +208,7 @@ def test_reported_eval_scores_are_the_returned_heads(tmp_path, capsys):
     rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
     last_iterate_scored_lower = False
     for m, seed, _, _, test_accuracy in rows:
-        start = layermod.build(bundle.output_weight, int(m), int(seed))
+        start = layermod.build(bundle.output_weight, bundle.output_bias, int(m), int(seed))
         trained, _, curve = layermod.train(start, bundle.features, bundle.targets, bundle.loss,
                                            cfg, eval_features=held_out.features,
                                            eval_targets=held_out.targets)
@@ -235,8 +235,8 @@ def test_mismatched_eval_bundle_exits_3_before_build(tmp_path, capsys, monkeypat
     else:
         bias = bias + 0.5
     other = tmp_path / "other.rdfb"
-    save_feature_bundle(other, datamod.FeatureBundle(held_out.features, targets, weight, {},
-                                                     bias))
+    save_feature_bundle(other, datamod.FeatureBundle(held_out.features, targets, weight, bias,
+                                                     {}))
 
     def no_build(*args, **kwargs):
         raise AssertionError("build ran before the eval bundle was checked")
@@ -301,7 +301,7 @@ def test_sweep_rows_respect_guarantee(tmp_path, capsys):
     for row, cond_r, resamples in zip(rows, results["cond_r"], results["resamples"],
                                       strict=True):
         m, seed = (int(v) for v in row.split(",")[:2])
-        layer = layermod.build(bundle.output_weight, m, seed)
+        layer = layermod.build(bundle.output_weight, bundle.output_bias, m, seed)
         assert (cond_r, resamples) == (layer.cond_r, layer.resamples)
 
 
@@ -355,7 +355,7 @@ def test_sweep_rows_equal_standalone_redense_runs(tmp_path, capsys, monkeypatch,
                 == (epsilon, final_loss, test_accuracy))
         assert (float(pairs["cond_r"]), int(pairs["resamples"])) == (cond_r, resamples)
         # and both equal the library's build and train, which lift at width m alone
-        layer = layermod.build(bundle.output_weight, int(m), int(seed))
+        layer = layermod.build(bundle.output_weight, bundle.output_bias, int(m), int(seed))
         _, report, curve = layermod.train(layer, bundle.features, bundle.targets, bundle.loss,
                                           layermod.HeadConfig(1e-2, 4), held_out.features,
                                           held_out.targets)
@@ -372,7 +372,7 @@ def test_sweep_holds_one_seeds_draw_and_lift_at_a_time(tmp_path, capsys):
     j, n, m, q = 256, 128, 4096, 2
     rng = np.random.default_rng(8)
     bundle = datamod.FeatureBundle(rng.standard_normal((j, n)), np.eye(q)[np.arange(j) % q],
-                                   rng.standard_normal((q, n)), {})
+                                   rng.standard_normal((q, n)), np.zeros(q), {})
     save_feature_bundle(tmp_path / "b.rdfb", bundle)
     tracemalloc.start()
     try:
@@ -396,7 +396,8 @@ def test_heads_hold_no_float64_features_while_they_train(tmp_path, capsys, cmd):
     weight = rng.standard_normal((q, n))
     for name, rows in (("b", j), ("e", j_eval)):
         save_feature_bundle(tmp_path / f"{name}.rdfb", datamod.FeatureBundle(
-            rng.standard_normal((rows, n)), np.eye(q)[np.arange(rows) % q], weight, {}))
+            rng.standard_normal((rows, n)), np.eye(q)[np.arange(rows) % q], weight, np.zeros(q),
+            {}))
     widths = {"redense": ["--m", str(m)], "sweep-m": ["--m-values", str(m), "--seeds", "1"]}
     tracemalloc.start()
     try:
@@ -573,18 +574,27 @@ def _save_with_output_bias(source, target, bias):
     save_model(target, model, loss)
 
 
+# the IDX files do not exist: reading them would exit 3
+_ABSENT_IDX = ["--images", "absent-images", "--labels", "absent-labels"]
+
+
 @pytest.mark.parametrize("flags, message", [
-    (["--loss", "ce", "--huber-delta", "-1"], "cannot take delta -1"),
-    (["--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
-    (["--leaky-slope", "nan"], "slope must be finite")], ids=["ce-delta", "inf-delta", "nan-slope"])
-def test_train_refuses_a_huber_delta_for_another_loss(tmp_path, capsys, flags, message):
-    # the IDX files do not exist: reading them would exit 3
-    out = tmp_path / "x"
-    code = main(["train", "--images", str(tmp_path / "i"), "--labels", str(tmp_path / "l"),
-                 *flags, "--epochs", "1", "--out-dir", str(out)])
+    ([*_ABSENT_IDX, "--loss", "ce", "--huber-delta", "-1"], "cannot take delta -1"),
+    ([*_ABSENT_IDX, "--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
+    ([*_ABSENT_IDX, "--leaky-slope", "nan"], "slope must be finite"),
+    (["--images", "absent-images"], "--images and --labels must be given together"),
+    (["--synthetic", "blobs", "--classes", "1"], "need at least 2 classes"),
+    (["--synthetic", "blobs", "--samples", "4", "--train-fraction", "0.1"],
+     "leaves an empty partition")],
+    ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "one-class",
+         "empty-partition"])
+def test_train_refuses_malformed_flags_with_exit_2(tmp_path, capsys, monkeypatch, flags,
+                                                   message):
+    monkeypatch.chdir(tmp_path)
+    code = main(["train", *flags, "--epochs", "1", "--out-dir", "x"])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", ["eval", "features"])
@@ -672,12 +682,18 @@ def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, caps
     save_model(tmp_path / "mse.rdnm", exported, Loss("mean_square_error"))
     save_model(tmp_path / "delta.rdnm", exported, Loss("softmax_cross_entropy"))
     rewrite_header(tmp_path / "delta.rdnm", lambda h: h["loss"].update(delta=0.5))
+    # the bundle's own model, already lifted: a second redense would replace its layer
+    assert main(["redense", "--bundle", str(bundle_path), "--model", str(tmp_path / "model.rdnm"),
+                 "--epochs", "3", "--seed", "1", "--out-dir", str(tmp_path / "lifted")]) == 0
+    capsys.readouterr()
     monkeypatch.setattr(layermod, "build", lambda *a, **k: pytest.fail("trained anyway"))
     out = tmp_path / "rd"
     for model, reason in ((tmp_path / "other" / "model.rdnm", "output weight"),
                           (biased, "output bias"),
                           (tmp_path / "mse.rdnm", "loss mean_square_error (delta 1)"),
-                          (tmp_path / "delta.rdnm", "cannot take delta 0.5")):
+                          (tmp_path / "delta.rdnm", "cannot take delta 0.5"),
+                          (tmp_path / "lifted" / "model_with_redense.rdnm",
+                           "already has a lifting layer")):
         code = main(["redense", "--bundle", str(bundle_path), "--model", str(model),
                      "--epochs", "3", "--seed", "1", "--out-dir", str(out)])
         assert code == 3
@@ -1076,7 +1092,7 @@ def test_redense_without_eval_bundle_lifts_once_and_scores_training_data(
 
     bundle = load_feature_bundle(bundle_path)
     _, _, trained = load_model(out / "redense_head.rdnm")
-    start = layermod.build(bundle.output_weight, trained.m, 3)
+    start = layermod.build(bundle.output_weight, bundle.output_bias, trained.m, 3)
     curve = read_curve(out / "redense_curve.csv")
     assert all(test_loss == train_loss for _, train_loss, test_loss, _ in curve)
     assert curve[0][3] == accuracy(layermod.predict(start, bundle.features), bundle.targets)
@@ -1150,7 +1166,7 @@ def _lifted_model(tmp_path):
     model = nn.make_mlp(2, [5], 3, seed=1)
     path = tmp_path / "lifted.rdnm"
     save_model(path, model, Loss("softmax_cross_entropy"),
-               redense_layer=layermod.build(model.output_weight, 6, seed=2))
+               redense_layer=layermod.build(model.output_weight, model.output_bias, 6, seed=2))
     return path
 
 
@@ -1201,23 +1217,26 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
 
 @pytest.mark.parametrize("defect", ["model-trailing", "bundle-trailing", "images-trailing",
                                     "labels-trailing", "bundle-version-1", "bundle-infinity",
-                                    "model-width-1e400"])
-def test_a_malformed_model_bundle_or_idx_file_exits_3(tmp_path, capsys, defect):
+                                    "model-width-1e400", "labels-magic", "labels-above-9",
+                                    "csv-empty", "csv-header-only"])
+def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     model = _lifted_model(tmp_path)
     bundle = tmp_path / "b.rdfb"
     rng = np.random.default_rng(5)
     save_feature_bundle(bundle, datamod.FeatureBundle(
         rng.standard_normal((20, 3)), np.eye(2)[np.arange(20) % 2], rng.standard_normal((2, 3)),
-        {}))
+        np.zeros(2), {}))
     images, labels = tmp_path / "i", tmp_path / "l"
     write_idx(images, labels, *gen_digit_images(20, seed=1))
     out = tmp_path / "out"
     argv = {"model": ["eval", "--model", model, "--synthetic", "blobs", "--classes", "3"],
             "bundle": ["redense", "--bundle", bundle, "--epochs", "1"],
             "images": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
-            "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"]}
+            "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
+            "csv": ["train", "--csv", tmp_path / "d.csv", "--epochs", "1"]}
     kind, what = defect.split("-", 1)
-    path = {"model": model, "bundle": bundle, "images": images, "labels": labels}[kind]
+    path = {"model": model, "bundle": bundle, "images": images, "labels": labels,
+            "csv": tmp_path / "d.csv"}[kind]
     if what == "trailing":
         path.write_bytes(path.read_bytes() + b"\x00")
         message = "trailing bytes"
@@ -1229,6 +1248,19 @@ def test_a_malformed_model_bundle_or_idx_file_exits_3(tmp_path, capsys, defect):
     elif what == "infinity":
         rewrite_header(path, lambda header: header["features"].__setitem__(0, float("inf")))
         message = "Infinity is not a JSON number"
+    elif what == "magic":
+        path.write_bytes(struct.pack(">I", datamod.IDX_IMAGES_MAGIC) + path.read_bytes()[4:])
+        message = "bad label magic 0x00000803"
+    elif what == "above-9":
+        raw = path.read_bytes()
+        path.write_bytes(raw[:8] + bytes([10]) + raw[9:])
+        message = "label 10 out of range 0..9"
+    elif what == "empty":
+        path.write_text("")
+        message = "empty file"
+    elif what == "header-only":
+        path.write_text("x0,x1,label\n")
+        message = "no data rows"
     else:
         rewrite_header(path, lambda header: header.update(input_width="1e400"),
                        replace=[(b'"1e400"', b"1e400")])
@@ -1248,7 +1280,7 @@ def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key
     rng = np.random.default_rng(5)
     save_feature_bundle(bundle, datamod.FeatureBundle(
         rng.standard_normal((5, 3)), np.eye(2)[np.arange(5) % 2], rng.standard_normal((2, 3)),
-        {}))
+        np.zeros(2), {}))
     path, argv = {"model": (model, ["eval", "--model", model, "--synthetic", "blobs",
                                     "--classes", "3"]),
                   "bundle": (bundle, ["redense", "--bundle", bundle, "--epochs", "1"])}[kind]
@@ -1262,7 +1294,7 @@ def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key
 def test_redense_exits_3_on_a_bundle_whose_output_weight_is_zero(tmp_path, capsys):
     rng = np.random.default_rng(5)
     bundle = datamod.FeatureBundle(rng.standard_normal((20, 3)), np.eye(2)[np.arange(20) % 2],
-                                   np.zeros((2, 3)), {})
+                                   np.zeros((2, 3)), np.zeros(2), {})
     save_feature_bundle(tmp_path / "zero.rdfb", bundle)
     out = tmp_path / "out"
     assert main(["redense", "--bundle", str(tmp_path / "zero.rdfb"), "--epochs", "1",
@@ -1292,7 +1324,7 @@ def test_each_exception_exits_with_the_code_readme_documents(tmp_path, capsys, m
                                                              name, code):
     rng = np.random.default_rng(6)
     bundle = datamod.FeatureBundle(rng.standard_normal((10, 3)), np.eye(2)[np.arange(10) % 2],
-                                   rng.standard_normal((2, 3)), {})
+                                   rng.standard_normal((2, 3)), np.zeros(2), {})
     save_feature_bundle(tmp_path / "b.rdfb", bundle)
     exc_type = _exception(name)
 

@@ -74,8 +74,8 @@ def test_idx_count_mismatch(tmp_path):
 
 def _bundle(rng, j=5, n=3, q=2, metadata=None):
     return FeatureBundle(rng.standard_normal((j, n)), random_one_hot(rng, j, q),
-                         rng.standard_normal((q, n)),
-                         dict(metadata or {"source_model": "test"}), rng.standard_normal(q))
+                         rng.standard_normal((q, n)), rng.standard_normal(q),
+                         dict(metadata or {"source_model": "test"}))
 
 
 def test_bundle_round_trip_bit_exact(tmp_path, rng):
@@ -111,8 +111,8 @@ def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):
     bundle = _bundle(rng)
     for shape in ((3,), (2, 1)):
         with pytest.raises(ShapeError, match="output_bias"):
-            FeatureBundle(bundle.features, bundle.targets, bundle.output_weight, {},
-                          np.zeros(shape))
+            FeatureBundle(bundle.features, bundle.targets, bundle.output_weight,
+                          np.zeros(shape), {})
     path = tmp_path / "b.rdfb"
     save_feature_bundle(path, bundle)
     # two values in either shape: the file's size cannot tell them apart
@@ -124,13 +124,13 @@ def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):
 def test_bundle_rejects_inconsistent_head_width(rng):
     with pytest.raises(ShapeError):
         FeatureBundle(rng.standard_normal((5, 3)), random_one_hot(rng, 5, 2),
-                      rng.standard_normal((2, 4)), {})
+                      rng.standard_normal((2, 4)), np.zeros(2), {})
 
 
 def test_bundle_rejects_row_mismatch(rng):
     with pytest.raises(ShapeError):
         FeatureBundle(rng.standard_normal((5, 3)), random_one_hot(rng, 4, 2),
-                      rng.standard_normal((2, 3)), {})
+                      rng.standard_normal((2, 3)), np.zeros(2), {})
 
 
 def test_bundle_truncated_payload_reports_offset(tmp_path, rng):

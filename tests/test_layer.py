@@ -35,7 +35,7 @@ def build_with_r(output_weight, r):
     """build() with its sampled projection replaced by r."""
     m, n = r.shape
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: r):
-        return build(output_weight, m, seed=0)
+        return build(output_weight, np.zeros(len(output_weight)), m, seed=0)
 
 
 def test_build_identity_projection():
@@ -67,21 +67,26 @@ def test_build_epsilon_matches_flat_sum_oracle(rng):
 
 def test_build_rejects_m_below_n():
     with pytest.raises(ConstraintError, match="m >= n"):
-        build(np.ones((2, 4)), m=3, seed=0)
+        build(np.ones((2, 4)), np.zeros(2), m=3, seed=0)
 
 
 def test_build_rejects_zero_output_weight():
     with pytest.raises(ConstraintError):
-        build(np.zeros((2, 3)), m=3, seed=0)
+        build(np.zeros((2, 3)), np.zeros(2), m=3, seed=0)
 
 
-def test_build_resamples_an_ill_conditioned_projection(rng, caplog):
+# rank 1, whose Cholesky factorization fails, or a Gaussian with one column
+# scaled by 1e-7, whose finite cond_F is about 1.8e7
+@pytest.mark.parametrize("rejected", ["rank-1", "cond-above-max"])
+def test_build_resamples_an_ill_conditioned_projection(rng, caplog, rejected):
     good = rng.standard_normal((6, 3))
-    draws = {0: np.outer(np.arange(1.0, 7.0), np.ones(3)), 1: good}  # rank 1, then full rank
     ohat = rng.standard_normal((2, 3))
+    bad = (np.outer(np.arange(1.0, 7.0), np.ones(3)) if rejected == "rank-1"
+           else rng.standard_normal((6, 3)) * [1.0, 1.0, 1e-7])
+    draws = {0: bad, 1: good}
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: draws[seed]):
-        layer = build(ohat, 6, seed=0)
-    assert np.array_equal(layer.R, good)
+        layer = build(ohat, np.zeros(2), 6, seed=0)
+    assert np.array_equal(layer.R, good) and layer.cond_r <= MAX_CONDITION
     assert np.allclose(layer.O0[:, :6], ohat @ np.linalg.pinv(good), rtol=0, atol=1e-12)
     assert "resampling with seed 1" in caplog.text
     assert layer.resamples == 1
@@ -95,7 +100,7 @@ def test_build_needs_no_svd_and_no_solve(rng):
 
     ohat = rng.standard_normal((3, 70))
     with mock.patch("numpy.linalg.svd", fail), mock.patch("numpy.linalg.solve", fail):
-        layer = build(ohat, 140, seed=4)
+        layer = build(ohat, np.zeros(3), 140, seed=4)
     assert layer.resamples == 0 and 70 <= layer.cond_r <= MAX_CONDITION
     assert frobenius_norm(layer.O0[:, :140] @ layer.R - ohat) < 1e-10 * frobenius_norm(ohat)
 
@@ -103,7 +108,7 @@ def test_build_needs_no_svd_and_no_solve(rng):
 def test_build_gives_up_on_a_rank_deficient_projection():
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: np.zeros((rows, cols))):
         with pytest.raises(ConstraintError, match="well-conditioned"):
-            build(np.ones((2, 3)), 4, seed=0)
+            build(np.ones((2, 3)), np.zeros(2), 4, seed=0)
 
 
 def test_build_holds_no_orthogonal_factor(rng):
@@ -111,11 +116,11 @@ def test_build_holds_no_orthogonal_factor(rng):
     # factor on top would pass 3 m n 8 bytes
     m, n = 1024, 256
     ohat = rng.standard_normal((10, n))
-    assert _traced_peak(build, ohat, m, 0) < 3 * m * n * 8
+    assert _traced_peak(build, ohat, np.zeros(10), m, 0) < 3 * m * n * 8
 
 
 def test_layer_r_is_frozen():
-    layer = build(np.eye(2), m=4, seed=1)
+    layer = build(np.eye(2), np.zeros(2), m=4, seed=1)
     with pytest.raises(ValueError):
         layer.R[0, 0] = 99.0
 
@@ -132,7 +137,7 @@ def test_lift_zero_features():
 
 
 def test_lift_nonnegative_and_width_check(rng):
-    layer = build(rng.standard_normal((2, 3)), m=5, seed=2)
+    layer = build(rng.standard_normal((2, 3)), np.zeros(2), m=5, seed=2)
     lifted = lfp_lift(layer, rng.standard_normal((8, 3)))
     assert (lifted >= 0.0).all()
     assert lifted.shape == (8, 10)
@@ -141,7 +146,7 @@ def test_lift_nonnegative_and_width_check(rng):
 
 
 def test_lift_halves_differ_by_projection_exactly(rng):
-    layer = build(rng.standard_normal((2, 4)), m=7, seed=3)
+    layer = build(rng.standard_normal((2, 4)), np.zeros(2), m=7, seed=3)
     feats = rng.standard_normal((10, 4))
     lifted = lfp_lift(layer, feats)
     assert np.array_equal(lifted[:, :7] - lifted[:, 7:], feats @ layer.R.T)
@@ -196,7 +201,8 @@ def _instance(rng, j=40, n=6, q=3, m=None):
     feats = rng.standard_normal((j, n))
     ohat = rng.standard_normal((q, n)) / np.sqrt(n)
     targets = random_one_hot(rng, j, q)
-    layer = build(ohat, m if m is not None else n, seed=int(rng.integers(1 << 31)))
+    layer = build(ohat, np.zeros(q), m if m is not None else n,
+                  seed=int(rng.integers(1 << 31)))
     return layer, feats, ohat, targets
 
 
@@ -218,7 +224,7 @@ def test_init_loss_matches_base_loss(n, m):
         feats = rng.standard_normal((30, n))
         ohat = rng.standard_normal((5, n)) / np.sqrt(n)
         targets = random_one_hot(rng, 30, 5)
-        layer = build(ohat, m, seed=seed)
+        layer = build(ohat, np.zeros(5), m, seed=seed)
         old = loss_value(CE, feats @ ohat.T, targets)
         init = loss_value(CE, predict(layer, feats), targets)
         assert init == old
@@ -273,7 +279,7 @@ def test_train_guarantee_across_seeds_and_shapes():
             feats = rng.standard_normal((30, n))
             ohat = rng.standard_normal((q, n))
             targets = random_one_hot(rng, 30, q)
-            layer = build(ohat, m, seed=seed)
+            layer = build(ohat, np.zeros(q), m, seed=seed)
             _, report, _ = train(layer, feats, targets, CE,
                                  HeadConfig(learning_rate=0.3, epochs=25))
             assert report.guarantee_holds
@@ -355,7 +361,7 @@ def test_epsilon_shrinks_with_wider_projection():
     eps = {m: [] for m in (n, 2 * n)}
     for m in eps:
         for seed in range(20):
-            eps[m].append(build(ohat, m, seed=seed).epsilon)
+            eps[m].append(build(ohat, np.zeros(len(ohat)), m, seed=seed).epsilon)
     assert np.mean(eps[2 * n]) < np.mean(eps[n])
 
 
@@ -543,7 +549,7 @@ def test_features_beyond_float32_range_keep_training(rng, scale):
     j, n, m, q = 30, 4, 8, 3
     feats = scale * rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
-    layer = build(rng.standard_normal((q, n)) / (10.0 * scale), m, seed=0)
+    layer = build(rng.standard_normal((q, n)) / (10.0 * scale), np.zeros(q), m, seed=0)
     trained, report, _ = train(layer, feats, targets, CE, HeadConfig(epochs=5))
     assert (report.stop_reason, report.stopped_at) == ("completed", 5)
     assert report.guarantee_holds
@@ -606,7 +612,7 @@ def test_a_biased_head_starts_at_the_base_networks_loss(j, n, extra, q, bias_sca
     targets = random_one_hot(rng, j, q)
     base_logits = feats @ ohat.T + bias
     base_loss = loss_value(loss, base_logits, targets)
-    layer = build(ohat, n + extra, seed, bias=bias)
+    layer = build(ohat, bias, n + extra, seed)
     assert np.array_equal(predict(layer, feats), base_logits)
 
     trained, report, curve = train(layer, feats, targets, loss,
@@ -632,7 +638,7 @@ def test_train_and_predict_never_hold_the_double_width_lift(rng):
     j, n, m, q = 2000, 32, 512, 10
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
-    layer = build(rng.standard_normal((q, n)), m, seed=0)
+    layer = build(rng.standard_normal((q, n)), np.zeros(q), m, seed=0)
     limit = 0.75 * j * m * 8
     assert _traced_peak(train, layer, feats, targets, CE, HeadConfig(epochs=3)) < limit
     assert _traced_peak(predict, layer, feats) < limit
@@ -663,7 +669,7 @@ def test_training_scores_the_logits_predict_returns_in_row_blocks(rng):
     j, n, m, q = 301, 5, 16, 3
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
-    layer = build(rng.standard_normal((q, n)), m, seed=0)
+    layer = build(rng.standard_normal((q, n)), np.zeros(q), m, seed=0)
     with mock.patch("redense.layer._HEAD_BLOCK_BYTES", 7 * m * 4):
         trained, report, curve = train(layer, feats, targets, CE,
                                        HeadConfig(learning_rate=1e-2, epochs=5))

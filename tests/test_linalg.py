@@ -188,7 +188,9 @@ def test_triangular_inverse_residual_is_eps_cond(n, log_cond, seed):
     assert frobenius_norm(x @ t - np.eye(n)) <= n * EPS * kappa_f
 
 
-@pytest.mark.parametrize("tiny", [1e-300, 1e-310])
+# at 1e-160 the Gram matrix is subnormal, not singular: the Cholesky succeeds and
+# the norm of T^-1 overflows; below it the Gram matrix underflows to singular
+@pytest.mark.parametrize("tiny", [1e-160, 1e-300, 1e-310])
 def test_pinv_product_refuses_a_triangle_whose_inverse_overflows(tiny):
     a = np.diag([1.0, tiny, 1.0])
     with warnings.catch_warnings():

@@ -49,7 +49,7 @@ def test_loaded_model_forward_is_bit_exact(tmp_path, rng):
 def test_round_trip_with_lifting_layer(tmp_path, rng):
     model = make_mlp(4, [6], 3, seed=2)
     model.output_bias[:] = [3.0, -1.0, 0.5]
-    layer = build(model.output_weight, 9, seed=7, bias=model.output_bias)
+    layer = build(model.output_weight, model.output_bias, 9, seed=7)
     layer = replace(layer, delta=rng.standard_normal(layer.delta.shape))
     path = tmp_path / "m.rdnm"
     save_model(path, model, Loss("poisson"), redense_layer=layer)
@@ -78,9 +78,9 @@ def test_round_trip_with_lifting_layer(tmp_path, rng):
 def test_save_refuses_a_layer_built_on_another_head(tmp_path, other):
     model = make_mlp(4, [6], 3, seed=2)
     if other == "weight":
-        layer = build(make_mlp(4, [6], 3, seed=3).output_weight, 9, seed=7)
+        layer = build(make_mlp(4, [6], 3, seed=3).output_weight, model.output_bias, 9, seed=7)
     else:
-        layer = build(model.output_weight, 9, seed=7, bias=[0.0, 0.0, 0.5])
+        layer = build(model.output_weight, [0.0, 0.0, 0.5], 9, seed=7)
     with pytest.raises(ValueError, match="base head"):
         save_model(tmp_path / "m.rdnm", model, Loss("poisson"), redense_layer=layer)
     assert not (tmp_path / "m.rdnm").exists()
@@ -117,7 +117,8 @@ def _saved(kind, tmp_path, rng):
         path = tmp_path / "b.rdfb"
         save_feature_bundle(path, FeatureBundle(rng.standard_normal((5, 3)),
                                                 random_one_hot(rng, 5, 2),
-                                                rng.standard_normal((2, 3)), {"k": "v"}))
+                                                rng.standard_normal((2, 3)), np.zeros(2),
+                                                {"k": "v"}))
         return path, load_feature_bundle
     images, labels = tmp_path / "i", tmp_path / "l"
     write_idx(images, labels, np.zeros((3, 2, 2), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
@@ -184,7 +185,7 @@ def test_rejects_an_invalid_lifting_block(tmp_path, key, value):
     model = make_mlp(4, [6], 3, seed=2)
     path = tmp_path / "lifted.rdnm"
     save_model(path, model, Loss("softmax_cross_entropy"),
-               redense_layer=build(model.output_weight, 9, seed=7))
+               redense_layer=build(model.output_weight, model.output_bias, 9, seed=7))
     rewrite_header(path, lambda header: header["redense"].update({key: value}),
                    replace=[(b'"1e400"', b"1e400")])
     with pytest.raises(DataFormatError, match="lifted.rdnm: invalid lifting block"):
@@ -213,22 +214,22 @@ _DECODED_KEYS = {"base_loss", "huber_delta", "base_train_loss"}
 def test_files_round_trip_bit_for_bit_and_refuse_every_strict_prefix(
         tmp_path_factory, j, n, q, data, metadata, hidden, extra, seed):
     blocks = [data.draw(hnp.arrays(np.float64, shape, elements=_FINITE))
-              for shape in ((j, n), (j, q), (q, n))]
+              for shape in ((j, n), (j, q), (q, n), (q,))]
     directory = tmp_path_factory.mktemp("files")
     bundle_path = directory / "b.rdfb"
     save_feature_bundle(bundle_path, FeatureBundle(*blocks, dict(metadata)))
     loaded = load_feature_bundle(bundle_path)
-    assert [a.tobytes() for a in (loaded.features, loaded.targets, loaded.output_weight)] \
-        == [a.tobytes() for a in blocks]
-    assert [a.shape for a in (loaded.features, loaded.targets, loaded.output_weight)] \
-        == [a.shape for a in blocks]
+    loaded_blocks = (loaded.features, loaded.targets, loaded.output_weight, loaded.output_bias)
+    assert [a.tobytes() for a in loaded_blocks] == [a.tobytes() for a in blocks]
+    assert [a.shape for a in loaded_blocks] == [a.shape for a in blocks]
     assert loaded.metadata == metadata
     _assert_every_strict_prefix_is_refused(bundle_path, load_feature_bundle)
 
     model = make_mlp(2, [hidden], 2, seed=seed)
     model_path = directory / "m.rdnm"
     save_model(model_path, model, CE,
-               redense_layer=build(model.output_weight, hidden + extra, seed=seed))
+               redense_layer=build(model.output_weight, model.output_bias, hidden + extra,
+                                   seed=seed))
     _assert_every_strict_prefix_is_refused(model_path, load_model)
 
 
