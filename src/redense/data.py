@@ -9,6 +9,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +22,11 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 BUNDLE_MAGIC = b"RDFB"
 BUNDLE_VERSION = 3
-_BUNDLE_BLOCKS = {"features": 2, "targets": 2, "output_weight": 2, "output_bias": 1}  # ranks
+# each version's header (see _check_header); the blocks follow in key order, metadata aside
+_BUNDLE_V2 = {"features": [int, int], "targets": [int, int], "output_weight": [int, int],
+              "metadata": {str: str}}
+BUNDLE_HEADERS = {2: _BUNDLE_V2, BUNDLE_VERSION: {**_BUNDLE_V2, "output_bias": [int]}}
+_BUNDLE_BLOCKS = [name for name in BUNDLE_HEADERS[BUNDLE_VERSION] if name != "metadata"]
 _DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
 
 
@@ -39,6 +44,8 @@ class FeatureBundle:
     loss: Loss = field(init=False)
 
     def __post_init__(self):
+        for name in _BUNDLE_BLOCKS:
+            setattr(self, name, check_finite(np.asarray(getattr(self, name), np.float64), name))
         j, n = self.features.shape
         if self.targets.shape[0] != j:
             raise ShapeError(f"targets have {self.targets.shape[0]} rows, features have {j}")
@@ -46,8 +53,6 @@ class FeatureBundle:
         for name, shape in (("output_weight", (q, n)), ("output_bias", (q,))):
             if getattr(self, name).shape != shape:
                 raise ShapeError(f"{name} has shape {getattr(self, name).shape}, expected {shape}")
-        for name in _BUNDLE_BLOCKS:
-            check_finite(getattr(self, name), name)
         if not all(isinstance(k, str) and isinstance(v, str) for k, v in self.metadata.items()):
             raise ValueError("bundle metadata must map strings to strings")
         if "base_train_loss" in self.metadata:
@@ -160,43 +165,60 @@ def _refuse_constant(name):
 
 
 @contextlib.contextmanager
-def _read_container(path, magic, versions):
-    """Open a file _write_container wrote in one of versions; yield (header, read_block),
-    read_block(shape, what) reading the next block. The body must read every block."""
+def _read_container(path, magic, headers):
+    """Open a file _write_container wrote in a version headers declares; yield the checked
+    header and read_block(shape, what), reading the next block. The body reads them all."""
     with open(path, "rb") as f:
         found = _read_exact(f, 4, path, "magic")
         if found != magic:
             raise DataFormatError(f"bad magic {found!r}", path=path, offset=0)
         (file_version,) = struct.unpack("<I", _read_exact(f, 4, path, "version"))
-        if file_version not in versions:
+        if file_version not in headers:
             raise DataFormatError(f"unsupported version {file_version}", path=path, offset=4)
         (length,) = struct.unpack("<I", _read_exact(f, 4, path, "header length"))
         raw = _read_exact(f, length, path, "header")
         try:
             header = json.loads(raw.decode("utf-8"), parse_constant=_refuse_constant)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nesting past the recursion limit
             raise DataFormatError(f"unparseable header: {exc}", path=path, offset=12) from None
+        try:
+            _check_header(header, headers[file_version], "")
+        except ValueError as exc:
+            raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
         yield header, lambda shape, what: _read_le_block(f, shape, path, what)
         _check_at_end(f, path)
 
 
-@contextlib.contextmanager
-def _header_errors(path):
-    """Report a missing key or an ill-typed value met while decoding a header."""
-    try:
-        yield
-    except KeyError as exc:
-        raise DataFormatError(f"header is missing key {exc}", path=path, offset=12) from None
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
-
-
-def _header_field(value, kind, what):
-    """value as kind (int, float or list) if JSON gave that kind; a float field also
-    takes an integer, and no field a bool, which Python counts as an integer."""
+def _check_header(value, declared, where):
+    """Raise ValueError naming the field at where unless the parsed JSON value is what
+    declared says: int, float or str for a value of that JSON type (a float field also
+    takes an integer within binary64's range; no field takes a bool); a dict for an object
+    with exactly its keys, {str: s} for one of any keys whose values are s; a list for an
+    array of its length, [s, ...] for one of any length; (None, s) for null or s."""
+    if isinstance(declared, tuple):
+        if value is None:
+            return
+        declared = declared[1]
+    kind = declared if isinstance(declared, type) else type(declared)
     if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise ValueError(f"{what} must be a JSON {kind.__name__}, got {value!r}")
-    return kind(value)
+        raise ValueError(f"{where or 'the header'} must be a JSON {kind.__name__}, got {value!r}")
+    if kind is float and isinstance(value, int) and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{where} must be within binary64's range")
+    if kind is dict:
+        fields = dict.fromkeys(value, declared[str]) if str in declared else declared
+        for key in sorted(fields.keys() | value.keys()):
+            name = f"{where}.{key}" if where else key
+            if key not in value:
+                raise ValueError(f"{name} is missing")
+            if key not in fields:
+                raise ValueError(f"{name} is not a declared key")
+            _check_header(value[key], fields[key], name)
+    elif kind is list:
+        items = [declared[0]] * len(value) if declared[-1:] == [...] else declared
+        if len(value) != len(items):
+            raise ValueError(f"{where} must be a JSON list of length {len(items)}, got {value!r}")
+        for i, (entry, item) in enumerate(zip(value, items)):
+            _check_header(entry, item, f"{where}[{i}]")
 
 
 def _read_le_block(f, shape, path, what) -> np.ndarray:
@@ -216,18 +238,14 @@ def save_feature_bundle(path, bundle: FeatureBundle):
 
 
 def load_feature_bundle(path) -> FeatureBundle:
-    with _read_container(path, BUNDLE_MAGIC, (2, BUNDLE_VERSION)) as (header, read_block):
-        with _header_errors(path):
-            shapes = {name: tuple(_header_field(d, int, name)
-                                  for d in _header_field(header[name], list, name))
-                      for name in _BUNDLE_BLOCKS if name in header or name != "output_bias"}
-            metadata = dict(header["metadata"])
-            if any(len(s) != _BUNDLE_BLOCKS[name] or min(s) < 0 for name, s in shapes.items()):
-                raise ValueError(f"block shapes {shapes} have the wrong rank or a size < 0")
+    with _read_container(path, BUNDLE_MAGIC, BUNDLE_HEADERS) as (header, read_block):
+        shapes = {name: tuple(header[name]) for name in _BUNDLE_BLOCKS if name in header}
+        if any(size < 0 for shape in shapes.values() for size in shape):
+            raise DataFormatError("negative block size in header", path=path, offset=12)
         blocks = {name: read_block(shape, name) for name, shape in shapes.items()}
-    # a bundle without output_bias, as every version-2 file is, has b = 0
+    # version 2 has no output_bias: b = 0
     blocks.setdefault("output_bias", np.zeros(shapes["targets"][1]))
-    return FeatureBundle(**blocks, metadata=metadata)
+    return FeatureBundle(**blocks, metadata=header["metadata"])
 
 
 @dataclass(frozen=True)

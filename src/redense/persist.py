@@ -4,14 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .data import (_atomic_open, _header_errors, _header_field, _read_container,
-                   _write_container)
+from .data import _atomic_open, _read_container, _write_container
 from .errors import ConstraintError, DataFormatError
 from .layer import RedenseLayer, _same_output_layer
 from .nn import Activation, Layer, Loss, MlpModel
 
 MODEL_MAGIC = b"RDNM"
 MODEL_VERSION = 2
+# the header _architecture_header writes, declared as data._check_header reads it
+MODEL_HEADERS = {MODEL_VERSION: {
+    "input_width": int,
+    "layers": [{"width": int, "activation": str, "slope": float}, ...],
+    "n_outputs": int,
+    "loss": {"kind": str, "delta": float},
+    "redense": (None, {"n": int, "m": int, "seed": int, "epsilon": float}),
+}}
 
 CURVE_HEADER = "epoch,train_loss,test_loss,test_accuracy"
 
@@ -61,19 +68,14 @@ def save_model(path, model: MlpModel, loss: Loss, redense_layer: RedenseLayer | 
 
 def load_model(path):
     """Load a model file; returns (model, loss, redense_layer_or_None)."""
-    with _read_container(path, MODEL_MAGIC, (MODEL_VERSION,)) as (header, read_block):
-        with _header_errors(path):
-            fan_in = _header_field(header["input_width"], int, "input_width")
-            layer_specs = [(_header_field(s["width"], int, "width"),
-                            Activation(s["activation"], _header_field(s["slope"], float, "slope")))
+    with _read_container(path, MODEL_MAGIC, MODEL_HEADERS) as (header, read_block):
+        fan_in, n_outputs, spec = header["input_width"], header["n_outputs"], header["redense"]
+        try:
+            loss = Loss(header["loss"]["kind"], delta=header["loss"]["delta"])
+            layer_specs = [(s["width"], Activation(s["activation"], s["slope"]))
                            for s in header["layers"]]
-            n_outputs = _header_field(header["n_outputs"], int, "n_outputs")
-            huber_delta = _header_field(header["loss"]["delta"], float, "delta")
-            loss = Loss(header["loss"]["kind"], delta=huber_delta)
-            spec = header["redense"]
-            lift = None if spec is None else tuple(
-                _header_field(spec[key], kind, key)
-                for key, kind in (("n", int), ("m", int), ("epsilon", float), ("seed", int)))
+        except ValueError as exc:
+            raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
         if fan_in < 1 or n_outputs < 1 or any(width < 1 for width, _ in layer_specs):
             raise DataFormatError("non-positive width in header", path=path, offset=12)
 
@@ -86,8 +88,8 @@ def load_model(path):
                          read_block((n_outputs,), "output bias"))
 
         redense_layer = None
-        if lift is not None:
-            n, m, epsilon, seed = lift
+        if spec is not None:
+            n, m, epsilon, seed = spec["n"], spec["m"], spec["epsilon"], spec["seed"]
             if n != fan_in:
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)

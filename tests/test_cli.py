@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import read_curve, rewrite_header
-from redense import cli, errors, nn
+from redense import cli, errors, nn, persist
 from redense import data as datamod
 from redense import layer as layermod
 from redense.cli import main
@@ -1191,13 +1193,14 @@ _HEADER_FIELDS = [("layers", "width"), ("layers", "activation"), ("layers", "slo
 
 @pytest.mark.parametrize("block, key", _HEADER_FIELDS)
 @pytest.mark.parametrize("value, message", [
-    (None, "header is missing key"), ([1], "invalid header"),
+    (None, "invalid header: {field} is missing"), ([1], "invalid header: {field} must be"),
     (float("nan"), "unparseable header: NaN is not a JSON number"),
     (float("inf"), "unparseable header: Infinity is not a JSON number"),
-    (True, "invalid header"), ("2", "invalid header")])
+    (True, "invalid header: {field} must be"), ("2", "invalid header")])
 def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, block, key,
                                                              value, message):
     path = _lifted_model(tmp_path)
+    message = message.format(field=f"layers[0].{key}" if block == "layers" else f"redense.{key}")
 
     def edit(header):
         fields = header["layers"][0] if block == "layers" else header["redense"]
@@ -1217,6 +1220,7 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
 
 @pytest.mark.parametrize("defect", ["model-trailing", "bundle-trailing", "images-trailing",
                                     "labels-trailing", "bundle-version-1", "bundle-infinity",
+                                    "bundle-nested",
                                     "model-width-1e400", "labels-magic", "labels-above-9",
                                     "csv-empty", "csv-header-only"])
 def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
@@ -1248,6 +1252,11 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     elif what == "infinity":
         rewrite_header(path, lambda header: header["features"].__setitem__(0, float("inf")))
         message = "Infinity is not a JSON number"
+    elif what == "nested":
+        # past the recursion limit of Python's JSON parser
+        header = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(b"RDFB" + struct.pack("<II", 3, len(header)) + header)
+        message = "unparseable header: maximum recursion depth exceeded"
     elif what == "magic":
         path.write_bytes(struct.pack(">I", datamod.IDX_IMAGES_MAGIC) + path.read_bytes()[4:])
         message = "bad label magic 0x00000803"
@@ -1270,25 +1279,124 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind, key, value", [
-    ("model", "width", 5.0), ("model", "n_outputs", "3"), ("bundle", "features", "53")])
-def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key, value):
-    # each value names what the file holds (5 hidden units, 3 outputs, a 5 x 3
-    # feature block), so int() or iterating a string would load the file
-    model = _lifted_model(tmp_path)
-    bundle = tmp_path / "b.rdfb"
+def _small_bundle(tmp_path, bias=(0.0, 0.0)):
+    path = tmp_path / "b.rdfb"
     rng = np.random.default_rng(5)
-    save_feature_bundle(bundle, datamod.FeatureBundle(
-        rng.standard_normal((5, 3)), np.eye(2)[np.arange(5) % 2], rng.standard_normal((2, 3)),
-        np.zeros(2), {}))
+    save_feature_bundle(path, datamod.FeatureBundle(
+        rng.standard_normal((5, 3)), np.eye(len(bias))[np.arange(5) % len(bias)],
+        rng.standard_normal((len(bias), 3)), np.array(bias), {"source_model": "m.rdnm"}))
+    return path
+
+
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("model", "width", 5.0, "layers[0].width must be a JSON int"),
+    ("model", "n_outputs", "3", "n_outputs must be a JSON int"),
+    ("model", "slope", 10**400, "layers[0].slope must be within binary64's range"),
+    ("bundle", "features", "53", "features must be a JSON list"),
+    ("model", "layers", {}, "layers must be a JSON list"),
+    ("bundle", "metadata", [["source_model", "m.rdnm"]], "metadata must be a JSON dict"),
+    ("model", "comment", "x", "comment is not a declared key"),
+    ("bundle", "comment", "x", "comment is not a declared key")])
+def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key, value,
+                                                     message):
+    # each of the first three values names what the file holds (5 hidden units, 3
+    # outputs, a 5 x 3 feature block), so int() or iterating a string would load it;
+    # "layers": {} would read as no layers, the metadata's pairs as its dict; no float
+    # holds 10**400, which the slope's finiteness check could not take
+    model = _lifted_model(tmp_path)
+    bundle = _small_bundle(tmp_path)
     path, argv = {"model": (model, ["eval", "--model", model, "--synthetic", "blobs",
                                     "--classes", "3"]),
                   "bundle": (bundle, ["redense", "--bundle", bundle, "--epochs", "1"])}[kind]
-    rewrite_header(path, lambda h: (h["layers"][0] if key == "width" else h).update({key: value}))
+    rewrite_header(path, lambda h: (h["layers"][0] if key in ("width", "slope") else h)
+                   .update({key: value}))
     out = tmp_path / "out"
     assert main([str(a) for a in [*argv, "--out-dir", out]]) == 3
-    assert f"invalid header: {key} must be a JSON " in _one_error_line(capsys)
+    assert f"{path.name}: invalid header: {message}" in _one_error_line(capsys)
     assert not out.exists()
+
+
+def test_a_version_3_bundle_without_output_bias_exits_3(tmp_path, capsys):
+    # an exporter that leaves out a nonzero bias must not train against b = 0
+    path = _small_bundle(tmp_path, bias=(3.0, -1.0, 0.5))
+    rewrite_header(path, lambda h: h.pop("output_bias"))
+    path.write_bytes(path.read_bytes()[:-3 * 8])
+    out = tmp_path / "out"
+    assert main(["redense", "--bundle", str(path), "--epochs", "1", "--out-dir", str(out)]) == 3
+    assert "b.rdfb: invalid header: output_bias is missing" in _one_error_line(capsys)
+    assert not out.exists()
+
+
+def _header_fields(node, where=""):
+    """(name, value, parent, key in parent) for every key of an object and entry of a list
+    under a parsed header, named as the reader names them: layers[0].width, redense.m."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, value in items:
+        name = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+        yield name, value, node, key
+        yield from _header_fields(value, name)
+
+
+def _json_type(value):
+    return {bool: "bool", int: "int", float: "float", str: "str", list: "list",
+            dict: "dict", type(None): "null"}[type(value)]
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=3)
+
+
+@given(data=st.data())
+@settings(max_examples=5, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_header_field_of_another_type_missing_or_beside_an_unknown_key_exits_3(
+        tmp_path_factory, capsys, data):
+    # every field of a plain model, a lifted model and a bundle: another JSON type
+    # (a float field takes an integer, and redense null or an object), the key
+    # dropped, or an unknown key beside it; the metadata's own keys are free
+    tmp = tmp_path_factory.mktemp("headers")
+    plain = tmp / "plain.rdnm"
+    save_model(plain, nn.make_mlp(2, [5], 3, seed=1), Loss("softmax_cross_entropy"))
+    data_flags = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
+    files = [(plain, ["eval", "--model", plain, *data_flags]),
+             (_lifted_model(tmp), ["eval", "--model", tmp / "lifted.rdnm", *data_flags]),
+             (_small_bundle(tmp), ["redense", "--bundle", tmp / "b.rdfb", "--epochs", "1"])]
+    out = tmp / "out"
+    for path, argv in files:
+        original = path.read_bytes()
+        (length,) = struct.unpack("<I", original[8:12])
+        for name, value, parent, key in _header_fields(json.loads(original[12:12 + length])):
+            accepted = {_json_type(value)} | ({"int"} if isinstance(value, float) else set())
+            if name == "redense":
+                accepted |= {"dict", "null"}
+            other = data.draw(_JSON_VALUES.filter(lambda v: _json_type(v) not in accepted),
+                              label=name)
+            edits = [(name, "retype", other)]
+            if isinstance(parent, dict) and not name.startswith("metadata."):
+                edits += [(name, "drop", None), (name[:-len(key)] + "unknown", "add", 0)]
+            for field, edit, new in edits:
+                path.write_bytes(original)
+
+                def change(header, name=name, key=key, edit=edit, new=new):
+                    target = next(p for n, _, p, _ in _header_fields(header) if n == name)
+                    if edit == "drop":
+                        del target[key]
+                    elif edit == "add":
+                        target["unknown"] = new
+                    else:
+                        target[key] = new
+
+                rewrite_header(path, change)
+                assert main([str(a) for a in [*argv, "--out-dir", out]]) == 3, (name, edit, new)
+                error = _one_error_line(capsys)
+                assert f"{path.name}: invalid header: {field}" in error, (edit, new, error)
+                assert not out.exists()
+        path.write_bytes(original)
 
 
 def test_redense_exits_3_on_a_bundle_whose_output_weight_is_zero(tmp_path, capsys):
@@ -1344,6 +1452,55 @@ def test_readme_exit_table_names_every_error_type():
     defined = {name for name, value in vars(errors).items()
                if isinstance(value, type) and issubclass(value, Exception)}
     assert defined <= documented
+
+
+def _readme_paragraph(title):
+    """README's "File formats" paragraph on a file kind, on one line."""
+    text = README.read_text()
+    return " ".join(text[text.index(f"**{title} ("):].split("\n\n")[0].split())
+
+
+def _readme_header_keys(paragraph):
+    """(versions read, {key: its object's keys, its list's length, or None}) from a
+    file kind's paragraph: its version, each "Version k, ... is read" sentence, and its
+    "Header keys:" sentence."""
+    versions = {int(re.search(r"version (\d+)\.", paragraph)[1])}
+    versions |= {int(v) for v in re.findall(r"Version (\d+), [^.]* is read", paragraph)}
+    keys = {}
+    for token in re.findall(r"`([^`]+)`", paragraph.split("Header keys: ")[1].split(". ")[0]):
+        if token.startswith("{"):
+            keys[key] = set(token.strip("{}").split(", "))
+        elif token.startswith("["):
+            keys[key] = token.count(",") + 1
+        elif token != "null":
+            key = token
+            keys[key] = None
+    return versions, keys
+
+
+def _declared_keys(declared):
+    """A header declaration in _readme_header_keys' form."""
+    keys = {}
+    for key, value in declared.items():
+        value = value[-1] if isinstance(value, tuple) else value  # (None, s)
+        value = value[0] if isinstance(value, list) and value[-1:] == [...] else value  # [s, ...]
+        keys[key] = (len(value) if isinstance(value, list)
+                     else set(value) if isinstance(value, dict) and str not in value else None)
+    return keys
+
+
+def test_readme_header_keys_are_the_declared_keys():
+    versions, keys = _readme_header_keys(_readme_paragraph("Model"))
+    assert set(persist.MODEL_HEADERS) == versions == {persist.MODEL_VERSION}
+    assert _declared_keys(persist.MODEL_HEADERS[persist.MODEL_VERSION]) == keys
+    paragraph = _readme_paragraph("Feature bundle")
+    versions, keys = _readme_header_keys(paragraph)
+    assert set(datamod.BUNDLE_HEADERS) == versions == {2, datamod.BUNDLE_VERSION}
+    assert _declared_keys(datamod.BUNDLE_HEADERS[datamod.BUNDLE_VERSION]) == keys
+    # version 2 is version 3 without the key README says it lacks
+    (absent,) = re.findall(r"Version 2, [^.]* has no `(\w+)` key", paragraph)
+    del keys[absent]
+    assert _declared_keys(datamod.BUNDLE_HEADERS[2]) == keys
 
 
 def test_readme_names_exactly_the_flags_the_subcommands_define():

@@ -117,8 +117,20 @@ def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):
     save_feature_bundle(path, bundle)
     # two values in either shape: the file's size cannot tell them apart
     rewrite_header(path, lambda header: header.__setitem__("output_bias", [1, 2]))
-    with pytest.raises(DataFormatError, match="wrong rank"):
+    with pytest.raises(DataFormatError, match="output_bias must be a JSON list of length 1"):
         load_feature_bundle(path)
+
+
+def test_bundle_takes_array_likes_and_keeps_float64_arrays(rng):
+    bundle = _bundle(rng)
+    listed = FeatureBundle(bundle.features, bundle.targets, bundle.output_weight,
+                           [3.0, -1.0], {})
+    assert listed.output_bias.dtype == np.float64
+    assert listed.output_bias.tolist() == [3.0, -1.0]
+    # a float64 block is held, not copied
+    assert listed.features is bundle.features
+    with pytest.raises(ShapeError, match="output_bias"):
+        FeatureBundle(bundle.features, bundle.targets, bundle.output_weight, [0.0], {})
 
 
 def test_bundle_rejects_inconsistent_head_width(rng):
