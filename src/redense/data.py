@@ -245,7 +245,10 @@ def load_feature_bundle(path) -> FeatureBundle:
         blocks = {name: read_block(shape, name) for name, shape in shapes.items()}
     # version 2 has no output_bias: b = 0
     blocks.setdefault("output_bias", np.zeros(shapes["targets"][1]))
-    return FeatureBundle(**blocks, metadata=header["metadata"])
+    try:
+        return FeatureBundle(**blocks, metadata=header["metadata"])
+    except ValueError as exc:
+        raise DataFormatError(str(exc), path=path) from None
 
 
 @dataclass(frozen=True)

@@ -272,7 +272,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
     labels = np.argmax(targets if eval_inputs is None else eval_targets, axis=1)
 
     delta = layer.delta.copy()
-    adam = _AdamState([delta.shape])
+    adam = _AdamState(delta.size)
     curve = []
     best_delta = delta.copy()
     best_loss, best_epoch = np.inf, 0
@@ -306,9 +306,7 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
         grad = np.ldexp(_head_grad(logits_grad, inputs.h, inputs.y32, inputs.r32)
                         .astype(np.float64), inputs.k)
         del logits_grad  # J x Q: not held while the next logits are formed
-        (step,) = adam.step([grad])
-        step *= cfg.learning_rate  # Adam's own buffer, rewritten by its next step
-        delta -= step
+        adam.step(grad.ravel(), cfg.learning_rate, delta.ravel())
         o = layer.O0 + delta
         projected = _project(o, layer.epsilon)
         if projected is not o:

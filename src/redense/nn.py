@@ -301,53 +301,57 @@ def _label_accuracy(logits: Matrix, labels: np.ndarray) -> float:
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+_ADAM_BLOCK = 1 << 15  # entries per Adam block: its seven arrays, 1.5 MiB, stay in L2
 
 
 class _AdamState:
-    """Adam moments for a list of parameter shapes; step() maps gradients to steps in
-    buffers the next call overwrites (README). Each update keeps the operation
-    order of the expression in its comment, so the results are bit-identical to it."""
+    """Adam moments of one flat parameter vector, updated a cache-sized block at a time
+    (README). Each update keeps the operation order of the expression in its comment,
+    so the results are bit-identical to it."""
 
-    def __init__(self, shapes):
-        self.m = [np.zeros(s) for s in shapes]
-        self.v = [np.zeros(s) for s in shapes]
-        self._steps = [np.empty(s) for s in shapes]
-        self._scratch = [np.empty(s) for s in shapes]
+    def __init__(self, size):
+        self.m, self.v = np.zeros(size), np.zeros(size)
+        self._step, self._scratch = np.empty((2, min(size, _ADAM_BLOCK)))
         self.t = 0
 
-    def step(self, grads):
+    def step(self, grad, lr, params, shadow=None):
+        """params -= lr * Adam's step for grad, in place; shadow gets params in its dtype."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for m, v, out, tmp, g in zip(self.m, self.v, self._steps, self._scratch, grads):
+        for lo in range(0, params.size, _ADAM_BLOCK):
+            hi = min(lo + _ADAM_BLOCK, params.size)
+            m, v, p = self.m[lo:hi], self.v[lo:hi], params[lo:hi]
+            g, tmp = self._step[:hi - lo], self._scratch[:hi - lo]
+            np.copyto(g, grad[lo:hi])
             # m = b1 m + (1-b1) g;  v = b2 v + ((1-b2) g) g
             m *= ADAM_BETA1
             m += np.multiply(g, 1.0 - ADAM_BETA1, out=tmp)
             v *= ADAM_BETA2
             np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
             v += np.multiply(tmp, g, out=tmp)
-            # out = (m / c1) / (sqrt(v / c2) + eps)
+            # p -= lr ((m / c1) / (sqrt(v / c2) + eps))
             np.divide(v, c2, out=tmp)
             np.sqrt(tmp, out=tmp)
             tmp += ADAM_EPS
-            np.divide(m, c1, out=out)
-            out /= tmp
-        return self._steps
+            np.divide(m, c1, out=g)
+            g /= tmp
+            g *= lr
+            p -= g
+            if shadow is not None:
+                np.copyto(shadow[lo:hi], p)
 
 
-def _backward(model: MlpModel, dlogits: Matrix, pre, acts):
-    """Gradients for all layer weights/biases and the output weight, not the inputs."""
-    grads_w = [None] * len(model.layers)
-    grads_b = [None] * len(model.layers)
-    grad_out = dlogits.T @ acts[-1]
+def _backward(model: MlpModel, dlogits: Matrix, pre, acts, out):
+    """Gradients of _trained_params(model) into out, in its order; none for the inputs."""
+    np.matmul(dlogits.T, acts[-1], out=out[-1])
     delta, weight = dlogits, model.output_weight
     for i in range(len(model.layers) - 1, -1, -1):
         dz = delta @ weight
         dz *= model.layers[i].activation.derivative(pre[i])
-        grads_w[i] = dz.T @ acts[i]
-        grads_b[i] = dz.sum(axis=0)
+        np.matmul(dz.T, acts[i], out=out[i])
+        dz.sum(axis=0, out=out[len(model.layers) + i])
         delta, weight = dz, model.layers[i].weight
-    return grads_w, grads_b, grad_out
 
 
 _STATS_ROWS = 1024  # most rows per chunk of forward and of the per-epoch statistics
@@ -360,6 +364,13 @@ def _trained_params(model: MlpModel):
             + [model.output_weight])
 
 
+def _views(model: MlpModel, flat: np.ndarray):
+    """Views of flat shaped as _trained_params(model), in its order."""
+    ends = np.cumsum([p.size for p in _trained_params(model)])
+    return [flat[end - p.size:end].reshape(p.shape)
+            for p, end in zip(_trained_params(model), ends)]
+
+
 def _chunked_logits(model: MlpModel, inputs: Matrix, buffer: Matrix):
     """(row slice, logits) over chunks of at most _STATS_ROWS rows, decoded into buffer."""
     for start in range(0, inputs.shape[0], _STATS_ROWS):
@@ -370,9 +381,9 @@ def _chunked_logits(model: MlpModel, inputs: Matrix, buffer: Matrix):
 
 def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
                eval_data: Dataset | None = None):
-    """Train the layers and the output weight, not the output bias, in place with
-    mini-batch Adam; return (model, curve), curve[0] before training. README,
-    "Base-training precision", gives the float32/float64 split."""
+    """Train the layers and the output weight, not the output bias, with mini-batch Adam,
+    in place once training completes; return (model, curve), curve[0] before training.
+    README, "Base-training precision", gives the float32/float64 split."""
     P = model.input_width
     for name, verb, d in (("training", "train", data), ("eval", "evaluate", eval_data)):
         if d is None:
@@ -386,10 +397,14 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
             raise ValueError(f"{name} inputs exceed float32's range (|x| > {_FLOAT32_MAX:.7g}), "
                              "in which base training computes")
     J = len(data)
-    # the output bias stays float64, so the shadow's logits come out float64
-    shadow = MlpModel([Layer(layer.weight.astype(np.float32), layer.bias.astype(np.float32),
-                             layer.activation) for layer in model.layers],
-                      model.output_weight.astype(np.float32), model.output_bias)
+    # a float64 master theta; shadow and gradients view float32 vectors; output bias float64
+    params = _trained_params(model)
+    theta = np.concatenate([p.ravel() for p in params], dtype=np.float64)
+    theta32, grad32 = theta.astype(np.float32), np.empty(theta.size, np.float32)
+    w32, grads = _views(model, theta32), _views(model, grad32)
+    shadow = MlpModel([Layer(w, b, layer.activation) for layer, w, b
+                       in zip(model.layers, w32, w32[len(model.layers):])],
+                      w32[-1], model.output_bias)
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, J)
 
@@ -412,14 +427,11 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
             return EpochStats(epoch, train_loss)
         return EpochStats(epoch, train_loss, ev_loss, hits / len(eval_data))
 
-    params = _trained_params(model)
-    shadow_params = _trained_params(shadow)
-    adam = _AdamState([p.shape for p in params])
+    adam = _AdamState(theta.size)
     # reused: allocated every step, arrays this size can come from fresh pages (README)
     batch_rows = np.empty((batch, P), data.inputs.dtype)
     batch_inputs = np.empty((batch, P), np.float32)
     stats_inputs = np.empty((_STATS_ROWS, P), np.float32)
-    grads = [np.empty(p.shape) for p in params]
 
     curve = [epoch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):
@@ -436,13 +448,9 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
             except NonFiniteError:
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None
-            grads_w, grads_b, grad_out = _backward(shadow, dlogits.astype(np.float32), pre, acts)
-            for g, g32 in zip(grads, grads_w + grads_b + [grad_out]):
-                np.copyto(g, g32)
-            # the steps live in Adam's own buffers, so they are scaled in place
-            for p, p32, s in zip(params, shadow_params, adam.step(grads)):
-                s *= cfg.learning_rate
-                p -= s
-                np.copyto(p32, p)
+            _backward(shadow, dlogits.astype(np.float32), pre, acts, grads)
+            adam.step(grad32, cfg.learning_rate, theta, theta32)
         curve.append(epoch_stats(epoch))
+    for p, master in zip(params, _views(model, theta)):
+        np.copyto(p, master)
     return model, curve

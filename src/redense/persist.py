@@ -93,6 +93,9 @@ def load_model(path):
             if n != fan_in:
                 raise DataFormatError(f"lifting block width n={n} does not match "
                                       f"feature width {fan_in}", path=path)
+            if m < n:  # before the blocks, whose sizes m sets
+                raise DataFormatError(f"invalid header: redense.m = {m} is below n = {n}",
+                                      path=path, offset=12)
             r = read_block((m, n), "projection matrix")
             delta = read_block((n_outputs, 2 * m), "head correction")
             try:

@@ -268,7 +268,7 @@ def test_a_bundle_with_a_bad_loss_exits_3_before_any_output(tmp_path, capsys, mo
     out = tmp_path / "out"
     assert main([cmd, "--bundle", str(tmp_path / "bad.rdfb"), *widths, "--epochs", "1",
                  "--out-dir", str(out)]) == 3
-    assert "bundle metadata" in capsys.readouterr().err
+    assert "bad.rdfb: bundle metadata" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -1172,8 +1172,10 @@ def _lifted_model(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", "1e400"), ("m", 4)])
+@pytest.mark.parametrize("key, value", [("epsilon", 0.0), ("epsilon", "1e400"), ("m", 4),
+                                        ("m", -3)])
 def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
+    # m < n = 5 is refused from the header, before m sizes a block
     path = _lifted_model(tmp_path)
     data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(tmp_path)]) == 0
@@ -1183,7 +1185,9 @@ def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
                    replace=[(b'"1e400"', b"1e400")])
     out = tmp_path / "out"
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
-    assert "lifted.rdnm: invalid lifting block" in _one_error_line(capsys)
+    want = (f"invalid header: redense.m = {value} is below n = 5" if key == "m"
+            else "invalid lifting block")
+    assert f"lifted.rdnm: {want}" in _one_error_line(capsys)
     assert not out.exists()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 import struct
 import tracemalloc
 
@@ -118,6 +119,16 @@ def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):
     # two values in either shape: the file's size cannot tell them apart
     rewrite_header(path, lambda header: header.__setitem__("output_bias", [1, 2]))
     with pytest.raises(DataFormatError, match="output_bias must be a JSON list of length 1"):
+        load_feature_bundle(path)
+
+
+@pytest.mark.parametrize("metadata", [{"base_loss": "bogus"}, {"huber_delta": "abc"},
+                                      {"base_train_loss": "-1"}])
+def test_bundle_with_bad_metadata_is_a_format_error_naming_the_file(tmp_path, rng, metadata):
+    path = tmp_path / "b.rdfb"
+    save_feature_bundle(path, _bundle(rng))
+    rewrite_header(path, lambda header: header["metadata"].update(metadata))
+    with pytest.raises(DataFormatError, match=f"^{re.escape(str(path))}: "):
         load_feature_bundle(path)
 
 

@@ -16,6 +16,7 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import CE, lfp_lift, lfp_reconstruct, near_singular, random_one_hot
 from redense import layer as layermod
+from redense import nn
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, HeadConfig, RedenseLayer, _head_grad,
                            _head_logits, _positive_half, _project, build, predict, train,
@@ -429,6 +430,13 @@ def test_train_matches_hand_written_adam_bitwise(rng, lr):
     assert np.array_equal(trained.delta, ref_d)
     assert [(c.epoch, c.train_loss, c.o_norm, c.eval_loss, c.eval_accuracy)
             for c in curve] == ref_curve
+
+
+@pytest.mark.parametrize("lr", [1e-3, 0.5])
+def test_train_in_odd_adam_blocks_matches_hand_written_adam_bitwise(rng, lr, monkeypatch):
+    # 7-entry blocks straddle the rows of Delta
+    monkeypatch.setattr(nn, "_ADAM_BLOCK", 7)
+    test_train_matches_hand_written_adam_bitwise(rng, lr)
 
 
 @pytest.mark.parametrize("kwargs", [{"learning_rate": 0.0}, {"learning_rate": -1e-3},

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import one_hot, random_one_hot
+from redense import nn
 from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (ACTIVATION_KINDS, LOSS_KINDS, Activation, Dataset, Layer, Loss,
@@ -223,10 +224,13 @@ def test_train_base_divergence_reports_epoch():
     data = _blobs(seed=2)
     model = make_mlp(2, [4], 2, seed=2)
     cfg = TrainConfig(learning_rate=1e160, epochs=10, batch_size=80, seed=2)
+    before = [p.copy() for p in _trained_params(model)]
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(TrainingDivergedError) as err:
             train_base(model, data, Loss("mean_square_error"), cfg)
     assert err.value.epoch >= 1
+    # the model's arrays are written only when training completes
+    assert all(np.array_equal(p, q) for p, q in zip(_trained_params(model), before))
 
 
 def test_train_base_output_bias_untouched():
@@ -383,7 +387,8 @@ def test_backward_matches_finite_differences(activation, rng):
     x = rng.standard_normal((6, 4))
     c = rng.standard_normal((6, 3))
     logits, pre, acts = _forward_cached(model, x)
-    grads_w, grads_b, grad_out = _backward(model, c, pre, acts)
+    grads = [np.empty_like(p) for p in _trained_params(model)]
+    _backward(model, c, pre, acts, grads)
 
     def objective():
         return float((c * forward(model, x)[0]).sum())
@@ -392,7 +397,7 @@ def test_backward_matches_finite_differences(activation, rng):
     params += [layer.bias for layer in model.layers]
     params.append(model.output_weight)
     h = 1e-6
-    for param, analytic in zip(params, grads_w + grads_b + [grad_out]):
+    for param, analytic in zip(params, grads):
         assert analytic.shape == param.shape
         fd = np.zeros_like(param)
         for k in np.ndindex(param.shape):
@@ -474,7 +479,7 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
     return model, curve
 
 
-@pytest.mark.parametrize("hidden,loss,cfg,rows", [
+BASE_TRAINING_CASES = pytest.mark.parametrize("hidden,loss,cfg,rows", [
     ([6], Loss("softmax_cross_entropy"),
      TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1), 83),
     ([6, 4], Loss("mean_square_error"),
@@ -487,6 +492,9 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
      TrainConfig(learning_rate=1e-2, epochs=2, batch_size=300, seed=5), 2100),
 ], ids=["adam-1hidden", "adam-mse-2hidden", "adam-poisson-2hidden", "adam-huber-2hidden",
         "adam-chunked-stats"])
+
+
+@BASE_TRAINING_CASES
 def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows):
     # 83 training rows is a multiple of none of the batch sizes; 2100 training
     # and 1100 eval rows split the statistics into 1024-row chunks with a remainder
@@ -504,6 +512,14 @@ def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows):
     assert model.output_weight.dtype == np.float64
     assert np.array_equal(model.output_weight, ref.output_weight)
     assert [(c.epoch, c.train_loss, c.eval_loss, c.eval_accuracy) for c in curve] == ref_curve
+
+
+@BASE_TRAINING_CASES
+def test_train_base_in_odd_adam_blocks_matches_allocating_loop_bitwise(hidden, loss, cfg, rows,
+                                                                       monkeypatch):
+    # 7-entry blocks straddle the boundaries between the parameters in the flat vector
+    monkeypatch.setattr(nn, "_ADAM_BLOCK", 7)
+    test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows)
 
 
 def _digits(j, seed):
@@ -575,18 +591,42 @@ def test_activation_derivative_keeps_the_dtype(kind):
 
 
 def test_adam_step_reuses_its_buffers():
-    shape = (64, 784)
-    adam = _AdamState([shape])
-    grad = np.random.default_rng(0).standard_normal(shape)
-    adam.step([grad])
+    # 64 x 784 entries: more than one block
+    size = 64 * 784
+    adam = _AdamState(size)
+    grad = np.random.default_rng(0).standard_normal(size).astype(np.float32)
+    params, shadow = np.zeros(size), np.zeros(size, np.float32)
+    adam.step(grad, 1e-3, params, shadow)
     tracemalloc.start()
     try:
         for _ in range(50):
-            adam.step([grad])
+            adam.step(grad, 1e-3, params, shadow)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < grad.nbytes
+    assert shadow.tobytes() == params.astype(np.float32).tobytes()
+
+
+def test_train_base_step_allocates_no_parameter_sized_array():
+    # one 784 x 512 float32 gradient allocated per step, 1.53 MiB, would exceed
+    # the slack: the batch buffers and 1.5 MiB of batch temporaries
+    rng = np.random.default_rng(5)
+    j, p, hidden = 128, 784, 512
+    data = Dataset(rng.integers(0, 256, (j, p), dtype=np.uint8), random_one_hot(rng, j, 10))
+    model = make_mlp(p, [hidden], 10, seed=5)
+    size = sum(a.size for a in _trained_params(model))
+    tracemalloc.start()
+    try:
+        train_base(model, data, Loss("softmax_cross_entropy"),
+                   TrainConfig(epochs=1, batch_size=j, seed=5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # held: the float64 master and moments, the float32 shadow and gradient, Adam's
+    # two block buffers and the statistics' input buffer
+    held = 32 * size + 16 * nn._ADAM_BLOCK + 4 * nn._STATS_ROWS * p
+    assert peak <= held + 5 * j * p + 1.5 * 2**20
 
 
 def test_decode_rule_is_the_float64_division_for_every_code():
