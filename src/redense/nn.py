@@ -305,9 +305,9 @@ _ADAM_BLOCK = 1 << 15  # entries per Adam block: its seven arrays, 1.5 MiB, stay
 
 
 class _AdamState:
-    """Adam moments of one flat parameter vector, updated a cache-sized block at a time
-    (README). Each update keeps the operation order of the expression in its comment,
-    so the results are bit-identical to it."""
+    """Adam moments of one flat parameter vector, updated a cache-sized block at a time in
+    Kingma & Ba's efficient form (README): bit-identical to the expression in each update's
+    comment, a few ulps of the step from the textbook's lr m_hat / (sqrt(v_hat) + eps)."""
 
     def __init__(self, size):
         self.m, self.v = np.zeros(size), np.zeros(size)
@@ -315,10 +315,10 @@ class _AdamState:
         self.t = 0
 
     def step(self, grad, lr, params, shadow=None):
-        """params -= lr * Adam's step for grad, in place; shadow gets params in its dtype."""
+        """params -= Adam's step for grad at rate lr, in place; shadow gets params in its dtype."""
         self.t += 1
-        c1 = 1.0 - ADAM_BETA1 ** self.t
-        c2 = 1.0 - ADAM_BETA2 ** self.t
+        root_c2 = np.sqrt(1.0 - ADAM_BETA2 ** self.t)
+        alpha, eps = lr * root_c2 / (1.0 - ADAM_BETA1 ** self.t), ADAM_EPS * root_c2
         for lo in range(0, params.size, _ADAM_BLOCK):
             hi = min(lo + _ADAM_BLOCK, params.size)
             m, v, p = self.m[lo:hi], self.v[lo:hi], params[lo:hi]
@@ -330,14 +330,9 @@ class _AdamState:
             v *= ADAM_BETA2
             np.multiply(g, 1.0 - ADAM_BETA2, out=tmp)
             v += np.multiply(tmp, g, out=tmp)
-            # p -= lr ((m / c1) / (sqrt(v / c2) + eps))
-            np.divide(v, c2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += ADAM_EPS
-            np.divide(m, c1, out=g)
-            g /= tmp
-            g *= lr
-            p -= g
+            # p -= alpha m / (sqrt(v) + eps)
+            np.add(np.sqrt(v, out=tmp), eps, out=tmp)
+            p -= np.divide(np.multiply(m, alpha, out=g), tmp, out=g)
             if shadow is not None:
                 np.copyto(shadow[lo:hi], p)
 
@@ -431,7 +426,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     # reused: allocated every step, arrays this size can come from fresh pages (README)
     batch_rows = np.empty((batch, P), data.inputs.dtype)
     batch_inputs = np.empty((batch, P), np.float32)
-    stats_inputs = np.empty((_STATS_ROWS, P), np.float32)
+    stats_rows = max(J, 0 if eval_data is None else len(eval_data))
+    stats_inputs = np.empty((min(_STATS_ROWS, stats_rows), P), np.float32)
 
     curve = [epoch_stats(0)]
     for epoch in range(1, cfg.epochs + 1):

@@ -413,9 +413,10 @@ def _reference_train(layer, feats, targets, lr, epochs):
         grad = np.hstack([a, a - (g32.T @ y32) @ r32.T]).astype(np.float64)
         m_t = beta1 * m_t + (1.0 - beta1) * grad
         v_t = beta2 * v_t + (1.0 - beta2) * grad * grad
-        m_hat = m_t / (1.0 - beta1 ** (t + 1))
-        v_hat = v_t / (1.0 - beta2 ** (t + 1))
-        d = d - lr * (m_hat / (np.sqrt(v_hat) + eps))
+        # Kingma & Ba's efficient form: the bias corrections folded into alpha and eps_hat
+        root_c2 = np.sqrt(1.0 - beta2 ** (t + 1))
+        alpha, eps_hat = lr * root_c2 / (1.0 - beta1 ** (t + 1)), eps * root_c2
+        d = d - alpha * m_t / (np.sqrt(v_t) + eps_hat)
         o = layer.O0 + d
         if frobenius_norm(o) > layer.epsilon * (1.0 + 1e-12):
             d = o * (layer.epsilon / frobenius_norm(o)) - layer.O0

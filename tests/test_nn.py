@@ -467,14 +467,15 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
                 grads_b[i] = dz.sum(axis=0)
                 delta = dz @ model.layers[i].weight.astype(f32)
             t += 1
+            # Kingma & Ba's efficient form: the bias corrections folded into alpha and eps
+            root_c2 = np.sqrt(1.0 - 0.999 ** t)
+            alpha, eps = cfg.learning_rate * root_c2 / (1.0 - 0.9 ** t), 1e-8 * root_c2
             for i, g32 in enumerate(grads_w + grads_b + [grad_out]):
                 assert g32.dtype == f32
                 g = g32.astype(np.float64)
                 m_t[i] = 0.9 * m_t[i] + (1.0 - 0.9) * g
                 v_t[i] = 0.999 * v_t[i] + (1.0 - 0.999) * g * g
-                m_hat = m_t[i] / (1.0 - 0.9 ** t)
-                v_hat = v_t[i] / (1.0 - 0.999 ** t)
-                params[i] -= cfg.learning_rate * (m_hat / (np.sqrt(v_hat) + 1e-8))
+                params[i] -= alpha * m_t[i] / (np.sqrt(v_t[i]) + eps)
         curve.append(stats(epoch))
     return model, curve
 
@@ -608,6 +609,32 @@ def test_adam_step_reuses_its_buffers():
     assert shadow.tobytes() == params.astype(np.float32).tobytes()
 
 
+@pytest.mark.parametrize("lr", [1e-3, 0.5])
+@pytest.mark.parametrize("t", [1, 2, 10, 1000, 10**5])
+def test_adam_step_is_within_8_ulps_of_the_textbook_step(t, lr):
+    # from the same (m, v) after t - 1 steps; |g| spans 1e-12 to 10; the last 100
+    # entries have only ever had zero gradients and must not move
+    rng = np.random.default_rng(t)
+    n, zeros = 5000, 100
+    scale = 10.0 ** rng.uniform(-12, 1, n)
+    adam = _AdamState(n)
+    adam.t = t - 1
+    adam.m[:] = scale * rng.uniform(-1, 1, n) * (1 - 0.9 ** (t - 1))
+    adam.v[:] = scale ** 2 * rng.uniform(0, 1, n) * (1 - 0.999 ** (t - 1))
+    grad = (scale * rng.uniform(-1, 1, n)).astype(np.float32)
+    adam.m[-zeros:] = adam.v[-zeros:] = grad[-zeros:] = 0.0
+    resting = rng.standard_normal(zeros)
+    params = np.concatenate([np.zeros(n - zeros), resting])
+    adam.step(grad, lr, params)
+    # the moments are updated as before, so the textbook step reads them back
+    m_hat, v_hat = adam.m / (1.0 - 0.9 ** t), adam.v / (1.0 - 0.999 ** t)
+    textbook = lr * (m_hat / (np.sqrt(v_hat) + 1e-8))
+    moved = textbook[:-zeros]
+    assert np.all(moved != 0.0)
+    assert np.all(np.abs(-params[:-zeros] - moved) <= 8 * np.spacing(np.abs(moved)))
+    assert params[-zeros:].tobytes() == resting.tobytes()
+
+
 def test_train_base_step_allocates_no_parameter_sized_array():
     # one 784 x 512 float32 gradient allocated per step, 1.53 MiB, would exceed
     # the slack: the batch buffers and 1.5 MiB of batch temporaries
@@ -624,8 +651,8 @@ def test_train_base_step_allocates_no_parameter_sized_array():
     finally:
         tracemalloc.stop()
     # held: the float64 master and moments, the float32 shadow and gradient, Adam's
-    # two block buffers and the statistics' input buffer
-    held = 32 * size + 16 * nn._ADAM_BLOCK + 4 * nn._STATS_ROWS * p
+    # two block buffers and the statistics' input buffer of min(_STATS_ROWS, j) rows
+    held = 32 * size + 16 * nn._ADAM_BLOCK + 4 * min(nn._STATS_ROWS, j) * p
     assert peak <= held + 5 * j * p + 1.5 * 2**20
 
 
