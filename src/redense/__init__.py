@@ -7,8 +7,7 @@ training loss therefore never exceeds the original one.
 """
 
 from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
-                   load_csv, load_feature_bundle, load_idx,
-                   save_feature_bundle, split, write_idx)
+                   load_feature_bundle, load_idx, save_feature_bundle, split, write_idx)
 from .layer import (GuaranteeReport, HeadConfig, IterateStats, RedenseLayer,
                     build, predict, train)
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
@@ -21,7 +20,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport", "HeadConfig",
     "IterateStats", "Loss", "MlpModel", "RedenseLayer", "SplitSpec", "TrainConfig",
-    "accuracy", "build", "forward", "gen_digit_images", "gen_synthetic", "load_csv",
+    "accuracy", "build", "forward", "gen_digit_images", "gen_synthetic",
     "load_feature_bundle", "load_idx", "load_model", "loss_value", "loss_value_and_grad",
     "make_loss", "make_mlp", "predict", "save_feature_bundle", "save_model", "split",
     "train", "train_base", "write_curve", "write_idx",

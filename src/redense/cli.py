@@ -115,26 +115,22 @@ def _positive_ints(text):
     return values
 
 
-def _add_data_flags(parser):
+def _add_data_flags(parser, split=True):
     parser.add_argument("--images", help="IDX image file")
     parser.add_argument("--labels", help="IDX label file")
-    parser.add_argument("--csv", help="CSV dataset (last column = class label)")
     parser.add_argument("--synthetic", choices=("blobs", "moons"))
     parser.add_argument("--samples", type=int, default=300)
     synthetic = inspect.signature(datamod.gen_synthetic).parameters
     parser.add_argument("--classes", type=int, default=synthetic["classes"].default)
     parser.add_argument("--noise", type=float, default=synthetic["noise"].default)
-
-
-def _add_split_flags(parser):
-    parser.add_argument("--test-images", help="IDX image file for the test set")
-    parser.add_argument("--test-labels", help="IDX label file for the test set")
-    parser.add_argument("--test-csv")
-    parser.add_argument("--train-fraction", type=float,
-                        default=datamod.SplitSpec.train_fraction)
+    if split:  # eval scores the whole dataset
+        parser.add_argument("--train-fraction", type=float,
+                            default=datamod.SplitSpec.train_fraction)
 
 
 def _load_primary_dataset(args):
+    if args.synthetic and (args.images or args.labels):
+        raise CliError(EXIT_FLAGS, "pass one data source: --synthetic or --images/--labels")
     if args.synthetic:
         try:
             return datamod.gen_synthetic(args.synthetic, args.samples, args.classes,
@@ -145,35 +141,29 @@ def _load_primary_dataset(args):
         if not (args.images and args.labels):
             raise CliError(EXIT_FLAGS, "--images and --labels must be given together")
         return datamod.load_idx(args.images, args.labels)
-    if args.csv:
-        return datamod.load_csv(args.csv)
-    raise CliError(EXIT_FLAGS, "no data source: pass --synthetic, --images/--labels or --csv")
+    raise CliError(EXIT_FLAGS, "no data source: pass --synthetic or --images/--labels")
 
 
-def _resolve_datasets(args, load_test=True):
-    """Return (train, test) datasets from the data flags.
+def _resolve_datasets(args):
+    """Return (train, test) datasets from the data flags, checked before any file is read.
 
-    An explicit test source wins; otherwise the primary dataset is shuffled
-    into train and test, the first --train-fraction of the rows and the
-    rest. The flags are checked before any file is read. With
-    load_test=False, as features runs, an explicit test source is not read and
-    --no-split splits nothing: train is then the whole primary dataset and test None.
+    train's --test-images/--test-labels pair is the test set when given, and
+    features' --no-split keeps the whole primary dataset as train, with test
+    None. Otherwise the primary dataset is shuffled into train and test, the
+    first --train-fraction of the rows and the rest.
     """
-    if bool(args.test_images) != bool(args.test_labels):
+    test_pair = [getattr(args, "test_images", None), getattr(args, "test_labels", None)]
+    if any(test_pair) and not all(test_pair):
         raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
-    spec = None
-    if not (args.test_images or args.test_csv):
-        try:
-            spec = datamod.SplitSpec(args.train_fraction, args.seed)
-        except ValueError as exc:
-            raise CliError(EXIT_FLAGS, str(exc)) from None
+    try:
+        spec = datamod.SplitSpec(args.train_fraction, args.seed)
+    except ValueError as exc:
+        raise CliError(EXIT_FLAGS, str(exc)) from None
     primary = _load_primary_dataset(args)
-    if not load_test and (spec is None or args.no_split):
+    if all(test_pair):
+        return primary, datamod.load_idx(*test_pair)
+    if getattr(args, "no_split", False):
         return primary, None
-    if args.test_images:
-        return primary, datamod.load_idx(args.test_images, args.test_labels)
-    if args.test_csv:
-        return primary, datamod.load_csv(args.test_csv)
     try:
         return datamod.split(primary, spec)
     except ValueError as exc:
@@ -211,7 +201,7 @@ def cmd_train(args):
 
 
 def cmd_features(args):
-    train_ds, _test_ds = _resolve_datasets(args, load_test=False)
+    train_ds, _test_ds = _resolve_datasets(args)
     model, loss, _ = persist.load_model(args.model)
     logits, features = nn.forward(model, train_ds.inputs)
     base_train_loss = nn.loss_value(loss, logits, train_ds.targets)
@@ -402,7 +392,8 @@ def build_parser():
 
     p = sub.add_parser("train", help="train a base MLP", parents=[seeded])
     _add_data_flags(p)
-    _add_split_flags(p)
+    p.add_argument("--test-images", help="IDX image file for the test set")
+    p.add_argument("--test-labels", help="IDX label file for the test set")
     p.add_argument("--hidden", type=_positive_ints, default="16",
                    help="comma-separated hidden widths ('' for none)")
     p.add_argument("--activation", default="relu", choices=nn.ACTIVATION_KINDS)
@@ -418,7 +409,6 @@ def build_parser():
     p = sub.add_parser("features", help="export a feature bundle from a trained model",
                        parents=[seeded])
     _add_data_flags(p)
-    _add_split_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--no-split", action="store_true",
@@ -446,7 +436,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep_m)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset", parents=[seeded])
-    _add_data_flags(p)
+    _add_data_flags(p, split=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")
     p.set_defaults(func=cmd_eval)

@@ -1,10 +1,9 @@
-"""Dataset ingestion (IDX, CSV, feature bundles) and synthetic generators; README,
+"""Dataset ingestion (IDX, feature bundles) and synthetic generators; README,
 "File formats", specifies the files."""
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import math
 import os
@@ -335,33 +334,4 @@ def gen_digit_images(samples: int, seed: int = 0, side: int = 28, classes: int =
         img *= 255.0
         images[k] = np.round(img, out=img)
     return images, labels
-
-
-def load_csv(path) -> Dataset:
-    """Headered CSV: float feature columns, integer class label last."""
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty file", path=path) from None
-        rows = list(reader)
-    if not rows:
-        raise DataFormatError("no data rows", path=path)
-    width = len(header)
-    feats = np.empty((len(rows), width - 1))
-    labels = np.empty(len(rows), dtype=np.int64)
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataFormatError(f"row {i + 1} has {len(row)} fields, header has {width}",
-                                  path=path)
-        try:
-            feats[i] = [float(v) for v in row[:-1]]
-            labels[i] = int(row[-1])
-        except ValueError as exc:
-            raise DataFormatError(f"row {i + 1}: {exc}", path=path) from None
-    check_finite(feats, "csv features")
-    if labels.min() < 0:
-        raise DataFormatError(f"negative class label {labels.min()}", path=path)
-    return Dataset(feats, _one_hot(labels, int(labels.max()) + 1))
 

@@ -1,10 +1,12 @@
-"""The package's public surface: README's library example and redense.__all__."""
+"""The package's public surface: README's library and CLI examples and redense.__all__."""
 
 import re
+import shlex
 import types
 from pathlib import Path
 
 import redense
+from redense import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -15,6 +17,18 @@ def test_readme_library_block_runs(tmp_path, monkeypatch):
     block = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)
     exec(compile(block, f"{README}:Library", "exec"), {"__name__": "readme_library"})
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    text = README.read_text()
+    section = text[text.index("\n## CLI\n"):]
+    block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(tmp_path)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert [argv[:2] for argv in commands] == [
+        ["redense", cmd] for cmd in ("train", "features", "redense", "sweep-m", "eval")]
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, argv
 
 
 def test_all_lists_exactly_the_public_bindings():

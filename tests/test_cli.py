@@ -476,7 +476,7 @@ def test_eval_width_mismatch_exits_3(tmp_path, capsys):
 def test_eval_rejects_test_source_and_split_flags(tmp_path, capsys):
     # eval scores the whole primary dataset: a test source would be ignored
     run_train(tmp_path, capsys)
-    for flag, value in (("--test-csv", "t.csv"), ("--test-images", "ti"), ("--test-labels", "tl"),
+    for flag, value in (("--test-images", "ti"), ("--test-labels", "tl"),
                         ("--train-fraction", "0.3")):
         out = tmp_path / "eval"
         code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
@@ -546,28 +546,16 @@ def test_features_no_split_uses_whole_dataset(tmp_path, capsys):
     assert load_feature_bundle(out).features.shape[0] == 200
 
 
-def test_features_never_reads_an_explicit_test_source(tmp_path, capsys):
-    # with an explicit test source the train partition is the whole primary
-    # dataset, so the test file is only flag-checked, never opened
+@pytest.mark.parametrize("flag", ["--test-images", "--test-labels"])
+def test_features_takes_no_test_source(tmp_path, capsys, flag):
+    # features exports the training partition, or with --no-split the whole file
     run_train(tmp_path, capsys)
-    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3",
-            "--noise", "0.4", "--seed", "7"]
-    test_csv = tmp_path / "test.csv"
-    test_csv.write_text("a,b,label\n0.1,0.2,0\n0.3,-0.4,2\n")
-    bundles = {}
-    for name, source in (("present", test_csv), ("absent", tmp_path / "absent.csv")):
-        out = tmp_path / f"{name}.rdfb"
-        code = main(["features", "--model", str(tmp_path / "model.rdnm"), *data,
-                     "--test-csv", str(source), "--out", str(out)])
-        assert code == 0
-        bundles[name] = out.read_bytes()
-    assert bundles["absent"] == bundles["present"]
-    assert load_feature_bundle(tmp_path / "absent.rdfb").features.shape[0] == 200
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *data,
-                 "--test-images", str(tmp_path / "absent.idx"), "--out",
-                 str(tmp_path / "unpaired.rdfb")])
+    out = tmp_path / "f.rdfb"
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
+                 "--classes", "3", flag, str(tmp_path / "absent"), "--out", str(out)])
     assert code == 2
-    assert not (tmp_path / "unpaired.rdfb").exists()
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _save_with_output_bias(source, target, bias):
@@ -585,11 +573,13 @@ _ABSENT_IDX = ["--images", "absent-images", "--labels", "absent-labels"]
     ([*_ABSENT_IDX, "--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
     ([*_ABSENT_IDX, "--leaky-slope", "nan"], "slope must be finite"),
     (["--images", "absent-images"], "--images and --labels must be given together"),
+    ([*_ABSENT_IDX, "--test-images", "absent-images"],
+     "--test-images and --test-labels must be given together"),
     (["--synthetic", "blobs", "--classes", "1"], "need at least 2 classes"),
     (["--synthetic", "blobs", "--samples", "4", "--train-fraction", "0.1"],
      "leaves an empty partition")],
-    ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "one-class",
-         "empty-partition"])
+    ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "test-images-unpaired",
+         "one-class", "empty-partition"])
 def test_train_refuses_malformed_flags_with_exit_2(tmp_path, capsys, monkeypatch, flags,
                                                    message):
     monkeypatch.chdir(tmp_path)
@@ -731,25 +721,20 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
     images = rng.integers(0, 256, (40, 3, 3)).astype(np.uint8)
     idx = ["--images", tmp_path / "img", "--labels", tmp_path / "lab"]
     write_idx(tmp_path / "img", tmp_path / "lab", images, labels)
-    csv = tmp_path / "data.csv"
-    np.savetxt(csv, np.column_stack([images.reshape(40, 9) / 255.0, labels]),
-               delimiter=",", fmt="%.6g", comments="",
-               header=",".join([f"x{i}" for i in range(9)] + ["label"]))
     syn = ["--synthetic", "blobs", "--samples", "60", "--classes", "3", "--noise", "0.3"]
     train = ["--hidden", "4", "--epochs", "1", "--seed", "1"]
     runs = [
         ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
          "--out-dir", tmp_path / "idx"],
-        ["train", "--csv", csv, "--test-csv", csv, *train, "--out-dir", tmp_path / "csv"],
         ["train", *syn, "--train-fraction", "0.6", *train,
          "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
          "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
          "--out-dir", tmp_path / "syn"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
          "--out", tmp_path / "idx.rdfb"],
-        ["features", "--model", tmp_path / "csv" / "model.rdnm", "--csv", csv,
-         "--train-fraction", "0.5", "--out", tmp_path / "csv.rdfb"],
-        ["features", "--model", tmp_path / "syn" / "model.rdnm", *syn, "--test-csv", csv,
+        ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx,
+         "--train-fraction", "0.5", "--out", tmp_path / "split.rdfb"],
+        ["features", "--model", tmp_path / "syn" / "model.rdnm", *syn,
          "--seed", "2", "--out", tmp_path / "syn.rdfb"],
         ["redense", "--bundle", tmp_path / "syn.rdfb", "--model",
          tmp_path / "syn" / "model.rdnm", "--eval-bundle", tmp_path / "syn.rdfb",
@@ -757,13 +742,13 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
          "--out-dir", tmp_path / "rd"],
         ["redense", "--bundle", tmp_path / "idx.rdfb", "--epochs", "2",
          "--out-dir", tmp_path / "head"],
-        ["sweep-m", "--bundle", tmp_path / "csv.rdfb", "--eval-bundle", tmp_path / "csv.rdfb",
+        ["sweep-m", "--bundle", tmp_path / "split.rdfb", "--eval-bundle", tmp_path / "idx.rdfb",
          "--m-values", "4,8", "--seeds", "2", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
          "--out-dir", tmp_path / "sweep"],
         ["sweep-m", "--bundle", tmp_path / "syn.rdfb", "--m-values", "4", "--seeds", "1",
          "--epochs", "1", "--out-dir", tmp_path / "sweep"],
         ["eval", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--out-dir", tmp_path],
-        ["eval", "--model", tmp_path / "csv" / "model.rdnm", "--csv", csv, "--seed", "1"],
+        ["eval", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--seed", "1"],
         ["eval", "--model", tmp_path / "rd" / "model_with_redense.rdnm", *syn,
          "--out-dir", tmp_path / "rd"],
     ]
@@ -777,12 +762,13 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
 
 
 def test_features_width_mismatch_exits_3(tmp_path, capsys):
-    run_train(tmp_path, capsys)
-    csv = tmp_path / "wide.csv"
-    csv.write_text("a,b,c,label\n1.0,2.0,3.0,0\n0.5,0.1,0.2,1\n")
+    run_train(tmp_path, capsys)  # a model of 2-D synthetic inputs
+    write_idx(tmp_path / "i", tmp_path / "l", np.zeros((4, 3, 3)), np.arange(4))
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
-                 "--csv", str(csv), "--no-split", "--out", str(tmp_path / "x.rdfb")])
+                 "--images", str(tmp_path / "i"), "--labels", str(tmp_path / "l"),
+                 "--no-split", "--out", str(tmp_path / "x.rdfb")])
     assert code == 3
+    assert "width" in capsys.readouterr().err
 
 
 def test_features_computes_a_ce_models_loss_once(tmp_path, capsys, monkeypatch):
@@ -805,18 +791,13 @@ def test_features_computes_a_ce_models_loss_once(tmp_path, capsys, monkeypatch):
     assert metadata["base_train_loss"] == metadata["ce_train_loss"]
 
 
-@pytest.mark.parametrize("where, value", [("train", "1e39"), ("train", "-1e39"),
-                                          ("test", "1e39")])
-def test_train_refuses_inputs_beyond_float32_range(tmp_path, capsys, where, value):
-    rows = "a,b,label\n0.1,0.2,0\n0.3,-0.4,1\n-0.5,0.6,2\n0.7,0.8,0\n"
-    big = rows.replace("0.3,", f"{value},")
-    (tmp_path / "train.csv").write_text(big if where == "train" else rows)
-    (tmp_path / "test.csv").write_text(big if where == "test" else rows)
+def test_train_refuses_inputs_beyond_float32_range(tmp_path, capsys):
+    # IDX pixels are bytes, so only synthetic inputs can exceed float32's range;
+    # train_base's own test covers each sign and the eval inputs
     out = tmp_path / "out"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["train", "--csv", str(tmp_path / "train.csv"),
-                     "--test-csv", str(tmp_path / "test.csv"), "--hidden", "4",
+        code = main(["train", "--synthetic", "blobs", "--noise", "1e39", "--hidden", "4",
                      "--epochs", "2", "--out-dir", str(out)])
     assert code == 3
     captured = capsys.readouterr()
@@ -901,7 +882,8 @@ def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected)
 @pytest.mark.parametrize("cmd", [
     ["train", "--images", "absent-images", "--labels", "absent-labels",
      "--test-images", "absent-images", "--test-labels", "absent-labels", "--out-dir", "out"],
-    ["features", "--model", "absent.rdnm", "--csv", "absent.csv", "--out", "out/f.rdfb"],
+    ["features", "--model", "absent.rdnm", "--images", "absent-images", "--labels",
+     "absent-labels", "--out", "out/f.rdfb"],
     ["redense", "--bundle", "absent.rdfb", "--out-dir", "out"],
     ["sweep-m", "--bundle", "absent.rdfb", "--m-values", "8", "--out-dir", "out"],
     ["eval", "--model", "absent.rdnm", "--images", "absent-images", "--labels", "absent-labels",
@@ -917,26 +899,43 @@ def test_a_malformed_seed_exits_2_before_any_file_is_read(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("no_split", [[], ["--no-split"]], ids=["split", "no-split"])
-@pytest.mark.parametrize("flags", [["--train-fraction", "7"], ["--train-fraction", "0"],
-                                   ["--test-images", "absent-images"],
-                                   ["--test-labels", "absent-labels"]],
-                         ids=["fraction-7", "fraction-0", "images-unpaired", "labels-unpaired"])
-def test_features_checks_its_split_flags_before_reading(tmp_path, capsys, monkeypatch, flags,
-                                                        no_split):
+@pytest.mark.parametrize("cmd", [
+    ["features", "--model", "absent.rdnm", "--out", "out/f.rdfb"],
+    ["features", "--model", "absent.rdnm", "--no-split", "--out", "out/f.rdfb"],
+    ["train", "--out-dir", "out"],
+    ["train", "--test-images", "absent-images", "--test-labels", "absent-labels",
+     "--out-dir", "out"],
+], ids=["features-split", "features-no-split", "train-split", "train-test-pair"])
+@pytest.mark.parametrize("fraction", ["7", "0"])
+def test_split_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, cmd, fraction):
     # the model and data are absent: reading either would exit 3
     monkeypatch.chdir(tmp_path)
-    assert main(["features", "--model", "absent.rdnm", "--csv", "absent.csv", *flags,
-                 *no_split, "--out", "out/f.rdfb"]) == 2
+    assert main([*cmd, *_ABSENT_IDX, "--train-fraction", fraction]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("idx", [_ABSENT_IDX, ["--labels", "absent-labels"]],
+                         ids=["idx-pair", "labels"])
+@pytest.mark.parametrize("cmd", [
+    ["train", "--out-dir", "out"],
+    ["features", "--model", "absent.rdnm", "--no-split", "--out", "out/f.rdfb"],
+    ["eval", "--model", "absent.rdnm", "--out-dir", "out"],
+], ids=lambda cmd: cmd[0])
+def test_a_second_data_source_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
+                                                              cmd, idx):
+    # the model and the IDX files are absent: reading any would exit 3
+    monkeypatch.chdir(tmp_path)
+    assert main([*cmd, "--synthetic", "blobs", *idx]) == 2
+    assert "pass one data source" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("lr", ["nan", "inf", "-inf"])
 def test_train_rejects_a_non_finite_lr_before_loading(tmp_path, lr):
     out = tmp_path / "x"
-    code = main(["train", "--csv", str(tmp_path / "absent.csv"), "--lr", lr,
-                 "--out-dir", str(out)])
+    code = main(["train", "--images", str(tmp_path / "absent-images"), "--labels",
+                 str(tmp_path / "absent-labels"), "--lr", lr, "--out-dir", str(out)])
     assert code == 2
     assert not out.exists()
 
@@ -1225,8 +1224,7 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
 @pytest.mark.parametrize("defect", ["model-trailing", "bundle-trailing", "images-trailing",
                                     "labels-trailing", "bundle-version-1", "bundle-infinity",
                                     "bundle-nested",
-                                    "model-width-1e400", "labels-magic", "labels-above-9",
-                                    "csv-empty", "csv-header-only"])
+                                    "model-width-1e400", "labels-magic", "labels-above-9"])
 def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     model = _lifted_model(tmp_path)
     bundle = tmp_path / "b.rdfb"
@@ -1240,11 +1238,9 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     argv = {"model": ["eval", "--model", model, "--synthetic", "blobs", "--classes", "3"],
             "bundle": ["redense", "--bundle", bundle, "--epochs", "1"],
             "images": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
-            "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
-            "csv": ["train", "--csv", tmp_path / "d.csv", "--epochs", "1"]}
+            "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"]}
     kind, what = defect.split("-", 1)
-    path = {"model": model, "bundle": bundle, "images": images, "labels": labels,
-            "csv": tmp_path / "d.csv"}[kind]
+    path = {"model": model, "bundle": bundle, "images": images, "labels": labels}[kind]
     if what == "trailing":
         path.write_bytes(path.read_bytes() + b"\x00")
         message = "trailing bytes"
@@ -1268,12 +1264,6 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
         raw = path.read_bytes()
         path.write_bytes(raw[:8] + bytes([10]) + raw[9:])
         message = "label 10 out of range 0..9"
-    elif what == "empty":
-        path.write_text("")
-        message = "empty file"
-    elif what == "header-only":
-        path.write_text("x0,x1,label\n")
-        message = "no data rows"
     else:
         rewrite_header(path, lambda header: header.update(input_width="1e400"),
                        replace=[(b'"1e400"', b"1e400")])

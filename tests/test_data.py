@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from conftest import CE, per_image_digit_images, random_one_hot, rewrite_header
 from redense import data as datamod
 from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
-                          gen_synthetic, load_csv, load_feature_bundle,
+                          gen_synthetic, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
-from redense.errors import DataFormatError, NonFiniteError, ShapeError
+from redense.errors import DataFormatError, ShapeError
 from redense.nn import Dataset, Loss, _decode
 
 
@@ -315,30 +315,6 @@ def test_split_property_exhaustive(samples, seed):
     except ValueError:
         return  # tiny datasets may leave an empty slice; that rejection is the contract
     assert sum(len(p) for p in parts) == samples
-
-
-def test_load_csv(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("a,b,label\n1.5,2.0,0\n-1.0,0.25,2\n")
-    ds = load_csv(path)
-    assert np.array_equal(ds.inputs, [[1.5, 2.0], [-1.0, 0.25]])
-    assert np.array_equal(ds.targets, [[1, 0, 0], [0, 0, 1]])
-
-
-def test_load_csv_rejects_ragged_and_bad_values(tmp_path):
-    path = tmp_path / "d.csv"
-    path.write_text("a,b,label\n1.0,2.0\n")
-    with pytest.raises(DataFormatError):
-        load_csv(path)
-    path.write_text("a,b,label\n1.0,oops,1\n")
-    with pytest.raises(DataFormatError):
-        load_csv(path)
-    path.write_text("a,b,label\n1.0,2.0,-1\n")
-    with pytest.raises(DataFormatError, match="negative"):
-        load_csv(path)
-    path.write_text("a,b,label\ninf,2.0,1\n")
-    with pytest.raises(NonFiniteError):
-        load_csv(path)
 
 
 def _assert_same_digits(kwargs):

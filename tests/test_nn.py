@@ -254,6 +254,21 @@ def test_train_base_refuses_inputs_of_another_width_before_training(which):
     assert np.array_equal(model.layers[0].weight, weight)
 
 
+@pytest.mark.parametrize("value", [1e39, -1e39])
+@pytest.mark.parametrize("which", ["training", "eval"])
+def test_train_base_refuses_inputs_beyond_float32_range_before_training(which, value):
+    data = _blobs(seed=5)
+    big = Dataset(data.inputs.copy(), data.targets)
+    big.inputs[3, 1] = value
+    sets = (big, data) if which == "training" else (data, big)
+    model = make_mlp(2, [4], 2, seed=5)
+    weight = model.layers[0].weight.copy()
+    with pytest.raises(ValueError, match=f"{which} inputs exceed float32's range"):
+        train_base(model, sets[0], Loss("softmax_cross_entropy"), TrainConfig(epochs=1),
+                   eval_data=sets[1])
+    assert np.array_equal(model.layers[0].weight, weight)
+
+
 def test_forward_features_identity_layer_negative_inputs():
     model = MlpModel([Layer(np.eye(3), np.zeros(3), Activation("relu"))],
                      np.ones((2, 3)), np.zeros(2))
