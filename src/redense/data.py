@@ -26,7 +26,10 @@ _BUNDLE_V2 = {"features": [int, int], "targets": [int, int], "output_weight": [i
               "metadata": {str: str}}
 BUNDLE_HEADERS = {2: _BUNDLE_V2, BUNDLE_VERSION: {**_BUNDLE_V2, "output_bias": [int]}}
 _BUNDLE_BLOCKS = [name for name in BUNDLE_HEADERS[BUNDLE_VERSION] if name != "metadata"]
-_DIGIT_ROWS = 1024  # images per chunk of gen_digit_images
+# gen_digit_images' corpus: 28 x 28 images of 10 classes, pixel noise 0.6, shifts up to 3,
+# prototypes smoothed by 2 passes of a 3 x 3 box blur; made in chunks of 1024 images
+_DIGIT_SIDE, _DIGIT_CLASSES, _DIGIT_NOISE, _DIGIT_MAX_SHIFT = 28, 10, 0.6, 3
+_DIGIT_SMOOTHING, _DIGIT_ROWS = 2, 1024
 
 
 @dataclass
@@ -305,31 +308,27 @@ def gen_synthetic(kind: str, samples: int, classes: int = 2, noise: float = 0.15
     return Dataset(inputs, _one_hot(labels, classes))
 
 
-def _smooth(field: np.ndarray, passes: int = 2) -> np.ndarray:
-    for _ in range(passes):
-        field = sum(np.roll(np.roll(field, dr, 0), dc, 1)
-                    for dr in (-1, 0, 1) for dc in (-1, 0, 1)) / 9.0
-    return field
-
-
-def gen_digit_images(samples: int, seed: int = 0, side: int = 28, classes: int = 10,
-                     noise: float = 0.6, max_shift: int = 3):
-    """(images u8 J x side x side, labels u8 J): smoothed class prototypes plus
+def gen_digit_images(samples: int, seed: int = 0):
+    """(images u8 J x 28 x 28, labels u8 J): smoothed class prototypes plus
     pixel noise and small random shifts, a stand-in for handwritten digits."""
     rng = np.random.default_rng(seed)
-    protos = np.stack([_smooth(rng.random((side, side))) for _ in range(classes)])
-    protos = (protos - protos.min(axis=(1, 2), keepdims=True))
+    side = _DIGIT_SIDE
+    protos = rng.random((_DIGIT_CLASSES, side, side))
+    for _ in range(_DIGIT_SMOOTHING):
+        protos = sum(np.roll(protos, (dr, dc), axis=(1, 2))
+                     for dr in (-1, 0, 1) for dc in (-1, 0, 1)) / 9.0
+    protos -= protos.min(axis=(1, 2), keepdims=True)
     protos /= protos.max(axis=(1, 2), keepdims=True)
-    labels = (np.arange(samples) % classes).astype(np.uint8)
+    labels = (np.arange(samples) % _DIGIT_CLASSES).astype(np.uint8)
     images = np.empty((samples, side, side), dtype=np.uint8)
-    shifts = rng.integers(-max_shift, max_shift + 1, size=(samples, 2))
+    shifts = rng.integers(-_DIGIT_MAX_SHIFT, _DIGIT_MAX_SHIFT + 1, size=(samples, 2))
     for start in range(0, samples, _DIGIT_ROWS):
         # np.roll as a gather, a[(r - dr) % side, (c - dc) % side]; normals run on across chunks
         k = slice(start, start + _DIGIT_ROWS)
         rows = (np.arange(side) - shifts[k, :1]) % side
         cols = (np.arange(side) - shifts[k, 1:]) % side
         img = protos[labels[k, None, None], rows[:, :, None], cols[:, None, :]]
-        img += noise * rng.standard_normal(img.shape)
+        img += _DIGIT_NOISE * rng.standard_normal(img.shape)
         np.clip(img, 0.0, 1.0, out=img)
         img *= 255.0
         images[k] = np.round(img, out=img)

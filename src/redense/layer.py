@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
                      row_blocks, sample_gaussian)
-from .nn import Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_grad
+from .nn import EpochStats, Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_grad
 
 log = logging.getLogger(__name__)
 
@@ -104,15 +104,6 @@ class HeadConfig:
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
-
-
-@dataclass(frozen=True)
-class IterateStats:
-    epoch: int
-    train_loss: float
-    o_norm: float
-    eval_loss: float
-    eval_accuracy: float
 
 
 def build(output_weight: Matrix, bias: np.ndarray, m: int, seed: int,
@@ -296,8 +287,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
         else:
             ev_logits = _logits(eval_inputs, delta)
             ev_loss = loss_value(loss, ev_logits, eval_targets)
-        curve.append(IterateStats(t, cur_loss, frobenius_norm(layer.O0 + delta),
-                                  ev_loss, _label_accuracy(ev_logits, labels)))
+        curve.append(EpochStats(t, cur_loss, ev_loss, _label_accuracy(ev_logits, labels),
+                                frobenius_norm(layer.O0 + delta)))
         if cur_loss < best_loss:
             best_loss, best_epoch = cur_loss, t
             best_delta = delta.copy()

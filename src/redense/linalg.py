@@ -46,21 +46,17 @@ def row_blocks(rows: int, most: int):
 def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | None, float]:
     """(b pinv(a), cond_F(a)) for a tall a (m >= n), from the Cholesky factor T of a'a.
 
-    cond_F(a) = |a|_F |pinv(a)|_F = |T|_F |T^-1|_F. It is inf when the
-    Cholesky factorization fails or T^-1 or a norm overflows; then, and above
-    max_condition, no product is formed and None takes its place. Otherwise
-    X' = a T^-1 T^-T b' is refined once on the residual b' - a'X' (Bjorck's
-    corrected seminormal equations); README derives its error bound.
+    cond_F(a) = |a|_F |pinv(a)|_F = |T|_F |T^-1|_F. It is inf when a'a
+    under- or overflows, the Cholesky factorization fails, or T^-1 or a norm
+    overflows; then, and above max_condition, no product is formed and None
+    takes its place. Otherwise X' = a T^-1 T^-T b' is refined once on the
+    residual b' - a'X' (Bjorck's corrected seminormal equations); README
+    derives its error bound.
     """
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
     rows, cols = a.shape
     if not 1 <= cols <= rows:
         raise ShapeError(f"pinv_product needs a tall input with m >= n >= 1, got {rows}x{cols}")
-    # a'a under- or overflows when max|a|'s binary exponent e lies beyond +-256; only
-    # then does a copy, a 2^-e, take a's place, and P is scaled back (exact either way)
-    e = int(np.frexp(max(a.max(), -a.min()))[1])
-    if abs(e) > 256:
-        a = np.ldexp(a, -e)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             t = np.linalg.cholesky(a.T @ a).T
@@ -74,7 +70,7 @@ def pinv_product(b: Matrix, a: Matrix, max_condition: float) -> tuple[Matrix | N
         return None, cond
     xt = a @ (t_inv @ (t_inv.T @ b.T))
     xt += a @ (t_inv @ (t_inv.T @ (b.T - a.T @ xt)))
-    return (np.ldexp(xt.T, -e) if abs(e) > 256 else xt.T), cond
+    return xt.T, cond
 
 
 # Blocks this narrow are inverted whole; wider ones are split in two.

@@ -166,17 +166,17 @@ class MlpModel:
 
 @dataclass(frozen=True)
 class EpochStats:
+    """A curve row of either trainer. Without eval data the eval columns score the
+    training pass itself; o_norm, |O0 + Delta|_F, is the lifted head's alone."""
     epoch: int
     train_loss: float
-    eval_loss: float | None = None
-    eval_accuracy: float | None = None
+    eval_loss: float
+    eval_accuracy: float
+    o_norm: float | None = None
 
 
-def make_mlp(input_dim, hidden_widths, n_outputs, activation="relu", leaky_slope=Activation.slope,
-             seed=0):
+def make_mlp(input_dim, hidden_widths, n_outputs, activation=Activation("relu"), seed=0):
     """Build an MLP with Gaussian 1/sqrt(fan_in) weights and zero biases."""
-    if isinstance(activation, str):
-        activation = Activation(activation, slope=leaky_slope)
     rng = np.random.default_rng(seed)
     layers = []
     fan_in = input_dim
@@ -403,24 +403,25 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, J)
 
+    def score(d, reported):
+        """(d's summed loss, its accuracy); argmax is slow, so hits count only if reported."""
+        total, hits = 0.0, 0
+        for rows, logits in _chunked_logits(shadow, d.inputs, stats_inputs):
+            targets = d.targets[rows]
+            total += loss_value(loss, logits, targets)
+            if reported:
+                hits += np.count_nonzero(logits.argmax(axis=1) == targets.argmax(axis=1))
+        return total, hits / len(d)
+
     def epoch_stats(epoch):
         try:
-            train_loss = 0.0
-            for rows, logits in _chunked_logits(shadow, data.inputs, stats_inputs):
-                train_loss += loss_value(loss, logits, data.targets[rows])
-            if eval_data is not None:
-                ev_loss, hits = 0.0, 0
-                for rows, logits in _chunked_logits(shadow, eval_data.inputs, stats_inputs):
-                    targets = eval_data.targets[rows]
-                    ev_loss += loss_value(loss, logits, targets)
-                    hits += np.count_nonzero(logits.argmax(axis=1) == targets.argmax(axis=1))
+            train_loss, train_accuracy = score(data, eval_data is None)
+            ev = (train_loss, train_accuracy) if eval_data is None else score(eval_data, True)
         except NonFiniteError:
             raise TrainingDivergedError("training produced non-finite logits", epoch) from None
         if not np.isfinite(train_loss):
             raise TrainingDivergedError("training loss is not finite", epoch)
-        if eval_data is None:
-            return EpochStats(epoch, train_loss)
-        return EpochStats(epoch, train_loss, ev_loss, hits / len(eval_data))
+        return EpochStats(epoch, train_loss, *ev)
 
     adam = _AdamState(theta.size)
     # reused: allocated every step, arrays this size can come from fresh pages (README)

@@ -63,9 +63,10 @@ def lfp_reconstruct(lifted, m):
     return lifted[:, :m] - lifted[:, m:]
 
 
-def per_image_digit_images(samples, seed=0, side=28, classes=10, noise=0.6, max_shift=3):
+def per_image_digit_images(samples, seed=0):
     """gen_digit_images written as one np.roll, clip and round per image over a jitter
     array drawn whole: the reference its chunked gather is tested against bitwise."""
+    side, classes, noise, max_shift = 28, 10, 0.6, 3
     rng = np.random.default_rng(seed)
     protos = []
     for _ in range(classes):

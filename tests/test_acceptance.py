@@ -21,7 +21,7 @@ from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
                           write_idx)
 from redense.layer import HeadConfig, RedenseLayer, build, predict, train
 from redense.linalg import frobenius_norm
-from redense.nn import (Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
+from redense.nn import (Activation, Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
                         loss_value, loss_value_and_grad, make_mlp, train_base)
 from redense.persist import load_model, save_model, write_curve
 
@@ -280,7 +280,8 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
         if kind == 0:
             widths = list(rng.integers(2, 9, size=int(rng.integers(0, 3))))
             model = make_mlp(int(rng.integers(2, 7)), widths, int(rng.integers(2, 5)),
-                             activation="leaky_relu", seed=int(rng.integers(1 << 31)))
+                             activation=Activation("leaky_relu"),
+                             seed=int(rng.integers(1 << 31)))
             model.output_bias[:] = rng.standard_normal(model.n_outputs)
             layer = None
             if case % 2:

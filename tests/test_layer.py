@@ -23,6 +23,7 @@ from redense.layer import (MAX_CONDITION, HeadConfig, RedenseLayer, _head_grad,
                            train_widths)
 from redense.linalg import frobenius_norm, row_blocks
 from redense.nn import LOSS_KINDS, Loss, accuracy, loss_value, loss_value_and_grad
+from redense.persist import write_curve
 
 
 def identity_layer(n, q=None):
@@ -76,14 +77,15 @@ def test_build_rejects_zero_output_weight():
         build(np.zeros((2, 3)), np.zeros(2), m=3, seed=0)
 
 
-# rank 1, whose Cholesky factorization fails, or a Gaussian with one column
-# scaled by 1e-7, whose finite cond_F is about 1.8e7
-@pytest.mark.parametrize("rejected", ["rank-1", "cond-above-max"])
+# rank 1, whose Cholesky factorization fails, a Gaussian with one column scaled
+# by 1e-7, whose finite cond_F is about 1.8e7, or one scaled by 1e160, whose R'R overflows
+@pytest.mark.parametrize("rejected", ["rank-1", "cond-above-max", "gram-overflow"])
 def test_build_resamples_an_ill_conditioned_projection(rng, caplog, rejected):
     good = rng.standard_normal((6, 3))
     ohat = rng.standard_normal((2, 3))
-    bad = (np.outer(np.arange(1.0, 7.0), np.ones(3)) if rejected == "rank-1"
-           else rng.standard_normal((6, 3)) * [1.0, 1.0, 1e-7])
+    bad = {"rank-1": np.outer(np.arange(1.0, 7.0), np.ones(3)),
+           "cond-above-max": rng.standard_normal((6, 3)) * [1.0, 1.0, 1e-7],
+           "gram-overflow": 1e160 * rng.standard_normal((6, 3))}[rejected]
     draws = {0: bad, 1: good}
     with mock.patch("redense.layer.sample_gaussian", lambda rows, cols, seed: draws[seed]):
         layer = build(ohat, np.zeros(2), 6, seed=0)
@@ -308,6 +310,26 @@ def test_train_eval_curve_columns(rng):
                         eval_features=ev_feats, eval_targets=ev_targets)
     assert all(c.eval_loss is not None and c.eval_accuracy is not None for c in curve)
     assert len(curve) == 6
+
+
+@pytest.mark.parametrize("with_eval", [False, True], ids=["no-eval", "eval"])
+def test_both_trainers_return_epoch_stats_that_make_a_curve_file(rng, with_eval, tmp_path):
+    # one row type: the head's rows carry a float o_norm, base training's carry None
+    data = nn.Dataset(rng.standard_normal((40, 6)), random_one_hot(rng, 40, 3))
+    ev = nn.Dataset(rng.standard_normal((15, 6)), random_one_hot(rng, 15, 3))
+    ev = ev if with_eval else None
+    model, base_curve = nn.train_base(nn.make_mlp(6, [5], 3, seed=1), data, CE,
+                                      nn.TrainConfig(epochs=2, seed=1), eval_data=ev)
+    layer = build(model.output_weight, model.output_bias, 5, seed=2)
+    head_eval = {} if ev is None else {"eval_features": nn.forward(model, ev.inputs)[1],
+                                       "eval_targets": ev.targets}
+    _, _, head_curve = train(layer, nn.forward(model, data.inputs)[1], data.targets, CE,
+                             HeadConfig(epochs=3), **head_eval)
+    assert all(type(row) is nn.EpochStats for row in base_curve + head_curve)
+    assert all(row.o_norm is None for row in base_curve)
+    assert all(type(row.o_norm) is float for row in head_curve)
+    for curve in base_curve, head_curve:
+        write_curve(tmp_path / "curve.csv", curve)
 
 
 def test_train_refuses_to_score_an_empty_dataset(rng):

@@ -72,7 +72,7 @@ def test_forward_zero_weights_gives_bias():
 
 
 def test_forward_matches_straight_line_evaluator(rng):
-    model = make_mlp(5, [7, 4], 3, activation="leaky_relu", leaky_slope=0.1, seed=9)
+    model = make_mlp(5, [7, 4], 3, activation=Activation("leaky_relu", 0.1), seed=9)
     model.output_bias[:] = rng.standard_normal(3)
     x = rng.standard_normal((6, 5))
     logits, feats = forward(model, x)
@@ -396,7 +396,7 @@ def test_fused_loss_checks_its_arguments():
 def test_backward_matches_finite_differences(activation, rng):
     # objective sum(C * logits): its logits gradient is C, so this checks
     # _backward alone; two hidden layers exercise the inner-layer deltas
-    model = make_mlp(4, [5, 3], 3, activation=activation, leaky_slope=0.1, seed=5)
+    model = make_mlp(4, [5, 3], 3, activation=Activation(activation, 0.1), seed=5)
     for layer in model.layers:
         layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal((6, 4))
@@ -431,7 +431,8 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
     float64 loss and an allocating float64 Adam, a backward pass that also
     forms the unused input gradient, separate loss/gradient passes, and
     statistics summed over 1024-row chunks: the oracle for train_base's
-    mixed-precision in-place loop."""
+    mixed-precision in-place loop. Without eval_data the eval columns are the
+    training pass's loss and accuracy."""
     f32 = np.float32
 
     def run_forward(inputs):
@@ -454,7 +455,10 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
         return value, hits / len(ds)
 
     def stats(epoch):
-        return (epoch, chunk_sums(data)[0], *chunk_sums(eval_data))
+        train_loss, train_accuracy = chunk_sums(data)
+        if eval_data is None:
+            return epoch, train_loss, train_loss, train_accuracy
+        return (epoch, train_loss, *chunk_sums(eval_data))
 
     J = len(data)
     rng = np.random.default_rng(cfg.seed)
@@ -495,32 +499,36 @@ def _reference_train_base(model, data, loss, cfg, eval_data):
     return model, curve
 
 
-BASE_TRAINING_CASES = pytest.mark.parametrize("hidden,loss,cfg,rows", [
+BASE_TRAINING_CASES = pytest.mark.parametrize("hidden,loss,cfg,rows,eval_rows", [
     ([6], Loss("softmax_cross_entropy"),
-     TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1), 83),
+     TrainConfig(learning_rate=1e-2, epochs=6, batch_size=16, seed=1), 83, 30),
     ([6, 4], Loss("mean_square_error"),
-     TrainConfig(learning_rate=5e-3, epochs=5, batch_size=32, seed=2), 83),
+     TrainConfig(learning_rate=5e-3, epochs=5, batch_size=32, seed=2), 83, 30),
     ([5, 5], Loss("poisson"),
-     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=7, seed=3), 83),
+     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=7, seed=3), 83, 30),
     ([7, 3], Loss("huber", delta=0.25),
-     TrainConfig(learning_rate=2e-2, epochs=4, batch_size=9, seed=4), 83),
+     TrainConfig(learning_rate=2e-2, epochs=4, batch_size=9, seed=4), 83, 30),
     ([8], Loss("softmax_cross_entropy"),
-     TrainConfig(learning_rate=1e-2, epochs=2, batch_size=300, seed=5), 2100),
+     TrainConfig(learning_rate=1e-2, epochs=2, batch_size=300, seed=5), 2100, 1100),
+    ([6], Loss("mean_square_error"),
+     TrainConfig(learning_rate=1e-2, epochs=3, batch_size=64, seed=6), 1100, None),
 ], ids=["adam-1hidden", "adam-mse-2hidden", "adam-poisson-2hidden", "adam-huber-2hidden",
-        "adam-chunked-stats"])
+        "adam-chunked-stats", "adam-no-eval-chunked-stats"])
 
 
 @BASE_TRAINING_CASES
-def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows):
+def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows, eval_rows):
     # 83 training rows is a multiple of none of the batch sizes; 2100 training
-    # and 1100 eval rows split the statistics into 1024-row chunks with a remainder
+    # and 1100 eval rows split the statistics into 1024-row chunks with a remainder;
+    # without eval rows the eval columns score the training pass
     data = _blobs(j=rows, classes=3, noise=0.5, seed=cfg.seed)
-    eval_data = _blobs(j=30 if rows < 1024 else 1100, classes=3, noise=0.5, seed=cfg.seed + 100)
-    model, curve = train_base(make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed),
+    eval_data = (None if eval_rows is None
+                 else _blobs(j=eval_rows, classes=3, noise=0.5, seed=cfg.seed + 100))
+    leaky = Activation("leaky_relu")
+    model, curve = train_base(make_mlp(2, hidden, 3, activation=leaky, seed=cfg.seed),
                               data, loss, cfg, eval_data=eval_data)
     ref, ref_curve = _reference_train_base(
-        make_mlp(2, hidden, 3, activation="leaky_relu", seed=cfg.seed), data, loss, cfg,
-        eval_data)
+        make_mlp(2, hidden, 3, activation=leaky, seed=cfg.seed), data, loss, cfg, eval_data)
     for layer, ref_layer in zip(model.layers, ref.layers):
         assert layer.weight.dtype == layer.bias.dtype == np.float64
         assert np.array_equal(layer.weight, ref_layer.weight)
@@ -532,10 +540,10 @@ def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows):
 
 @BASE_TRAINING_CASES
 def test_train_base_in_odd_adam_blocks_matches_allocating_loop_bitwise(hidden, loss, cfg, rows,
-                                                                       monkeypatch):
+                                                                       eval_rows, monkeypatch):
     # 7-entry blocks straddle the boundaries between the parameters in the flat vector
     monkeypatch.setattr(nn, "_ADAM_BLOCK", 7)
-    test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows)
+    test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows, eval_rows)
 
 
 def _digits(j, seed):

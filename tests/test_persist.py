@@ -12,14 +12,14 @@ from redense.data import (FeatureBundle, load_feature_bundle, load_idx, save_fea
                           write_idx)
 from redense.errors import DataFormatError
 from redense.layer import HeadConfig, build, predict, train
-from redense.nn import EpochStats, Loss, forward, make_mlp
+from redense.nn import Activation, EpochStats, Loss, forward, make_mlp
 from redense.persist import load_model, save_model, write_curve
 
 
 def _random_model(rng, with_bias=False):
     widths = list(rng.integers(2, 7, size=int(rng.integers(0, 3))))
     model = make_mlp(int(rng.integers(2, 6)), widths, int(rng.integers(2, 5)),
-                     activation="leaky_relu", leaky_slope=0.05,
+                     activation=Activation("leaky_relu", 0.05),
                      seed=int(rng.integers(1 << 31)))
     if with_bias:
         model.output_bias[:] = rng.standard_normal(model.n_outputs)
