@@ -1,6 +1,7 @@
 import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +325,27 @@ def test_gen_digit_images_matches_the_per_image_loop_across_chunk_edges(samples,
     assert images.dtype == want_images.dtype and images.shape == want_images.shape
     assert labels.dtype == want_labels.dtype
     assert images.tobytes() == want_images.tobytes() and labels.tobytes() == want_labels.tobytes()
+
+
+@pytest.mark.parametrize("name, value", [("side", 3), ("classes", 12), ("noise", 0.0),
+                                         ("max_shift", 0)])
+def test_gen_digit_images_takes_only_samples_and_seed(name, value):
+    # side=3 made NaN images and classes=12 labels that load_idx refuses: no call reaches them
+    with pytest.raises(TypeError):
+        gen_digit_images(20, seed=0, **{name: value})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_gen_digit_images_writes_an_idx_pair_that_load_idx_reads(seed, tmp_path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        images, labels = gen_digit_images(30, seed=seed)
+    # every class image varies: a constant one came from a NaN prototype
+    assert all(np.ptp(images[labels == c]) > 0 for c in range(10))
+    write_idx(tmp_path / "i", tmp_path / "l", images, labels)
+    ds = load_idx(tmp_path / "i", tmp_path / "l")
+    assert np.array_equal(ds.inputs.reshape(images.shape), images)
+    assert np.array_equal(ds.targets.argmax(axis=1), labels)
 
 
 def test_gen_digit_images_memory_beyond_its_output_does_not_grow_with_samples():

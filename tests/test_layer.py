@@ -312,22 +312,27 @@ def test_train_eval_curve_columns(rng):
     assert len(curve) == 6
 
 
+@pytest.mark.parametrize("kind", LOSS_KINDS)
 @pytest.mark.parametrize("with_eval", [False, True], ids=["no-eval", "eval"])
-def test_both_trainers_return_epoch_stats_that_make_a_curve_file(rng, with_eval, tmp_path):
-    # one row type: the head's rows carry a float o_norm, base training's carry None
+def test_both_trainers_return_epoch_stats_that_make_a_curve_file(rng, with_eval, kind, tmp_path):
+    # one row type: the head's rows carry a float o_norm, base training's carry None;
+    # without eval data both trainers' eval columns score the training pass
+    loss = Loss(kind)
     data = nn.Dataset(rng.standard_normal((40, 6)), random_one_hot(rng, 40, 3))
     ev = nn.Dataset(rng.standard_normal((15, 6)), random_one_hot(rng, 15, 3))
     ev = ev if with_eval else None
-    model, base_curve = nn.train_base(nn.make_mlp(6, [5], 3, seed=1), data, CE,
+    model, base_curve = nn.train_base(nn.make_mlp(6, [5], 3, seed=1), data, loss,
                                       nn.TrainConfig(epochs=2, seed=1), eval_data=ev)
     layer = build(model.output_weight, model.output_bias, 5, seed=2)
     head_eval = {} if ev is None else {"eval_features": nn.forward(model, ev.inputs)[1],
                                        "eval_targets": ev.targets}
-    _, _, head_curve = train(layer, nn.forward(model, data.inputs)[1], data.targets, CE,
+    _, _, head_curve = train(layer, nn.forward(model, data.inputs)[1], data.targets, loss,
                              HeadConfig(epochs=3), **head_eval)
     assert all(type(row) is nn.EpochStats for row in base_curve + head_curve)
     assert all(row.o_norm is None for row in base_curve)
     assert all(type(row.o_norm) is float for row in head_curve)
+    if ev is None:
+        assert all(row.eval_loss == row.train_loss for row in base_curve + head_curve)
     for curve in base_curve, head_curve:
         write_curve(tmp_path / "curve.csv", curve)
 

@@ -512,8 +512,15 @@ BASE_TRAINING_CASES = pytest.mark.parametrize("hidden,loss,cfg,rows,eval_rows", 
      TrainConfig(learning_rate=1e-2, epochs=2, batch_size=300, seed=5), 2100, 1100),
     ([6], Loss("mean_square_error"),
      TrainConfig(learning_rate=1e-2, epochs=3, batch_size=64, seed=6), 1100, None),
+    ([6], Loss("softmax_cross_entropy"),
+     TrainConfig(learning_rate=1e-2, epochs=4, batch_size=16, seed=7), 83, None),
+    ([5, 5], Loss("poisson"),
+     TrainConfig(learning_rate=1e-2, epochs=3, batch_size=7, seed=8), 83, None),
+    ([7, 3], Loss("huber", delta=0.25),
+     TrainConfig(learning_rate=2e-2, epochs=3, batch_size=9, seed=9), 83, None),
 ], ids=["adam-1hidden", "adam-mse-2hidden", "adam-poisson-2hidden", "adam-huber-2hidden",
-        "adam-chunked-stats", "adam-no-eval-chunked-stats"])
+        "adam-chunked-stats", "adam-no-eval-chunked-stats", "adam-no-eval-1hidden",
+        "adam-no-eval-poisson-2hidden", "adam-no-eval-huber-2hidden"])
 
 
 @BASE_TRAINING_CASES
