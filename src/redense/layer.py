@@ -22,7 +22,8 @@ import numpy as np
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
                      row_blocks, sample_gaussian)
-from .nn import EpochStats, Loss, _AdamState, _label_accuracy, loss_value, loss_value_and_grad
+from .nn import (EpochStats, Loss, _AdamState, _label_accuracy, _Targets, loss_value,
+                 loss_value_and_grad)
 
 log = logging.getLogger(__name__)
 
@@ -153,13 +154,15 @@ def _positive_half(features: Matrix, r: Matrix) -> Matrix:
     return np.maximum(h, 0.0, out=h)
 
 
-def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix) -> Matrix:
-    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype; the product
-    over h runs in row blocks of at most _HEAD_BLOCK_BYTES of h."""
+def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix,
+                 out: Matrix | None = None) -> Matrix:
+    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype, into out (C
+    order) if given; the product over h runs in row blocks of at most _HEAD_BLOCK_BYTES
+    of h."""
     m = h.shape[1]
     o = o.astype(h.dtype, copy=False)
     o_sum, o_r = (o[:, :m] + o[:, m:]).T, (o[:, m:] @ r).T
-    out = np.empty((len(h), len(o)), h.dtype)
+    out = np.empty((len(h), len(o)), h.dtype) if out is None else out
     for lo, hi in row_blocks(len(h), _HEAD_BLOCK_BYTES // (m * h.itemsize)):
         block = np.matmul(h[lo:hi], o_sum, out=out[lo:hi])
         block -= features[lo:hi] @ o_r
@@ -175,8 +178,9 @@ def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class _Lift:
-    """Features y for the head: y Ohat' + b, y32 = y 2^-k in float32 (k: max|y|'s
-    binary exponent), and once lifted through a draw r: r, r in float32, max(y32 r', 0)."""
+    """Features y for the head: y Ohat' + b class-major (F order), y32 = y 2^-k in float32
+    (k: max|y|'s binary exponent), and once lifted through a draw r: r, r in float32,
+    max(y32 r', 0)."""
     base: Matrix
     y32: Matrix
     k: int
@@ -193,7 +197,9 @@ def _prepare(base: Matrix, bias: np.ndarray, features: Matrix) -> _Lift:
     _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
     # computed in float64 and cast in buffered chunks: no J x n float64 copy
     y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
-    return _Lift(features @ base.T + bias, y32, int(k))
+    logits = np.add(features @ base.T, bias,
+                    out=np.empty((len(features), len(base)), order="F"))
+    return _Lift(logits, y32, int(k))
 
 
 def _lift(x: _Lift, r: Matrix, r32: Matrix | None = None) -> _Lift:
@@ -213,11 +219,17 @@ def _through(layer: RedenseLayer, x) -> _Lift:
     return x if x.r is layer.R else _lift(x, layer.R)
 
 
-def _logits(x: _Lift, delta: Matrix) -> Matrix:
-    """y Ohat' + b + lift(y) delta'; a zero delta returns the base logits themselves."""
+def _logits(x: _Lift, delta: Matrix, out: Matrix | None = None,
+            block: Matrix | None = None) -> Matrix:
+    """y Ohat' + b + lift(y) delta', class-major, into out if given; the float32
+    correction goes into block, a C-ordered J x Q array, if given. A zero delta
+    returns the base logits themselves."""
     if not delta.any():
         return x.base
-    return x.base + np.ldexp(_head_logits(x.h, x.y32, x.r32, delta).astype(np.float64), x.k)
+    out = np.empty_like(x.base) if out is None else out
+    np.copyto(out, _head_logits(x.h, x.y32, x.r32, delta, block))
+    np.ldexp(out, x.k, out=out)
+    return np.add(x.base, out, out=out)
 
 
 def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
@@ -236,6 +248,16 @@ def _project(o: Matrix, epsilon: float) -> Matrix:
     if norm > epsilon * (1.0 + FEASIBILITY_SLACK):
         return o * (epsilon / norm)
     return o
+
+
+def _step(delta: Matrix, layer: RedenseLayer, adam: _AdamState, lr: float, grad: Matrix):
+    """delta's Adam step for grad, then O0 + delta rescaled onto the ball if it left it;
+    in place, so that no Q x 2m temporary outlives the step."""
+    adam.step(grad.ravel(), lr, delta.ravel())
+    o = layer.O0 + delta
+    projected = _project(o, layer.epsilon)
+    if projected is not o:
+        np.subtract(projected, layer.O0, out=delta)
 
 
 def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cfg: HeadConfig,
@@ -259,8 +281,16 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
         if eval_targets is None:
             raise ValueError("eval_features given without eval_targets")
         eval_inputs = _through(layer, eval_features)
-    # the scored targets are fixed: their labels are taken once
-    labels = np.argmax(targets if eval_inputs is None else eval_targets, axis=1)
+    # every per-iteration J x Q array is allocated once: each loss's class-major buffers,
+    # whose shifted one also holds the logits it scores (the loss shifts them in place,
+    # so their accuracy is taken first), and one C-ordered float32 block for each
+    # correction and the gradient
+    work = _Targets(targets, "F")
+    eval_work = None if eval_inputs is None else _Targets(eval_targets, "F")
+    labels = (work if eval_work is None else eval_work).labels
+    rows = len(work.values)
+    block = np.empty((max(len(w.values) for w in (work, eval_work) if w is not None),
+                      work.values.shape[1]), np.float32)
 
     delta = layer.delta.copy()
     adam = _AdamState(delta.size)
@@ -269,9 +299,11 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
     best_loss, best_epoch = np.inf, 0
     stop_reason, stopped_at = "completed", cfg.epochs
     for t in range(cfg.epochs + 1):
-        logits = _logits(inputs, delta)
+        logits = _logits(inputs, delta, work.shifted, block[:rows])
+        if eval_inputs is None:
+            ev_accuracy = _label_accuracy(logits, labels)
         try:
-            cur_loss, logits_grad = loss_value_and_grad(loss, logits, targets,
+            cur_loss, logits_grad = loss_value_and_grad(loss, logits, work,
                                                         need_grad=t < cfg.epochs)
         except NonFiniteError:
             cur_loss = np.nan
@@ -283,25 +315,26 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
             stop_reason, stopped_at = "non_finite", t
             break
         if eval_inputs is None:
-            ev_loss, ev_logits = cur_loss, logits
+            ev_loss = cur_loss
         else:
-            ev_logits = _logits(eval_inputs, delta)
-            ev_loss = loss_value(loss, ev_logits, eval_targets)
-        curve.append(EpochStats(t, cur_loss, ev_loss, _label_accuracy(ev_logits, labels),
+            ev_logits = _logits(eval_inputs, delta, eval_work.shifted,
+                                block[:len(eval_work.values)])
+            ev_accuracy = _label_accuracy(ev_logits, labels)
+            ev_loss = loss_value(loss, ev_logits, eval_work)
+        curve.append(EpochStats(t, cur_loss, ev_loss, ev_accuracy,
                                 frobenius_norm(layer.O0 + delta)))
         if cur_loss < best_loss:
             best_loss, best_epoch = cur_loss, t
-            best_delta = delta.copy()
+            np.copyto(best_delta, delta)
         if t == cfg.epochs:
             break
-        grad = np.ldexp(_head_grad(logits_grad, inputs.h, inputs.y32, inputs.r32)
-                        .astype(np.float64), inputs.k)
-        del logits_grad  # J x Q: not held while the next logits are formed
-        adam.step(grad.ravel(), cfg.learning_rate, delta.ravel())
-        o = layer.O0 + delta
-        projected = _project(o, layer.epsilon)
-        if projected is not o:
-            np.subtract(projected, layer.O0, out=delta)
+        # g'h takes the gradient C-ordered in float32, as before: a class-major operand
+        # makes OpenBLAS pick another kernel, which changes bits
+        g32 = block[:rows]
+        np.copyto(g32, logits_grad)
+        _step(delta, layer, adam, cfg.learning_rate,
+              np.ldexp(_head_grad(g32, inputs.h, inputs.y32, inputs.r32).astype(np.float64),
+                       inputs.k))
 
     old_loss = curve[0].train_loss
     trained = replace(layer, delta=best_delta)

@@ -4,6 +4,7 @@ outputs (summed over samples) and mini-batch Adam base training; see README."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -138,6 +139,10 @@ class MlpModel:
     output_bias: np.ndarray  # Q
 
     def __post_init__(self):
+        for i, layer in enumerate(self.layers):
+            if not isinstance(layer.activation, Activation):
+                raise ValueError(f"layer {i} activation must be an Activation, "
+                                 f"got {layer.activation!r}")
         widths = [layer.weight.shape for layer in self.layers]
         for prev, cur in zip(widths, widths[1:]):
             if prev[0] != cur[1]:
@@ -223,79 +228,185 @@ def forward(model: MlpModel, inputs: Matrix):
     return logits, features
 
 
-def _softmax_parts(logits: Matrix):
-    """(logits - row max, its exp, the exp's row sums): one pass over the logits."""
+_PAIRWISE_BLOCK = 128  # numpy sums up to this many terms with 8 accumulators, more by halves
+
+
+def _row_sums(a: Matrix, out: np.ndarray) -> np.ndarray:
+    """out[j] = the sum of row j of a in numpy's pairwise order over a contiguous row: a
+    C-ordered a's sum(axis=1) bit for bit, whatever a's layout; the others add one class
+    column at a time in that order."""
+    if a.flags.c_contiguous:
+        return np.sum(a, axis=1, out=out)
+    q = a.shape[1]
+    if q > _PAIRWISE_BLOCK:
+        half = q // 2 - q // 2 % 8
+        return np.add(_row_sums(a[:, :half], out), _row_sums(a[:, half:], np.empty_like(out)),
+                      out=out)
+    # below 8 columns each adds in turn; else accumulator i adds columns i, i + 8, ... of
+    # the whole blocks of 8, the 8 combine pairwise and the rest add in turn. Each sum
+    # starts from +0.0, as numpy's does: a row of -0.0 sums to +0.0.
+    whole = q - q % 8 if q >= 8 else 0
+    out.fill(0.0)
+    if whole:
+        r = a[:, :8] if whole == 8 else np.copy(a[:, :8], order="F")
+        for lo in range(8, whole, 8):
+            r += a[:, lo:lo + 8]
+        c = [r[:, i] for i in range(8)]
+        out += ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
+    for k in range(whole, q):
+        out += a[:, k]
+    return out
+
+
+def _first_max(a: Matrix) -> np.ndarray:
+    """Each row's first maximal column: argmax(axis=1), as a C-ordered a takes it, or
+    one class column at a time in the other layouts."""
+    if a.flags.c_contiguous:
+        return np.argmax(a, axis=1)
+    top, index = a[:, 0].copy(), np.zeros(len(a), np.intp)
+    above, moved = np.empty(len(a), bool), np.empty(len(a), np.intp)
+    for k in range(1, a.shape[1]):
+        # index < k, so max(index, k * above) is k exactly where column k is above top
+        np.multiply(np.greater(a[:, k], top, out=above), k, out=moved)
+        np.maximum(index, moved, out=index)
+        np.maximum(top, a[:, k], out=top)
+    return index
+
+
+class _Targets:
+    """J x Q targets ready to score many logits of one layout against: the targets and a
+    softmax pass's buffers in that layout, plus C-ordered cells, in which a loss total
+    sums in row-major order. Their row sums and labels are taken once, when first asked
+    for. loss_value_and_grad takes one in place of targets and then allocates no J x Q
+    array; the gradient it returns is one of these buffers, which the next call reuses.
+    The logits may be the shifted buffer itself: the pass then shifts them in place."""
+
+    def __init__(self, targets: Matrix, order: str = "C"):
+        self.values = np.asarray(targets, dtype=np.float64, order=order)
+        shape = self.values.shape
+        # one allocation: a loop's buffers leave the heap as one block when it ends
+        if order == "F":
+            slabs = np.empty((3,) + shape[::-1])
+            self.shifted, self.exp, self.cells = slabs[0].T, slabs[1].T, slabs[2].reshape(shape)
+        else:
+            self.shifted, self.exp = np.empty((2,) + shape)
+
+    @cached_property
+    def cells(self) -> Matrix:
+        """C-ordered scratch, made when first asked for: a C-ordered cross-entropy
+        total sums in place and needs none."""
+        return np.empty(self.values.shape)
+
+    @cached_property
+    def row_sums(self) -> Matrix:
+        return _row_sums(self.values, np.empty(len(self.values)))[:, None]
+
+    @cached_property
+    def labels(self) -> np.ndarray:
+        return _first_max(self.values)
+
+    def total(self, cells: Matrix) -> float:
+        """The sum of cells in row-major order: a C-ordered array's sum, in any layout."""
+        if not cells.flags.c_contiguous:
+            np.copyto(self.cells, cells)
+            cells = self.cells
+        return float(cells.sum())
+
+
+def _softmax_parts(logits: Matrix, work: _Targets):
+    """(logits - row max, its exp, the exp's row sums) in work's buffers: one pass."""
     # column by column: exact, and much faster than max(axis=1) on narrow rows
     row_max = logits[:, 0].copy()
     for k in range(1, logits.shape[1]):
         np.maximum(row_max, logits[:, k], out=row_max)
-    shifted = logits - row_max[:, None]
-    e = np.exp(shifted)
-    return shifted, e, e.sum(axis=1, keepdims=True)
+    shifted = np.subtract(logits, row_max[:, None], out=work.shifted)
+    e = np.exp(shifted, out=work.exp)
+    return shifted, e, _row_sums(e, np.empty(len(e)))[:, None]
 
 
-def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix,
+def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix | _Targets,
                         need_value: bool = True, need_grad: bool = True):
     """(summed loss, its gradient with respect to the logits) from one softmax pass.
 
-    Non-CE losses act on softmax outputs. An output not asked for is None.
+    Non-CE losses act on softmax outputs. An output not asked for is None. The
+    bits do not depend on the arrays' layouts: row reductions add one class
+    column at a time, in numpy's order for a C-ordered row, and the total sums
+    the per-cell terms in row-major order.
     """
-    if logits.shape != targets.shape:
-        raise ShapeError(f"logits shape {logits.shape} != targets shape {targets.shape}")
+    t = targets
+    if not isinstance(t, _Targets):
+        # buffers in the logits' layout, so C-ordered logits get a C-ordered gradient
+        t = _Targets(targets, "F" if logits.flags.f_contiguous
+                     and not logits.flags.c_contiguous else "C")
+    if logits.shape != t.values.shape:
+        raise ShapeError(f"logits shape {logits.shape} != targets shape {t.values.shape}")
     if not np.isfinite(logits).all():
         raise NonFiniteError("logits contain NaN or Inf")
-    shifted, e, row_sum = _softmax_parts(logits)
+    shifted, e, row_sum = _softmax_parts(logits, t)
     value = grad = None
     if loss.kind == "softmax_cross_entropy":
         if need_value:
             log_p = np.subtract(shifted, np.log(row_sum), out=shifted)
-            value = float(-(targets * log_p).sum())
+            value = -t.total(np.multiply(log_p, t.values, out=log_p))
         if need_grad:
             # exact also for non-one-hot rows: d/dz of sum_k t_k (lse(z) - z_k)
             grad = np.divide(e, row_sum, out=e)
-            grad *= targets.sum(axis=1, keepdims=True)
-            grad -= targets
+            grad *= t.row_sums
+            grad -= t.values
         return value, grad
     p = np.divide(e, row_sum, out=e)
+    cells = t.cells
     if loss.kind == "mean_square_error":
-        r = p - targets
+        r = np.subtract(p, t.values, out=shifted)
         if need_value:
-            value = float(0.5 * np.square(r).sum())
+            value = 0.5 * t.total(np.square(r, out=cells))
         dp = r
     elif loss.kind == "poisson":
-        p_safe = p + 1e-12
+        p_safe = np.add(p, 1e-12, out=shifted)
         if need_value:
-            value = float((p - targets * np.log(p_safe)).sum())
-        dp = 1.0 - targets / p_safe if need_grad else None
+            np.multiply(np.log(p_safe, out=cells), t.values, out=cells)
+            value = t.total(np.subtract(p, cells, out=cells))
+        if need_grad:
+            dp = np.subtract(1.0, np.divide(t.values, p_safe, out=p_safe), out=p_safe)
     else:
-        r = p - targets
+        r = np.subtract(p, t.values, out=shifted)
         if need_value:
             quad = np.abs(r) <= loss.delta
-            cells = np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta))
-            value = float(cells.sum())
-        dp = np.clip(r, -loss.delta, loss.delta) if need_grad else None
+            np.copyto(cells, np.where(quad, 0.5 * r * r,
+                                      loss.delta * (np.abs(r) - 0.5 * loss.delta)))
+            value = t.total(cells)
+        if need_grad:
+            dp = np.clip(r, -loss.delta, loss.delta, out=r)
     if need_grad:
         # softmax backward: p * (dp - rowsum(dp * p))
-        inner = (dp * p).sum(axis=1, keepdims=True)
-        dp -= inner
+        inner = _row_sums(np.multiply(dp, p, out=cells), np.empty(len(p)))
+        dp -= inner[:, None]
         grad = np.multiply(p, dp, out=dp)
     return value, grad
 
 
-def loss_value(loss: Loss, logits: Matrix, targets: Matrix) -> float:
+def loss_value(loss: Loss, logits: Matrix, targets: Matrix | _Targets) -> float:
     """Total loss summed over samples. Non-CE losses act on softmax outputs."""
     return loss_value_and_grad(loss, logits, targets, need_grad=False)[0]
 
 
 def accuracy(logits: Matrix, targets: Matrix) -> float:
-    """Fraction of rows whose argmax matches; ties go to the lowest index."""
-    return _label_accuracy(logits, np.argmax(targets, axis=1))
+    """Fraction of rows whose first maximal logit is in the target's first maximal
+    column; ties go to the lowest index. Non-finite logits raise NonFiniteError."""
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("logits contain NaN or Inf")
+    return _label_accuracy(logits, _first_max(np.asarray(targets)))
+
+
+def _hits(logits: Matrix, labels: np.ndarray) -> int:
+    """How many rows of finite logits have their first maximal column at the label."""
+    return int(np.count_nonzero(_first_max(logits) == labels))
 
 
 def _label_accuracy(logits: Matrix, labels: np.ndarray) -> float:
     if logits.shape[0] == 0:
         raise ValueError("cannot compute accuracy on an empty dataset")
-    return float(np.mean(np.argmax(logits, axis=1) == labels))
+    return _hits(logits, labels) / logits.shape[0]
 
 
 ADAM_BETA1 = 0.9
@@ -403,25 +514,27 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
     rng = np.random.default_rng(cfg.seed)
     batch = min(cfg.batch_size, J)
 
-    def score(d, reported):
-        """(d's summed loss, its accuracy); argmax is slow, so hits count only if reported."""
+    def score(d, labels=None):
+        """(d's summed loss, its accuracy); hits count only if labels are given."""
         total, hits = 0.0, 0
         for rows, logits in _chunked_logits(shadow, d.inputs, stats_inputs):
-            targets = d.targets[rows]
-            total += loss_value(loss, logits, targets)
-            if reported:
-                hits += np.count_nonzero(logits.argmax(axis=1) == targets.argmax(axis=1))
+            total += loss_value(loss, logits, d.targets[rows])
+            if labels is not None:
+                hits += _hits(logits, labels[rows])
         return total, hits / len(d)
+
+    # the reported accuracy's labels, taken once
+    labels = _first_max((data if eval_data is None else eval_data).targets)
 
     def epoch_stats(epoch):
         try:
-            train_loss, train_accuracy = score(data, eval_data is None)
-            ev = (train_loss, train_accuracy) if eval_data is None else score(eval_data, True)
+            train = score(data, labels if eval_data is None else None)
+            ev = train if eval_data is None else score(eval_data, labels)
         except NonFiniteError:
             raise TrainingDivergedError("training produced non-finite logits", epoch) from None
-        if not np.isfinite(train_loss):
+        if not np.isfinite(train[0]):
             raise TrainingDivergedError("training loss is not finite", epoch)
-        return EpochStats(epoch, train_loss, *ev)
+        return EpochStats(epoch, train[0], *ev)
 
     adam = _AdamState(theta.size)
     # reused: allocated every step, arrays this size can come from fresh pages (README)

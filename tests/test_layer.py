@@ -680,6 +680,25 @@ def test_train_and_predict_never_hold_the_double_width_lift(rng):
     assert _traced_peak(predict, layer, feats) < limit
 
 
+@pytest.mark.parametrize("loss", [CE, Loss("mean_square_error")], ids=lambda l: l.kind)
+@pytest.mark.parametrize("with_eval", [False, True], ids=["no-eval", "eval"])
+def test_head_loop_allocates_no_per_iteration_jq_array(rng, loss, with_eval):
+    # a narrow lift keeps each Q x 2m array far below one J x Q float64 array, so
+    # peaks that grow with the iterations can only come from per-iteration J x Q ones;
+    # zero iterations form no correction and no gradient
+    j, n, m, q = 5000, 8, 16, 10
+    feats = rng.standard_normal((j, n))
+    targets = random_one_hot(rng, j, q)
+    held_out = (rng.standard_normal((3000, n)), random_one_hot(rng, 3000, q)) if with_eval else ()
+    layer = build(rng.standard_normal((q, n)), np.zeros(q), m, seed=0)
+    peaks = {epochs: _traced_peak(train, layer, feats, targets, loss,
+                                  HeadConfig(learning_rate=1e-2, epochs=epochs), *held_out)
+             for epochs in (0, 2, 20)}
+    jq = j * q * 8
+    assert abs(peaks[20] - peaks[2]) < jq
+    assert peaks[2] - peaks[0] < jq and peaks[20] - peaks[0] < jq
+
+
 @given(j=st.integers(2, 40), n=st.integers(1, 6), extra=st.integers(0, 6),
        q=st.integers(1, 4), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=100, deadline=None)

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,8 +13,8 @@ from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (ACTIVATION_KINDS, LOSS_KINDS, Activation, Dataset, Layer, Loss,
                         MlpModel, TrainConfig, _AdamState, _backward, _decode, _forward_cached,
-                        _trained_params, accuracy, forward, loss_value, loss_value_and_grad,
-                        make_loss, make_mlp, train_base)
+                        _row_sums, _trained_params, accuracy, forward, loss_value,
+                        loss_value_and_grad, make_loss, make_mlp, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
               Loss("poisson"), Loss("huber", delta=1.0), Loss("huber", delta=0.25)]
@@ -300,6 +300,15 @@ def test_accuracy_against_brute_force(rng):
     assert accuracy(logits, targets) == hits / 40
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_accuracy_refuses_non_finite_logits(bad):
+    # argmax would take the first NaN as the row's maximum
+    logits = np.zeros((3, 2))
+    logits[1, 1] = bad
+    with pytest.raises(NonFiniteError):
+        accuracy(logits, one_hot([0, 1, 0], 2))
+
+
 def test_evaluate_empty_dataset():
     logits, _ = forward(make_mlp(2, [3], 2, seed=0), np.zeros((0, 2)))
     with pytest.raises(ValueError, match="empty"):
@@ -313,6 +322,16 @@ def test_dataset_validations():
         Dataset(np.zeros((2, 2)), np.array([[0.5, 0.2], [1.0, 0.0]]))
     with pytest.raises(NonFiniteError):
         Dataset(np.array([[np.nan, 0.0]]), np.array([[1.0, 0.0]]))
+
+
+def test_mlp_refuses_an_activation_that_is_not_an_activation():
+    # a string built a model that failed only at its first forward
+    with pytest.raises(ValueError, match="layer 0 activation"):
+        make_mlp(2, [3], 2, activation="relu")
+    good = make_mlp(2, [3, 4], 2, seed=0)
+    layers = [good.layers[0], Layer(good.layers[1].weight, good.layers[1].bias, None)]
+    with pytest.raises(ValueError, match="layer 1 activation"):
+        MlpModel(layers, good.output_weight, good.output_bias)
 
 
 def test_train_config_validations():
@@ -382,6 +401,48 @@ def test_fused_loss_matches_separate_passes_bitwise(case, loss):
     assert loss_value_and_grad(loss, logits, targets, need_grad=False) == (value, None)
     only_grad = loss_value_and_grad(loss, logits, targets, need_value=False)
     assert only_grad[0] is None and np.array_equal(only_grad[1], grad)
+
+
+def _layouts(a):
+    """a as a C-ordered, an F-ordered and two strided arrays, all holding its values."""
+    j, q = a.shape
+    c_wide, f_wide = np.zeros((2 * j, 3 * q)), np.zeros((2 * j, 3 * q), order="F")
+    c_wide[::2, ::3] = f_wide[::2, ::3] = a
+    return [np.ascontiguousarray(a), np.asfortranarray(a), c_wide[::2, ::3], f_wide[::2, ::3]]
+
+
+@given(j=st.integers(1, 9), q=st.integers(1, 140), ties=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+@example(j=3, q=8, ties=True, seed=0)
+@example(j=3, q=10, ties=True, seed=1)
+@example(j=2, q=129, ties=False, seed=2)
+@example(j=4, q=140, ties=True, seed=3)
+def test_one_loss_gives_the_same_bits_in_any_layout(j, q, ties, seed):
+    # q crosses numpy's 8 accumulators and its halving above 128 terms; with ties,
+    # coarse logits repeat each row's maximum
+    rng = np.random.default_rng(seed)
+    logits = (rng.integers(-2, 3, (j, q)).astype(float) if ties
+              else rng.standard_normal((j, q)) * 10.0 ** rng.integers(-3, 3))
+    targets = rng.random((j, q))
+    one_hot_rows = rng.random(j) < 0.5
+    targets[one_hot_rows] = random_one_hot(rng, j, q)[one_hot_rows]
+    expected_accuracy = np.mean(logits.argmax(axis=1) == targets.argmax(axis=1))
+    for a in _layouts(logits):
+        assert _row_sums(a, np.empty(j)).tobytes() == logits.sum(axis=1).tobytes()
+    for loss in ALL_LOSSES:
+        value = _reference_loss_value(loss, logits, targets)
+        grad = _reference_loss_grad(loss, logits, targets).tobytes()
+        for a in _layouts(logits):
+            for t in _layouts(targets)[:2]:
+                fused = loss_value_and_grad(loss, a, t)
+                assert fused[0] == value and fused[1].tobytes() == grad
+                assert loss_value_and_grad(loss, a, t, need_value=False)[1].tobytes() == grad
+                assert loss_value_and_grad(loss, a, t, need_grad=False) == (value, None)
+                assert loss_value(loss, a, t) == value
+    for a in _layouts(logits):
+        for t in _layouts(targets):
+            assert accuracy(a, t) == expected_accuracy
 
 
 def test_fused_loss_checks_its_arguments():
