@@ -7,8 +7,10 @@ nothing since max(z,0) - max(-z,0) = z. The head is the base output layer
 with O0 + Delta in the Frobenius ball |O|_F <= epsilon = |O0|_F, O0 = [P | -P] and
 P = Ohat pinv(R). Delta = 0 gives the base logits bit for bit, so returning
 the best iterate keeps the final training loss at or below the base head's.
-The correction needs only the J x m positive half h = max(yR', 0), held in
-float32; README derives each step.
+The correction needs only the positive half h = max(yR', 0), held in float32 and
+feature-major (m x J, as is y's own copy, n x J): with each class operand zero-padded
+to a multiple of _PAD rows, the head's products fill OpenBLAS's micro-panels. README
+derives each step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import ConstraintError, NonFiniteError, ShapeError, TrainingDivergedError
 from .linalg import (Matrix, as_matrix, check_finite, frobenius_norm, pinv_product,
-                     row_blocks, sample_gaussian)
+                     sample_gaussian)
 from .nn import (EpochStats, Loss, _AdamState, _label_accuracy, _Targets, loss_value,
                  loss_value_and_grad)
 
@@ -32,10 +34,8 @@ log = logging.getLogger(__name__)
 # R'R, which squares it; README has the accuracy and resample rate this buys.
 MAX_CONDITION = 1e6
 _RESAMPLE_ATTEMPTS = 8
-# Most bytes of h per row block of _head_logits: one multithreaded sgemm over all of
-# a large h raised the peak RSS by 45% of h (README). Bytes, not rows, as block sizes
-# can move bits: small lifts stay one block.
-_HEAD_BLOCK_BYTES = 4 << 20
+# The head's class operands are zero-padded to a multiple of this many rows (README)
+_PAD = 16
 
 
 @dataclass
@@ -148,45 +148,61 @@ def _same_output_layer(a, b) -> bool:
     return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
 
 
-def _positive_half(features: Matrix, r: Matrix) -> Matrix:
-    """h = max(features r', 0), the J x m first half of lift(features), in features' dtype."""
-    h = features @ r.T
-    return np.maximum(h, 0.0, out=h)
+def _padded(q: int) -> int:
+    """q rounded up to a multiple of _PAD."""
+    return -(-q // _PAD) * _PAD
 
 
-def _head_logits(h: Matrix, features: Matrix, r: Matrix, o: Matrix,
-                 out: Matrix | None = None) -> Matrix:
-    """lift(features) o' = h (O+ + O-)' - features (O- R)', in h's dtype, into out (C
-    order) if given; the product over h runs in row blocks of at most _HEAD_BLOCK_BYTES
-    of h."""
-    m = h.shape[1]
-    o = o.astype(h.dtype, copy=False)
-    o_sum, o_r = (o[:, :m] + o[:, m:]).T, (o[:, m:] @ r).T
-    out = np.empty((len(h), len(o)), h.dtype) if out is None else out
-    for lo, hi in row_blocks(len(h), _HEAD_BLOCK_BYTES // (m * h.itemsize)):
-        block = np.matmul(h[lo:hi], o_sum, out=out[lo:hi])
-        block -= features[lo:hi] @ o_r
+def _positive_half(yt: Matrix, r: Matrix) -> Matrix:
+    """h' = max(r yt, 0), the m x J transpose of lift(y)'s first half for y = yt', in
+    yt's dtype."""
+    ht = r @ yt
+    return np.maximum(ht, 0.0, out=ht)
+
+
+def _head_logits(ht: Matrix, yt: Matrix, r: Matrix, o: Matrix, out: Matrix | None = None,
+                 scratch: Matrix | None = None) -> Matrix:
+    """(lift(y) o')' = W_h h' - W_y y' with W_h = O+ + O- and W_y = O- R, in ht's dtype,
+    into out (C order, _padded(len(o)) rows: those past o's come out zero) with scratch
+    (C order, len(o) rows) for W_y y', each if given."""
+    q, m = len(o), len(ht)
+    w_h = np.zeros((_padded(q), m), ht.dtype)
+    # o's halves are cast to ht's dtype before they are added
+    np.add(o[:, :m], o[:, m:], out=w_h[:q], dtype=ht.dtype)
+    out = np.matmul(w_h, ht, out=out)
+    out[:q] -= np.matmul(o[:, m:].astype(ht.dtype) @ r, yt, out=scratch)
     return out
 
 
-def _head_grad(g: Matrix, h: Matrix, features: Matrix, r: Matrix) -> Matrix:
-    """g' lift(features) = [A | A - (g' features) R'] with A = g'h, in h's dtype."""
-    g = g.astype(h.dtype, copy=False)  # a float64 g would upcast all of h
-    a = g.T @ h
-    return np.hstack([a, a - (g.T @ features) @ r.T])
+def _head_grad(g: Matrix, ht: Matrix, yt: Matrix, r: Matrix, padded: Matrix | None = None,
+               out: Matrix | None = None) -> Matrix:
+    """g' lift(y) = [A | A - B R'] with A = g'h and B = g'y, formed in ht's dtype, into
+    out (Q x 2m, of any float dtype) if given. g is copied into padded if given, a
+    J x _padded(Q) array whose columns past g's are zeroed."""
+    q, m = g.shape[1], len(ht)
+    padded = np.empty((len(g), _padded(q)), ht.dtype) if padded is None else padded
+    np.copyto(padded[:, :q], g)
+    padded[:, q:] = 0.0
+    a = (ht @ padded).T[:q]
+    # B R' on a transposed view of B rounds differently from the row-major product
+    b = np.ascontiguousarray((yt @ padded).T[:q])
+    out = np.empty((q, 2 * m), ht.dtype) if out is None else out
+    out[:, :m] = a
+    np.subtract(a, b @ r.T, out=out[:, m:], dtype=ht.dtype)
+    return out
 
 
 @dataclass(frozen=True)
 class _Lift:
-    """Features y for the head: y Ohat' + b class-major (F order), y32 = y 2^-k in float32
-    (k: max|y|'s binary exponent), and once lifted through a draw r: r, r in float32,
-    max(y32 r', 0)."""
+    """Features y for the head: y Ohat' + b class-major (F order), yt = (y 2^-k)' in
+    float32 (k: max|y|'s binary exponent), and once lifted through a draw r: r, r in
+    float32, and ht = max(r yt, 0)."""
     base: Matrix
-    y32: Matrix
+    yt: Matrix
     k: int
     r: Matrix | None = None
     r32: Matrix | None = None
-    h: Matrix | None = None
+    ht: Matrix | None = None
 
 
 def _prepare(base: Matrix, bias: np.ndarray, features: Matrix) -> _Lift:
@@ -195,21 +211,22 @@ def _prepare(base: Matrix, bias: np.ndarray, features: Matrix) -> _Lift:
         raise ShapeError(f"features have width {features.shape[1]}, expected {base.shape[1]}")
     check_finite(features, "features")
     _, k = np.frexp(max(features.max(initial=0.0), -features.min(initial=0.0)))
-    # computed in float64 and cast in buffered chunks: no J x n float64 copy
-    y32 = np.ldexp(features, -k, out=np.empty(features.shape, np.float32), casting="same_kind")
+    # computed in float64 and cast in buffered chunks: no n x J float64 copy
+    yt = np.ldexp(features.T, -k, out=np.empty(features.shape[::-1], np.float32),
+                  casting="same_kind")
     logits = np.add(features @ base.T, bias,
                     out=np.empty((len(features), len(base)), order="F"))
-    return _Lift(logits, y32, int(k))
+    return _Lift(logits, yt, int(k))
 
 
 def _lift(x: _Lift, r: Matrix, r32: Matrix | None = None) -> _Lift:
     r32 = r.astype(np.float32) if r32 is None else r32
-    return replace(x, r=r, r32=r32, h=_positive_half(x.y32, r32))
+    return replace(x, r=r, r32=r32, ht=_positive_half(x.yt, r32))
 
 
 def _narrow(x: _Lift, r: Matrix) -> _Lift:
     """x's lift through r, the first rows of the draw x was lifted through."""
-    return replace(x, r=r, r32=x.r32[:len(r)], h=x.h[:, :len(r)])
+    return replace(x, r=r, r32=x.r32[:len(r)], ht=x.ht[:len(r)])
 
 
 def _through(layer: RedenseLayer, x) -> _Lift:
@@ -220,14 +237,14 @@ def _through(layer: RedenseLayer, x) -> _Lift:
 
 
 def _logits(x: _Lift, delta: Matrix, out: Matrix | None = None,
-            block: Matrix | None = None) -> Matrix:
+            correction: Matrix | None = None, scratch: Matrix | None = None) -> Matrix:
     """y Ohat' + b + lift(y) delta', class-major, into out if given; the float32
-    correction goes into block, a C-ordered J x Q array, if given. A zero delta
-    returns the base logits themselves."""
+    correction goes into correction, with scratch, as _head_logits takes them. A zero
+    delta returns the base logits themselves."""
     if not delta.any():
         return x.base
     out = np.empty_like(x.base) if out is None else out
-    np.copyto(out, _head_logits(x.h, x.y32, x.r32, delta, block))
+    np.copyto(out.T, _head_logits(x.ht, x.yt, x.r32, delta, correction, scratch)[:len(delta)])
     np.ldexp(out, x.k, out=out)
     return np.add(x.base, out, out=out)
 
@@ -243,21 +260,31 @@ def predict(layer: RedenseLayer, features: Matrix) -> Matrix:
 FEASIBILITY_SLACK = 1e-12
 
 
-def _project(o: Matrix, epsilon: float) -> Matrix:
-    norm = frobenius_norm(o)
+def _project(o: Matrix, epsilon: float, norm: float | None = None) -> bool:
+    """Rescale o in place onto the ball |o|_F <= epsilon if its norm, frobenius_norm(o)
+    unless given, lies outside it; whether it did."""
+    norm = frobenius_norm(o) if norm is None else norm
     if norm > epsilon * (1.0 + FEASIBILITY_SLACK):
-        return o * (epsilon / norm)
-    return o
+        o *= epsilon / norm
+        return True
+    return False
 
 
-def _step(delta: Matrix, layer: RedenseLayer, adam: _AdamState, lr: float, grad: Matrix):
+def _o_norm(layer: RedenseLayer, delta: Matrix, scratch: Matrix) -> float:
+    """|O0 + delta|_F, as frobenius_norm(layer.O0 + delta) gives it, formed in scratch."""
+    return frobenius_norm(np.add(layer.O0, delta, out=scratch), out=scratch)
+
+
+def _step(delta: Matrix, layer: RedenseLayer, adam: _AdamState, lr: float, grad: Matrix,
+          scratch: Matrix):
     """delta's Adam step for grad, then O0 + delta rescaled onto the ball if it left it;
-    in place, so that no Q x 2m temporary outlives the step."""
+    in place, with scratch, C-ordered like delta, for O0 + delta and its square. grad may
+    be scratch itself."""
     adam.step(grad.ravel(), lr, delta.ravel())
-    o = layer.O0 + delta
-    projected = _project(o, layer.epsilon)
-    if projected is not o:
-        np.subtract(projected, layer.O0, out=delta)
+    norm = _o_norm(layer, delta, scratch)
+    o = np.add(layer.O0, delta, out=scratch)
+    if _project(o, layer.epsilon, norm):
+        np.subtract(o, layer.O0, out=delta)
 
 
 def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cfg: HeadConfig,
@@ -283,23 +310,33 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
         eval_inputs = _through(layer, eval_features)
     # every per-iteration J x Q array is allocated once: each loss's class-major buffers,
     # whose shifted one also holds the logits it scores (the loss shifts them in place,
-    # so their accuracy is taken first), and one C-ordered float32 block for each
-    # correction and the gradient
+    # so their accuracy is taken first); flat float32 buffers, sized for the larger set,
+    # for the correction's class-major products, _padded(Q) and Q rows, the first of
+    # which later holds the gradient's J x _padded(Q) copy; and one Q x 2m array for the
+    # gradient, then O0 + delta and its square
     work = _Targets(targets, "F")
     eval_work = None if eval_inputs is None else _Targets(eval_targets, "F")
     labels = (work if eval_work is None else eval_work).labels
-    rows = len(work.values)
-    block = np.empty((max(len(w.values) for w in (work, eval_work) if w is not None),
-                      work.values.shape[1]), np.float32)
-
+    rows, q = work.values.shape
+    pad = _padded(q)
+    most = max(len(w.values) for w in (work, eval_work) if w is not None)
+    products = np.empty(pad * most, np.float32), np.empty(q * most, np.float32)
+    g32 = products[0][:rows * pad].reshape(rows, pad)
+    o_scratch = np.empty_like(layer.O0)
     delta = layer.delta.copy()
+
+    def logits_of(x, w):
+        j = len(w.values)
+        return _logits(x, delta, w.shifted, products[0][:pad * j].reshape(pad, j),
+                       products[1][:q * j].reshape(q, j))
+
     adam = _AdamState(delta.size)
     curve = []
     best_delta = delta.copy()
     best_loss, best_epoch = np.inf, 0
     stop_reason, stopped_at = "completed", cfg.epochs
     for t in range(cfg.epochs + 1):
-        logits = _logits(inputs, delta, work.shifted, block[:rows])
+        logits = logits_of(inputs, work)
         if eval_inputs is None:
             ev_accuracy = _label_accuracy(logits, labels)
         try:
@@ -317,24 +354,21 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
         if eval_inputs is None:
             ev_loss = cur_loss
         else:
-            ev_logits = _logits(eval_inputs, delta, eval_work.shifted,
-                                block[:len(eval_work.values)])
+            ev_logits = logits_of(eval_inputs, eval_work)
             ev_accuracy = _label_accuracy(ev_logits, labels)
             ev_loss = loss_value(loss, ev_logits, eval_work)
         curve.append(EpochStats(t, cur_loss, ev_loss, ev_accuracy,
-                                frobenius_norm(layer.O0 + delta)))
+                                _o_norm(layer, delta, o_scratch)))
         if cur_loss < best_loss:
             best_loss, best_epoch = cur_loss, t
             np.copyto(best_delta, delta)
         if t == cfg.epochs:
             break
-        # g'h takes the gradient C-ordered in float32, as before: a class-major operand
-        # makes OpenBLAS pick another kernel, which changes bits
-        g32 = block[:rows]
-        np.copyto(g32, logits_grad)
-        _step(delta, layer, adam, cfg.learning_rate,
-              np.ldexp(_head_grad(g32, inputs.h, inputs.y32, inputs.r32).astype(np.float64),
-                       inputs.k))
+        # G goes through g32, free once the logits are scored (_head_grad zeroes its
+        # padding columns), and the gradient into o_scratch, which _step then reuses
+        grad = _head_grad(logits_grad, inputs.ht, inputs.yt, inputs.r32, g32, o_scratch)
+        _step(delta, layer, adam, cfg.learning_rate, np.ldexp(grad, inputs.k, out=grad),
+              o_scratch)
 
     old_loss = curve[0].train_loss
     trained = replace(layer, delta=best_delta)

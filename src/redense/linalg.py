@@ -29,9 +29,9 @@ def check_finite(a: Matrix, name: str = "matrix") -> Matrix:
     return a
 
 
-def frobenius_norm(a: Matrix) -> float:
-    """sqrt of the sum of squared entries."""
-    return float(np.sqrt(np.sum(np.square(a))))
+def frobenius_norm(a: Matrix, out: Matrix | None = None) -> float:
+    """sqrt of the sum of squared entries; the squares go into out if given, which may be a."""
+    return float(np.sqrt(np.sum(np.square(a, out=out))))
 
 
 def row_blocks(rows: int, most: int):

@@ -19,9 +19,9 @@ from redense import layer as layermod
 from redense import nn
 from redense.errors import ConstraintError, ShapeError, TrainingDivergedError
 from redense.layer import (MAX_CONDITION, HeadConfig, RedenseLayer, _head_grad,
-                           _head_logits, _positive_half, _project, build, predict, train,
-                           train_widths)
-from redense.linalg import frobenius_norm, row_blocks
+                           _head_logits, _o_norm, _positive_half, _project, build, predict,
+                           train, train_widths)
+from redense.linalg import frobenius_norm
 from redense.nn import LOSS_KINDS, Loss, accuracy, loss_value, loss_value_and_grad
 from redense.persist import write_curve
 
@@ -180,22 +180,25 @@ def test_lift_identity_roundtrip_is_exact(z):
 
 
 def test_project_rescale_example():
-    projected = _project(np.array([[3.0, 4.0], [0.0, 0.0]]), 1.0)
+    projected = np.array([[3.0, 4.0], [0.0, 0.0]])
+    assert _project(projected, 1.0)
     assert np.allclose(projected, [[0.6, 0.8], [0.0, 0.0]], atol=1e-15)
 
 
 def test_project_noop_inside_and_on_boundary():
     z = np.array([[3.0, 4.0]])
-    assert _project(z, 5.0) is z
-    assert _project(z, 6.0) is z
+    assert not _project(z, 5.0)
+    assert not _project(z, 6.0)
+    assert np.array_equal(z, [[3.0, 4.0]])
 
 
 @given(seed=st.integers(0, 2**32 - 1), epsilon=st.floats(0.1, 10.0))
 @settings(max_examples=50, deadline=None)
 def test_project_idempotent(seed, epsilon):
-    z = np.random.default_rng(seed).standard_normal((3, 4))
-    once = _project(z, epsilon)
-    twice = _project(once.copy(), epsilon)
+    once = np.random.default_rng(seed).standard_normal((3, 4))
+    _project(once, epsilon)
+    twice = once.copy()
+    assert not _project(twice, epsilon)
     assert np.array_equal(once, twice)
     assert frobenius_norm(once) <= epsilon * (1 + 1e-12)
 
@@ -490,6 +493,11 @@ IDENTITY_RTOL = 1e-12
 @example(j=5, n=3, extra=0, q=2, scale=1.0, kind="gaussian", seed=1)
 @example(j=5, n=3, extra=0, q=2, scale=1.0, kind="zero", seed=2)
 @example(j=5, n=3, extra=4, q=2, scale=1.0, kind="negative", seed=3)
+# class counts on both sides of a 16-row pad
+@example(j=7, n=3, extra=2, q=15, scale=1.0, kind="gaussian", seed=4)
+@example(j=7, n=3, extra=2, q=16, scale=1.0, kind="gaussian", seed=5)
+@example(j=7, n=3, extra=2, q=17, scale=1.0, kind="gaussian", seed=6)
+@example(j=12, n=6, extra=6, q=33, scale=1e3, kind="gaussian", seed=7)
 def test_half_width_head_matches_explicit_lift(j, n, extra, q, scale, kind, seed):
     rng = np.random.default_rng(seed)
     feats, r = _features_and_projection(rng, j, n, n + extra, scale, kind)
@@ -499,22 +507,25 @@ def test_half_width_head_matches_explicit_lift(j, n, extra, q, scale, kind, seed
     o = rng.standard_normal((q, 2 * m))
     g = rng.standard_normal((j, q))
     lifted = lfp_lift(layer, feats)
-    h = _positive_half(feats, r)
-    assert h.dtype == np.float64
-    assert np.array_equal(h, lifted[:, :m])
+    yt = np.ascontiguousarray(feats.T)
+    ht = _positive_half(yt, r)
+    assert ht.dtype == np.float64
+    assert np.array_equal(ht, lifted[:, :m].T)
 
     abs_proj = np.abs(feats) @ np.abs(r).T
     logit_scale = abs_proj @ (np.abs(o[:, :m]) + np.abs(o[:, m:])).T
-    logits = _head_logits(h, feats, r, o)
-    assert np.all(np.abs(logits - lifted @ o.T) <= IDENTITY_RTOL * logit_scale)
+    logits = _head_logits(ht, yt, r, o)
+    assert logits.shape == (-(-q // 16) * 16, j)
+    assert not logits[q:].any()
+    assert np.all(np.abs(logits[:q].T - lifted @ o.T) <= IDENTITY_RTOL * logit_scale)
 
     grad_scale = np.tile(np.abs(g).T @ abs_proj, 2)
-    grad = _head_grad(g, h, feats, r)
+    grad = _head_grad(g, ht, yt, r)
     assert np.all(np.abs(grad - g.T @ lifted) <= IDENTITY_RTOL * grad_scale)
 
     # at O0 = [P | -P] the first term vanishes exactly: O+ + O- = P - P = 0
     p = layer.O0[:, :m]
-    assert np.array_equal(_head_logits(h, feats, r, layer.O0), feats @ (p @ r).T)
+    assert np.array_equal(_head_logits(ht, yt, r, layer.O0)[:q], (p @ r) @ yt)
     # and the head itself starts at the base logits, not at y (P R)'
     assert np.array_equal(predict(layer, feats), feats @ ohat.T)
 
@@ -552,30 +563,61 @@ def correction_bound(feats, r, delta):
        seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=150, deadline=None)
 @example(j=5, n=3, extra=4, q=2, scale=1.0, delta_scale=1.0, kind="negative", seed=3)
+# class counts on both sides of a 16-row pad
+@example(j=9, n=4, extra=3, q=15, scale=1.0, delta_scale=1.0, kind="gaussian", seed=4)
+@example(j=9, n=4, extra=3, q=16, scale=1.0, delta_scale=1e-2, kind="gaussian", seed=5)
+@example(j=9, n=4, extra=3, q=17, scale=1e-3, delta_scale=1.0, kind="gaussian", seed=6)
+@example(j=12, n=6, extra=6, q=33, scale=1e3, delta_scale=1e-6, kind="gaussian", seed=7)
 def test_float32_correction_within_rounding_bound(j, n, extra, q, scale, delta_scale, kind,
                                                   seed):
     rng = np.random.default_rng(seed)
     feats, r = _features_and_projection(rng, j, n, n + extra, scale, kind)
     ohat = rng.standard_normal((q, n))
     layer = replace(build_with_r(ohat, r), delta=delta_scale * rng.standard_normal((q, 2 * r.shape[0])))
-    y32, r32 = feats.astype(np.float32), r.astype(np.float32)
-    h32 = _positive_half(y32, r32)
-    assert h32.dtype == np.float32
+    # feature-major and C-ordered, as train and predict hold them
+    yt, r32 = np.ascontiguousarray(feats.T, np.float32), r.astype(np.float32)
+    ht = _positive_half(yt, r32)
+    assert ht.dtype == np.float32
 
-    correction = _head_logits(h32, y32, r32, layer.delta)
-    assert correction.dtype == np.float32
+    padded = _head_logits(ht, yt, r32, layer.delta)
+    assert padded.dtype == np.float32
+    assert not padded[q:].any()
+    correction = padded[:q].T
     exact = lfp_lift(layer, feats) @ layer.delta.T
     assert np.all(np.abs(correction - exact) <= correction_bound(feats, r, layer.delta))
     # predict adds exactly this correction to the float64 base logits
     assert np.array_equal(predict(layer, feats), feats @ ohat.T + correction)
 
     g = rng.standard_normal((j, q))
-    grad = _head_grad(g, h32, y32, r32)
+    grad = _head_grad(g, ht, yt, r32)
     assert grad.dtype == np.float32
     # the gradient's sums run over the J rows as well
     grad_scale = np.tile(np.abs(g).T @ (np.abs(feats) @ np.abs(r).T), 2)
     grad_tol = (j + n + 5) * 2.0 ** -23 * grad_scale
     assert np.all(np.abs(grad - g.T @ lfp_lift(layer, feats)) <= grad_tol)
+
+
+def test_head_grad_zeroes_the_padding_of_a_reused_buffer(rng):
+    # train hands _head_grad the correction's buffer, stale bytes and all
+    j, n, m, q = 40, 3, 7, 5
+    yt = rng.standard_normal((n, j)).astype(np.float32)
+    r = rng.standard_normal((m, n)).astype(np.float32)
+    ht = _positive_half(yt, r)
+    g = rng.standard_normal((j, q))
+    stale = np.full((j, 16), np.finfo(np.float32).max, np.float32)
+    out = np.empty((q, 2 * m))
+    assert _head_grad(g, ht, yt, r, stale, out) is out
+    assert not stale[:, q:].any()
+    assert np.array_equal(out, _head_grad(g, ht, yt, r).astype(np.float64))
+
+
+@given(q=st.integers(1, 20), m=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=50, deadline=None)
+def test_o_norm_in_scratch_is_frobenius_norm_bitwise(q, m, seed):
+    rng = np.random.default_rng(seed)
+    layer = SimpleNamespace(O0=rng.standard_normal((q, 2 * m)))
+    delta = 1e-3 * rng.standard_normal((q, 2 * m))
+    assert _o_norm(layer, delta, np.empty_like(delta)) == frobenius_norm(layer.O0 + delta)
 
 
 @pytest.mark.parametrize("scale", [1e39, 1e-39, 1e-42])
@@ -699,36 +741,14 @@ def test_head_loop_allocates_no_per_iteration_jq_array(rng, loss, with_eval):
     assert peaks[2] - peaks[0] < jq and peaks[20] - peaks[0] < jq
 
 
-@given(j=st.integers(2, 40), n=st.integers(1, 6), extra=st.integers(0, 6),
-       q=st.integers(1, 4), rows=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
-@example(j=3, n=2, extra=1, q=2, rows=2, seed=0)
-def test_head_logits_in_row_blocks(j, n, extra, q, rows, seed):
-    rng = np.random.default_rng(seed)
-    feats, r = _features_and_projection(rng, j, n, n + extra, 1.0, "gaussian")
-    delta = rng.standard_normal((q, 2 * r.shape[0]))
-    y32, r32 = feats.astype(np.float32), r.astype(np.float32)
-    h32 = _positive_half(y32, r32)
-    with mock.patch("redense.layer._HEAD_BLOCK_BYTES", rows * h32[:1].nbytes):
-        correction = _head_logits(h32, y32, r32, delta)
-    blocks = row_blocks(j, rows)
-    # at most `rows` rows per block, but no 1-row block (a matrix-vector product)
-    assert all(max(rows, 3) >= hi - lo >= 2 for lo, hi in blocks)
-    exact = lfp_lift(SimpleNamespace(R=r), feats) @ delta.T
-    assert np.all(np.abs(correction - exact) <= correction_bound(feats, r, delta))
-    stacked = np.vstack([_head_logits(h32[lo:hi], y32[lo:hi], r32, delta) for lo, hi in blocks])
-    assert np.array_equal(correction, stacked)
-
-
-def test_training_scores_the_logits_predict_returns_in_row_blocks(rng):
+def test_training_scores_the_logits_predict_returns(rng):
     j, n, m, q = 301, 5, 16, 3
     feats = rng.standard_normal((j, n))
     targets = random_one_hot(rng, j, q)
     layer = build(rng.standard_normal((q, n)), np.zeros(q), m, seed=0)
-    with mock.patch("redense.layer._HEAD_BLOCK_BYTES", 7 * m * 4):
-        trained, report, curve = train(layer, feats, targets, CE,
-                                       HeadConfig(learning_rate=1e-2, epochs=5))
-        logits = predict(trained, feats)
+    trained, report, curve = train(layer, feats, targets, CE,
+                                   HeadConfig(learning_rate=1e-2, epochs=5))
+    logits = predict(trained, feats)
     assert report.best_epoch > 0
     assert loss_value(CE, logits, targets) == report.final_loss
     assert accuracy(logits, targets) == curve[report.best_epoch].eval_accuracy
@@ -753,11 +773,12 @@ def test_train_widths_holds_no_features_and_casts_each_draw_once(rng):
 @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/status").exists(),
                     reason="needs two usable CPUs and /proc/self/status")
 def test_head_logits_keep_multithreaded_blas_from_raising_the_peak():
-    # one sgemm over all of a 40 MB h raised VmHWM by about 45% of h with two
-    # OpenBLAS threads; in row blocks it rises by under a tenth of h
+    # one row-major sgemm over all of a 40 MB h raised VmHWM by about 45% of h with two
+    # OpenBLAS threads; over the feature-major h' both head products together raise it
+    # by about a tenth of h
     script = """
 import numpy as np
-from redense.layer import _head_logits
+from redense.layer import _head_grad, _head_logits
 
 def vm_hwm():
     with open("/proc/self/status") as f:
@@ -765,14 +786,16 @@ def vm_hwm():
 
 j, n, m, q = 10_000, 64, 1024, 10
 rng = np.random.default_rng(0)
-y = rng.standard_normal((j, n), dtype=np.float32)
+yt = rng.standard_normal((n, j), dtype=np.float32)
 r = rng.standard_normal((m, n), dtype=np.float32)
-h = np.empty((j, m), np.float32)
-for lo in range(0, j, 500):
-    h[lo:lo + 500] = rng.random((500, m), dtype=np.float32)
+ht = np.empty((m, j), np.float32)
+for lo in range(0, m, 64):
+    ht[lo:lo + 64] = rng.random((64, j), dtype=np.float32)
+g = rng.standard_normal((j, q))
 before = vm_hwm()
-_head_logits(h, y, r, rng.standard_normal((q, 2 * m)))
-print((vm_hwm() - before) / h.nbytes)
+_head_logits(ht, yt, r, rng.standard_normal((q, 2 * m)))
+_head_grad(g, ht, yt, r)
+print((vm_hwm() - before) / ht.nbytes)
 """
     src = str(Path(layermod.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=src)
