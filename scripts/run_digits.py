@@ -7,13 +7,17 @@ train -> features -> redense -> eval end to end in the loss --loss names.
 After each command it prints the peak_rss_mib of that command's manifest to
 stderr: the commands share one process, so each reading is the peak so far,
 and the command whose reading first reaches the last one sets the pipeline's
-peak. Stdout ends with a `sha256  name` line for each file the commands
-wrote, manifests excluded, sorted by name; so, given the same --out-dir, two
-runs' stdout diff to nothing when their files are byte-identical.
+peak. Stdout starts with the BLAS thread count and core that the train
+manifest records, which fix the bits along with the seed, and ends with a
+`sha256  name` line for each file the commands wrote, manifests excluded,
+sorted by name; so, given the same --out-dir, two runs' stdout diff to nothing
+when their files are byte-identical and were made under the same BLAS.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import sys
@@ -40,11 +44,14 @@ def idx_files(out):
 
 
 def run(argv, manifest):
+    """Run one command, print its peak_rss_mib to stderr and return its manifest."""
     code = cli(argv)
     if code != 0:
         sys.exit(code)
     with open(manifest) as f:
-        print(f"peak_rss_mib={json.load(f)['peak_rss_mib']:.1f}", file=sys.stderr)
+        recorded = json.load(f)
+    print(f"peak_rss_mib={recorded['peak_rss_mib']:.1f}", file=sys.stderr)
+    return recorded
 
 
 def main():
@@ -60,12 +67,17 @@ def main():
     out = Path(args.out_dir)
     tri, trl, tei, tel = idx_files(out / "data")
 
+    train_out = io.StringIO()
+    with contextlib.redirect_stdout(train_out):
+        env = run(["train", "--images", str(tri), "--labels", str(trl),
+                   "--test-images", str(tei), "--test-labels", str(tel),
+                   "--hidden", "64", "--loss", args.loss, "--lr", "1e-3",
+                   "--epochs", str(args.epochs), "--batch-size", "128",
+                   "--seed", str(args.seed), "--out-dir", str(out)],
+                  out / "train_manifest.json")["environment"]
+    print(f"blas_threads={env['num_threads']} blas_core={env['blas_core']}")
     print("== train base model ==")
-    run(["train", "--images", str(tri), "--labels", str(trl),
-         "--test-images", str(tei), "--test-labels", str(tel),
-         "--hidden", "64", "--loss", args.loss, "--lr", "1e-3",
-         "--epochs", str(args.epochs), "--batch-size", "128",
-         "--seed", str(args.seed), "--out-dir", str(out)], out / "train_manifest.json")
+    print(train_out.getvalue(), end="")
 
     print("== export bundles ==")
     train_bundle = out / "train.rdfb"

@@ -11,10 +11,10 @@ the exit codes of README's table; the library owns the defaults and the checks.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import inspect
 import json
-import os
 import platform
 import resource
 import sys
@@ -33,7 +33,8 @@ EXIT_FLAGS = 2
 EXIT_DATA = 3
 EXIT_DIVERGED = 4
 EXIT_GUARANTEE = 5
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# what OpenBLAS calls its thread count and core reports: scipy-openblas64, then plain
+_OPENBLAS_NAMES = ("scipy_openblas_get_{}64_", "openblas_get_{}")
 
 
 class CliError(Exception):
@@ -64,15 +65,35 @@ def _file_sha256(path):
     return digest.hexdigest()
 
 
+def _openblas():
+    """(thread count, core name) as the OpenBLAS that numpy loaded reports them; None
+    for each where no such library or report is found."""
+    try:
+        with open("/proc/self/maps") as f:  # Linux: the files this process has mapped
+            paths = sorted({line.split()[-1] for line in f if "openblas" in line})
+        for lib in map(ctypes.CDLL, paths):  # loaded already, so this is numpy's copy
+            for name in _OPENBLAS_NAMES:
+                threads, core = (getattr(lib, name.format(f), None)
+                                 for f in ("num_threads", "corename"))
+                if threads and core:
+                    threads.argtypes, threads.restype = [], ctypes.c_int
+                    core.argtypes, core.restype = [], ctypes.c_char_p
+                    return threads(), core().decode()
+    except OSError:
+        pass
+    return None, None
+
+
 def _environment():
-    """What fixes a run's bits besides its seed; the BLAS thread count does (README)."""
+    """What fixes a run's bits besides its seed; the BLAS thread count and core do (README)."""
     try:  # numpy before 1.25 reports no BLAS
         blas = {k: np.show_config(mode="dicts")["Build Dependencies"]["blas"].get(k)
                 for k in ("name", "version")}
     except (TypeError, KeyError):
         blas = None
+    threads, core = _openblas()
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,
-            "num_threads": {v: os.environ.get(v) for v in _THREAD_VARS}}
+            "num_threads": threads, "blas_core": core}
 
 
 def _write_manifest(args, started_at, outputs, results):

@@ -244,8 +244,9 @@ def _logits(x: _Lift, delta: Matrix, out: Matrix | None = None,
     if not delta.any():
         return x.base
     out = np.empty_like(x.base) if out is None else out
-    np.copyto(out.T, _head_logits(x.ht, x.yt, x.r32, delta, correction, scratch)[:len(delta)])
-    np.ldexp(out, x.k, out=out)
+    # the float32 rows are cast to float64, exactly, before they are scaled
+    np.ldexp(_head_logits(x.ht, x.yt, x.r32, delta, correction, scratch)[:len(delta)], x.k,
+             out=out.T, dtype=np.float64)
     return np.add(x.base, out, out=out)
 
 
@@ -314,8 +315,8 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
     # for the correction's class-major products, _padded(Q) and Q rows, the first of
     # which later holds the gradient's J x _padded(Q) copy; and one Q x 2m array for the
     # gradient, then O0 + delta and its square
-    work = _Targets(targets, "F")
-    eval_work = None if eval_inputs is None else _Targets(eval_targets, "F")
+    work = _Targets(targets)
+    eval_work = None if eval_inputs is None else _Targets(eval_targets)
     labels = (work if eval_work is None else eval_work).labels
     rows, q = work.values.shape
     pad = _padded(q)

@@ -1,5 +1,7 @@
 """Minimal feedforward network engine: ReLU-family MLPs, four losses on softmax
-outputs (summed over samples) and mini-batch Adam base training; see README."""
+outputs (summed over samples) and mini-batch Adam base training; see README. A loss
+holds its J x Q arrays class-major (F order), takes row maxima and sums over the class
+columns in order and sums its total in memory order: its bits are the same in any layout."""
 
 from __future__ import annotations
 
@@ -228,41 +230,17 @@ def forward(model: MlpModel, inputs: Matrix):
     return logits, features
 
 
-_PAIRWISE_BLOCK = 128  # numpy sums up to this many terms with 8 accumulators, more by halves
-
-
-def _row_sums(a: Matrix, out: np.ndarray) -> np.ndarray:
-    """out[j] = the sum of row j of a in numpy's pairwise order over a contiguous row: a
-    C-ordered a's sum(axis=1) bit for bit, whatever a's layout; the others add one class
-    column at a time in that order."""
-    if a.flags.c_contiguous:
-        return np.sum(a, axis=1, out=out)
-    q = a.shape[1]
-    if q > _PAIRWISE_BLOCK:
-        half = q // 2 - q // 2 % 8
-        return np.add(_row_sums(a[:, :half], out), _row_sums(a[:, half:], np.empty_like(out)),
-                      out=out)
-    # below 8 columns each adds in turn; else accumulator i adds columns i, i + 8, ... of
-    # the whole blocks of 8, the 8 combine pairwise and the rest add in turn. Each sum
-    # starts from +0.0, as numpy's does: a row of -0.0 sums to +0.0.
-    whole = q - q % 8 if q >= 8 else 0
-    out.fill(0.0)
-    if whole:
-        r = a[:, :8] if whole == 8 else np.copy(a[:, :8], order="F")
-        for lo in range(8, whole, 8):
-            r += a[:, lo:lo + 8]
-        c = [r[:, i] for i in range(8)]
-        out += ((c[0] + c[1]) + (c[2] + c[3])) + ((c[4] + c[5]) + (c[6] + c[7]))
-    for k in range(whole, q):
-        out += a[:, k]
+def _by_class(ufunc, a: Matrix, out: np.ndarray) -> np.ndarray:
+    """out[j] = ufunc(...ufunc(a[j, 0], a[j, 1])..., a[j, -1]): one pass over a's class
+    columns in order, exact for np.maximum and fixing the order of np.add's sums."""
+    np.copyto(out, a[:, 0])
+    for k in range(1, a.shape[1]):
+        ufunc(out, a[:, k], out=out)
     return out
 
 
 def _first_max(a: Matrix) -> np.ndarray:
-    """Each row's first maximal column: argmax(axis=1), as a C-ordered a takes it, or
-    one class column at a time in the other layouts."""
-    if a.flags.c_contiguous:
-        return np.argmax(a, axis=1)
+    """Each row's first maximal column, one class column at a time."""
     top, index = a[:, 0].copy(), np.zeros(len(a), np.intp)
     above, moved = np.empty(len(a), bool), np.empty(len(a), np.intp)
     for k in range(1, a.shape[1]):
@@ -273,85 +251,69 @@ def _first_max(a: Matrix) -> np.ndarray:
     return index
 
 
-class _Targets:
-    """J x Q targets ready to score many logits of one layout against: the targets and a
-    softmax pass's buffers in that layout, plus C-ordered cells, in which a loss total
-    sums in row-major order. Their row sums and labels are taken once, when first asked
-    for. loss_value_and_grad takes one in place of targets and then allocates no J x Q
-    array; the gradient it returns is one of these buffers, which the next call reuses.
-    The logits may be the shifted buffer itself: the pass then shifts them in place."""
+def _class_major(a: Matrix) -> Matrix:
+    """a as a float64 J x Q array in F order, its Q x J view C-contiguous; a itself if it is."""
+    return np.asarray(a, np.float64, order="F")
 
-    def __init__(self, targets: Matrix, order: str = "C"):
-        self.values = np.asarray(targets, dtype=np.float64, order=order)
-        shape = self.values.shape
-        # one allocation: a loop's buffers leave the heap as one block when it ends
-        if order == "F":
-            slabs = np.empty((3,) + shape[::-1])
-            self.shifted, self.exp, self.cells = slabs[0].T, slabs[1].T, slabs[2].reshape(shape)
-        else:
-            self.shifted, self.exp = np.empty((2,) + shape)
+
+class _Targets:
+    """Class-major targets with a softmax pass's buffers, made once (J x Q shifted and exp
+    arrays; row maxima, sums and their logs) and, when first asked for, the cells, Huber's
+    mask, the target row sums and the labels. loss_value_and_grad takes one in place of
+    targets and then allocates nothing J-sized; the gradient it returns is one of these
+    buffers, reused by the next call. The logits may be the shifted buffer, shifted in place."""
+
+    def __init__(self, targets: Matrix):
+        self.values = _class_major(targets)
+        j, q = self.values.shape
+        # one allocation each: a loop's buffers leave the heap as two blocks when it ends
+        self.shifted, self.exp = (a.T for a in np.empty((2, q, j)))
+        self.row_max, self.row_sum, self.log_sum = np.empty((3, j))
 
     @cached_property
     def cells(self) -> Matrix:
-        """C-ordered scratch, made when first asked for: a C-ordered cross-entropy
-        total sums in place and needs none."""
-        return np.empty(self.values.shape)
+        return np.empty(self.values.shape[::-1]).T
 
     @cached_property
-    def row_sums(self) -> Matrix:
-        return _row_sums(self.values, np.empty(len(self.values)))[:, None]
+    def quadratic(self) -> Matrix:
+        return np.empty(self.values.shape[::-1], bool).T
+
+    @cached_property
+    def value_sums(self) -> np.ndarray:
+        return _by_class(np.add, self.values, np.empty(len(self.values)))
 
     @cached_property
     def labels(self) -> np.ndarray:
         return _first_max(self.values)
-
-    def total(self, cells: Matrix) -> float:
-        """The sum of cells in row-major order: a C-ordered array's sum, in any layout."""
-        if not cells.flags.c_contiguous:
-            np.copyto(self.cells, cells)
-            cells = self.cells
-        return float(cells.sum())
-
-
-def _softmax_parts(logits: Matrix, work: _Targets):
-    """(logits - row max, its exp, the exp's row sums) in work's buffers: one pass."""
-    # column by column: exact, and much faster than max(axis=1) on narrow rows
-    row_max = logits[:, 0].copy()
-    for k in range(1, logits.shape[1]):
-        np.maximum(row_max, logits[:, k], out=row_max)
-    shifted = np.subtract(logits, row_max[:, None], out=work.shifted)
-    e = np.exp(shifted, out=work.exp)
-    return shifted, e, _row_sums(e, np.empty(len(e)))[:, None]
 
 
 def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix | _Targets,
                         need_value: bool = True, need_grad: bool = True):
     """(summed loss, its gradient with respect to the logits) from one softmax pass.
 
-    Non-CE losses act on softmax outputs. An output not asked for is None. The
-    bits do not depend on the arrays' layouts: row reductions add one class
-    column at a time, in numpy's order for a C-ordered row, and the total sums
-    the per-cell terms in row-major order.
+    Non-CE losses act on softmax outputs. An output not asked for is None. Logits and
+    targets that are not class-major are copied so, once; the gradient is class-major.
     """
-    t = targets
-    if not isinstance(t, _Targets):
-        # buffers in the logits' layout, so C-ordered logits get a C-ordered gradient
-        t = _Targets(targets, "F" if logits.flags.f_contiguous
-                     and not logits.flags.c_contiguous else "C")
+    t = targets if isinstance(targets, _Targets) else _Targets(targets)
+    logits = _class_major(logits)
     if logits.shape != t.values.shape:
         raise ShapeError(f"logits shape {logits.shape} != targets shape {t.values.shape}")
-    if not np.isfinite(logits).all():
+    row_max = _by_class(np.maximum, logits, t.row_max)
+    # NaN and +Inf reach a row maximum, -Inf the least logit
+    if not (np.isfinite(row_max.max(initial=0.0)) and np.isfinite(logits.min(initial=0.0))):
         raise NonFiniteError("logits contain NaN or Inf")
-    shifted, e, row_sum = _softmax_parts(logits, t)
+    shifted = np.subtract(logits, row_max[:, None], out=t.shifted)
+    e = np.exp(shifted, out=t.exp)
+    row_sum = _by_class(np.add, e, t.row_sum)[:, None]
     value = grad = None
     if loss.kind == "softmax_cross_entropy":
         if need_value:
-            log_p = np.subtract(shifted, np.log(row_sum), out=shifted)
-            value = -t.total(np.multiply(log_p, t.values, out=log_p))
+            log_p = np.subtract(shifted, np.log(row_sum, out=t.log_sum[:, None]), out=shifted)
+            value = -float(np.multiply(log_p, t.values, out=log_p).sum())
         if need_grad:
             # exact also for non-one-hot rows: d/dz of sum_k t_k (lse(z) - z_k)
             grad = np.divide(e, row_sum, out=e)
-            grad *= t.row_sums
+            grad *= t.value_sums[:, None]
             grad -= t.values
         return value, grad
     p = np.divide(e, row_sum, out=e)
@@ -359,27 +321,28 @@ def loss_value_and_grad(loss: Loss, logits: Matrix, targets: Matrix | _Targets,
     if loss.kind == "mean_square_error":
         r = np.subtract(p, t.values, out=shifted)
         if need_value:
-            value = 0.5 * t.total(np.square(r, out=cells))
+            value = 0.5 * float(np.square(r, out=cells).sum())
         dp = r
     elif loss.kind == "poisson":
         p_safe = np.add(p, 1e-12, out=shifted)
         if need_value:
             np.multiply(np.log(p_safe, out=cells), t.values, out=cells)
-            value = t.total(np.subtract(p, cells, out=cells))
+            value = float(np.subtract(p, cells, out=cells).sum())
         if need_grad:
             dp = np.subtract(1.0, np.divide(t.values, p_safe, out=p_safe), out=p_safe)
     else:
         r = np.subtract(p, t.values, out=shifted)
         if need_value:
-            quad = np.abs(r) <= loss.delta
-            np.copyto(cells, np.where(quad, 0.5 * r * r,
-                                      loss.delta * (np.abs(r) - 0.5 * loss.delta)))
-            value = t.total(cells)
+            # delta (|r| - delta / 2), then 0.5 r r where |r| <= delta
+            quad = np.less_equal(np.abs(r, out=cells), loss.delta, out=t.quadratic)
+            np.multiply(np.subtract(cells, 0.5 * loss.delta, out=cells), loss.delta, out=cells)
+            np.multiply(np.multiply(0.5, r, out=cells, where=quad), r, out=cells, where=quad)
+            value = float(cells.sum())
         if need_grad:
             dp = np.clip(r, -loss.delta, loss.delta, out=r)
     if need_grad:
-        # softmax backward: p * (dp - rowsum(dp * p))
-        inner = _row_sums(np.multiply(dp, p, out=cells), np.empty(len(p)))
+        # softmax backward: p * (dp - rowsum(dp * p)); the exp's row sums are spent
+        inner = _by_class(np.add, np.multiply(dp, p, out=cells), t.row_sum)
         dp -= inner[:, None]
         grad = np.multiply(p, dp, out=dp)
     return value, grad
@@ -393,9 +356,10 @@ def loss_value(loss: Loss, logits: Matrix, targets: Matrix | _Targets) -> float:
 def accuracy(logits: Matrix, targets: Matrix) -> float:
     """Fraction of rows whose first maximal logit is in the target's first maximal
     column; ties go to the lowest index. Non-finite logits raise NonFiniteError."""
+    logits = _class_major(logits)
     if not np.isfinite(logits).all():
         raise NonFiniteError("logits contain NaN or Inf")
-    return _label_accuracy(logits, _first_max(np.asarray(targets)))
+    return _label_accuracy(logits, _first_max(_class_major(targets)))
 
 
 def _hits(logits: Matrix, labels: np.ndarray) -> int:
@@ -558,7 +522,8 @@ def train_base(model: MlpModel, data: Dataset, loss: Loss, cfg: TrainConfig,
             except NonFiniteError:
                 raise TrainingDivergedError("training produced non-finite logits",
                                             epoch) from None
-            _backward(shadow, dlogits.astype(np.float32), pre, acts, grads)
+            # row-major, as the batch's activations are: the products' bits depend on it
+            _backward(shadow, dlogits.astype(np.float32, order="C"), pre, acts, grads)
             adam.step(grad32, cfg.learning_rate, theta, theta32)
         curve.append(epoch_stats(epoch))
     for p, master in zip(params, _views(model, theta)):

@@ -8,6 +8,8 @@ import os
 import platform
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -1588,7 +1590,20 @@ def test_every_manifest_records_the_peak_rss(tmp_path, capsys):
         assert isinstance(peak, float) and 0.0 < peak < np.inf
         env = manifest["environment"]
         assert (env["python"], env["numpy"]) == (platform.python_version(), np.__version__)
-        assert env["num_threads"] == {var: os.environ.get(var) for var in
-                                      ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                       "MKL_NUM_THREADS")}
+        assert (env["num_threads"], env["blas_core"]) == cli._openblas()
         assert env["blas"] is None or set(env["blas"]) == {"name", "version"}
+
+
+def test_environment_records_the_thread_count_openblas_runs_with():
+    # a child process, as OpenBLAS reads its thread count when numpy loads it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    script = "import json; from redense import cli; print(json.dumps(cli._environment()))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True)
+    recorded = json.loads(out.stdout)
+    if "openblas" in ((recorded["blas"] or {}).get("name") or ""):
+        assert recorded["num_threads"] == 1
+        assert isinstance(recorded["blas_core"], str) and recorded["blas_core"]
+    else:
+        assert recorded["num_threads"] in (None, 1)

@@ -438,7 +438,7 @@ def _reference_train(layer, feats, targets, lr, epochs):
             best_loss, best_d = loss, d.copy()
         if t == epochs:
             break
-        g32 = loss_value_and_grad(CE, logits, targets)[1].astype(np.float32)
+        g32 = loss_value_and_grad(CE, logits, targets)[1].astype(np.float32, order="C")
         a = g32.T @ h32
         grad = np.hstack([a, a - (g32.T @ y32) @ r32.T]).astype(np.float64)
         m_t = beta1 * m_t + (1.0 - beta1) * grad

@@ -12,8 +12,8 @@ from redense import nn
 from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
 from redense.nn import (ACTIVATION_KINDS, LOSS_KINDS, Activation, Dataset, Layer, Loss,
-                        MlpModel, TrainConfig, _AdamState, _backward, _decode, _forward_cached,
-                        _row_sums, _trained_params, accuracy, forward, loss_value,
+                        MlpModel, TrainConfig, _AdamState, _backward, _by_class, _decode,
+                        _forward_cached, _trained_params, accuracy, forward, loss_value,
                         loss_value_and_grad, make_loss, make_mlp, train_base)
 
 ALL_LOSSES = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
@@ -144,9 +144,11 @@ def test_loss_shape_mismatch():
         loss_value(Loss("softmax_cross_entropy"), np.zeros((2, 3)), np.zeros((2, 4)))
 
 
-def test_loss_rejects_non_finite_logits():
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_loss_rejects_non_finite_logits(bad):
+    # +Inf and NaN reach a row maximum; -Inf only the least logit
     with pytest.raises(NonFiniteError):
-        loss_value(Loss("poisson"), np.array([[np.inf, 0.0]]), np.array([[1.0, 0.0]]))
+        loss_value(Loss("poisson"), np.array([[0.0, 1.0], [bad, 0.0]]), np.eye(2))
 
 
 def test_ce_log_sum_exp_shift_stability(rng):
@@ -345,41 +347,51 @@ def test_train_config_validations():
 
 
 # The softmax losses as two separate passes, each with its own shift, exp
-# and row sum: the oracle for the fused loss_value_and_grad.
+# and row sum: the oracle for the fused loss_value_and_grad. A row sum adds
+# the class columns in order; a total sums the cells in class-major memory order.
+def _class_sums(a):
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        out = out + a[:, k]
+    return out[:, None]
+
+
+def _total(cells):
+    return float(cells.T.ravel().sum())
+
+
 def _reference_softmax(logits):
     shifted = logits - logits.max(axis=1, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    return e / _class_sums(e)
 
 
 def _reference_loss_value(loss, logits, targets):
     if loss.kind == "softmax_cross_entropy":
         shifted = logits - logits.max(axis=1, keepdims=True)
-        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-        return float(-(targets * log_p).sum())
+        log_p = shifted - np.log(_class_sums(np.exp(shifted)))
+        return -_total(targets * log_p)
     p = _reference_softmax(logits)
     if loss.kind == "mean_square_error":
-        return float(0.5 * np.square(p - targets).sum())
+        return 0.5 * _total(np.square(p - targets))
     if loss.kind == "poisson":
-        return float((p - targets * np.log(p + 1e-12)).sum())
+        return _total(p - targets * np.log(p + 1e-12))
     r = p - targets
     quad = np.abs(r) <= loss.delta
-    cells = np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta))
-    return float(cells.sum())
+    return _total(np.where(quad, 0.5 * r * r, loss.delta * (np.abs(r) - 0.5 * loss.delta)))
 
 
 def _reference_loss_grad(loss, logits, targets):
     p = _reference_softmax(logits)
     if loss.kind == "softmax_cross_entropy":
-        return targets.sum(axis=1, keepdims=True) * p - targets
+        return _class_sums(targets) * p - targets
     if loss.kind == "mean_square_error":
         dp = p - targets
     elif loss.kind == "poisson":
         dp = 1.0 - targets / (p + 1e-12)
     else:
         dp = np.clip(p - targets, -loss.delta, loss.delta)
-    inner = (dp * p).sum(axis=1, keepdims=True)
-    return p * (dp - inner)
+    return p * (dp - _class_sums(dp * p))
 
 
 @st.composite
@@ -418,9 +430,11 @@ def _layouts(a):
 @example(j=3, q=10, ties=True, seed=1)
 @example(j=2, q=129, ties=False, seed=2)
 @example(j=4, q=140, ties=True, seed=3)
+@example(j=1, q=16, ties=False, seed=4)
 def test_one_loss_gives_the_same_bits_in_any_layout(j, q, ties, seed):
-    # q crosses numpy's 8 accumulators and its halving above 128 terms; with ties,
-    # coarse logits repeat each row's maximum
+    # q crosses numpy's pairwise-sum thresholds (8 accumulators, halves above 128
+    # terms), past which a numpy row sum leaves class order, as sum(axis=0) of the
+    # Q x J view does at j = 1; with ties, coarse logits repeat each row's maximum
     rng = np.random.default_rng(seed)
     logits = (rng.integers(-2, 3, (j, q)).astype(float) if ties
               else rng.standard_normal((j, q)) * 10.0 ** rng.integers(-3, 3))
@@ -429,7 +443,7 @@ def test_one_loss_gives_the_same_bits_in_any_layout(j, q, ties, seed):
     targets[one_hot_rows] = random_one_hot(rng, j, q)[one_hot_rows]
     expected_accuracy = np.mean(logits.argmax(axis=1) == targets.argmax(axis=1))
     for a in _layouts(logits):
-        assert _row_sums(a, np.empty(j)).tobytes() == logits.sum(axis=1).tobytes()
+        assert _by_class(np.add, a, np.empty(j)).tobytes() == _class_sums(logits).tobytes()
     for loss in ALL_LOSSES:
         value = _reference_loss_value(loss, logits, targets)
         grad = _reference_loss_grad(loss, logits, targets).tobytes()
@@ -443,6 +457,26 @@ def test_one_loss_gives_the_same_bits_in_any_layout(j, q, ties, seed):
     for a in _layouts(logits):
         for t in _layouts(targets):
             assert accuracy(a, t) == expected_accuracy
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES[:4], ids=lambda loss: loss.kind)
+def test_a_loss_on_made_targets_allocates_nothing_j_sized(loss):
+    # the first call makes the buffers held for later ones; a later call allocates
+    # numpy's fixed iteration buffer of 8192 float64 elements, whatever J, and under
+    # 1 KB besides: not even a J-length bool array
+    rng = np.random.default_rng(8)
+    j, q = 2000, 10
+    work = nn._Targets(random_one_hot(rng, j, q))
+    logits = np.asfortranarray(rng.standard_normal((j, q)))
+    first = loss_value_and_grad(loss, logits, work)
+    tracemalloc.start()
+    try:
+        value, grad = loss_value_and_grad(loss, logits, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == first[0] and grad is first[1]
+    assert peak < 8 * np.getbufsize() + 1024
 
 
 def test_fused_loss_checks_its_arguments():
