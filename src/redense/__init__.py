@@ -6,8 +6,8 @@ Frobenius-norm ball sized so the old predictions stay reachable. The final
 training loss therefore never exceeds the original one.
 """
 
-from .data import (FeatureBundle, SplitSpec, gen_digit_images, gen_synthetic,
-                   load_feature_bundle, load_idx, save_feature_bundle, split, write_idx)
+from .data import (FeatureBundle, SplitSpec, gen_digit_images, load_feature_bundle, load_idx,
+                   save_feature_bundle, split, write_idx)
 from .layer import GuaranteeReport, HeadConfig, RedenseLayer, build, predict, train
 from .nn import (Activation, Dataset, EpochStats, Loss, MlpModel, TrainConfig,
                  accuracy, forward, loss_value, loss_value_and_grad,
@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Activation", "Dataset", "EpochStats", "FeatureBundle", "GuaranteeReport", "HeadConfig",
     "Loss", "MlpModel", "RedenseLayer", "SplitSpec", "TrainConfig",
-    "accuracy", "build", "forward", "gen_digit_images", "gen_synthetic",
-    "load_feature_bundle", "load_idx", "load_model", "loss_value", "loss_value_and_grad",
-    "make_loss", "make_mlp", "predict", "save_feature_bundle", "save_model", "split",
-    "train", "train_base", "write_curve", "write_idx",
+    "accuracy", "build", "forward", "gen_digit_images", "load_feature_bundle", "load_idx",
+    "load_model", "loss_value", "loss_value_and_grad", "make_loss", "make_mlp", "predict",
+    "save_feature_bundle", "save_model", "split", "train", "train_base", "write_curve",
+    "write_idx",
 ]

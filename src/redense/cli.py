@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import hashlib
-import inspect
 import json
 import platform
 import resource
@@ -101,7 +100,6 @@ def _write_manifest(args, started_at, outputs, results):
     manifest = {
         "subcommand": args.subcommand,
         "flags": flags,
-        "seed": args.seed,
         "started_at": started_at,
         "finished_at": _now(),
         # the process's peak so far: for an in-process caller, not this command's alone
@@ -137,32 +135,11 @@ def _positive_ints(text):
 
 
 def _add_data_flags(parser, split=True):
-    parser.add_argument("--images", help="IDX image file")
-    parser.add_argument("--labels", help="IDX label file")
-    parser.add_argument("--synthetic", choices=("blobs", "moons"))
-    parser.add_argument("--samples", type=int, default=300)
-    synthetic = inspect.signature(datamod.gen_synthetic).parameters
-    parser.add_argument("--classes", type=int, default=synthetic["classes"].default)
-    parser.add_argument("--noise", type=float, default=synthetic["noise"].default)
+    parser.add_argument("--images", required=True, help="IDX image file")
+    parser.add_argument("--labels", required=True, help="IDX label file")
     if split:  # eval scores the whole dataset
         parser.add_argument("--train-fraction", type=float,
                             default=datamod.SplitSpec.train_fraction)
-
-
-def _load_primary_dataset(args):
-    if args.synthetic and (args.images or args.labels):
-        raise CliError(EXIT_FLAGS, "pass one data source: --synthetic or --images/--labels")
-    if args.synthetic:
-        try:
-            return datamod.gen_synthetic(args.synthetic, args.samples, args.classes,
-                                         args.noise, args.seed)
-        except ValueError as exc:
-            raise CliError(EXIT_FLAGS, str(exc)) from None
-    if args.images or args.labels:
-        if not (args.images and args.labels):
-            raise CliError(EXIT_FLAGS, "--images and --labels must be given together")
-        return datamod.load_idx(args.images, args.labels)
-    raise CliError(EXIT_FLAGS, "no data source: pass --synthetic or --images/--labels")
 
 
 def _resolve_datasets(args):
@@ -180,7 +157,7 @@ def _resolve_datasets(args):
         spec = datamod.SplitSpec(args.train_fraction, args.seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
-    primary = _load_primary_dataset(args)
+    primary = datamod.load_idx(args.images, args.labels)
     if all(test_pair):
         return primary, datamod.load_idx(*test_pair)
     if getattr(args, "no_split", False):
@@ -389,7 +366,7 @@ def _sweep_row(run):
 
 
 def cmd_eval(args):
-    dataset = _load_primary_dataset(args)
+    dataset = datamod.load_idx(args.images, args.labels)
     model, loss, redense_layer = persist.load_model(args.model)
     logits, features = nn.forward(model, dataset.inputs)
     base_loss = nn.loss_value(loss, logits, dataset.targets)
@@ -408,7 +385,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="redense",
                                      description="Random ReLU lifting for trained networks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)  # every subcommand takes --seed
+    seeded = argparse.ArgumentParser(add_help=False)  # every subcommand but eval takes --seed
     seeded.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("train", help="train a base MLP", parents=[seeded])
@@ -456,7 +433,7 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=20)
     p.set_defaults(func=cmd_sweep_m)
 
-    p = sub.add_parser("eval", help="evaluate a saved model on a dataset", parents=[seeded])
+    p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
     _add_data_flags(p, split=False)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")

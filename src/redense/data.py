@@ -1,4 +1,4 @@
-"""Dataset ingestion (IDX, feature bundles) and synthetic generators; README,
+"""Dataset ingestion (IDX, feature bundles) and the digit-image generator; README,
 "File formats", specifies the files."""
 
 from __future__ import annotations
@@ -137,18 +137,31 @@ def load_idx(images_path, labels_path) -> Dataset:
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
-    """Write u8 images (J x rows x cols) and labels (J,) as an IDX pair."""
-    images = np.ascontiguousarray(images, dtype=np.uint8)
-    labels = np.ascontiguousarray(labels, dtype=np.uint8)
+    """Write images (J x rows x cols) and labels (J,) as an IDX pair that load_idx reads:
+    a pixel must be an integer in 0..255 and a label one in 0..9, or ValueError is
+    raised before any file is made."""
+    images, labels = np.asarray(images), np.asarray(labels)
     if images.ndim != 3 or images.shape[0] != labels.shape[0]:
         raise ShapeError(f"expected (J, rows, cols) images matching (J,) labels, "
                          f"got {images.shape} and {labels.shape}")
+    images, labels = _byte_codes(images, 255, "pixel"), _byte_codes(labels, 9, "label")
     with _atomic_open(images_path) as f:
         f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
         f.write(images.tobytes())
     with _atomic_open(labels_path) as f:
         f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
         f.write(labels.tobytes())
+
+
+def _byte_codes(a, top, what):
+    """a as a C-ordered uint8 array, refused unless the cast keeps every value and none
+    is above top."""
+    with np.errstate(invalid="ignore"):  # NaN and Inf cast to some code; refused below
+        codes = np.ascontiguousarray(a, dtype=np.uint8)
+    if not np.array_equal(codes, a) or (codes.size and codes.max() > top):
+        bad = a[(codes != a) | (codes > top)].flat[0]
+        raise ValueError(f"{what} {bad} is not an integer in 0..{top}")
+    return codes
 
 
 def _write_container(path, magic, version, header, blocks):
@@ -278,34 +291,6 @@ def _one_hot(labels: np.ndarray, classes: int) -> Matrix:
     targets = np.zeros((labels.shape[0], classes))
     targets[np.arange(labels.shape[0]), labels] = 1.0
     return targets
-
-
-def gen_synthetic(kind: str, samples: int, classes: int = 2, noise: float = 0.15,
-                  seed: int = 0) -> Dataset:
-    """Reproducible 2-D labeled dataset; class counts balanced within one."""
-    if classes < 2:
-        raise ValueError(f"need at least 2 classes, got {classes}")
-    if samples < classes:
-        raise ValueError(f"need at least one sample per class, got {samples} for {classes}")
-    rng = np.random.default_rng(seed)
-    labels = np.arange(samples) % classes
-    if kind == "blobs":
-        angles = 2.0 * np.pi * np.arange(classes) / classes
-        centers = 4.0 * np.column_stack([np.cos(angles), np.sin(angles)])
-        inputs = centers[labels] + noise * rng.standard_normal((samples, 2))
-    elif kind == "moons":
-        if classes != 2:
-            raise ValueError("moons supports exactly 2 classes")
-        inputs = np.empty((samples, 2))
-        for c, (sx, sy, ox, oy) in ((0, (1.0, 1.0, 0.0, 0.0)), (1, (-1.0, -1.0, 1.0, 0.5))):
-            idx = np.flatnonzero(labels == c)
-            t = np.linspace(0.0, np.pi, idx.size)
-            inputs[idx, 0] = sx * np.cos(t) + ox
-            inputs[idx, 1] = sy * np.sin(t) + oy
-        inputs += noise * rng.standard_normal((samples, 2))
-    else:
-        raise ValueError(f"unknown synthetic kind {kind!r}")
-    return Dataset(inputs, _one_hot(labels, classes))
 
 
 def gen_digit_images(samples: int, seed: int = 0):

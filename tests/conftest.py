@@ -4,8 +4,9 @@ import struct
 import numpy as np
 import pytest
 
+from redense.data import gen_digit_images, write_idx
 from redense.errors import ShapeError
-from redense.nn import Loss
+from redense.nn import Dataset, Loss
 from redense.persist import CURVE_HEADER
 
 CE = Loss("softmax_cross_entropy")
@@ -37,6 +38,25 @@ def one_hot(labels, classes):
 
 def random_one_hot(rng, rows, classes):
     return one_hot(rng.integers(0, classes, rows), classes)
+
+
+def blobs(j=80, classes=2, noise=0.3, seed=0):
+    """2-D inputs around classes points on a circle of radius 2, balanced within one."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(j) % classes
+    centers = np.array([[2.0 * np.cos(2 * np.pi * k / classes),
+                         2.0 * np.sin(2 * np.pi * k / classes)] for k in range(classes)])
+    inputs = centers[labels] + noise * rng.standard_normal((j, 2))
+    return Dataset(inputs, one_hot(labels, classes))
+
+
+def digit_idx(directory, samples, seed=0, name="digits"):
+    """gen_digit_images(samples, seed) written as the IDX pair <name>-images and
+    <name>-labels in directory; returns the CLI's --images/--labels flags for it."""
+    directory.mkdir(parents=True, exist_ok=True)
+    images, labels = directory / f"{name}-images", directory / f"{name}-labels"
+    write_idx(images, labels, *gen_digit_images(samples, seed=seed))
+    return ["--images", str(images), "--labels", str(labels)]
 
 
 def near_singular(rng, m, n, cond):

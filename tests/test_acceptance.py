@@ -13,12 +13,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (CE, lfp_lift, lfp_reconstruct, one_hot, random_one_hot, read_curve,
-                      record_acceptance)
+from conftest import (CE, blobs, digit_idx, lfp_lift, lfp_reconstruct, random_one_hot,
+                      read_curve, record_acceptance)
 from redense.cli import main as cli_main
-from redense.data import (FeatureBundle, gen_digit_images, gen_synthetic,
-                          load_feature_bundle, load_idx, save_feature_bundle,
-                          write_idx)
+from redense.data import (FeatureBundle, gen_digit_images, load_feature_bundle, load_idx,
+                          save_feature_bundle, write_idx)
 from redense.layer import HeadConfig, RedenseLayer, build, predict, train
 from redense.linalg import frobenius_norm
 from redense.nn import (Activation, Dataset, EpochStats, Loss, TrainConfig, accuracy, forward,
@@ -84,8 +83,8 @@ class PipelineRun:
     base_loss: float
 
 
-def _full_pipeline(dataset_kind, classes, loss, seed):
-    data = gen_synthetic(dataset_kind, samples=150, classes=classes, noise=0.25, seed=seed)
+def _full_pipeline(classes, noise, loss, seed):
+    data = blobs(j=150, classes=classes, noise=noise, seed=seed)
     model = make_mlp(2, [8], classes, seed=seed)
     cfg = TrainConfig(learning_rate=5e-3, epochs=30, batch_size=32, seed=seed)
     model, _ = train_base(model, data, loss, cfg)
@@ -106,13 +105,14 @@ def guarantee_runs():
     # is MSE; delta 0.25 trains a problem of its own
     losses = [Loss("softmax_cross_entropy"), Loss("mean_square_error"),
               Loss("poisson"), Loss("huber", delta=1.0), Loss("huber", delta=0.25)]
-    datasets = [("blobs", 2), ("blobs", 3), ("moons", 2)]
-    for kind, classes in datasets:
+    # separated blobs, and four that overlap
+    datasets = [(2, 0.25), (3, 0.25), (4, 1.0)]
+    for classes, noise in datasets:
         for loss in losses:
             for seed in range(5):
-                report, curve, base_loss = _full_pipeline(kind, classes, loss, seed)
-                runs.append(PipelineRun(f"{kind}{classes}", loss.kind, seed, report, curve,
-                                        base_loss))
+                report, curve, base_loss = _full_pipeline(classes, noise, loss, seed)
+                runs.append(PipelineRun(f"blobs{classes}-{noise}", loss.kind, seed, report,
+                                        curve, base_loss))
     return runs
 
 
@@ -330,8 +330,7 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
 def test_criterion_9_external_boost_path(tmp_path, capsys):
     """A bundle from a separately trained, different architecture passes the
     head-retraining command with the guarantee intact."""
-    flags = ["--synthetic", "moons", "--samples", "240", "--classes", "2",
-             "--noise", "0.2", "--seed", "17"]
+    flags = [*digit_idx(tmp_path, 240, seed=17), "--seed", "17"]
     train_dir = tmp_path / "ext"
     code = cli_main(["train", *flags, "--hidden", "12,6", "--activation", "leaky_relu",
                      "--loss", "huber", "--lr", "5e-3", "--epochs", "25",

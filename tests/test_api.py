@@ -24,6 +24,8 @@ def test_readme_cli_block_runs(tmp_path, monkeypatch):
     section = text[text.index("\n## CLI\n"):]
     block = re.search(r"```\n(.*?)```", section, re.DOTALL).group(1)
     monkeypatch.chdir(tmp_path)
+    # the IDX pair the block reads, written by the one-liner README gives before it
+    exec(re.search(r'`python -c "(.*?)"`', section).group(1), {})
     commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
     assert [argv[:2] for argv in commands] == [
         ["redense", cmd] for cmd in ("train", "features", "redense", "sweep-m", "eval")]

@@ -2,7 +2,7 @@ import argparse
 import builtins
 import collections
 import dataclasses
-import inspect
+import importlib.util
 import json
 import os
 import platform
@@ -11,7 +11,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import read_curve, rewrite_header
+from conftest import digit_idx, read_curve, rewrite_header
 from redense import cli, errors, nn, persist
 from redense import data as datamod
 from redense import layer as layermod
@@ -45,10 +44,15 @@ def kv(capsys):
     return pairs
 
 
+def train_data(tmp_path):
+    """The 200 digit images run_train trains on, written into tmp_path; their data flags."""
+    return digit_idx(tmp_path, 200, seed=7)
+
+
 def run_train(tmp_path, capsys, loss="ce", seed="7", extra=()):
-    code = main(["train", "--synthetic", "blobs", "--samples", "200", "--classes", "3",
-                 "--noise", "0.4", "--hidden", "8", "--loss", loss, "--lr", "5e-3",
-                 "--epochs", "15", "--seed", seed, "--out-dir", str(tmp_path), *extra])
+    code = main(["train", *train_data(tmp_path), "--hidden", "8", "--loss", loss,
+                 "--lr", "1e-3", "--epochs", "15", "--seed", seed, "--out-dir", str(tmp_path),
+                 *extra])
     assert code == 0
     return kv(capsys)
 
@@ -81,7 +85,7 @@ def test_train_rerun_same_flags_same_checksum(tmp_path, capsys):
 
 def test_train_divergence_exits_4(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["train", "--synthetic", "blobs", "--samples", "60", "--hidden", "4",
+        code = main(["train", *digit_idx(tmp_path, 60), "--hidden", "4",
                      "--loss", "mse", "--lr", "1e200",
                      "--epochs", "5", "--seed", "1", "--out-dir", str(tmp_path)])
     assert code == 4
@@ -90,9 +94,8 @@ def test_train_divergence_exits_4(tmp_path, capsys):
 def _pipeline_to_bundle(tmp_path, capsys, loss="ce", extra=()):
     run_train(tmp_path, capsys, loss=loss, extra=extra)
     bundle_path = tmp_path / "features.rdfb"
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"),
-                 "--synthetic", "blobs", "--samples", "200", "--classes", "3",
-                 "--noise", "0.4", "--seed", "7", "--out", str(bundle_path)])
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
+                 "--seed", "7", "--out", str(bundle_path)])
     assert code == 0
     capsys.readouterr()
     return bundle_path
@@ -107,8 +110,9 @@ def test_features_bundle_consistent_with_model(tmp_path, capsys):
     assert np.array_equal(bundle.output_weight, model.output_weight)
     assert bundle.metadata["base_loss"] == "mean_square_error"
     # regenerate the exact training rows the command used and re-evaluate
-    from redense.data import SplitSpec, gen_synthetic, split
-    train, _test = split(gen_synthetic("blobs", 200, 3, 0.4, 7), SplitSpec(0.8, 7))
+    train, _test = datamod.split(datamod.load_idx(tmp_path / "digits-images",
+                                                  tmp_path / "digits-labels"),
+                                 datamod.SplitSpec(0.8, 7))
     logits, features = forward(model, train.inputs)
     assert np.array_equal(bundle.features, features)
     assert float(bundle.metadata["base_train_loss"]) == loss_value(loss, logits, train.targets)
@@ -165,8 +169,8 @@ def _eval_bundle(tmp_path, capsys):
     """Held-out features from the model _pipeline_to_bundle trained."""
     eval_path = tmp_path / "eval.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
-                 "--synthetic", "blobs", "--samples", "60", "--classes", "3",
-                 "--noise", "0.4", "--seed", "99", "--out", str(eval_path)])
+                 *digit_idx(tmp_path, 60, seed=99, name="eval"), "--no-split",
+                 "--out", str(eval_path)])
     assert code == 0
     capsys.readouterr()
     return eval_path
@@ -425,8 +429,7 @@ def test_sweep_rejects_small_m(tmp_path, capsys):
 
 def test_eval_without_lifting_layer(tmp_path, capsys):
     run_train(tmp_path, capsys)
-    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                 "--samples", "200", "--classes", "3", "--noise", "0.4", "--seed", "7",
+    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
                  "--out-dir", str(tmp_path)])
     assert code == 0
     pairs = kv(capsys)
@@ -443,8 +446,7 @@ def test_eval_with_lifting_layer_reports_both(tmp_path, capsys):
                  "--seed", "3", "--out-dir", str(out)]) == 0
     capsys.readouterr()
     code = main(["eval", "--model", str(out / "model_with_redense.rdnm"),
-                 "--synthetic", "blobs", "--samples", "200", "--classes", "3",
-                 "--noise", "0.4", "--seed", "7", "--out-dir", str(out)])
+                 *train_data(tmp_path), "--out-dir", str(out)])
     assert code == 0
     pairs = kv(capsys)
     # trained on these rows with CE: the lifted head cannot be worse
@@ -454,43 +456,46 @@ def test_eval_with_lifting_layer_reports_both(tmp_path, capsys):
 
 def test_eval_accuracy_matches_library_bitwise(tmp_path, capsys):
     run_train(tmp_path, capsys)
-    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                 "--samples", "120", "--classes", "3", "--noise", "0.4", "--seed", "11",
+    data = digit_idx(tmp_path, 120, seed=11, name="eval")
+    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), *data,
                  "--out-dir", str(tmp_path)])
     assert code == 0
     pairs = kv(capsys)
     model, loss, _ = load_model(tmp_path / "model.rdnm")
-    from redense.data import gen_synthetic
-    ds = gen_synthetic("blobs", 120, 3, 0.4, 11)
+    ds = datamod.load_idx(data[1], data[3])
     logits = forward(model, ds.inputs)[0]
     assert float(pairs["base_accuracy"]) == accuracy(logits, ds.targets)
     assert float(pairs["base_loss"]) == loss_value(loss, logits, ds.targets)
 
 
 def test_eval_width_mismatch_exits_3(tmp_path, capsys):
-    run_train(tmp_path, capsys)
-    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "moons",
-                 "--samples", "40", "--classes", "2", "--seed", "0"])
-    # moons is still 2-D input but 2 classes vs 3 outputs: loss shape mismatch
+    # 784 inputs, as the digit images have, but 3 outputs against their 10 classes
+    save_model(tmp_path / "model.rdnm", nn.make_mlp(784, [4], 3, seed=0),
+               Loss("softmax_cross_entropy"))
+    code = main(["eval", "--model", str(tmp_path / "model.rdnm"), *digit_idx(tmp_path, 40),
+                 "--out-dir", str(tmp_path / "out")])
     assert code == 3
+    assert not (tmp_path / "out").exists()
 
 
 def test_eval_rejects_test_source_and_split_flags(tmp_path, capsys):
-    # eval scores the whole primary dataset: a test source would be ignored
+    # eval scores the whole primary dataset: a test source would be ignored, and it
+    # draws nothing, so a seed would be too
     run_train(tmp_path, capsys)
     for flag, value in (("--test-images", "ti"), ("--test-labels", "tl"),
-                        ("--train-fraction", "0.3")):
+                        ("--train-fraction", "0.3"), ("--seed", "1")):
         out = tmp_path / "eval"
-        code = main(["eval", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                     "--samples", "120", "--classes", "3", "--seed", "1", flag, value,
-                     "--out-dir", str(out)])
+        code = main(["eval", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
+                     flag, value, "--out-dir", str(out)])
         assert code == 2, flag
         assert not out.exists()
 
 
 def test_missing_model_file_exits_3(tmp_path, capsys):
-    code = main(["eval", "--model", str(tmp_path / "nope.rdnm"), "--synthetic", "blobs"])
+    code = main(["eval", "--model", str(tmp_path / "nope.rdnm"), *digit_idx(tmp_path, 4),
+                 "--out-dir", str(tmp_path / "out")])
     assert code == 3
+    assert "nope.rdnm" in capsys.readouterr().err
 
 
 def test_redense_trains_in_the_bundles_base_loss(tmp_path, capsys):
@@ -541,9 +546,8 @@ def test_redense_rerun_same_flags_same_checksum(tmp_path, capsys):
 def test_features_no_split_uses_whole_dataset(tmp_path, capsys):
     run_train(tmp_path, capsys)
     out = tmp_path / "full.rdfb"
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"),
-                 "--synthetic", "blobs", "--samples", "200", "--classes", "3",
-                 "--noise", "0.4", "--seed", "7", "--no-split", "--out", str(out)])
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
+                 "--no-split", "--out", str(out)])
     assert code == 0
     assert load_feature_bundle(out).features.shape[0] == 200
 
@@ -553,8 +557,8 @@ def test_features_takes_no_test_source(tmp_path, capsys, flag):
     # features exports the training partition, or with --no-split the whole file
     run_train(tmp_path, capsys)
     out = tmp_path / "f.rdfb"
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                 "--classes", "3", flag, str(tmp_path / "absent"), "--out", str(out)])
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
+                 flag, str(tmp_path / "absent"), "--out", str(out)])
     assert code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
@@ -574,21 +578,23 @@ _ABSENT_IDX = ["--images", "absent-images", "--labels", "absent-labels"]
     ([*_ABSENT_IDX, "--loss", "ce", "--huber-delta", "-1"], "cannot take delta -1"),
     ([*_ABSENT_IDX, "--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
     ([*_ABSENT_IDX, "--leaky-slope", "nan"], "slope must be finite"),
-    (["--images", "absent-images"], "--images and --labels must be given together"),
+    (["--images", "absent-images"], "arguments are required: --labels"),
     ([*_ABSENT_IDX, "--test-images", "absent-images"],
      "--test-images and --test-labels must be given together"),
-    (["--synthetic", "blobs", "--classes", "1"], "need at least 2 classes"),
-    (["--synthetic", "blobs", "--samples", "4", "--train-fraction", "0.1"],
+    (["--images", "../digits-images", "--labels", "../digits-labels", "--train-fraction", "0.1"],
      "leaves an empty partition")],
     ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "test-images-unpaired",
-         "one-class", "empty-partition"])
+         "empty-partition"])
 def test_train_refuses_malformed_flags_with_exit_2(tmp_path, capsys, monkeypatch, flags,
                                                    message):
-    monkeypatch.chdir(tmp_path)
+    digit_idx(tmp_path, 4)  # 4 images: a tenth of them for training is none
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
     code = main(["train", *flags, "--epochs", "1", "--out-dir", "x"])
     assert code == 2
     assert message in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    assert list(cwd.iterdir()) == []
 
 
 @pytest.mark.parametrize("cmd", ["eval", "features"])
@@ -597,8 +603,7 @@ def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd)
     rewrite_header(tmp_path / "model.rdnm", lambda h: h["loss"].update(delta=-1.0))
     out = tmp_path / "out"
     where = ["--out-dir", str(out)] if cmd == "eval" else ["--out", str(out / "f.rdfb")]
-    code = main([cmd, "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                 "--samples", "60", "--classes", "3", "--seed", "7", *where])
+    code = main([cmd, "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path), *where])
     assert code == 3
     assert "cannot take delta -1" in capsys.readouterr().err
     assert not out.exists()
@@ -608,10 +613,9 @@ def test_a_biased_model_keeps_its_output_bias_through_every_subcommand(tmp_path,
     # a model from another tool: train_base never trains the output bias
     run_train(tmp_path, capsys)
     biased = tmp_path / "biased.rdnm"
-    bias = [3.0, -1.0, 0.5]
+    bias = [3.0, -1.0, 0.5, 0.0, 1.5, -2.0, 0.25, 0.0, -0.5, 1.0]
     _save_with_output_bias(tmp_path / "model.rdnm", biased, bias)
-    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4",
-            "--seed", "7"]
+    data = train_data(tmp_path)
     for model in ("model", "biased"):
         assert main(["features", "--model", str(tmp_path / f"{model}.rdnm"), *data,
                      "--no-split", "--out", str(tmp_path / f"{model}.rdfb")]) == 0
@@ -670,7 +674,7 @@ def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, caps
     # the bundle's output weight with an output bias the bundle does not hold: a biased
     # model exports and trains (see above), but only on its own bundles
     biased = tmp_path / "biased.rdnm"
-    _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5])
+    _save_with_output_bias(tmp_path / "model.rdnm", biased, [3.0, -1.0, 0.5, *[0.0] * 7])
     # the bundle's output weight under another loss kind, or a delta CE cannot take
     exported, _, _ = load_model(tmp_path / "model.rdnm")
     save_model(tmp_path / "mse.rdnm", exported, Loss("mean_square_error"))
@@ -723,23 +727,23 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
     images = rng.integers(0, 256, (40, 3, 3)).astype(np.uint8)
     idx = ["--images", tmp_path / "img", "--labels", tmp_path / "lab"]
     write_idx(tmp_path / "img", tmp_path / "lab", images, labels)
-    syn = ["--synthetic", "blobs", "--samples", "60", "--classes", "3", "--noise", "0.3"]
+    digits = digit_idx(tmp_path, 60, seed=3)
     train = ["--hidden", "4", "--epochs", "1", "--seed", "1"]
     runs = [
         ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
          "--out-dir", tmp_path / "idx"],
-        ["train", *syn, "--train-fraction", "0.6", *train,
+        ["train", *digits, "--train-fraction", "0.6", *train,
          "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
          "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
-         "--out-dir", tmp_path / "syn"],
+         "--out-dir", tmp_path / "digits"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
          "--out", tmp_path / "idx.rdfb"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx,
          "--train-fraction", "0.5", "--out", tmp_path / "split.rdfb"],
-        ["features", "--model", tmp_path / "syn" / "model.rdnm", *syn,
-         "--seed", "2", "--out", tmp_path / "syn.rdfb"],
-        ["redense", "--bundle", tmp_path / "syn.rdfb", "--model",
-         tmp_path / "syn" / "model.rdnm", "--eval-bundle", tmp_path / "syn.rdfb",
+        ["features", "--model", tmp_path / "digits" / "model.rdnm", *digits,
+         "--seed", "2", "--out", tmp_path / "digits.rdfb"],
+        ["redense", "--bundle", tmp_path / "digits.rdfb", "--model",
+         tmp_path / "digits" / "model.rdnm", "--eval-bundle", tmp_path / "digits.rdfb",
          "--m", "8", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
          "--out-dir", tmp_path / "rd"],
         ["redense", "--bundle", tmp_path / "idx.rdfb", "--epochs", "2",
@@ -747,11 +751,10 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
         ["sweep-m", "--bundle", tmp_path / "split.rdfb", "--eval-bundle", tmp_path / "idx.rdfb",
          "--m-values", "4,8", "--seeds", "2", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
          "--out-dir", tmp_path / "sweep"],
-        ["sweep-m", "--bundle", tmp_path / "syn.rdfb", "--m-values", "4", "--seeds", "1",
+        ["sweep-m", "--bundle", tmp_path / "digits.rdfb", "--m-values", "4", "--seeds", "1",
          "--epochs", "1", "--out-dir", tmp_path / "sweep"],
         ["eval", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--out-dir", tmp_path],
-        ["eval", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--seed", "1"],
-        ["eval", "--model", tmp_path / "rd" / "model_with_redense.rdnm", *syn,
+        ["eval", "--model", tmp_path / "rd" / "model_with_redense.rdnm", *digits,
          "--out-dir", tmp_path / "rd"],
     ]
     monkeypatch.chdir(tmp_path)
@@ -763,8 +766,32 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
         {cmd: [] for cmd in defined}
 
 
+def test_every_command_the_benchmark_sends_parses(tmp_path, monkeypatch):
+    # a flag the benchmark passes and the CLI no longer takes would fail every run with exit 2
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    sent = []
+    monkeypatch.setattr(workloads, "run_cli",
+                        lambda argv: (sent.append([str(a) for a in argv]), (0, {}))[1])
+    for name in workloads.PARAMS:
+        inputs = tmp_path / name
+        workloads.setup(name, inputs, 1, "tiny")
+        workloads.body(name, inputs, tmp_path / f"{name}-out", 1, "tiny")
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted({argv[0] for argv in sent}) == sorted(subparsers.choices)
+    for argv in sent:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"the benchmark sends {argv}, which does not parse")
+
+
 def test_features_width_mismatch_exits_3(tmp_path, capsys):
-    run_train(tmp_path, capsys)  # a model of 2-D synthetic inputs
+    run_train(tmp_path, capsys)  # a model of 28 x 28 images
     write_idx(tmp_path / "i", tmp_path / "l", np.zeros((4, 3, 3)), np.arange(4))
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
                  "--images", str(tmp_path / "i"), "--labels", str(tmp_path / "l"),
@@ -784,28 +811,12 @@ def test_features_computes_a_ce_models_loss_once(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(cli.nn, "loss_value", counting_loss_value)
     out = tmp_path / "f.rdfb"
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"), "--synthetic", "blobs",
-                 "--samples", "200", "--classes", "3", "--noise", "0.4", "--seed", "7",
-                 "--out", str(out)])
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
+                 "--seed", "7", "--out", str(out)])
     assert code == 0
     assert calls == ["softmax_cross_entropy"]
     metadata = load_feature_bundle(out).metadata
     assert metadata["base_train_loss"] == metadata["ce_train_loss"]
-
-
-def test_train_refuses_inputs_beyond_float32_range(tmp_path, capsys):
-    # IDX pixels are bytes, so only synthetic inputs can exceed float32's range;
-    # train_base's own test covers each sign and the eval inputs
-    out = tmp_path / "out"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["train", "--synthetic", "blobs", "--noise", "1e39", "--hidden", "4",
-                     "--epochs", "2", "--out-dir", str(out)])
-    assert code == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "float32" in captured.err and "3.402823e+38" in captured.err
-    assert not out.exists()
 
 
 def test_guarantee_violation_exits_5(tmp_path, capsys, monkeypatch):
@@ -888,8 +899,6 @@ def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected)
      "absent-labels", "--out", "out/f.rdfb"],
     ["redense", "--bundle", "absent.rdfb", "--out-dir", "out"],
     ["sweep-m", "--bundle", "absent.rdfb", "--m-values", "8", "--out-dir", "out"],
-    ["eval", "--model", "absent.rdnm", "--images", "absent-images", "--labels", "absent-labels",
-     "--out-dir", "out"],
 ], ids=lambda cmd: cmd[0])
 @pytest.mark.parametrize("seed", ["-1", "x"])
 def test_a_malformed_seed_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
@@ -917,19 +926,20 @@ def test_split_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, c
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("idx", [_ABSENT_IDX, ["--labels", "absent-labels"]],
-                         ids=["idx-pair", "labels"])
+@pytest.mark.parametrize("given, missing", [(_ABSENT_IDX[:2], "--labels"),
+                                            (_ABSENT_IDX[2:], "--images")],
+                         ids=["no-labels", "no-images"])
 @pytest.mark.parametrize("cmd", [
     ["train", "--out-dir", "out"],
     ["features", "--model", "absent.rdnm", "--no-split", "--out", "out/f.rdfb"],
     ["eval", "--model", "absent.rdnm", "--out-dir", "out"],
 ], ids=lambda cmd: cmd[0])
-def test_a_second_data_source_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch,
-                                                              cmd, idx):
+def test_half_an_idx_pair_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch, cmd,
+                                                          given, missing):
     # the model and the IDX files are absent: reading any would exit 3
     monkeypatch.chdir(tmp_path)
-    assert main([*cmd, "--synthetic", "blobs", *idx]) == 2
-    assert "pass one data source" in capsys.readouterr().err
+    assert main([*cmd, *given]) == 2
+    assert f"arguments are required: {missing}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1000,7 +1010,7 @@ def test_a_failed_write_leaves_the_target_absent_or_unchanged(tmp_path, capsys, 
     bundle = load_feature_bundle(bundle_path)
     out = tmp_path / "out"
     out.mkdir()
-    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4"]
+    data = train_data(tmp_path)  # written now: the writes below fail
     target, write = {
         "model": (out / "m.rdnm", lambda: save_model(out / "m.rdnm", model, loss)),
         "curve": (out / "c.csv", lambda: write_curve(out / "c.csv", [EpochStats(0, 1.0, 1.0, 0.5)])),
@@ -1049,12 +1059,12 @@ def _printed(value):
 def test_stdout_repeats_manifest_results_then_outputs(tmp_path, capsys, cmd):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     model = tmp_path / "model.rdnm"
-    data = ["--synthetic", "blobs", "--samples", "200", "--classes", "3", "--noise", "0.4",
-            "--seed", "7"]
+    data = train_data(tmp_path)
     out = tmp_path / "out"
     argv = {
-        "train": ["train", *data, "--hidden", "4", "--epochs", "2", "--out-dir", out],
-        "features": ["features", "--model", model, *data, "--out", out / "f.rdfb"],
+        "train": ["train", *data, "--hidden", "4", "--epochs", "2", "--seed", "7",
+                  "--out-dir", out],
+        "features": ["features", "--model", model, *data, "--seed", "7", "--out", out / "f.rdfb"],
         "redense": ["redense", "--bundle", bundle_path, "--model", model, "--epochs", "3",
                     "--seed", "1", "--out-dir", out],
         "sweep-m": ["sweep-m", "--bundle", bundle_path, "--m-values", "8,16", "--seeds", "2",
@@ -1114,9 +1124,9 @@ def test_module_entry_point(tmp_path):
     src = str(Path(redense.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    result = subprocess.run([sys.executable, "-m", "redense", "train", "--synthetic",
-                             "blobs", "--samples", "60", "--hidden", "4", "--epochs", "2",
-                             "--seed", "0", "--out-dir", str(tmp_path)],
+    result = subprocess.run([sys.executable, "-m", "redense", "train", *digit_idx(tmp_path, 60),
+                             "--hidden", "4", "--epochs", "2", "--seed", "0",
+                             "--out-dir", str(tmp_path)],
                             capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "final_train_loss=" in result.stdout
@@ -1151,7 +1161,7 @@ def test_a_header_claiming_more_than_its_file_exits_3_before_allocating(tmp_path
     else:
         header = json.dumps(_HUGE_MODEL_HEADER).encode("utf-8")
         big.write_bytes(b"RDNM" + struct.pack("<II", 2, len(header)) + header + bytes(64))
-        argv = ["eval", "--model", big, "--synthetic", "blobs", "--out-dir", tmp_path / "out"]
+        argv = ["eval", "--model", big, *digit_idx(tmp_path, 4), "--out-dir", tmp_path / "out"]
     tracemalloc.start()
     try:
         code = main([str(a) for a in argv])
@@ -1165,8 +1175,8 @@ def test_a_header_claiming_more_than_its_file_exits_3_before_allocating(tmp_path
 
 
 def _lifted_model(tmp_path):
-    """A model on 2-D inputs with 3 outputs and a lifting layer at m = 6 > n = 5."""
-    model = nn.make_mlp(2, [5], 3, seed=1)
+    """A model on 28 x 28 images with 10 outputs and a lifting layer at m = 6 > n = 5."""
+    model = nn.make_mlp(784, [5], 10, seed=1)
     path = tmp_path / "lifted.rdnm"
     save_model(path, model, Loss("softmax_cross_entropy"),
                redense_layer=layermod.build(model.output_weight, model.output_bias, 6, seed=2))
@@ -1178,7 +1188,7 @@ def _lifted_model(tmp_path):
 def test_eval_exits_3_on_an_invalid_lifting_block(tmp_path, capsys, key, value):
     # m < n = 5 is refused from the header, before m sizes a block
     path = _lifted_model(tmp_path)
-    data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
+    data = digit_idx(tmp_path, 30)
     assert main(["eval", "--model", str(path), *data, "--out-dir", str(tmp_path)]) == 0
     capsys.readouterr()
     # 1e400 is written unquoted, a JSON number that parses to inf
@@ -1216,8 +1226,8 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
 
     rewrite_header(path, edit)
     out = tmp_path / "out"
-    data = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
-    assert main(["eval", "--model", str(path), *data, "--out-dir", str(out)]) == 3
+    assert main(["eval", "--model", str(path), *digit_idx(tmp_path, 30),
+                 "--out-dir", str(out)]) == 3
     error = _one_error_line(capsys)
     assert "lifted.rdnm: " + message in error and "Traceback" not in error
     assert not out.exists()
@@ -1237,7 +1247,7 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     images, labels = tmp_path / "i", tmp_path / "l"
     write_idx(images, labels, *gen_digit_images(20, seed=1))
     out = tmp_path / "out"
-    argv = {"model": ["eval", "--model", model, "--synthetic", "blobs", "--classes", "3"],
+    argv = {"model": ["eval", "--model", model, "--images", images, "--labels", labels],
             "bundle": ["redense", "--bundle", bundle, "--epochs", "1"],
             "images": ["train", "--images", images, "--labels", labels, "--epochs", "1"],
             "labels": ["train", "--images", images, "--labels", labels, "--epochs", "1"]}
@@ -1286,7 +1296,7 @@ def _small_bundle(tmp_path, bias=(0.0, 0.0)):
 
 @pytest.mark.parametrize("kind, key, value, message", [
     ("model", "width", 5.0, "layers[0].width must be a JSON int"),
-    ("model", "n_outputs", "3", "n_outputs must be a JSON int"),
+    ("model", "n_outputs", "10", "n_outputs must be a JSON int"),
     ("model", "slope", 10**400, "layers[0].slope must be within binary64's range"),
     ("bundle", "features", "53", "features must be a JSON list"),
     ("model", "layers", {}, "layers must be a JSON list"),
@@ -1295,14 +1305,13 @@ def _small_bundle(tmp_path, bias=(0.0, 0.0)):
     ("bundle", "comment", "x", "comment is not a declared key")])
 def test_a_header_field_of_another_json_type_exits_3(tmp_path, capsys, kind, key, value,
                                                      message):
-    # each of the first three values names what the file holds (5 hidden units, 3
+    # each of the first three values names what the file holds (5 hidden units, 10
     # outputs, a 5 x 3 feature block), so int() or iterating a string would load it;
     # "layers": {} would read as no layers, the metadata's pairs as its dict; no float
     # holds 10**400, which the slope's finiteness check could not take
     model = _lifted_model(tmp_path)
     bundle = _small_bundle(tmp_path)
-    path, argv = {"model": (model, ["eval", "--model", model, "--synthetic", "blobs",
-                                    "--classes", "3"]),
+    path, argv = {"model": (model, ["eval", "--model", model, *digit_idx(tmp_path, 30)]),
                   "bundle": (bundle, ["redense", "--bundle", bundle, "--epochs", "1"])}[kind]
     rewrite_header(path, lambda h: (h["layers"][0] if key in ("width", "slope") else h)
                    .update({key: value}))
@@ -1357,8 +1366,8 @@ def test_every_header_field_of_another_type_missing_or_beside_an_unknown_key_exi
     # dropped, or an unknown key beside it; the metadata's own keys are free
     tmp = tmp_path_factory.mktemp("headers")
     plain = tmp / "plain.rdnm"
-    save_model(plain, nn.make_mlp(2, [5], 3, seed=1), Loss("softmax_cross_entropy"))
-    data_flags = ["--synthetic", "blobs", "--samples", "30", "--classes", "3"]
+    save_model(plain, nn.make_mlp(784, [5], 10, seed=1), Loss("softmax_cross_entropy"))
+    data_flags = digit_idx(tmp, 30)
     files = [(plain, ["eval", "--model", plain, *data_flags]),
              (_lifted_model(tmp), ["eval", "--model", tmp / "lifted.rdnm", *data_flags]),
              (_small_bundle(tmp), ["redense", "--bundle", tmp / "b.rdfb", "--epochs", "1"])]
@@ -1513,25 +1522,19 @@ def test_readme_names_exactly_the_flags_the_subcommands_define():
 
 def test_flag_defaults_are_the_library_defaults():
     parser = cli.build_parser()
-    train = parser.parse_args(["train"])
+    train = parser.parse_args(["train", *_ABSENT_IDX])
     assert ((train.lr, train.epochs, train.batch_size, train.seed)
             == dataclasses.astuple(nn.TrainConfig()))
     assert (train.leaky_slope, train.huber_delta) == (nn.Activation.slope, nn.Loss.delta)
     assert train.train_fraction == datamod.SplitSpec().train_fraction
     with pytest.raises(SystemExit):
-        parser.parse_args(["train", "--activation", "tanh"])
+        parser.parse_args(["train", *_ABSENT_IDX, "--activation", "tanh"])
     for kind in nn.ACTIVATION_KINDS:
-        assert parser.parse_args(["train", "--activation", kind]).activation == kind
+        assert parser.parse_args(["train", *_ABSENT_IDX, "--activation", kind]).activation == kind
     for argv in (["redense", "--bundle", "b"], ["sweep-m", "--bundle", "b", "--m-values", "8"]):
         args = parser.parse_args(argv)
         assert (args.lr, args.epochs, args.seed) == (*dataclasses.astuple(layermod.HeadConfig()), 0)
-    for argv in (["features", "--model", "m", "--out", "o"], ["eval", "--model", "m"]):
-        assert parser.parse_args(argv).seed == 0
-    synthetic = inspect.signature(datamod.gen_synthetic).parameters
-    for argv in (["train"], ["features", "--model", "m", "--out", "o"], ["eval", "--model", "m"]):
-        args = parser.parse_args(argv)
-        assert ((args.classes, args.noise)
-                == (synthetic["classes"].default, synthetic["noise"].default) == (2, 0.15))
+    assert parser.parse_args(["features", "--model", "m", *_ABSENT_IDX, "--out", "o"]).seed == 0
 
 
 def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):
@@ -1565,7 +1568,7 @@ def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):
 def test_every_manifest_records_the_peak_rss(tmp_path, capsys):
     bundle_path = _pipeline_to_bundle(tmp_path, capsys)
     model = str(tmp_path / "model.rdnm")
-    data = ["--synthetic", "blobs", "--samples", "60", "--classes", "3", "--seed", "7"]
+    data = train_data(tmp_path)
     out = tmp_path / "out"
     runs = {
         "train": (["train", *data, "--hidden", "4", "--epochs", "1", "--out-dir", str(out)],

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import CE, per_image_digit_images, random_one_hot, rewrite_header
+from conftest import CE, blobs, per_image_digit_images, random_one_hot, rewrite_header
 from redense import data as datamod
-from redense.data import (FeatureBundle, SplitSpec, gen_digit_images,
-                          gen_synthetic, load_feature_bundle,
+from redense.data import (FeatureBundle, SplitSpec, gen_digit_images, load_feature_bundle,
                           load_idx, save_feature_bundle, split, write_idx)
 from redense.errors import DataFormatError, ShapeError
 from redense.nn import Dataset, Loss, _decode
@@ -71,6 +70,27 @@ def test_idx_count_mismatch(tmp_path):
     lbl.write_bytes(struct.pack(">II", 0x00000801, 2) + b"\x00\x01")
     with pytest.raises(DataFormatError, match="2 labels"):
         load_idx(tmp_path / "i", lbl)
+
+
+@pytest.mark.parametrize("images, labels, message", [
+    (np.full((2, 2, 2), 0.5), [0, 1], "pixel 0.5 is not"),
+    (np.full((2, 2, 2), 300), [0, 1], "pixel 300 is not"),
+    (np.full((2, 2, 2), -1), [0, 1], "pixel -1 is not"),
+    (np.full((2, 2, 2), np.nan), [0, 1], "pixel nan is not"),
+    (np.zeros((2, 2, 2)), [12, 0], "label 12 is not an integer in 0..9"),
+    (np.zeros((2, 2, 2)), [-1, 0], "label -1 is not"),
+    (np.zeros((2, 2, 2)), [0.5, 0], "label 0.5 is not")],
+    ids=["fraction", "above-255", "negative-pixel", "nan", "label-12", "label-minus-1",
+         "fractional-label"])
+def test_write_idx_refuses_what_load_idx_would_not_read_back(tmp_path, images, labels,
+                                                            message):
+    # the uint8 cast would write 0.5 as 0, 300 as 44 and -1 as 255, and load_idx
+    # refuses a label above 9; nothing is written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            write_idx(tmp_path / "i", tmp_path / "l", images, np.array(labels))
+    assert list(tmp_path.iterdir()) == []
 
 
 def _bundle(rng, j=5, n=3, q=2, metadata=None):
@@ -205,69 +225,15 @@ def test_bundle_rejects_bad_base_loss_metadata(rng, metadata):
         _bundle(rng, metadata=metadata)
 
 
-class _Perceptron:
-    """Independent multiclass perceptron, used as a separability oracle."""
-
-    def __init__(self, dim, classes):
-        self.w = np.zeros((classes, dim + 1))
-
-    def fit(self, x, labels, passes=50):
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        for _ in range(passes):
-            wrong = 0
-            for row, label in zip(xb, labels):
-                pred = int(np.argmax(self.w @ row))
-                if pred != label:
-                    self.w[label] += row
-                    self.w[pred] -= row
-                    wrong += 1
-            if wrong == 0:
-                break
-        return self
-
-    def score(self, x, labels):
-        xb = np.hstack([x, np.ones((x.shape[0], 1))])
-        return float(np.mean(np.argmax(xb @ self.w.T, axis=1) == labels))
-
-
-def test_blobs_noise_free_is_linearly_separable():
-    ds = gen_synthetic("blobs", samples=90, classes=3, noise=0.0, seed=0)
-    labels = np.argmax(ds.targets, axis=1)
-    oracle = _Perceptron(2, 3).fit(ds.inputs, labels)
-    assert oracle.score(ds.inputs, labels) == 1.0
-
-
-def test_synthetic_deterministic():
-    a = gen_synthetic("moons", samples=40, classes=2, noise=0.2, seed=9)
-    b = gen_synthetic("moons", samples=40, classes=2, noise=0.2, seed=9)
-    assert np.array_equal(a.inputs, b.inputs)
-    assert np.array_equal(a.targets, b.targets)
-
-
-def test_synthetic_class_balance():
-    ds = gen_synthetic("blobs", samples=32, classes=3, noise=0.1, seed=1)
-    counts = ds.targets.sum(axis=0)
-    assert counts.max() - counts.min() <= 1
-
-
-def test_synthetic_validations():
-    with pytest.raises(ValueError):
-        gen_synthetic("moons", samples=30, classes=3)
-    with pytest.raises(ValueError):
-        gen_synthetic("blobs", samples=2, classes=4)
-    with pytest.raises(ValueError):
-        gen_synthetic("rings", samples=30, classes=2)
-
-
 def test_split_sizes_80_20():
-    ds = gen_synthetic("blobs", samples=100, classes=2, noise=0.1, seed=0)
+    ds = blobs(j=100, classes=2, noise=0.1, seed=0)
     train, test = split(ds, SplitSpec(0.8, seed=0))
     assert (len(train), len(test)) == (80, 20)
 
 
 def test_split_train_rows_do_not_depend_on_the_fraction_beyond_them():
     # the test set is every row after the training rows of the same permutation
-    ds = gen_synthetic("blobs", samples=50, classes=2, noise=0.1, seed=1)
+    ds = blobs(j=50, classes=2, noise=0.1, seed=1)
     train, test = split(ds, SplitSpec(0.6, seed=4))
     wider, rest = split(ds, SplitSpec(0.8, seed=4))
     assert np.array_equal(wider.inputs[:len(train)], train.inputs)
@@ -275,7 +241,7 @@ def test_split_train_rows_do_not_depend_on_the_fraction_beyond_them():
 
 
 def test_split_exhaustive_and_disjoint():
-    ds = gen_synthetic("blobs", samples=57, classes=3, noise=0.2, seed=2)
+    ds = blobs(j=57, classes=3, noise=0.2, seed=2)
     parts = split(ds, SplitSpec(0.6, seed=5))
     rows = np.vstack([p.inputs for p in parts])
     assert rows.shape[0] == 57
@@ -287,7 +253,7 @@ def test_split_exhaustive_and_disjoint():
 
 
 def test_split_deterministic():
-    ds = gen_synthetic("blobs", samples=50, classes=2, noise=0.1, seed=3)
+    ds = blobs(j=50, classes=2, noise=0.1, seed=3)
     a = split(ds, SplitSpec(0.7, seed=8))
     b = split(ds, SplitSpec(0.7, seed=8))
     for pa, pb in zip(a, b):
@@ -295,7 +261,7 @@ def test_split_deterministic():
 
 
 def test_split_empty_partition_rejected():
-    ds = gen_synthetic("blobs", samples=5, classes=2, noise=0.1, seed=0)
+    ds = blobs(j=5, classes=2, noise=0.1, seed=0)
     with pytest.raises(ValueError, match="empty"):
         split(ds, SplitSpec(0.1, seed=0))
 
@@ -309,7 +275,7 @@ def test_split_spec_validations():
 @given(st.integers(10, 60), st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_split_property_exhaustive(samples, seed):
-    ds = gen_synthetic("blobs", samples=samples, classes=2, noise=0.05, seed=seed)
+    ds = blobs(j=samples, classes=2, noise=0.05, seed=seed)
     try:
         parts = split(ds, SplitSpec(0.6, seed=seed))
     except ValueError:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import one_hot, random_one_hot
+from conftest import blobs, one_hot, random_one_hot
 from redense import nn
 from redense.data import gen_digit_images
 from redense.errors import NonFiniteError, ShapeError, TrainingDivergedError
@@ -177,17 +177,8 @@ def test_make_loss_aliases():
         make_loss("ce", delta=-1.0)
 
 
-def _blobs(j=80, classes=2, noise=0.3, seed=0):
-    rng = np.random.default_rng(seed)
-    labels = np.arange(j) % classes
-    centers = np.array([[2.0 * np.cos(2 * np.pi * k / classes),
-                         2.0 * np.sin(2 * np.pi * k / classes)] for k in range(classes)])
-    inputs = centers[labels] + noise * rng.standard_normal((j, 2))
-    return Dataset(inputs, one_hot(labels, classes))
-
-
 def test_train_base_reaches_separable_accuracy():
-    data = _blobs(j=60, noise=0.15, seed=3)
+    data = blobs(j=60, noise=0.15, seed=3)
     model = make_mlp(2, [8], 2, seed=3)
     cfg = TrainConfig(learning_rate=5e-3, epochs=200, batch_size=16, seed=3)
     model, curve = train_base(model, data, Loss("softmax_cross_entropy"), cfg)
@@ -196,7 +187,7 @@ def test_train_base_reaches_separable_accuracy():
 
 
 def test_train_base_zero_epochs_is_identity():
-    data = _blobs()
+    data = blobs()
     model = make_mlp(2, [4], 2, seed=1)
     before = [p.copy() for p in [model.layers[0].weight, model.layers[0].bias,
                                  model.output_weight]]
@@ -209,7 +200,7 @@ def test_train_base_zero_epochs_is_identity():
 
 
 def test_train_base_seed_determinism():
-    data = _blobs(seed=7)
+    data = blobs(seed=7)
     runs = []
     for _ in range(2):
         model = make_mlp(2, [6], 2, seed=11)
@@ -223,7 +214,7 @@ def test_train_base_seed_determinism():
 
 
 def test_train_base_divergence_reports_epoch():
-    data = _blobs(seed=2)
+    data = blobs(seed=2)
     model = make_mlp(2, [4], 2, seed=2)
     cfg = TrainConfig(learning_rate=1e160, epochs=10, batch_size=80, seed=2)
     before = [p.copy() for p in _trained_params(model)]
@@ -236,7 +227,7 @@ def test_train_base_divergence_reports_epoch():
 
 
 def test_train_base_output_bias_untouched():
-    data = _blobs(seed=4)
+    data = blobs(seed=4)
     model = make_mlp(2, [4], 2, seed=4)
     model.output_bias[:] = [0.25, -0.25]
     train_base(model, data, Loss("softmax_cross_entropy"),
@@ -246,7 +237,7 @@ def test_train_base_output_bias_untouched():
 
 @pytest.mark.parametrize("which", ["training", "eval"])
 def test_train_base_refuses_inputs_of_another_width_before_training(which):
-    data, wide = _blobs(seed=5), Dataset(np.zeros((10, 3)), np.eye(2)[np.arange(10) % 2])
+    data, wide = blobs(seed=5), Dataset(np.zeros((10, 3)), np.eye(2)[np.arange(10) % 2])
     sets = (wide, data) if which == "training" else (data, wide)
     model = make_mlp(2, [4], 2, seed=5)
     weight = model.layers[0].weight.copy()
@@ -259,7 +250,7 @@ def test_train_base_refuses_inputs_of_another_width_before_training(which):
 @pytest.mark.parametrize("value", [1e39, -1e39])
 @pytest.mark.parametrize("which", ["training", "eval"])
 def test_train_base_refuses_inputs_beyond_float32_range_before_training(which, value):
-    data = _blobs(seed=5)
+    data = blobs(seed=5)
     big = Dataset(data.inputs.copy(), data.targets)
     big.inputs[3, 1] = value
     sets = (big, data) if which == "training" else (data, big)
@@ -623,9 +614,9 @@ def test_train_base_matches_allocating_loop_bitwise(hidden, loss, cfg, rows, eva
     # 83 training rows is a multiple of none of the batch sizes; 2100 training
     # and 1100 eval rows split the statistics into 1024-row chunks with a remainder;
     # without eval rows the eval columns score the training pass
-    data = _blobs(j=rows, classes=3, noise=0.5, seed=cfg.seed)
+    data = blobs(j=rows, classes=3, noise=0.5, seed=cfg.seed)
     eval_data = (None if eval_rows is None
-                 else _blobs(j=eval_rows, classes=3, noise=0.5, seed=cfg.seed + 100))
+                 else blobs(j=eval_rows, classes=3, noise=0.5, seed=cfg.seed + 100))
     leaky = Activation("leaky_relu")
     model, curve = train_base(make_mlp(2, hidden, 3, activation=leaky, seed=cfg.seed),
                               data, loss, cfg, eval_data=eval_data)
