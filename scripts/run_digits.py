@@ -83,10 +83,10 @@ def main():
     train_bundle = out / "train.rdfb"
     test_bundle = out / "test.rdfb"
     run(["features", "--model", str(out / "model.rdnm"), "--images", str(tri),
-         "--labels", str(trl), "--no-split", "--out", str(train_bundle)],
+         "--labels", str(trl), "--out", str(train_bundle)],
         f"{train_bundle}.manifest.json")
     run(["features", "--model", str(out / "model.rdnm"), "--images", str(tei),
-         "--labels", str(tel), "--no-split", "--out", str(test_bundle)],
+         "--labels", str(tel), "--out", str(test_bundle)],
         f"{test_bundle}.manifest.json")
 
     print("== retrain lifted head ==")

@@ -8,9 +8,9 @@ matrix is smaller), which tightens the head against overfitting.
 
 The data is a generated digit-image corpus written as two IDX pairs, a
 training set and a held-out test set. The base network trains on the
-whole training set, each set is exported as a feature bundle with
---no-split, and sweep-m scores every head on the test bundle, so the
-accuracy column is held-out accuracy.
+training set, each set is exported whole as a feature bundle, and sweep-m
+scores every head on the test bundle, so the accuracy column is held-out
+accuracy.
 """
 
 import argparse
@@ -47,7 +47,7 @@ def main():
                 "--epochs", "20", "--batch-size", "128", "--seed", str(args.seed),
                 "--out-dir", str(out)]) == 0
     for part in data:
-        assert cli(["features", "--model", str(out / "model.rdnm"), *data[part], "--no-split",
+        assert cli(["features", "--model", str(out / "model.rdnm"), *data[part],
                     "--out", str(out / f"{part}.rdfb")]) == 0
 
     m_values = ",".join(str(HIDDEN * int(k)) for k in args.multiples.split(","))

@@ -134,38 +134,9 @@ def _positive_ints(text):
     return values
 
 
-def _add_data_flags(parser, split=True):
+def _add_data_flags(parser):
     parser.add_argument("--images", required=True, help="IDX image file")
     parser.add_argument("--labels", required=True, help="IDX label file")
-    if split:  # eval scores the whole dataset
-        parser.add_argument("--train-fraction", type=float,
-                            default=datamod.SplitSpec.train_fraction)
-
-
-def _resolve_datasets(args):
-    """Return (train, test) datasets from the data flags, checked before any file is read.
-
-    train's --test-images/--test-labels pair is the test set when given, and
-    features' --no-split keeps the whole primary dataset as train, with test
-    None. Otherwise the primary dataset is shuffled into train and test, the
-    first --train-fraction of the rows and the rest.
-    """
-    test_pair = [getattr(args, "test_images", None), getattr(args, "test_labels", None)]
-    if any(test_pair) and not all(test_pair):
-        raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
-    try:
-        spec = datamod.SplitSpec(args.train_fraction, args.seed)
-    except ValueError as exc:
-        raise CliError(EXIT_FLAGS, str(exc)) from None
-    primary = datamod.load_idx(args.images, args.labels)
-    if all(test_pair):
-        return primary, datamod.load_idx(*test_pair)
-    if getattr(args, "no_split", False):
-        return primary, None
-    try:
-        return datamod.split(primary, spec)
-    except ValueError as exc:
-        raise CliError(EXIT_FLAGS, str(exc)) from None
 
 
 def cmd_train(args):
@@ -176,7 +147,12 @@ def cmd_train(args):
                              batch_size=args.batch_size, seed=args.seed)
     except ValueError as exc:
         raise CliError(EXIT_FLAGS, str(exc)) from None
-    train_ds, test_ds = _resolve_datasets(args)
+    test_pair = [args.test_images, args.test_labels]
+    if any(test_pair) and not all(test_pair):
+        raise CliError(EXIT_FLAGS, "--test-images and --test-labels must be given together")
+    train_ds = datamod.load_idx(args.images, args.labels)
+    # without a test pair, train_base scores its curve's test columns on the training data
+    test_ds = datamod.load_idx(*test_pair) if all(test_pair) else None
     model = nn.make_mlp(train_ds.inputs.shape[1], args.hidden,
                         train_ds.targets.shape[1], activation=activation, seed=args.seed)
     model, curve = nn.train_base(model, train_ds, loss, cfg, eval_data=test_ds)
@@ -190,6 +166,7 @@ def cmd_train(args):
     final = curve[-1]
     results = {
         "final_train_loss": final.train_loss,
+        "eval_source": "test_pair" if all(test_pair) else "training_data",
         "final_test_loss": final.eval_loss,
         "final_test_accuracy": final.eval_accuracy,
         "model_sha256": _file_sha256(model_path),
@@ -199,14 +176,17 @@ def cmd_train(args):
 
 
 def cmd_features(args):
-    train_ds, _test_ds = _resolve_datasets(args)
+    if args.no_split:
+        print("warning: --no-split is deprecated and does nothing: features exports every row",
+              file=sys.stderr)
+    dataset = datamod.load_idx(args.images, args.labels)
     model, loss, _ = persist.load_model(args.model)
-    logits, features = nn.forward(model, train_ds.inputs)
-    base_train_loss = nn.loss_value(loss, logits, train_ds.targets)
+    logits, features = nn.forward(model, dataset.inputs)
+    base_train_loss = nn.loss_value(loss, logits, dataset.targets)
     # kept only because perfbench/workloads.py's judge reads it
     ce = nn.Loss("softmax_cross_entropy")
     ce_train_loss = (base_train_loss if loss.kind == ce.kind
-                     else nn.loss_value(ce, logits, train_ds.targets))
+                     else nn.loss_value(ce, logits, dataset.targets))
     metadata = {
         "source_model": Path(args.model).name,
         "base_loss": loss.kind,
@@ -214,7 +194,7 @@ def cmd_features(args):
         "base_train_loss": f"{base_train_loss:.17g}",
         "ce_train_loss": f"{ce_train_loss:.17g}",
     }
-    bundle = datamod.FeatureBundle(features, train_ds.targets, model.output_weight,
+    bundle = datamod.FeatureBundle(features, dataset.targets, model.output_weight,
                                    model.output_bias, metadata)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -223,7 +203,7 @@ def cmd_features(args):
     results = {
         "rows": features.shape[0],
         "feature_width": features.shape[1],
-        "n_outputs": train_ds.targets.shape[1],
+        "n_outputs": dataset.targets.shape[1],
         "base_train_loss": base_train_loss,
         "ce_train_loss": ce_train_loss,
         "bundle_sha256": _file_sha256(out_path),
@@ -385,7 +365,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="redense",
                                      description="Random ReLU lifting for trained networks")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    seeded = argparse.ArgumentParser(add_help=False)  # every subcommand but eval takes --seed
+    seeded = argparse.ArgumentParser(add_help=False)  # all but features and eval take --seed
     seeded.add_argument("--seed", type=_seed, default=0)
 
     p = sub.add_parser("train", help="train a base MLP", parents=[seeded])
@@ -404,13 +384,12 @@ def build_parser():
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("features", help="export a feature bundle from a trained model",
-                       parents=[seeded])
+    p = sub.add_parser("features", help="export a feature bundle from a trained model")
     _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out", required=True, help="bundle output path")
     p.add_argument("--no-split", action="store_true",
-                   help="use the whole primary dataset instead of its train partition")
+                   help="deprecated, does nothing: features exports every row")
     p.set_defaults(func=cmd_features)
 
     heads = argparse.ArgumentParser(add_help=False)  # redense and sweep-m share these
@@ -434,7 +413,7 @@ def build_parser():
     p.set_defaults(func=cmd_sweep_m)
 
     p = sub.add_parser("eval", help="evaluate a saved model on a dataset")
-    _add_data_flags(p, split=False)
+    _add_data_flags(p)
     p.add_argument("--model", required=True)
     p.add_argument("--out-dir", default=".", help="where eval_manifest.json is written")
     p.set_defaults(func=cmd_eval)

@@ -266,27 +266,6 @@ def load_feature_bundle(path) -> FeatureBundle:
         raise DataFormatError(str(exc), path=path) from None
 
 
-@dataclass(frozen=True)
-class SplitSpec:
-    train_fraction: float = 0.8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-
-
-def split(data: Dataset, spec: SplitSpec):
-    """Disjoint, exhaustive (train, test) shuffle split; test is every row after train's."""
-    j = len(data)
-    perm = np.random.default_rng(spec.seed).permutation(j)
-    n_train = int(j * spec.train_fraction)
-    parts = (perm[:n_train], perm[n_train:])
-    if any(len(p) == 0 for p in parts):
-        raise ValueError(f"split of {j} samples with {spec} leaves an empty partition")
-    return tuple(Dataset(data.inputs[p], data.targets[p]) for p in parts)
-
-
 def _one_hot(labels: np.ndarray, classes: int) -> Matrix:
     targets = np.zeros((labels.shape[0], classes))
     targets[np.arange(labels.shape[0]), labels] = 1.0

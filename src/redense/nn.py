@@ -38,6 +38,8 @@ class Activation:
             raise ValueError(f"unknown activation {self.kind!r}")
         if not np.isfinite(self.slope):
             raise ValueError(f"activation slope must be finite, got {self.slope}")
+        if self.kind != "leaky_relu" and self.slope != Activation.slope:
+            raise ValueError(f"{self.kind} cannot take slope {self.slope:g} (leaky_relu only)")
 
     def apply(self, z: Matrix) -> Matrix:
         if self.kind == "relu":

@@ -330,11 +330,11 @@ def test_criterion_8_round_trip_fidelity(tmp_path):
 def test_criterion_9_external_boost_path(tmp_path, capsys):
     """A bundle from a separately trained, different architecture passes the
     head-retraining command with the guarantee intact."""
-    flags = [*digit_idx(tmp_path, 240, seed=17), "--seed", "17"]
+    flags = digit_idx(tmp_path, 240, seed=17)
     train_dir = tmp_path / "ext"
-    code = cli_main(["train", *flags, "--hidden", "12,6", "--activation", "leaky_relu",
-                     "--loss", "huber", "--lr", "5e-3", "--epochs", "25",
-                     "--out-dir", str(train_dir)])
+    code = cli_main(["train", *flags, "--seed", "17", "--hidden", "12,6",
+                     "--activation", "leaky_relu", "--loss", "huber", "--lr", "5e-3",
+                     "--epochs", "25", "--out-dir", str(train_dir)])
     assert code == 0
     bundle_path = tmp_path / "ext.rdfb"
     code = cli_main(["features", "--model", str(train_dir / "model.rdnm"), *flags,

@@ -68,6 +68,23 @@ def test_train_smoke_writes_artifacts(tmp_path, capsys):
     assert len(curve) == 16  # epoch 0 plus 15 epochs
 
 
+def test_train_scores_its_test_columns_on_the_training_data_without_a_test_pair(tmp_path,
+                                                                                capsys):
+    pairs = run_train(tmp_path, capsys)
+    assert pairs["eval_source"] == "training_data"
+    assert pairs["final_test_loss"] == pairs["final_train_loss"]
+    assert all(test == train for _, train, test, _ in read_curve(tmp_path / "curve.csv"))
+    with open(tmp_path / "train_manifest.json") as f:
+        assert json.load(f)["results"]["eval_source"] == "training_data"
+
+
+def test_train_with_a_test_pair_scores_its_test_columns_on_it(tmp_path, capsys):
+    _, images, _, labels = digit_idx(tmp_path, 60, seed=99, name="test")
+    pairs = run_train(tmp_path, capsys, extra=["--test-images", images, "--test-labels", labels])
+    assert pairs["eval_source"] == "test_pair"
+    assert pairs["final_test_loss"] != pairs["final_train_loss"]
+
+
 def test_train_without_data_source_exits_2(tmp_path, capsys):
     code = main(["train", "--out-dir", str(tmp_path)])
     assert code == 2
@@ -95,7 +112,7 @@ def _pipeline_to_bundle(tmp_path, capsys, loss="ce", extra=()):
     run_train(tmp_path, capsys, loss=loss, extra=extra)
     bundle_path = tmp_path / "features.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
-                 "--seed", "7", "--out", str(bundle_path)])
+                 "--out", str(bundle_path)])
     assert code == 0
     capsys.readouterr()
     return bundle_path
@@ -109,10 +126,8 @@ def test_features_bundle_consistent_with_model(tmp_path, capsys):
     assert bundle.targets.shape[1] == model.n_outputs
     assert np.array_equal(bundle.output_weight, model.output_weight)
     assert bundle.metadata["base_loss"] == "mean_square_error"
-    # regenerate the exact training rows the command used and re-evaluate
-    train, _test = datamod.split(datamod.load_idx(tmp_path / "digits-images",
-                                                  tmp_path / "digits-labels"),
-                                 datamod.SplitSpec(0.8, 7))
+    # features exports every row of its pair: re-evaluate them all
+    train = datamod.load_idx(tmp_path / "digits-images", tmp_path / "digits-labels")
     logits, features = forward(model, train.inputs)
     assert np.array_equal(bundle.features, features)
     assert float(bundle.metadata["base_train_loss"]) == loss_value(loss, logits, train.targets)
@@ -543,18 +558,33 @@ def test_redense_rerun_same_flags_same_checksum(tmp_path, capsys):
     assert checksums[0] == checksums[1]
 
 
-def test_features_no_split_uses_whole_dataset(tmp_path, capsys):
+def test_features_exports_every_row_of_its_pair(tmp_path, capsys):
     run_train(tmp_path, capsys)
     out = tmp_path / "full.rdfb"
-    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
-                 "--no-split", "--out", str(out)])
+    data = train_data(tmp_path)
+    code = main(["features", "--model", str(tmp_path / "model.rdnm"), *data, "--out", str(out)])
     assert code == 0
-    assert load_feature_bundle(out).features.shape[0] == 200
+    assert kv(capsys)["rows"] == "200"
+    assert np.array_equal(load_feature_bundle(out).targets,
+                          datamod.load_idx(data[1], data[3]).targets)
+
+
+def test_features_no_split_changes_nothing_but_one_stderr_line(tmp_path, capsys):
+    # deprecated: features exports every row with or without it
+    run_train(tmp_path, capsys)
+    flags = ["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path)]
+    assert main([*flags, "--out", str(tmp_path / "plain.rdfb")]) == 0
+    assert capsys.readouterr().err == ""
+    assert main([*flags, "--no-split", "--out", str(tmp_path / "no-split.rdfb")]) == 0
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--no-split is deprecated" in err
+    assert ((tmp_path / "plain.rdfb").read_bytes()
+            == (tmp_path / "no-split.rdfb").read_bytes())
 
 
 @pytest.mark.parametrize("flag", ["--test-images", "--test-labels"])
 def test_features_takes_no_test_source(tmp_path, capsys, flag):
-    # features exports the training partition, or with --no-split the whole file
+    # features exports every row of its one pair
     run_train(tmp_path, capsys)
     out = tmp_path / "f.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
@@ -581,13 +611,13 @@ _ABSENT_IDX = ["--images", "absent-images", "--labels", "absent-labels"]
     (["--images", "absent-images"], "arguments are required: --labels"),
     ([*_ABSENT_IDX, "--test-images", "absent-images"],
      "--test-images and --test-labels must be given together"),
-    (["--images", "../digits-images", "--labels", "../digits-labels", "--train-fraction", "0.1"],
-     "leaves an empty partition")],
+    ([*_ABSENT_IDX, "--leaky-slope", "0.5"], "relu cannot take slope 0.5"),
+    ([*_ABSENT_IDX, "--activation", "identity", "--leaky-slope", "0"],
+     "identity cannot take slope 0")],
     ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "test-images-unpaired",
-         "empty-partition"])
+         "relu-slope", "identity-slope"])
 def test_train_refuses_malformed_flags_with_exit_2(tmp_path, capsys, monkeypatch, flags,
                                                    message):
-    digit_idx(tmp_path, 4)  # 4 images: a tenth of them for training is none
     cwd = tmp_path / "cwd"
     cwd.mkdir()
     monkeypatch.chdir(cwd)
@@ -606,6 +636,18 @@ def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd)
     code = main([cmd, "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path), *where])
     assert code == 3
     assert "cannot take delta -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["eval", "features"])
+def test_a_model_storing_a_slope_for_another_activation_exits_3(tmp_path, capsys, cmd):
+    run_train(tmp_path, capsys)  # relu hidden layers
+    rewrite_header(tmp_path / "model.rdnm", lambda h: h["layers"][0].update(slope=0.5))
+    out = tmp_path / "out"
+    where = ["--out-dir", str(out)] if cmd == "eval" else ["--out", str(out / "f.rdfb")]
+    code = main([cmd, "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path), *where])
+    assert code == 3
+    assert "invalid header: relu cannot take slope 0.5" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -732,23 +774,23 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
     runs = [
         ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
          "--out-dir", tmp_path / "idx"],
-        ["train", *digits, "--train-fraction", "0.6", *train,
+        ["train", *digits, *train,
          "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
          "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
          "--out-dir", tmp_path / "digits"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
          "--out", tmp_path / "idx.rdfb"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx,
-         "--train-fraction", "0.5", "--out", tmp_path / "split.rdfb"],
+         "--out", tmp_path / "plain.rdfb"],
         ["features", "--model", tmp_path / "digits" / "model.rdnm", *digits,
-         "--seed", "2", "--out", tmp_path / "digits.rdfb"],
+         "--out", tmp_path / "digits.rdfb"],
         ["redense", "--bundle", tmp_path / "digits.rdfb", "--model",
          tmp_path / "digits" / "model.rdnm", "--eval-bundle", tmp_path / "digits.rdfb",
          "--m", "8", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
          "--out-dir", tmp_path / "rd"],
         ["redense", "--bundle", tmp_path / "idx.rdfb", "--epochs", "2",
          "--out-dir", tmp_path / "head"],
-        ["sweep-m", "--bundle", tmp_path / "split.rdfb", "--eval-bundle", tmp_path / "idx.rdfb",
+        ["sweep-m", "--bundle", tmp_path / "plain.rdfb", "--eval-bundle", tmp_path / "idx.rdfb",
          "--m-values", "4,8", "--seeds", "2", "--lr", "1e-3", "--epochs", "2", "--seed", "1",
          "--out-dir", tmp_path / "sweep"],
         ["sweep-m", "--bundle", tmp_path / "digits.rdfb", "--m-values", "4", "--seeds", "1",
@@ -790,12 +832,38 @@ def test_every_command_the_benchmark_sends_parses(tmp_path, monkeypatch):
             pytest.fail(f"the benchmark sends {argv}, which does not parse")
 
 
+def test_the_benchmarks_tracer_installs_and_sees_the_package(tmp_path, capsys):
+    # perfbench/spans.py wraps the package's functions by module and name from outside:
+    # a module it cannot import, or a rename, would blind its per-layer metrics
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    data = digit_idx(tmp_path, 40)
+    runs = [["train", *data, "--hidden", "4", "--epochs", "1", "--out-dir", tmp_path],
+            ["features", "--model", tmp_path / "model.rdnm", *data, "--out", tmp_path / "f.rdfb"],
+            ["redense", "--bundle", tmp_path / "f.rdfb", "--epochs", "3", "--out-dir", tmp_path]]
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for argv in runs:
+            assert cli.main([str(a) for a in argv]) == 0, argv
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    metrics = spans.layer_metrics(tracer.spans)
+    for name in ("nn.train_base.s", "persist.save_model.s", "data.save_feature_bundle.s",
+                 "layer.build.s"):
+        assert metrics[name] > 0, name
+    assert metrics["layer.train.iterations"] == 3
+
+
 def test_features_width_mismatch_exits_3(tmp_path, capsys):
     run_train(tmp_path, capsys)  # a model of 28 x 28 images
     write_idx(tmp_path / "i", tmp_path / "l", np.zeros((4, 3, 3)), np.arange(4))
     code = main(["features", "--model", str(tmp_path / "model.rdnm"),
                  "--images", str(tmp_path / "i"), "--labels", str(tmp_path / "l"),
-                 "--no-split", "--out", str(tmp_path / "x.rdfb")])
+                 "--out", str(tmp_path / "x.rdfb")])
     assert code == 3
     assert "width" in capsys.readouterr().err
 
@@ -812,7 +880,7 @@ def test_features_computes_a_ce_models_loss_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli.nn, "loss_value", counting_loss_value)
     out = tmp_path / "f.rdfb"
     code = main(["features", "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path),
-                 "--seed", "7", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     assert calls == ["softmax_cross_entropy"]
     metadata = load_feature_bundle(out).metadata
@@ -895,8 +963,6 @@ def test_sweep_rejects_nonpositive_seeds_before_loading(tmp_path, cmd, expected)
 @pytest.mark.parametrize("cmd", [
     ["train", "--images", "absent-images", "--labels", "absent-labels",
      "--test-images", "absent-images", "--test-labels", "absent-labels", "--out-dir", "out"],
-    ["features", "--model", "absent.rdnm", "--images", "absent-images", "--labels",
-     "absent-labels", "--out", "out/f.rdfb"],
     ["redense", "--bundle", "absent.rdfb", "--out-dir", "out"],
     ["sweep-m", "--bundle", "absent.rdfb", "--m-values", "8", "--out-dir", "out"],
 ], ids=lambda cmd: cmd[0])
@@ -910,19 +976,18 @@ def test_a_malformed_seed_exits_2_before_any_file_is_read(tmp_path, capsys, monk
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("cmd", [
-    ["features", "--model", "absent.rdnm", "--out", "out/f.rdfb"],
-    ["features", "--model", "absent.rdnm", "--no-split", "--out", "out/f.rdfb"],
-    ["train", "--out-dir", "out"],
-    ["train", "--test-images", "absent-images", "--test-labels", "absent-labels",
-     "--out-dir", "out"],
-], ids=["features-split", "features-no-split", "train-split", "train-test-pair"])
-@pytest.mark.parametrize("fraction", ["7", "0"])
-def test_split_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, cmd, fraction):
-    # the model and data are absent: reading either would exit 3
+@pytest.mark.parametrize("cmd, flag", [
+    (["train", "--out-dir", "out"], ["--train-fraction", "0.5"]),
+    (["features", "--model", "absent.rdnm", "--out", "out/f.rdfb"], ["--train-fraction", "0.5"]),
+    (["features", "--model", "absent.rdnm", "--out", "out/f.rdfb"], ["--seed", "1"]),
+], ids=["train-train-fraction", "features-train-fraction", "features-seed"])
+def test_the_split_flags_are_gone_and_exit_2_before_reading(tmp_path, capsys, monkeypatch,
+                                                            cmd, flag):
+    # held-out data is a separate IDX pair; the model and data are absent: reading either
+    # would exit 3
     monkeypatch.chdir(tmp_path)
-    assert main([*cmd, *_ABSENT_IDX, "--train-fraction", fraction]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert main([*cmd, *_ABSENT_IDX, *flag]) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -931,7 +996,7 @@ def test_split_flags_are_checked_before_reading(tmp_path, capsys, monkeypatch, c
                          ids=["no-labels", "no-images"])
 @pytest.mark.parametrize("cmd", [
     ["train", "--out-dir", "out"],
-    ["features", "--model", "absent.rdnm", "--no-split", "--out", "out/f.rdfb"],
+    ["features", "--model", "absent.rdnm", "--out", "out/f.rdfb"],
     ["eval", "--model", "absent.rdnm", "--out-dir", "out"],
 ], ids=lambda cmd: cmd[0])
 def test_half_an_idx_pair_exits_2_before_any_file_is_read(tmp_path, capsys, monkeypatch, cmd,
@@ -960,8 +1025,7 @@ def test_eval_on_the_training_images_reproduces_redense_final_loss(tmp_path, cap
     assert main(["train", *data, "--hidden", "8", "--epochs", "3", "--batch-size", "64",
                  "--loss", *loss, "--seed", "4", "--out-dir", str(tmp_path)]) == 0
     model = str(tmp_path / "model.rdnm")
-    assert main(["features", "--model", model, *data, "--no-split",
-                 "--out", str(tmp_path / "f.rdfb")]) == 0
+    assert main(["features", "--model", model, *data, "--out", str(tmp_path / "f.rdfb")]) == 0
     capsys.readouterr()
     base_train_loss = float(load_feature_bundle(tmp_path / "f.rdfb").metadata["base_train_loss"])
     for epochs in ("0", "25"):
@@ -1064,7 +1128,7 @@ def test_stdout_repeats_manifest_results_then_outputs(tmp_path, capsys, cmd):
     argv = {
         "train": ["train", *data, "--hidden", "4", "--epochs", "2", "--seed", "7",
                   "--out-dir", out],
-        "features": ["features", "--model", model, *data, "--seed", "7", "--out", out / "f.rdfb"],
+        "features": ["features", "--model", model, *data, "--out", out / "f.rdfb"],
         "redense": ["redense", "--bundle", bundle_path, "--model", model, "--epochs", "3",
                     "--seed", "1", "--out-dir", out],
         "sweep-m": ["sweep-m", "--bundle", bundle_path, "--m-values", "8,16", "--seeds", "2",
@@ -1526,7 +1590,6 @@ def test_flag_defaults_are_the_library_defaults():
     assert ((train.lr, train.epochs, train.batch_size, train.seed)
             == dataclasses.astuple(nn.TrainConfig()))
     assert (train.leaky_slope, train.huber_delta) == (nn.Activation.slope, nn.Loss.delta)
-    assert train.train_fraction == datamod.SplitSpec().train_fraction
     with pytest.raises(SystemExit):
         parser.parse_args(["train", *_ABSENT_IDX, "--activation", "tanh"])
     for kind in nn.ACTIVATION_KINDS:
@@ -1534,7 +1597,9 @@ def test_flag_defaults_are_the_library_defaults():
     for argv in (["redense", "--bundle", "b"], ["sweep-m", "--bundle", "b", "--m-values", "8"]):
         args = parser.parse_args(argv)
         assert (args.lr, args.epochs, args.seed) == (*dataclasses.astuple(layermod.HeadConfig()), 0)
-    assert parser.parse_args(["features", "--model", "m", *_ABSENT_IDX, "--out", "o"]).seed == 0
+    # features draws nothing, so it takes no seed
+    assert "seed" not in vars(parser.parse_args(["features", "--model", "m", *_ABSENT_IDX,
+                                                 "--out", "o"]))
 
 
 def test_idx_commands_hold_pixels_as_codes(tmp_path, capsys):

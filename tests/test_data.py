@@ -5,15 +5,13 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import CE, blobs, per_image_digit_images, random_one_hot, rewrite_header
+from conftest import CE, per_image_digit_images, random_one_hot, rewrite_header
 from redense import data as datamod
-from redense.data import (FeatureBundle, SplitSpec, gen_digit_images, load_feature_bundle,
-                          load_idx, save_feature_bundle, split, write_idx)
+from redense.data import (FeatureBundle, gen_digit_images, load_feature_bundle, load_idx,
+                          save_feature_bundle, write_idx)
 from redense.errors import DataFormatError, ShapeError
-from redense.nn import Dataset, Loss, _decode
+from redense.nn import Loss, _decode
 
 
 def test_idx_round_trip_hand_built(tmp_path):
@@ -223,64 +221,6 @@ def test_bundle_decodes_its_base_loss(rng, metadata, loss):
 def test_bundle_rejects_bad_base_loss_metadata(rng, metadata):
     with pytest.raises(ValueError):
         _bundle(rng, metadata=metadata)
-
-
-def test_split_sizes_80_20():
-    ds = blobs(j=100, classes=2, noise=0.1, seed=0)
-    train, test = split(ds, SplitSpec(0.8, seed=0))
-    assert (len(train), len(test)) == (80, 20)
-
-
-def test_split_train_rows_do_not_depend_on_the_fraction_beyond_them():
-    # the test set is every row after the training rows of the same permutation
-    ds = blobs(j=50, classes=2, noise=0.1, seed=1)
-    train, test = split(ds, SplitSpec(0.6, seed=4))
-    wider, rest = split(ds, SplitSpec(0.8, seed=4))
-    assert np.array_equal(wider.inputs[:len(train)], train.inputs)
-    assert np.array_equal(np.vstack([wider.inputs[len(train):], rest.inputs]), test.inputs)
-
-
-def test_split_exhaustive_and_disjoint():
-    ds = blobs(j=57, classes=3, noise=0.2, seed=2)
-    parts = split(ds, SplitSpec(0.6, seed=5))
-    rows = np.vstack([p.inputs for p in parts])
-    assert rows.shape[0] == 57
-    # every original row appears exactly once
-    original = {tuple(r) for r in ds.inputs}
-    recovered = [tuple(r) for r in rows]
-    assert len(set(recovered)) == 57
-    assert set(recovered) == original
-
-
-def test_split_deterministic():
-    ds = blobs(j=50, classes=2, noise=0.1, seed=3)
-    a = split(ds, SplitSpec(0.7, seed=8))
-    b = split(ds, SplitSpec(0.7, seed=8))
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.inputs, pb.inputs)
-
-
-def test_split_empty_partition_rejected():
-    ds = blobs(j=5, classes=2, noise=0.1, seed=0)
-    with pytest.raises(ValueError, match="empty"):
-        split(ds, SplitSpec(0.1, seed=0))
-
-
-def test_split_spec_validations():
-    for fraction in (0.0, 1.0, -0.1, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="train_fraction"):
-            SplitSpec(fraction)
-
-
-@given(st.integers(10, 60), st.integers(0, 10_000))
-@settings(max_examples=25, deadline=None)
-def test_split_property_exhaustive(samples, seed):
-    ds = blobs(j=samples, classes=2, noise=0.05, seed=seed)
-    try:
-        parts = split(ds, SplitSpec(0.6, seed=seed))
-    except ValueError:
-        return  # tiny datasets may leave an empty slice; that rejection is the contract
-    assert sum(len(p) for p in parts) == samples
 
 
 @pytest.mark.parametrize("samples", [0, 1, 1023, 1024, 1025, 2051])

@@ -177,6 +177,16 @@ def test_make_loss_aliases():
         make_loss("ce", delta=-1.0)
 
 
+@pytest.mark.parametrize("slope", [0.0, 0.5, -1.0])
+@pytest.mark.parametrize("kind", [k for k in ACTIVATION_KINDS if k != "leaky_relu"])
+def test_only_leaky_relu_takes_a_slope(kind, slope):
+    # as Loss refuses a delta for any kind but huber: relu and identity would ignore it
+    assert Activation(kind, slope=Activation.slope) == Activation(kind)
+    with pytest.raises(ValueError, match=f"{kind} cannot take slope {slope:g}"):
+        Activation(kind, slope=slope)
+    assert Activation("leaky_relu", slope=slope).slope == slope
+
+
 def test_train_base_reaches_separable_accuracy():
     data = blobs(j=60, noise=0.15, seed=3)
     model = make_mlp(2, [8], 2, seed=3)
@@ -482,7 +492,8 @@ def test_fused_loss_checks_its_arguments():
 def test_backward_matches_finite_differences(activation, rng):
     # objective sum(C * logits): its logits gradient is C, so this checks
     # _backward alone; two hidden layers exercise the inner-layer deltas
-    model = make_mlp(4, [5, 3], 3, activation=Activation(activation, 0.1), seed=5)
+    slope = 0.1 if activation == "leaky_relu" else Activation.slope
+    model = make_mlp(4, [5, 3], 3, activation=Activation(activation, slope), seed=5)
     for layer in model.layers:
         layer.bias[:] = 0.1 * rng.standard_normal(layer.bias.shape)
     x = rng.standard_normal((6, 4))
