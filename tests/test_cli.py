@@ -85,6 +85,24 @@ def test_train_with_a_test_pair_scores_its_test_columns_on_it(tmp_path, capsys):
     assert pairs["final_test_loss"] != pairs["final_train_loss"]
 
 
+@pytest.mark.parametrize("source", ["training_data", "test_pair"])
+def test_trains_final_test_figures_are_eval_on_its_eval_source(tmp_path, capsys, source):
+    # the curve's test columns score the final model on the pair eval_source names
+    held_out = digit_idx(tmp_path, 60, seed=99, name="test")
+    scored = train_data(tmp_path) if source == "training_data" else held_out
+    extra = [] if source == "training_data" else ["--test-images", held_out[1],
+                                                   "--test-labels", held_out[3]]
+    pairs = run_train(tmp_path, capsys, extra=extra)
+    assert pairs["eval_source"] == source
+    assert main(["eval", "--model", str(tmp_path / "model.rdnm"), *scored,
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+    evaluated = kv(capsys)
+    # train_base scores with float32 copies of the weights, eval with the float64 model
+    assert float(pairs["final_test_loss"]) == pytest.approx(float(evaluated["base_loss"]),
+                                                            rel=1e-6)
+    assert float(pairs["final_test_accuracy"]) == float(evaluated["base_accuracy"])
+
+
 def test_train_without_data_source_exits_2(tmp_path, capsys):
     code = main(["train", "--out-dir", str(tmp_path)])
     assert code == 2
