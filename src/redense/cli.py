@@ -142,7 +142,7 @@ def _add_data_flags(parser):
 def cmd_train(args):
     try:
         loss = nn.make_loss(args.loss, delta=args.huber_delta)
-        activation = nn.Activation(args.activation, slope=args.leaky_slope)
+        activation = nn.Activation(args.activation)
         cfg = nn.TrainConfig(learning_rate=args.lr, epochs=args.epochs,
                              batch_size=args.batch_size, seed=args.seed)
     except ValueError as exc:
@@ -375,7 +375,6 @@ def build_parser():
     p.add_argument("--hidden", type=_positive_ints, default="16",
                    help="comma-separated hidden widths ('' for none)")
     p.add_argument("--activation", default="relu", choices=nn.ACTIVATION_KINDS)
-    p.add_argument("--leaky-slope", type=float, default=nn.Activation.slope)
     p.add_argument("--loss", default="ce", help="ce | mse | poisson | huber")
     p.add_argument("--huber-delta", type=float, default=nn.Loss.delta)
     p.add_argument("--lr", type=float, default=nn.TrainConfig.learning_rate)

@@ -21,10 +21,10 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 BUNDLE_MAGIC = b"RDFB"
 BUNDLE_VERSION = 3
-# each version's header (see _check_header); the blocks follow in key order, metadata aside
-_BUNDLE_V2 = {"features": [int, int], "targets": [int, int], "output_weight": [int, int],
-              "metadata": {str: str}}
-BUNDLE_HEADERS = {2: _BUNDLE_V2, BUNDLE_VERSION: {**_BUNDLE_V2, "output_bias": [int]}}
+# the header (see _check_header); the blocks follow in key order, metadata aside
+BUNDLE_HEADERS = {BUNDLE_VERSION: {"features": [int, int], "targets": [int, int],
+                                   "output_weight": [int, int], "output_bias": [int],
+                                   "metadata": {str: str}}}
 _BUNDLE_BLOCKS = [name for name in BUNDLE_HEADERS[BUNDLE_VERSION] if name != "metadata"]
 # gen_digit_images' corpus: 28 x 28 images of 10 classes, pixel noise 0.6, shifts up to 3,
 # prototypes smoothed by 2 passes of a 3 x 3 box blur; made in chunks of 1024 images
@@ -101,39 +101,35 @@ def _check_at_end(f, path):
         raise DataFormatError("trailing bytes after the payload", path=path, offset=f.tell())
 
 
-def _read_u32_be(f, path, what):
-    return struct.unpack(">I", _read_exact(f, 4, path, what))[0]
+def _read_idx(path, magic, what):
+    """The u8 codes of an IDX file that starts with magic, shaped by the u32 dimensions
+    that follow it: as many as magic's low byte says (labels 1, images 3)."""
+    with open(path, "rb") as f:
+        found = struct.unpack(">I", _read_exact(f, 4, path, f"{what} magic"))[0]
+        if found != magic:
+            raise DataFormatError(f"bad {what} magic 0x{found:08x}", path=path, offset=0)
+        shape = [struct.unpack(">I", _read_exact(f, 4, path, f"{what} {dim}"))[0]
+                 for dim in ("count", "rows", "cols")[:magic & 0xFF]]
+        data = "pixel data" if what == "image" else f"{what} data"
+        raw = _read_exact(f, math.prod(shape), path, data)
+        _check_at_end(f, path)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
 
 
 def load_idx(images_path, labels_path) -> Dataset:
     """Load an IDX image/label pair: J x P uint8 pixel codes, which stand for
     code/255 (see nn.Dataset), and one-hot labels."""
-    with open(images_path, "rb") as f:
-        magic = _read_u32_be(f, images_path, "image magic")
-        if magic != IDX_IMAGES_MAGIC:
-            raise DataFormatError(f"bad image magic 0x{magic:08x}", path=images_path, offset=0)
-        count = _read_u32_be(f, images_path, "image count")
-        rows = _read_u32_be(f, images_path, "image rows")
-        cols = _read_u32_be(f, images_path, "image cols")
-        raw = _read_exact(f, count * rows * cols, images_path, "pixel data")
-        _check_at_end(f, images_path)
-    # a copy, so that the file's bytes are freed: glibc then raises its mmap threshold (README)
-    inputs = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols).copy()
-
-    with open(labels_path, "rb") as f:
-        magic = _read_u32_be(f, labels_path, "label magic")
-        if magic != IDX_LABELS_MAGIC:
-            raise DataFormatError(f"bad label magic 0x{magic:08x}", path=labels_path, offset=0)
-        label_count = _read_u32_be(f, labels_path, "label count")
-        raw = _read_exact(f, label_count, labels_path, "label data")
-        _check_at_end(f, labels_path)
-    labels = np.frombuffer(raw, dtype=np.uint8)
-
-    if label_count != count:
-        raise DataFormatError(f"{count} images but {label_count} labels", path=labels_path)
+    images = _read_idx(images_path, IDX_IMAGES_MAGIC, "image")
+    count, rows, cols = images.shape
+    # a copy, so that the file's bytes are freed before the labels are read: glibc then
+    # raises its mmap threshold (README)
+    images = images.reshape(count, rows * cols).copy()
+    labels = _read_idx(labels_path, IDX_LABELS_MAGIC, "label")
+    if len(labels) != count:
+        raise DataFormatError(f"{count} images but {len(labels)} labels", path=labels_path)
     if labels.size and labels.max() > 9:
         raise DataFormatError(f"label {labels.max()} out of range 0..9", path=labels_path)
-    return Dataset(inputs, _one_hot(labels, 10))
+    return Dataset(images, _one_hot(labels, 10))
 
 
 def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
@@ -145,12 +141,11 @@ def write_idx(images_path, labels_path, images: np.ndarray, labels: np.ndarray):
         raise ShapeError(f"expected (J, rows, cols) images matching (J,) labels, "
                          f"got {images.shape} and {labels.shape}")
     images, labels = _byte_codes(images, 255, "pixel"), _byte_codes(labels, 9, "label")
-    with _atomic_open(images_path) as f:
-        f.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, *images.shape))
-        f.write(images.tobytes())
-    with _atomic_open(labels_path) as f:
-        f.write(struct.pack(">II", IDX_LABELS_MAGIC, labels.shape[0]))
-        f.write(labels.tobytes())
+    for path, magic, codes in ((images_path, IDX_IMAGES_MAGIC, images),
+                               (labels_path, IDX_LABELS_MAGIC, labels)):
+        with _atomic_open(path) as f:
+            f.write(struct.pack(f">I{codes.ndim}I", magic, *codes.shape))
+            f.write(codes.tobytes())
 
 
 def _byte_codes(a, top, what):
@@ -254,12 +249,10 @@ def save_feature_bundle(path, bundle: FeatureBundle):
 
 def load_feature_bundle(path) -> FeatureBundle:
     with _read_container(path, BUNDLE_MAGIC, BUNDLE_HEADERS) as (header, read_block):
-        shapes = {name: tuple(header[name]) for name in _BUNDLE_BLOCKS if name in header}
+        shapes = {name: tuple(header[name]) for name in _BUNDLE_BLOCKS}
         if any(size < 0 for shape in shapes.values() for size in shape):
             raise DataFormatError("negative block size in header", path=path, offset=12)
         blocks = {name: read_block(shape, name) for name, shape in shapes.items()}
-    # version 2 has no output_bias: b = 0
-    blocks.setdefault("output_bias", np.zeros(shapes["targets"][1]))
     try:
         return FeatureBundle(**blocks, metadata=header["metadata"])
     except ValueError as exc:

@@ -111,7 +111,7 @@ def build(output_weight: Matrix, bias: np.ndarray, m: int, seed: int,
           r: Matrix | None = None) -> RedenseLayer:
     """Construct a lifting layer at the base head (Ohat, b): Delta = 0, O0 on the ball.
 
-    R is sample_gaussian(m, n, seed), or r, a caller's copy of that draw
+    R is sample_gaussian(m, n, seed), or r, a caller's m x n copy of that draw
     (numpy's Generator fills it row by row, so any wider draw at seed starts
     with it). An ill-conditioned R is resampled from seed + 1, seed + 2, ...;
     cond_r and resamples record R's Frobenius condition number and the
@@ -121,6 +121,8 @@ def build(output_weight: Matrix, bias: np.ndarray, m: int, seed: int,
     n = output_weight.shape[1]
     if m < n:
         raise ConstraintError(f"projection width must satisfy m >= n, got m={m}, n={n}")
+    if r is not None and np.shape(r) != (m, n):
+        raise ShapeError(f"r has shape {np.shape(r)}, expected {(m, n)}")
     for attempt in range(_RESAMPLE_ATTEMPTS):
         if attempt or r is None:
             r = sample_gaussian(m, n, seed + attempt)
@@ -297,18 +299,16 @@ def train(layer: RedenseLayer, features: Matrix, targets: Matrix, loss: Loss, cf
     moments persist across projections. The returned layer carries the best
     iterate by training loss, the start included, so the final loss never
     exceeds the start's (for build()'s layer, the base head's). A non-finite
-    loss stops training early (stop_reason, stopped_at). The eval columns
-    score eval_features, or else the training data with its logits reused;
-    either may come lifted through layer.R, as train_widths passes them.
+    loss stops training early (stop_reason, stopped_at). The eval columns score
+    eval_features and eval_targets, given together, or else the training data with
+    its logits reused; features may come lifted through layer.R, as train_widths's do.
     """
+    if (eval_features is None) != (eval_targets is None):
+        raise ValueError("eval_features and eval_targets must be given together")
     if layer.O0 is None:
         raise ValueError("layer has no start point O0; train a layer made by build()")
     inputs = _through(layer, features)
-    eval_inputs = None
-    if eval_features is not None:
-        if eval_targets is None:
-            raise ValueError("eval_features given without eval_targets")
-        eval_inputs = _through(layer, eval_features)
+    eval_inputs = None if eval_features is None else _through(layer, eval_features)
     # every per-iteration J x Q array is allocated once: each loss's class-major buffers,
     # whose shifted one also holds the logits it scores (the loss shifts them in place,
     # so their accuracy is taken first); flat float32 buffers, sized for the larger set,
@@ -396,6 +396,8 @@ def train_widths(output_weight: Matrix, bias: np.ndarray, widths, seeds, feature
     and lifted alone, as separate build and train calls would. A yielded R
     views its seed's draw: drop it before the next seed's to hold one at a time.
     """
+    if (eval_features is None) != (eval_targets is None):
+        raise ValueError("eval_features and eval_targets must be given together")
     output_weight = as_matrix(output_weight, "output_weight")
     lift = _prepare(output_weight, bias, features)
     eval_lift = None if eval_features is None else _prepare(output_weight, bias, eval_features)

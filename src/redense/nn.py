@@ -26,26 +26,22 @@ _LOSS_ALIASES = {
 }
 
 ACTIVATION_KINDS = ("relu", "leaky_relu", "identity")
+_LEAKY_SLOPE = 0.01  # leaky_relu's slope below 0
 
 
 @dataclass(frozen=True)
 class Activation:
     kind: str
-    slope: float = 0.01
 
     def __post_init__(self):
         if self.kind not in ACTIVATION_KINDS:
             raise ValueError(f"unknown activation {self.kind!r}")
-        if not np.isfinite(self.slope):
-            raise ValueError(f"activation slope must be finite, got {self.slope}")
-        if self.kind != "leaky_relu" and self.slope != Activation.slope:
-            raise ValueError(f"{self.kind} cannot take slope {self.slope:g} (leaky_relu only)")
 
     def apply(self, z: Matrix) -> Matrix:
         if self.kind == "relu":
             return np.maximum(z, 0.0)
         if self.kind == "leaky_relu":
-            return np.where(z > 0.0, z, self.slope * z)
+            return np.where(z > 0.0, z, _LEAKY_SLOPE * z)
         return z
 
     def derivative(self, z: Matrix) -> Matrix:
@@ -53,7 +49,7 @@ class Activation:
         if self.kind == "relu":
             return (z > 0.0).astype(z.dtype)
         if self.kind == "leaky_relu":
-            return np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(self.slope))
+            return np.where(z > 0.0, z.dtype.type(1.0), z.dtype.type(_LEAKY_SLOPE))
         return np.ones_like(z)
 
 

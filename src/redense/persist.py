@@ -7,7 +7,7 @@ import numpy as np
 from .data import _atomic_open, _read_container, _write_container
 from .errors import ConstraintError, DataFormatError
 from .layer import RedenseLayer, _same_output_layer
-from .nn import Activation, Layer, Loss, MlpModel
+from .nn import _LEAKY_SLOPE, Activation, Layer, Loss, MlpModel
 
 MODEL_MAGIC = b"RDNM"
 MODEL_VERSION = 2
@@ -29,7 +29,7 @@ def _architecture_header(model: MlpModel, loss: Loss, redense_layer: RedenseLaye
         "layers": [
             {"width": layer.weight.shape[0],
              "activation": layer.activation.kind,
-             "slope": layer.activation.slope}
+             "slope": _LEAKY_SLOPE}  # every layer's, so that files keep their bytes
             for layer in model.layers
         ],
         "n_outputs": model.n_outputs,
@@ -72,8 +72,10 @@ def load_model(path):
         fan_in, n_outputs, spec = header["input_width"], header["n_outputs"], header["redense"]
         try:
             loss = Loss(header["loss"]["kind"], delta=header["loss"]["delta"])
-            layer_specs = [(s["width"], Activation(s["activation"], s["slope"]))
-                           for s in header["layers"]]
+            layer_specs = [(s["width"], Activation(s["activation"])) for s in header["layers"]]
+            for s in header["layers"]:
+                if s["slope"] != _LEAKY_SLOPE:
+                    raise ValueError(f"layer slope {s['slope']:g} is not {_LEAKY_SLOPE}")
         except ValueError as exc:
             raise DataFormatError(f"invalid header: {exc}", path=path, offset=12) from None
         if fan_in < 1 or n_outputs < 1 or any(width < 1 for width, _ in layer_specs):

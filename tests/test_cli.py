@@ -625,15 +625,11 @@ _ABSENT_IDX = ["--images", "absent-images", "--labels", "absent-labels"]
 @pytest.mark.parametrize("flags, message", [
     ([*_ABSENT_IDX, "--loss", "ce", "--huber-delta", "-1"], "cannot take delta -1"),
     ([*_ABSENT_IDX, "--loss", "huber", "--huber-delta", "inf"], "cannot take delta inf"),
-    ([*_ABSENT_IDX, "--leaky-slope", "nan"], "slope must be finite"),
     (["--images", "absent-images"], "arguments are required: --labels"),
     ([*_ABSENT_IDX, "--test-images", "absent-images"],
      "--test-images and --test-labels must be given together"),
-    ([*_ABSENT_IDX, "--leaky-slope", "0.5"], "relu cannot take slope 0.5"),
-    ([*_ABSENT_IDX, "--activation", "identity", "--leaky-slope", "0"],
-     "identity cannot take slope 0")],
-    ids=["ce-delta", "inf-delta", "nan-slope", "images-unpaired", "test-images-unpaired",
-         "relu-slope", "identity-slope"])
+    ([*_ABSENT_IDX, "--leaky-slope", "0.1"], "unrecognized arguments: --leaky-slope 0.1")],
+    ids=["ce-delta", "inf-delta", "images-unpaired", "test-images-unpaired", "leaky-slope"])
 def test_train_refuses_malformed_flags_with_exit_2(tmp_path, capsys, monkeypatch, flags,
                                                    message):
     cwd = tmp_path / "cwd"
@@ -657,15 +653,17 @@ def test_a_model_storing_a_delta_for_another_loss_exits_3(tmp_path, capsys, cmd)
     assert not out.exists()
 
 
+@pytest.mark.parametrize("activation", nn.ACTIVATION_KINDS)
 @pytest.mark.parametrize("cmd", ["eval", "features"])
-def test_a_model_storing_a_slope_for_another_activation_exits_3(tmp_path, capsys, cmd):
-    run_train(tmp_path, capsys)  # relu hidden layers
+def test_a_model_storing_a_slope_other_than_0_01_exits_3(tmp_path, capsys, cmd, activation):
+    # every layer's slope is 0.01, leaky_relu's included
+    run_train(tmp_path, capsys, extra=["--activation", activation])
     rewrite_header(tmp_path / "model.rdnm", lambda h: h["layers"][0].update(slope=0.5))
     out = tmp_path / "out"
     where = ["--out-dir", str(out)] if cmd == "eval" else ["--out", str(out / "f.rdfb")]
     code = main([cmd, "--model", str(tmp_path / "model.rdnm"), *train_data(tmp_path), *where])
     assert code == 3
-    assert "invalid header: relu cannot take slope 0.5" in capsys.readouterr().err
+    assert "invalid header: layer slope 0.5 is not 0.01" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -706,25 +704,6 @@ def test_a_biased_model_keeps_its_output_bias_through_every_subcommand(tmp_path,
     scored = kv(capsys)
     assert scored["redense_loss"] == scored["base_loss"]
     assert float(scored["base_loss"]) == base_train_loss
-
-
-def test_a_version_2_bundle_trains_with_a_zero_output_bias(tmp_path, capsys):
-    bundle_path = _pipeline_to_bundle(tmp_path, capsys)
-    bundle = load_feature_bundle(bundle_path)
-    # as the previous writer made it: version 2, no output_bias block
-    blocks = [bundle.features, bundle.targets, bundle.output_weight]
-    header = {"features": list(bundle.features.shape), "targets": list(bundle.targets.shape),
-              "output_weight": list(bundle.output_weight.shape), "metadata": bundle.metadata}
-    datamod._write_container(tmp_path / "v2.rdfb", datamod.BUNDLE_MAGIC, 2, header, blocks)
-    runs = {}
-    for name in ("v2.rdfb", bundle_path.name):
-        out = tmp_path / f"rd-{name}"
-        assert main(["redense", "--bundle", str(tmp_path / name), "--model",
-                     str(tmp_path / "model.rdnm"), "--lr", "1e-2", "--epochs", "10",
-                     "--seed", "3", "--out-dir", str(out)]) == 0
-        runs[name] = kv(capsys)
-        assert float(runs[name]["old_loss"]) == float(bundle.metadata["base_train_loss"])
-    assert runs["v2.rdfb"]["model_sha256"] == runs[bundle_path.name]["model_sha256"]
 
 
 def test_redense_refuses_a_model_the_bundle_was_not_exported_from(tmp_path, capsys,
@@ -793,7 +772,7 @@ def test_every_flag_a_subcommand_defines_is_read(tmp_path, capsys, monkeypatch):
         ["train", *idx, "--test-images", idx[1], "--test-labels", idx[3], *train,
          "--out-dir", tmp_path / "idx"],
         ["train", *digits, *train,
-         "--activation", "leaky_relu", "--leaky-slope", "0.1", "--loss", "huber",
+         "--activation", "leaky_relu", "--loss", "huber",
          "--huber-delta", "0.5", "--lr", "1e-3", "--batch-size", "8",
          "--out-dir", tmp_path / "digits"],
         ["features", "--model", tmp_path / "idx" / "model.rdnm", *idx, "--no-split",
@@ -1237,8 +1216,9 @@ def test_a_header_claiming_more_than_its_file_exits_3_before_allocating(tmp_path
         argv = ["train", "--images", big, "--labels", big, "--out-dir", tmp_path / "out"]
     elif kind == "bundle":
         header = json.dumps({"features": [1 << 30, 64], "targets": [1 << 30, 2],
-                             "output_weight": [2, 64], "metadata": {}}).encode("utf-8")
-        big.write_bytes(b"RDFB" + struct.pack("<II", 2, len(header)) + header + bytes(64))
+                             "output_weight": [2, 64], "output_bias": [2],
+                             "metadata": {}}).encode("utf-8")
+        big.write_bytes(b"RDFB" + struct.pack("<II", 3, len(header)) + header + bytes(64))
         argv = ["redense", "--bundle", big, "--out-dir", tmp_path / "out"]
     else:
         header = json.dumps(_HUGE_MODEL_HEADER).encode("utf-8")
@@ -1316,8 +1296,8 @@ def test_eval_exits_3_on_a_missing_or_ill_typed_header_field(tmp_path, capsys, b
 
 
 @pytest.mark.parametrize("defect", ["model-trailing", "bundle-trailing", "images-trailing",
-                                    "labels-trailing", "bundle-version-1", "bundle-infinity",
-                                    "bundle-nested",
+                                    "labels-trailing", "bundle-version-1", "bundle-version-2",
+                                    "bundle-infinity", "bundle-nested",
                                     "model-width-1e400", "labels-magic", "labels-above-9"])
 def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
     model = _lifted_model(tmp_path)
@@ -1343,6 +1323,10 @@ def test_a_malformed_input_file_exits_3(tmp_path, capsys, defect):
         path.write_bytes(b"RDFB" + struct.pack("<I", 1) + struct.pack("<QQd", 1, 1, 0.5) * 3
                          + struct.pack("<I", 0))
         message = "unsupported version 1"
+    elif what == "version-2":
+        # version 2 had no output_bias; no writer makes it, and it must be exported again
+        path.write_bytes(b"RDFB" + struct.pack("<I", 2) + path.read_bytes()[8:])
+        message = "unsupported version 2"
     elif what == "infinity":
         rewrite_header(path, lambda header: header["features"].__setitem__(0, float("inf")))
         message = "Infinity is not a JSON number"
@@ -1582,12 +1566,8 @@ def test_readme_header_keys_are_the_declared_keys():
     assert _declared_keys(persist.MODEL_HEADERS[persist.MODEL_VERSION]) == keys
     paragraph = _readme_paragraph("Feature bundle")
     versions, keys = _readme_header_keys(paragraph)
-    assert set(datamod.BUNDLE_HEADERS) == versions == {2, datamod.BUNDLE_VERSION}
+    assert set(datamod.BUNDLE_HEADERS) == versions == {datamod.BUNDLE_VERSION}
     assert _declared_keys(datamod.BUNDLE_HEADERS[datamod.BUNDLE_VERSION]) == keys
-    # version 2 is version 3 without the key README says it lacks
-    (absent,) = re.findall(r"Version 2, [^.]* has no `(\w+)` key", paragraph)
-    del keys[absent]
-    assert _declared_keys(datamod.BUNDLE_HEADERS[2]) == keys
 
 
 def test_readme_names_exactly_the_flags_the_subcommands_define():
@@ -1607,7 +1587,7 @@ def test_flag_defaults_are_the_library_defaults():
     train = parser.parse_args(["train", *_ABSENT_IDX])
     assert ((train.lr, train.epochs, train.batch_size, train.seed)
             == dataclasses.astuple(nn.TrainConfig()))
-    assert (train.leaky_slope, train.huber_delta) == (nn.Activation.slope, nn.Loss.delta)
+    assert train.huber_delta == nn.Loss.delta
     with pytest.raises(SystemExit):
         parser.parse_args(["train", *_ABSENT_IDX, "--activation", "tanh"])
     for kind in nn.ACTIVATION_KINDS:

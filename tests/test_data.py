@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from conftest import CE, per_image_digit_images, random_one_hot, rewrite_header
-from redense import data as datamod
 from redense.data import (FeatureBundle, gen_digit_images, load_feature_bundle, load_idx,
                           save_feature_bundle, write_idx)
 from redense.errors import DataFormatError, ShapeError
@@ -109,21 +108,6 @@ def test_bundle_round_trip_bit_exact(tmp_path, rng):
     assert np.array_equal(loaded.output_bias, bundle.output_bias)
     assert loaded.metadata == bundle.metadata
     assert loaded.loss == Loss("poisson")
-
-
-def test_a_version_2_bundle_has_a_zero_output_bias(tmp_path, rng):
-    # version 2, as the previous writer made it: three blocks and no output_bias
-    bundle = _bundle(rng)
-    blocks = [bundle.features, bundle.targets, bundle.output_weight]
-    header = {name: list(a.shape) for name, a in zip(("features", "targets", "output_weight"),
-                                                    blocks)}
-    header["metadata"] = bundle.metadata
-    path = tmp_path / "v2.rdfb"
-    datamod._write_container(path, datamod.BUNDLE_MAGIC, 2, header, blocks)
-    loaded = load_feature_bundle(path)
-    assert np.array_equal(loaded.features, bundle.features)
-    assert np.array_equal(loaded.output_weight, bundle.output_weight)
-    assert loaded.output_bias.tobytes() == np.zeros(2).tobytes()
 
 
 def test_bundle_refuses_an_output_bias_of_another_shape(tmp_path, rng):

@@ -72,6 +72,15 @@ def test_build_rejects_m_below_n():
         build(np.ones((2, 4)), np.zeros(2), m=3, seed=0)
 
 
+@pytest.mark.parametrize("shape", [(12, 4), (8, 5), (8,)])
+def test_build_refuses_an_r_that_is_not_m_by_n(rng, shape):
+    # a wider r would have set m itself, and one of another width fails inside matmul
+    with mock.patch("redense.layer.pinv_product", side_effect=AssertionError("factored")):
+        with pytest.raises(ShapeError, match=rf"r has shape \({shape[0]},.*expected \(8, 4\)"):
+            build(rng.standard_normal((3, 4)), np.zeros(3), 8, seed=0,
+                  r=rng.standard_normal(shape))
+
+
 def test_build_rejects_zero_output_weight():
     with pytest.raises(ConstraintError):
         build(np.zeros((2, 3)), np.zeros(2), m=3, seed=0)
@@ -313,6 +322,21 @@ def test_train_eval_curve_columns(rng):
                         eval_features=ev_feats, eval_targets=ev_targets)
     assert all(c.eval_loss is not None and c.eval_accuracy is not None for c in curve)
     assert len(curve) == 6
+
+
+@pytest.mark.parametrize("given", ["eval_features", "eval_targets"])
+def test_held_out_features_and_targets_are_refused_one_without_the_other(rng, given):
+    # targets alone would be dropped, and the eval columns would score the training data
+    layer, feats, _, targets = _instance(rng)
+    held = {given: {"eval_features": rng.standard_normal((15, 6)),
+                    "eval_targets": random_one_hot(rng, 15, 3)}[given]}
+    cfg = HeadConfig(epochs=2)
+    with mock.patch("redense.layer._through", side_effect=AssertionError("lifted")), \
+            mock.patch("redense.layer._prepare", side_effect=AssertionError("prepared")):
+        with pytest.raises(ValueError, match="eval_features and eval_targets must be given"):
+            train(layer, feats, targets, CE, cfg, **held)
+        with pytest.raises(ValueError, match="eval_features and eval_targets must be given"):
+            train_widths(layer.base, layer.bias, [6], [0], feats, targets, CE, cfg, **held)
 
 
 @pytest.mark.parametrize("kind", LOSS_KINDS)

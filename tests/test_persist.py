@@ -19,7 +19,7 @@ from redense.persist import load_model, save_model, write_curve
 def _random_model(rng, with_bias=False):
     widths = list(rng.integers(2, 7, size=int(rng.integers(0, 3))))
     model = make_mlp(int(rng.integers(2, 6)), widths, int(rng.integers(2, 5)),
-                     activation=Activation("leaky_relu", 0.05),
+                     activation=Activation("leaky_relu"),
                      seed=int(rng.integers(1 << 31)))
     if with_bias:
         model.output_bias[:] = rng.standard_normal(model.n_outputs)
@@ -125,7 +125,8 @@ def _saved(kind, tmp_path, rng):
     return {"idx_images": images, "idx_labels": labels}[kind], lambda _: load_idx(images, labels)
 
 
-@pytest.mark.parametrize("kind, version", [("model", 999), ("bundle", 1), ("bundle", 999)])
+@pytest.mark.parametrize("kind, version", [("model", 999), ("bundle", 1), ("bundle", 2),
+                                           ("bundle", 999)])
 def test_rejects_unknown_version(tmp_path, rng, kind, version):
     path, load = _saved(kind, tmp_path, rng)
     raw = bytearray(path.read_bytes())
